@@ -35,24 +35,6 @@ pub fn min_relay_rtt(src_loc: &GeoPoint, dst_loc: &GeoPoint, relay_loc: &GeoPoin
     light::min_relay_rtt_ms(d1, d2)
 }
 
-/// Splits a relay iterator into the feasible subset for a pair.
-pub fn feasible_subset<'r, I, T, F>(
-    relays: I,
-    loc_of: F,
-    src_loc: &GeoPoint,
-    dst_loc: &GeoPoint,
-    direct_rtt_ms: f64,
-) -> Vec<&'r T>
-where
-    I: IntoIterator<Item = &'r T>,
-    F: Fn(&T) -> GeoPoint,
-{
-    relays
-        .into_iter()
-        .filter(|r| is_feasible(src_loc, dst_loc, &loc_of(r), direct_rtt_ms))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,29 +84,6 @@ mod tests {
         let d2 = r.distance_km(&b);
         let want = shortcuts_geo::light::min_relay_rtt_ms(d1, d2);
         assert!((min_relay_rtt(&a, &b, &r) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn feasible_subset_filters_correctly() {
-        struct R {
-            loc: GeoPoint,
-        }
-        let relays = [
-            R {
-                loc: p(53.35, -6.26),
-            }, // Dublin: feasible
-            R {
-                loc: p(35.68, 139.65),
-            }, // Tokyo: not
-        ];
-        let subset = feasible_subset(
-            relays.iter(),
-            |r| r.loc,
-            &p(51.5, -0.13),
-            &p(40.7, -74.0),
-            85.0,
-        );
-        assert_eq!(subset.len(), 1);
     }
 
     #[test]

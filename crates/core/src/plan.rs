@@ -17,12 +17,12 @@
 
 use crate::backend::{MeasureTask, TaskKind};
 use crate::eyeball::EndpointPool;
-use crate::feasibility::is_feasible;
 use crate::relays::{Relay, RelayPools};
 use crate::workflow::CampaignConfig;
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use shortcuts_geo::light::propagation_delay_ms;
 use shortcuts_geo::{CityId, Continent, CountryCode, GeoPoint};
 use shortcuts_netsim::clock::SimTime;
 use shortcuts_netsim::HostId;
@@ -223,15 +223,42 @@ pub fn plan_round<R: Rng + ?Sized>(
 /// pair, and which overlay links that requires measuring.
 #[derive(Debug, Clone)]
 pub struct OverlayPlan {
-    /// Per direct pair (same order as [`RoundPlan::pairs`]): indices
-    /// into [`RoundPlan::relays`] passing the §2.4 light-cone filter.
-    pub feasible: Vec<Vec<u32>>,
+    /// `u64` words per feasibility row: relay count / 64, rounded up.
+    row_words: usize,
+    /// One fixed-width bitset row per direct pair (same order as
+    /// [`RoundPlan::pairs`]), flat: bit `ri` of a row is set iff relay
+    /// `ri` of [`RoundPlan::relays`] passes the §2.4 light-cone filter.
+    feasible: Vec<u64>,
     /// Deduplicated `(endpoint index, relay index)` links to measure,
     /// in ascending order.
     pub needed: Vec<(usize, u32)>,
 }
 
 impl OverlayPlan {
+    /// Builds a plan from explicit per-pair relay index lists over
+    /// `relays` relays — for tests and hand-made rounds;
+    /// [`plan_overlay`] is the real producer.
+    pub fn from_rows(relays: usize, rows: &[Vec<u32>], needed: Vec<(usize, u32)>) -> Self {
+        let row_words = relays.div_ceil(64);
+        let mut feasible = vec![0u64; rows.len() * row_words];
+        for (pair_idx, row) in rows.iter().enumerate() {
+            for &ri in row {
+                assert!((ri as usize) < relays, "relay index out of range");
+                feasible[pair_idx * row_words + ri as usize / 64] |= 1 << (ri % 64);
+            }
+        }
+        OverlayPlan {
+            row_words,
+            feasible,
+            needed,
+        }
+    }
+
+    /// Relay indices feasible for pair `pair_idx`, ascending.
+    pub fn feasible(&self, pair_idx: usize) -> impl Iterator<Item = u32> + '_ {
+        ones(&self.feasible[pair_idx * self.row_words..][..self.row_words])
+    }
+
     /// Measurement tasks for every needed overlay link, in
     /// [`OverlayPlan::needed`] order.
     pub fn link_tasks(&self, plan: &RoundPlan) -> Vec<MeasureTask> {
@@ -248,30 +275,69 @@ impl OverlayPlan {
     }
 }
 
+/// Positions of the set bits of a bitset row, ascending.
+fn ones(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                w as u32 * 64 + bit
+            })
+        })
+    })
+}
+
 /// Plans the overlay stage from the direct results (`direct[i]` is the
 /// median of `plan.pairs[i]`, `None` if the pair was unresponsive).
 /// Pure: geometry and arithmetic only.
+///
+/// All geometry lives on one dense endpoint × relay grid of one-way
+/// propagation delays, filled once per round; the per-(pair, relay)
+/// test is then two loads and the exact arithmetic of
+/// [`is_feasible`](crate::feasibility::is_feasible). Both orientations
+/// are stored (endpoint→relay for the source leg, relay→endpoint for
+/// the destination leg) so the operands match `is_feasible` bit for
+/// bit without assuming `distance_km` is symmetric in the last place.
 pub fn plan_overlay(plan: &RoundPlan, direct: &[Option<f64>]) -> OverlayPlan {
     assert_eq!(plan.pairs.len(), direct.len(), "one result per pair");
-    let mut feasible: Vec<Vec<u32>> = vec![Vec::new(); plan.pairs.len()];
-    // Used purely as an ordered set: BTreeSet dedups and yields the
-    // deterministic ascending order the executor and stitcher rely on.
-    let mut needed: BTreeSet<(usize, u32)> = BTreeSet::new();
-    for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
-        let Some(d) = *d else { continue };
-        let si = &plan.endpoints[pair.src].location;
-        let sj = &plan.endpoints[pair.dst].location;
-        for (ri, relay) in plan.relays.iter().enumerate() {
-            if is_feasible(si, sj, &relay.location, d) {
-                feasible[pair_idx].push(ri as u32);
-                needed.insert((pair.src, ri as u32));
-                needed.insert((pair.dst, ri as u32));
-            }
+    let n_relays = plan.relays.len();
+    let mut to_relay = Vec::with_capacity(plan.endpoints.len() * n_relays);
+    let mut from_relay = Vec::with_capacity(plan.endpoints.len() * n_relays);
+    for e in &plan.endpoints {
+        for r in &plan.relays {
+            to_relay.push(propagation_delay_ms(e.location.distance_km(&r.location)));
+            from_relay.push(propagation_delay_ms(r.location.distance_km(&e.location)));
         }
     }
+
+    let row_words = n_relays.div_ceil(64);
+    let mut feasible = vec![0u64; plan.pairs.len() * row_words];
+    // Which grid cells some feasible (pair, relay) touches: a bitmap
+    // dedups for free, and its row-major scan is the ascending
+    // `(endpoint, relay)` order the executor and stitcher rely on.
+    let mut needed = vec![0u64; plan.endpoints.len() * row_words];
+    for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
+        let Some(d) = *d else { continue };
+        let src_leg = &to_relay[pair.src * n_relays..][..n_relays];
+        let dst_leg = &from_relay[pair.dst * n_relays..][..n_relays];
+        let row = &mut feasible[pair_idx * row_words..][..row_words];
+        for (ri, (t1, t2)) in src_leg.iter().zip(dst_leg).enumerate() {
+            row[ri / 64] |= u64::from(2.0 * (t1 + t2) <= d) << (ri % 64);
+        }
+        for (w, &bits) in row.iter().enumerate() {
+            needed[pair.src * row_words + w] |= bits;
+            needed[pair.dst * row_words + w] |= bits;
+        }
+    }
+    let needed = (0..plan.endpoints.len())
+        .flat_map(|ei| ones(&needed[ei * row_words..][..row_words]).map(move |ri| (ei, ri)))
+        .collect();
     OverlayPlan {
+        row_words,
         feasible,
-        needed: needed.into_iter().collect(),
+        needed,
     }
 }
 
@@ -353,16 +419,14 @@ mod tests {
         // many relays feasible and exercises the dedup.
         let direct: Vec<Option<f64>> = plan.pairs.iter().map(|_| Some(250.0)).collect();
         let oplan = plan_overlay(&plan, &direct);
-        assert_eq!(oplan.feasible.len(), plan.pairs.len());
         assert!(!oplan.needed.is_empty());
         for w in oplan.needed.windows(2) {
             assert!(w[0] < w[1], "needed links must be sorted and unique");
         }
         // Every feasible (pair, relay) contributed both of its links.
         let needed: BTreeSet<(usize, u32)> = oplan.needed.iter().copied().collect();
-        for (pair_idx, rels) in oplan.feasible.iter().enumerate() {
-            let p = plan.pairs[pair_idx];
-            for &ri in rels {
+        for (pair_idx, p) in plan.pairs.iter().enumerate() {
+            for ri in oplan.feasible(pair_idx) {
                 assert!(needed.contains(&(p.src, ri)));
                 assert!(needed.contains(&(p.dst, ri)));
             }
@@ -375,7 +439,7 @@ mod tests {
         let direct: Vec<Option<f64>> = plan.pairs.iter().map(|_| None).collect();
         let oplan = plan_overlay(&plan, &direct);
         assert!(oplan.needed.is_empty());
-        assert!(oplan.feasible.iter().all(|f| f.is_empty()));
+        assert!((0..plan.pairs.len()).all(|i| oplan.feasible(i).next().is_none()));
     }
 
     #[test]

@@ -424,8 +424,15 @@ fn advance_job<B>(coord: &Coordination, backends: &[&B], job: u32)
 where
     B: MeasurementBackend + ?Sized,
 {
-    let mut slot = coord.slots[job as usize].lock().expect("slot lock");
-    let st = slot.as_mut().expect("advanced job is in flight");
+    // A drained stage has no window in flight, so nobody else touches
+    // the slot until this function refills or completes it: take the
+    // state out and plan the tail without holding the lock.
+    let slot = &coord.slots[job as usize];
+    let mut st = slot
+        .lock()
+        .expect("slot lock")
+        .take()
+        .expect("advanced job is in flight");
     debug_assert_eq!(st.remaining, 0, "stage still has outstanding windows");
 
     let tele = telemetry::global();
@@ -437,7 +444,10 @@ where
             tele.record_stage(Stage::Sample, campaign_id, round, start);
         }
         let reverse_tasks = st.plan.reverse_tasks(&st.direct);
-        let overlay = plan_overlay(&st.plan, &st.direct);
+        let overlay = {
+            let _span = tele.span_for(Stage::Plan, campaign_id, round);
+            plan_overlay(&st.plan, &st.direct)
+        };
         let link_tasks = overlay.link_tasks(&st.plan);
         st.reverse = vec![None; reverse_tasks.len()];
         st.links = vec![None; link_tasks.len()];
@@ -446,8 +456,8 @@ where
         st.in_tail = true;
         if st.remaining > 0 {
             st.stage_started = tele.enabled().then(Instant::now);
-            drop(slot);
-            let backend = backends[coord.jobs[job as usize].0 as usize];
+            *slot.lock().expect("slot lock") = Some(st);
+            let backend = backends[campaign_id as usize];
             backend.prepare(&reverse_tasks);
             backend.prepare(&link_tasks);
             enqueue_measures(coord, job, Dest::Reverse, reverse_tasks);
@@ -457,8 +467,6 @@ where
         // No tail windows at all: fall through to completion.
     }
 
-    let st = slot.take().expect("completed job is in flight");
-    drop(slot);
     if let Some(start) = st.stage_started {
         tele.record_stage(Stage::Sample, campaign_id, round, start);
     }
@@ -472,7 +480,6 @@ where
         reverse: st.reverse,
         links: st.links,
     };
-    let campaign = coord.jobs[job as usize].0;
 
     // Admit the next job, keeping at most `jobs_in_flight` alive.
     {
@@ -489,7 +496,7 @@ where
     // worker pool.
     let all_done = {
         let mut d = coord.done.lock().expect("done lock");
-        d.completed.push_back((campaign, bundle));
+        d.completed.push_back((campaign_id, bundle));
         d.jobs_done += 1;
         d.jobs_done as usize == coord.jobs.len()
     };

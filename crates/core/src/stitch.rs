@@ -128,11 +128,13 @@ impl ResultsBuilder {
             }
         }
 
-        // Overlay-link medians, addressable by (endpoint, relay) index.
-        let mut link: HashMap<(usize, u32), f64> = HashMap::with_capacity(overlay.needed.len());
+        // Overlay-link medians on the dense endpoint × relay grid,
+        // addressable by index.
+        let n_relays = plan.relays.len();
+        let mut link: Vec<Option<f64>> = vec![None; plan.endpoints.len() * n_relays];
         for (&(ei, ri), l) in overlay.needed.iter().zip(links) {
             let Some(v) = *l else { continue };
-            link.insert((ei, ri), v);
+            link[ei * n_relays + ri as usize] = Some(v);
             let e_host = plan.endpoints[ei].host;
             let r_host = plan.relays[ri as usize].host;
             let key = if e_host <= r_host {
@@ -147,12 +149,12 @@ impl ResultsBuilder {
         for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
             let Some(d) = *d else { continue };
             let mut outcomes: [TypeOutcome; 4] = Default::default();
-            for &ri in &overlay.feasible[pair_idx] {
+            let src_links = &link[pair.src * n_relays..][..n_relays];
+            let dst_links = &link[pair.dst * n_relays..][..n_relays];
+            for ri in overlay.feasible(pair_idx) {
                 let relay = &plan.relays[ri as usize];
-                let Some(stitched) = stitch_legs(
-                    link.get(&(pair.src, ri)).copied(),
-                    link.get(&(pair.dst, ri)).copied(),
-                ) else {
+                let Some(stitched) = stitch_legs(src_links[ri as usize], dst_links[ri as usize])
+                else {
                     continue;
                 };
                 let out = &mut outcomes[relay.rtype.index()];
@@ -363,10 +365,8 @@ mod tests {
             }],
             relays: vec![relay(10, RelayType::Cor), relay(11, RelayType::Plr)],
         };
-        let overlay = OverlayPlan {
-            feasible: vec![vec![0, 1]],
-            needed: vec![(0, 0), (0, 1), (1, 0), (1, 1)],
-        };
+        let overlay =
+            OverlayPlan::from_rows(2, &[vec![0, 1]], vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         (plan, overlay)
     }
 

@@ -504,7 +504,14 @@ impl<'w> Campaign<'w> {
 
                         // Plan the overlay stage from the direct
                         // medians; execute.
-                        let overlay = plan_overlay(&plan, &direct);
+                        let overlay = {
+                            let _span = tele.span_for(
+                                shortcuts_telemetry::Stage::Plan,
+                                shortcuts_telemetry::NO_LABEL,
+                                round,
+                            );
+                            plan_overlay(&plan, &direct)
+                        };
                         let links = execute(backend, &overlay.link_tasks(&plan), mode);
 
                         // Stitch.

@@ -15,6 +15,36 @@ prop_compose! {
     }
 }
 
+/// A synthetic endpoint for hand-built rounds.
+fn synthetic_endpoint(
+    host: u32,
+    location: GeoPoint,
+) -> colo_shortcuts::core::plan::PlannedEndpoint {
+    use colo_shortcuts::geo::{CityId, Continent, CountryCode};
+    colo_shortcuts::core::plan::PlannedEndpoint {
+        host: colo_shortcuts::netsim::HostId(host),
+        country: CountryCode::new("US").expect("valid"),
+        city: CityId(0),
+        continent: Continent::NorthAmerica,
+        location,
+    }
+}
+
+/// A synthetic relay for hand-built rounds; `i` cycles the relay type.
+fn synthetic_relay(host: u32, i: usize, location: GeoPoint) -> colo_shortcuts::core::relays::Relay {
+    use colo_shortcuts::core::relays::RelayType;
+    use colo_shortcuts::geo::{CityId, CountryCode};
+    colo_shortcuts::core::relays::Relay {
+        host: colo_shortcuts::netsim::HostId(host),
+        asn: colo_shortcuts::topology::Asn(host),
+        city: CityId(0),
+        location,
+        country: CountryCode::new("DE").expect("valid"),
+        rtype: RelayType::ALL[i % 4],
+        facility: None,
+    }
+}
+
 prop_compose! {
     /// An arbitrary synthetic round: `n` endpoints spread over the
     /// globe, all pairs with random reverse flags, `m` relays of
@@ -28,27 +58,18 @@ prop_compose! {
         Vec<Option<f64>>,
     ) {
         use colo_shortcuts::core::plan::{PlannedEndpoint, PlannedPair, RoundPlan};
-        use colo_shortcuts::core::relays::{Relay, RelayType};
-        use colo_shortcuts::geo::{CityId, Continent, CountryCode};
+        use colo_shortcuts::core::relays::Relay;
         use colo_shortcuts::netsim::clock::SimTime;
-        use colo_shortcuts::netsim::HostId;
-        use colo_shortcuts::topology::Asn;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(seed);
+        let point = |rng: &mut StdRng| {
+            GeoPoint::new(rng.gen_range(-60.0..60.0), rng.gen_range(-170.0..170.0))
+                .expect("in range")
+        };
         let endpoints: Vec<PlannedEndpoint> = (0..n)
-            .map(|i| PlannedEndpoint {
-                host: HostId(1 + i as u32),
-                country: CountryCode::new("US").expect("valid"),
-                city: CityId(0),
-                continent: Continent::NorthAmerica,
-                location: GeoPoint::new(
-                    rng.gen_range(-60.0..60.0),
-                    rng.gen_range(-170.0..170.0),
-                )
-                .expect("in range"),
-            })
+            .map(|i| synthetic_endpoint(1 + i as u32, point(&mut rng)))
             .collect();
         let mut pairs = Vec::new();
         for src in 0..n {
@@ -61,19 +82,7 @@ prop_compose! {
             }
         }
         let relays: Vec<Relay> = (0..m)
-            .map(|i| Relay {
-                host: HostId(100 + i as u32),
-                asn: Asn(100 + i as u32),
-                city: CityId(0),
-                location: GeoPoint::new(
-                    rng.gen_range(-60.0..60.0),
-                    rng.gen_range(-170.0..170.0),
-                )
-                .expect("in range"),
-                country: CountryCode::new("DE").expect("valid"),
-                rtype: RelayType::ALL[i % 4],
-                facility: None,
-            })
+            .map(|i| synthetic_relay(100 + i as u32, i, point(&mut rng)))
             .collect();
         let direct: Vec<Option<f64>> = pairs
             .iter()
@@ -88,6 +97,114 @@ prop_compose! {
         };
         (plan, direct)
     }
+}
+
+prop_compose! {
+    /// A round for the grid-planner equivalence tests: up to 40
+    /// endpoints and 70 relays (so feasibility rows cross the 64-bit
+    /// word boundary), with the geometry's corner cases mixed in —
+    /// points coincident with or antipodal to an earlier endpoint —
+    /// and directs that are `None`, arbitrary, or set *exactly* to
+    /// some relay's `min_relay_rtt` so the `<=` boundary is hit. The
+    /// third element lists those `(pair index, relay index)` hits.
+    fn arb_grid_case()(
+        n in 1usize..=40,
+        m in 0usize..=70,
+        seed in 0u64..u64::MAX,
+    ) -> (
+        colo_shortcuts::core::plan::RoundPlan,
+        Vec<Option<f64>>,
+        Vec<(usize, u32)>,
+    ) {
+        use colo_shortcuts::core::plan::{PlannedPair, RoundPlan};
+        use colo_shortcuts::netsim::clock::SimTime;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let antipode = |p: &GeoPoint| {
+            let lon = if p.lon() > 0.0 { p.lon() - 180.0 } else { p.lon() + 180.0 };
+            GeoPoint::new(-p.lat(), lon).expect("in range")
+        };
+        // A fresh point, or one coincident with / antipodal to an
+        // earlier endpoint.
+        let place = |rng: &mut StdRng, anchors: &[GeoPoint]| {
+            let fresh = GeoPoint::new(rng.gen_range(-90.0..=90.0), rng.gen_range(-180.0..=180.0))
+                .expect("in range");
+            match (anchors.is_empty(), rng.gen_range(0..6)) {
+                (false, 0) => anchors[rng.gen_range(0..anchors.len())],
+                (false, 1) => antipode(&anchors[rng.gen_range(0..anchors.len())]),
+                _ => fresh,
+            }
+        };
+        let mut locations: Vec<GeoPoint> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let p = place(&mut rng, &locations);
+            locations.push(p);
+        }
+        let endpoints = locations
+            .iter()
+            .enumerate()
+            .map(|(i, &location)| synthetic_endpoint(1 + i as u32, location))
+            .collect();
+        let relays: Vec<_> = (0..m)
+            .map(|i| synthetic_relay(1000 + i as u32, i, place(&mut rng, &locations)))
+            .collect();
+        let mut pairs = Vec::new();
+        let mut direct = Vec::new();
+        let mut boundary = Vec::new();
+        for src in 0..n {
+            for dst in (src + 1)..n {
+                direct.push(match rng.gen_range(0..4) {
+                    0 => None,
+                    1 if m > 0 => {
+                        let ri = rng.gen_range(0..m);
+                        boundary.push((pairs.len(), ri as u32));
+                        Some(feasibility::min_relay_rtt(
+                            &locations[src],
+                            &locations[dst],
+                            &relays[ri].location,
+                        ))
+                    }
+                    _ => Some(rng.gen_range(0.0..400.0)),
+                });
+                pairs.push(PlannedPair { src, dst, reverse: rng.gen_bool(0.3) });
+            }
+        }
+        let plan = RoundPlan {
+            round: rng.gen_range(0..45),
+            t0: SimTime(0.0),
+            endpoints,
+            pairs,
+            relays,
+        };
+        (plan, direct, boundary)
+    }
+}
+
+/// The overlay planner as it was before the endpoint × relay grid,
+/// kept as the oracle: one scalar `is_feasible` (two haversines) per
+/// (pair, relay), links deduplicated and ordered by a `BTreeSet`.
+/// Returns the per-pair feasible relay lists and the needed links.
+fn plan_overlay_oracle(
+    plan: &colo_shortcuts::core::plan::RoundPlan,
+    direct: &[Option<f64>],
+) -> (Vec<Vec<u32>>, Vec<(usize, u32)>) {
+    let mut feasible: Vec<Vec<u32>> = vec![Vec::new(); plan.pairs.len()];
+    let mut needed = std::collections::BTreeSet::new();
+    for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
+        let Some(d) = *d else { continue };
+        let si = &plan.endpoints[pair.src].location;
+        let sj = &plan.endpoints[pair.dst].location;
+        for (ri, relay) in plan.relays.iter().enumerate() {
+            if feasibility::is_feasible(si, sj, &relay.location, d) {
+                feasible[pair_idx].push(ri as u32);
+                needed.insert((pair.src, ri as u32));
+                needed.insert((pair.dst, ri as u32));
+            }
+        }
+    }
+    (feasible, needed.into_iter().collect())
 }
 
 fn empty_pool() -> colo_shortcuts::core::colo::ColoPool {
@@ -258,10 +375,8 @@ proptest! {
             pairs: vec![PlannedPair { src: 0, dst: 1, reverse: false }],
             relays: vec![relay(10), relay(11)],
         };
-        let overlay = OverlayPlan {
-            feasible: vec![vec![0, 1]],
-            needed: vec![(0, 0), (0, 1), (1, 0), (1, 1)],
-        };
+        let overlay =
+            OverlayPlan::from_rows(2, &[vec![0, 1]], vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         let mut builder = ResultsBuilder::new();
         builder.absorb_round(
             &plan,
@@ -389,7 +504,7 @@ proptest! {
             }
             let case = cases.next().expect("one case per responsive pair");
             let mut want = [0u32; 4];
-            for &ri in &overlay.feasible[pair_idx] {
+            for ri in overlay.feasible(pair_idx) {
                 if link_val.contains_key(&(pair.src, ri))
                     && link_val.contains_key(&(pair.dst, ri))
                 {
@@ -398,6 +513,113 @@ proptest! {
             }
             for (t, &w) in want.iter().enumerate() {
                 prop_assert_eq!(case.outcomes[t].feasible, w);
+            }
+        }
+        prop_assert!(cases.next().is_none());
+    }
+
+    // ---- grid planner == scalar double loop (§2.4 on the dense grid) -----
+
+    #[test]
+    fn grid_planner_matches_the_scalar_double_loop(case in arb_grid_case()) {
+        // Feasible rows and the needed-link list must equal the old
+        // per-(pair, relay) `is_feasible` loop exactly — same members,
+        // same ascending order — including on the `<=` boundary.
+        use colo_shortcuts::core::plan::{plan_overlay, OverlayPlan};
+        let (plan, direct, boundary) = case;
+        let overlay = plan_overlay(&plan, &direct);
+        let (want_rows, want_needed) = plan_overlay_oracle(&plan, &direct);
+        for (pair_idx, want) in want_rows.iter().enumerate() {
+            let got: Vec<u32> = overlay.feasible(pair_idx).collect();
+            prop_assert_eq!(&got, want, "pair {}", pair_idx);
+        }
+        prop_assert_eq!(&overlay.needed, &want_needed);
+        for &(pair_idx, ri) in &boundary {
+            prop_assert!(
+                overlay.feasible(pair_idx).any(|r| r == ri),
+                "direct == min_relay_rtt must admit the relay"
+            );
+        }
+        // The explicit constructor stores the same rows.
+        let rebuilt = OverlayPlan::from_rows(plan.relays.len(), &want_rows, want_needed);
+        for (pair_idx, want) in want_rows.iter().enumerate() {
+            let got: Vec<u32> = rebuilt.feasible(pair_idx).collect();
+            prop_assert_eq!(&got, want);
+        }
+    }
+
+    #[test]
+    fn grid_stitch_matches_a_keyed_reference(
+        case in arb_grid_case(),
+        link_seed in 0u64..u64::MAX,
+    ) {
+        // `absorb_round` over the grid plan must emit, bit for bit, the
+        // cases of a reference stitch that walks the oracle's feasible
+        // lists and looks every leg up by `(endpoint, relay)` key —
+        // with an arbitrary pattern of unmeasured (`None`) links.
+        use colo_shortcuts::core::plan::plan_overlay;
+        use colo_shortcuts::core::stitch::ResultsBuilder;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let (plan, direct, _) = case;
+        let overlay = plan_overlay(&plan, &direct);
+        let (want_rows, _) = plan_overlay_oracle(&plan, &direct);
+        let mut rng = StdRng::seed_from_u64(link_seed);
+        let links: Vec<Option<f64>> = overlay
+            .needed
+            .iter()
+            .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(0.5..300.0)))
+            .collect();
+        let reverse = vec![None; plan.reverse_tasks(&direct).len()];
+        let mut builder = ResultsBuilder::new();
+        builder.absorb_round(&plan, &overlay, &direct, &reverse, &links);
+        let results = builder.finish(empty_pool(), 0);
+
+        let by_key: HashMap<(usize, u32), f64> = overlay
+            .needed
+            .iter()
+            .zip(&links)
+            .filter_map(|(&key, l)| l.map(|v| (key, v)))
+            .collect();
+        let mut cases = results.cases.iter();
+        for (pair_idx, (pair, d)) in plan.pairs.iter().zip(&direct).enumerate() {
+            let Some(d) = *d else { continue };
+            let case = cases.next().expect("one case per responsive pair");
+            prop_assert_eq!(case.src, plan.endpoints[pair.src].host);
+            prop_assert_eq!(case.dst, plan.endpoints[pair.dst].host);
+            let mut feasible = [0u32; 4];
+            let mut best: [Option<(colo_shortcuts::netsim::HostId, f64)>; 4] = [None; 4];
+            let mut improving: [Vec<(colo_shortcuts::netsim::HostId, f32)>; 4] =
+                Default::default();
+            for &ri in &want_rows[pair_idx] {
+                let (Some(&l1), Some(&l2)) =
+                    (by_key.get(&(pair.src, ri)), by_key.get(&(pair.dst, ri)))
+                else {
+                    continue;
+                };
+                let relay = &plan.relays[ri as usize];
+                let (t, stitched) = (relay.rtype.index(), stitch(l1, l2));
+                feasible[t] += 1;
+                if best[t].is_none_or(|(_, b)| stitched < b) {
+                    best[t] = Some((relay.host, stitched));
+                }
+                if stitched < d {
+                    improving[t].push((relay.host, (d - stitched) as f32));
+                }
+            }
+            for t in 0..4 {
+                let got = &case.outcomes[t];
+                prop_assert_eq!(got.feasible, feasible[t]);
+                prop_assert_eq!(
+                    got.best.map(|(h, v)| (h, v.to_bits())),
+                    best[t].map(|(h, v)| (h, v.to_bits()))
+                );
+                prop_assert_eq!(got.improving.len(), improving[t].len());
+                for (g, w) in got.improving.iter().zip(&improving[t]) {
+                    prop_assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()));
+                }
             }
         }
         prop_assert!(cases.next().is_none());
