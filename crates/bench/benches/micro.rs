@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use shortcuts_core::analysis::stats;
 use shortcuts_core::measure::median;
 use shortcuts_netsim::clock::SimTime;
-use shortcuts_netsim::path::{expand_path, ExpandConfig};
+use shortcuts_netsim::path::{expand_path, path_cost, ExpandConfig};
 use shortcuts_netsim::{HostRegistry, LatencyModel, PingEngine};
 use shortcuts_topology::routing::Router;
 use shortcuts_topology::{Topology, TopologyConfig};
@@ -21,17 +21,16 @@ fn bench_expansion(c: &mut Criterion) {
     // A representative long AS path.
     let (src, dst) = (eyes[0], eyes[eyes.len() / 2]);
     let as_path = router.as_path(src, dst).expect("routable");
-    let src_loc = topo
-        .cities
-        .get(topo.pop(topo.expect_as(src).pops[0]).city)
-        .location;
-    let dst_loc = topo
-        .cities
-        .get(topo.pop(topo.expect_as(dst).pops[0]).city)
-        .location;
+    let src_city = topo.pop(topo.expect_as(src).pops[0]).city;
+    let dst_city = topo.pop(topo.expect_as(dst).pops[0]).city;
     let cfg = ExpandConfig::default();
     c.bench_function("netsim/expand_path", |b| {
-        b.iter(|| black_box(expand_path(&topo, &as_path, src_loc, dst_loc, &cfg)))
+        b.iter(|| black_box(expand_path(&topo, &as_path, src_city, dst_city, &cfg)))
+    });
+    // The same walk without materializing the path: what the ping
+    // engine pays per direction of a pair-cache miss.
+    c.bench_function("netsim/path_cost", |b| {
+        b.iter(|| black_box(path_cost(&topo, &as_path, src_city, dst_city, &cfg)))
     });
 }
 

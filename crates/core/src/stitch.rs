@@ -193,6 +193,7 @@ impl ResultsBuilder {
     /// partials in ascending round order — the step that makes
     /// completion order unobservable.
     pub fn finish(self, colo_pool: crate::colo::ColoPool, pings_sent: u64) -> CampaignResults {
+        let _span = shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Stitch);
         let rounds = (self.partials.len().max(1)) as f64;
         let total = |f: fn(&RoundPartial) -> usize| self.partials.values().map(f).sum::<usize>();
         let mut cases = Vec::with_capacity(total(|p| p.cases.len()));

@@ -13,6 +13,7 @@
 use crate::coord::GeoPoint;
 use crate::country::{Continent, CountryCode};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Index of a city inside a [`CityDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -245,6 +246,9 @@ pub struct CityDb {
     cities: Vec<City>,
     by_name: HashMap<&'static str, CityId>,
     by_country: HashMap<CountryCode, Vec<CityId>>,
+    /// Row-major `len × len` great-circle table behind [`CityDb::km`],
+    /// filled on first use.
+    km: OnceLock<Box<[f64]>>,
 }
 
 impl CityDb {
@@ -278,6 +282,7 @@ impl CityDb {
             cities,
             by_name,
             by_country,
+            km: OnceLock::new(),
         }
     }
 
@@ -294,6 +299,26 @@ impl CityDb {
     /// Looks up a city by id.
     pub fn get(&self, id: CityId) -> &City {
         &self.cities[id.0 as usize]
+    }
+
+    /// Great-circle distance between two city centres, in km.
+    ///
+    /// A load from a dense table built on the first call; every ordered
+    /// entry is `a.location.distance_km(&b.location)`, so the result is
+    /// bit-equal to the call it replaces.
+    #[inline]
+    pub fn km(&self, a: CityId, b: CityId) -> f64 {
+        let table = self.km.get_or_init(|| {
+            self.cities
+                .iter()
+                .flat_map(|a| {
+                    self.cities
+                        .iter()
+                        .map(|b| a.location.distance_km(&b.location))
+                })
+                .collect()
+        });
+        table[a.0 as usize * self.cities.len() + b.0 as usize]
     }
 
     /// Looks up a city by its unique name.
@@ -466,6 +491,29 @@ mod tests {
         assert!(hubs.len() < db.len());
         for id in hubs {
             assert!(db.get(id).is_hub);
+        }
+    }
+
+    #[test]
+    fn km_table_is_bit_equal_to_haversine_for_every_ordered_pair() {
+        let db = CityDb::embedded();
+        // One clone taken before the table exists, one after.
+        let cold = db.clone();
+        db.km(CityId(0), CityId(0));
+        let warm = db.clone();
+        for a in db.iter() {
+            for b in db.iter() {
+                let direct = a.location.distance_km(&b.location).to_bits();
+                for copy in [&db, &cold, &warm] {
+                    assert_eq!(
+                        copy.km(a.id, b.id).to_bits(),
+                        direct,
+                        "{} -> {}",
+                        a.name,
+                        b.name
+                    );
+                }
+            }
         }
     }
 

@@ -274,7 +274,7 @@ mod tests {
         let topo = small_topo();
         let mut reg = HostRegistry::new();
         let asn = topo.eyeball_asns()[0];
-        let city = *topo.pop_cities(asn).iter().next().unwrap();
+        let city = topo.pop_cities(asn)[0];
         let id = reg
             .add_host(&topo, asn, Some(city), HostKind::ColoInterface)
             .unwrap();

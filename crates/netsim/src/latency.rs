@@ -18,7 +18,7 @@
 //!   footnote 4).
 
 use crate::clock::SimTime;
-use crate::path::{ExpandConfig, RouterPath};
+use crate::path::{ExpandConfig, PathCost};
 use rand::Rng;
 use shortcuts_geo::FIBER_KM_PER_MS;
 
@@ -65,8 +65,8 @@ impl LatencyModel {
     /// Deterministic base RTT of an expanded path, in ms, assuming the
     /// reply retraces the same route.
     #[inline]
-    pub fn base_rtt_ms(&self, path: &RouterPath) -> f64 {
-        let prop_one_way = path.total_km() * self.circuity / FIBER_KM_PER_MS;
+    pub fn base_rtt_ms(&self, path: PathCost) -> f64 {
+        let prop_one_way = path.km * self.circuity / FIBER_KM_PER_MS;
         2.0 * prop_one_way + f64::from(path.router_hops) * self.per_hop_ms
     }
 
@@ -76,8 +76,8 @@ impl LatencyModel {
     /// over the two directions. Symmetric by construction:
     /// `base_rtt_two_way(f, r) == base_rtt_two_way(r, f)`.
     #[inline]
-    pub fn base_rtt_two_way(&self, fwd: &RouterPath, rev: &RouterPath) -> f64 {
-        let prop = (fwd.total_km() + rev.total_km()) * self.circuity / FIBER_KM_PER_MS;
+    pub fn base_rtt_two_way(&self, fwd: PathCost, rev: PathCost) -> f64 {
+        let prop = (fwd.km + rev.km) * self.circuity / FIBER_KM_PER_MS;
         let hops = f64::from(fwd.router_hops + rev.router_hops) / 2.0;
         prop + hops * self.per_hop_ms
     }
@@ -137,29 +137,19 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::Segment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use shortcuts_geo::GeoPoint;
-    use shortcuts_topology::Asn;
 
-    fn fake_path(km: f64, hops: u32) -> RouterPath {
-        let a = GeoPoint::new(0.0, 0.0).unwrap();
-        let b = GeoPoint::new(0.0, 1.0).unwrap();
-        RouterPath {
-            segments: vec![Segment { from: a, to: b, km }],
-            router_hops: hops,
-            as_path: vec![Asn(1)],
-            handoffs: vec![],
-        }
+    fn fake_path(km: f64, router_hops: u32) -> PathCost {
+        PathCost { km, router_hops }
     }
 
     #[test]
     fn base_rtt_scales_with_distance_and_hops() {
         let m = LatencyModel::default();
-        let short = m.base_rtt_ms(&fake_path(100.0, 3));
-        let long = m.base_rtt_ms(&fake_path(5000.0, 3));
-        let hoppy = m.base_rtt_ms(&fake_path(100.0, 12));
+        let short = m.base_rtt_ms(fake_path(100.0, 3));
+        let long = m.base_rtt_ms(fake_path(5000.0, 3));
+        let hoppy = m.base_rtt_ms(fake_path(100.0, 12));
         assert!(long > short);
         assert!(hoppy > short);
         // 5000 km at 1.25 circuity -> 2*6250/199.86 = ~62.5 ms + hops.

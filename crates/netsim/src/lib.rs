@@ -61,6 +61,6 @@ pub use clock::SimClock;
 pub use fault::FaultPlan;
 pub use host::{Host, HostId, HostKind, HostRegistry};
 pub use latency::LatencyModel;
-pub use path::{expand_path, RouterPath};
+pub use path::{expand_path, PathCost, RouterPath};
 pub use ping::{EngineStats, PairBlock, PingEngine, PingHandle, Pinger, SampleTally};
 pub use traceroute::{Traceroute, TracerouteHop};

@@ -17,9 +17,17 @@
 //! shows up as real distance, and hence real milliseconds. The expansion
 //! also counts router hops (two per AS plus one per long-haul segment)
 //! for the per-hop processing term of the latency model.
+//!
+//! Hosts sit at city centres and hand-offs happen in PoP cities, so the
+//! walk is over [`CityId`]s: candidates come from a merge of the two
+//! ASes' ascending PoP-city lists and every distance is a load from the
+//! city × city table behind `CityDb::km`, not a haversine. One walk
+//! serves both callers — [`expand_path`] keeps the segments (traceroute),
+//! [`path_cost`] only sums them (the ping engine's pair expansion).
 
-use shortcuts_geo::GeoPoint;
+use shortcuts_geo::{CityId, GeoPoint};
 use shortcuts_topology::{Asn, Topology};
+use std::cmp::Ordering;
 
 /// A geographic segment of the expanded path.
 #[derive(Debug, Clone, Copy)]
@@ -96,86 +104,151 @@ impl Default for ExpandConfig {
     }
 }
 
-fn push_segment(segments: &mut Vec<Segment>, from: GeoPoint, to: GeoPoint) {
-    let km = from.distance_km(&to);
-    if km > 1e-9 {
-        segments.push(Segment { from, to, km });
-    }
+/// What the latency model reads off an expanded path: the sums
+/// [`RouterPath::total_km`] and [`RouterPath::router_hops`] hold,
+/// without the path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathCost {
+    /// Total great-circle kilometers along the path.
+    pub km: f64,
+    /// Approximate number of router hops (for processing delay).
+    pub router_hops: u32,
 }
 
-/// Expands an AS path into a geographic router path.
+/// The hand-off walk behind [`expand_path`] and [`path_cost`].
 ///
-/// `src_loc`/`dst_loc` are the physical endpoints (probe and target
-/// host). The AS path must be non-empty; a single-AS path produces the
-/// direct intra-AS segment.
-pub fn expand_path(
+/// Every point it can touch is a city centre, so it works on
+/// [`CityId`]s and reads distances from [`CityDb::km`]. Reports each
+/// segment of non-zero length (`from`, `to`, km) to `on_segment` in
+/// travel order and the city traffic sits in after each AS-path window
+/// to `on_handoff`; returns the router hops.
+///
+/// [`CityDb::km`]: shortcuts_geo::CityDb::km
+fn walk(
     topo: &Topology,
     as_path: &[Asn],
-    src_loc: GeoPoint,
-    dst_loc: GeoPoint,
+    src: CityId,
+    dst: CityId,
     cfg: &ExpandConfig,
-) -> RouterPath {
+    mut on_segment: impl FnMut(CityId, CityId, f64),
+    mut on_handoff: impl FnMut(CityId),
+) -> u32 {
     assert!(!as_path.is_empty(), "empty AS path");
-    let mut segments = Vec::new();
-    let mut handoffs = Vec::with_capacity(as_path.len().saturating_sub(1));
-    let mut current = src_loc;
+    let cities = &topo.cities;
+    let mut segment = |from: CityId, to: CityId| {
+        let km = cities.km(from, to);
+        if km > 1e-9 {
+            on_segment(from, to, km);
+        }
+    };
+    let mut current = src;
     let mut router_hops = cfg.hops_per_as * as_path.len() as u32;
+    let mut a_cities = topo.pop_cities(as_path[0]);
 
-    for w in as_path.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let common = topo.common_pop_cities(a, b);
-        if !common.is_empty() {
-            // Handoff in the best common city.
-            let best = common
-                .iter()
-                .map(|&c| topo.cities.get(c).location)
-                .min_by(|x, y| {
-                    let cx = current.distance_km(x) + cfg.dst_weight * x.distance_km(&dst_loc);
-                    let cy = current.distance_km(y) + cfg.dst_weight * y.distance_km(&dst_loc);
-                    cx.partial_cmp(&cy).expect("finite costs")
-                })
-                .expect("non-empty common cities");
-            push_segment(&mut segments, current, best);
-            current = best;
-            handoffs.push(current);
-        } else {
-            // Long-haul interconnect: best (a_pop, b_pop) pair.
-            let a_cities = topo.pop_cities(a);
-            let b_cities = topo.pop_cities(b);
-            if a_cities.is_empty() || b_cities.is_empty() {
-                // Degenerate topology (AS without PoPs): charge direct.
-                handoffs.push(current);
-                continue;
+    for &b in &as_path[1..] {
+        let b_cities = topo.pop_cities(b);
+        // Hand off in the best common city: a merge of the two
+        // ascending lists, the first strict minimum winning.
+        let mut best: Option<(CityId, f64)> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < a_cities.len() && j < b_cities.len() {
+            let c = a_cities[i];
+            match c.cmp(&b_cities[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let cost = cities.km(current, c) + cfg.dst_weight * cities.km(c, dst);
+                    if best.is_none_or(|(_, least)| cost < least) {
+                        best = Some((c, cost));
+                    }
+                    i += 1;
+                    j += 1;
+                }
             }
-            let mut best: Option<(GeoPoint, GeoPoint, f64)> = None;
-            for &ca in a_cities {
-                let pa = topo.cities.get(ca).location;
-                let leg1 = current.distance_km(&pa);
-                for &cb in b_cities {
-                    let pb = topo.cities.get(cb).location;
-                    let cost =
-                        leg1 + pa.distance_km(&pb) + cfg.dst_weight * pb.distance_km(&dst_loc);
+        }
+        if let Some((city, _)) = best {
+            segment(current, city);
+            current = city;
+        } else if !a_cities.is_empty() && !b_cities.is_empty() {
+            // Long-haul interconnect: best (a_pop, b_pop) pair.
+            let mut best: Option<(CityId, CityId, f64)> = None;
+            for &pa in a_cities {
+                let leg1 = cities.km(current, pa);
+                for &pb in b_cities {
+                    let cost = leg1 + cities.km(pa, pb) + cfg.dst_weight * cities.km(pb, dst);
                     if best.is_none_or(|(_, _, c)| cost < c) {
                         best = Some((pa, pb, cost));
                     }
                 }
             }
-            let (pa, pb, _) = best.expect("non-empty PoP sets");
-            push_segment(&mut segments, current, pa);
-            push_segment(&mut segments, pa, pb);
+            let (pa, pb, _) = best.expect("non-empty PoP lists");
+            segment(current, pa);
+            segment(pa, pb);
             current = pb;
-            handoffs.push(current);
             router_hops += cfg.hops_per_longhaul;
         }
+        // Otherwise a degenerate topology (AS without PoPs): charge
+        // direct, traffic stays where it is.
+        on_handoff(current);
+        a_cities = b_cities;
     }
 
-    push_segment(&mut segments, current, dst_loc);
+    segment(current, dst);
+    router_hops
+}
+
+/// Expands an AS path into a geographic router path.
+///
+/// `src`/`dst` are the cities of the physical endpoints (probe and
+/// target host). The AS path must be non-empty; a single-AS path
+/// produces the direct intra-AS segment.
+pub fn expand_path(
+    topo: &Topology,
+    as_path: &[Asn],
+    src: CityId,
+    dst: CityId,
+    cfg: &ExpandConfig,
+) -> RouterPath {
+    let at = |c: CityId| topo.cities.get(c).location;
+    let mut segments = Vec::new();
+    let mut handoffs = Vec::with_capacity(as_path.len().saturating_sub(1));
+    let router_hops = walk(
+        topo,
+        as_path,
+        src,
+        dst,
+        cfg,
+        |from, to, km| {
+            segments.push(Segment {
+                from: at(from),
+                to: at(to),
+                km,
+            })
+        },
+        |c| handoffs.push(at(c)),
+    );
     RouterPath {
         segments,
         router_hops,
         as_path: as_path.to_vec(),
         handoffs,
     }
+}
+
+/// The totals of [`expand_path`]'s result without building it: same
+/// walk, segments summed in travel order, no allocation.
+pub fn path_cost(
+    topo: &Topology,
+    as_path: &[Asn],
+    src: CityId,
+    dst: CityId,
+    cfg: &ExpandConfig,
+) -> PathCost {
+    // `-0.0` is what `Iterator::sum` starts from, so a path without
+    // segments is bit-equal to `RouterPath::total_km` too.
+    let mut km = -0.0;
+    let router_hops = walk(topo, as_path, src, dst, cfg, |_, _, seg| km += seg, |_| {});
+    PathCost { km, router_hops }
 }
 
 #[cfg(test)]
@@ -214,6 +287,10 @@ mod tests {
         b.build()
     }
 
+    fn city(topo: &Topology, name: &str) -> CityId {
+        topo.cities.by_name(name).unwrap().id
+    }
+
     fn loc(topo: &Topology, name: &str) -> GeoPoint {
         topo.cities.by_name(name).unwrap().location
     }
@@ -226,8 +303,8 @@ mod tests {
         let path = expand_path(
             &topo,
             &[Asn(1), Asn(2), Asn(3)],
-            src,
-            dst,
+            city(&topo, "London"),
+            city(&topo, "NewYork"),
             &ExpandConfig::default(),
         );
         // Expected: London -> Paris (handoff 1->2), Paris -> NYC
@@ -251,7 +328,13 @@ mod tests {
         let topo = line_topology();
         let src = loc(&topo, "London");
         let dst = loc(&topo, "Paris");
-        let path = expand_path(&topo, &[Asn(1)], src, dst, &ExpandConfig::default());
+        let path = expand_path(
+            &topo,
+            &[Asn(1)],
+            city(&topo, "London"),
+            city(&topo, "Paris"),
+            &ExpandConfig::default(),
+        );
         assert_eq!(path.segments.len(), 1);
         assert!((path.total_km() - src.distance_km(&dst)).abs() < 1e-9);
     }
@@ -259,11 +342,15 @@ mod tests {
     #[test]
     fn same_location_yields_zero_km() {
         let topo = line_topology();
-        let p = loc(&topo, "Paris");
-        let path = expand_path(&topo, &[Asn(1)], p, p, &ExpandConfig::default());
+        let (c, p) = (city(&topo, "Paris"), loc(&topo, "Paris"));
+        let cfg = ExpandConfig::default();
+        let path = expand_path(&topo, &[Asn(1)], c, c, &cfg);
         assert_eq!(path.segments.len(), 0);
         assert_eq!(path.total_km(), 0.0);
         assert_eq!(path.inflation(&p, &p), 1.0);
+        // The empty sum keeps its sign bit in the allocation-free form.
+        let cost = path_cost(&topo, &[Asn(1)], c, c, &cfg);
+        assert_eq!(cost.km.to_bits(), path.total_km().to_bits());
     }
 
     #[test]
@@ -292,7 +379,7 @@ mod tests {
         let src = loc(&topo, "London");
         let dst = loc(&topo, "Tokyo");
         let cfg = ExpandConfig::default();
-        let path = expand_path(&topo, &[Asn(1), Asn(2)], src, dst, &cfg);
+        let path = expand_path(&topo, &[Asn(1), Asn(2)], lon, tok, &cfg);
         assert!((path.total_km() - src.distance_km(&dst)).abs() < 1.0);
         // Long-haul surcharge applied.
         assert_eq!(
@@ -327,8 +414,7 @@ mod tests {
         }
         b.add_peering(Asn(1), Asn(2));
         let topo = b.build();
-        let src = loc(&topo, "London");
-        let path = expand_path(&topo, &[Asn(1), Asn(2)], src, src, &ExpandConfig::default());
+        let path = expand_path(&topo, &[Asn(1), Asn(2)], lon, lon, &ExpandConfig::default());
         assert!(path.total_km() < 1.0, "handoff should stay in London");
     }
 
@@ -340,8 +426,8 @@ mod tests {
         let path = expand_path(
             &topo,
             &[Asn(1), Asn(2), Asn(3)],
-            src,
-            dst,
+            city(&topo, "London"),
+            city(&topo, "NewYork"),
             &ExpandConfig::default(),
         );
         assert!(path.inflation(&src, &dst) >= 1.0);
@@ -351,7 +437,7 @@ mod tests {
     #[should_panic(expected = "empty AS path")]
     fn empty_path_panics() {
         let topo = line_topology();
-        let p = loc(&topo, "Paris");
+        let p = city(&topo, "Paris");
         expand_path(&topo, &[], p, p, &ExpandConfig::default());
     }
 }

@@ -1,10 +1,12 @@
 //! The ping engine: end-to-end RTT sampling between registered hosts.
 //!
 //! Composes the stack: resolve hosts → policy AS path (cached per
-//! destination by [`Router`]) → router-level expansion → base RTT →
-//! noise/faults → one observed sample. The deterministic part
-//! (path + base RTT) is cached per host pair because the campaign pings
-//! the same pairs six times per window, 45 rounds in a row.
+//! destination by [`Router`]) → hand-off walk over the hosts' cities
+//! ([`path_cost`]: kilometers and router hops, no path materialized) →
+//! base RTT → noise/faults → one observed sample. The deterministic
+//! part (AS paths + base RTT) is cached per host pair because the
+//! campaign pings the same pairs six times per window, 45 rounds in a
+//! row.
 //!
 //! The engine co-owns its topology, router and host registry behind
 //! `Arc`s and holds **no per-campaign state**: everything inside is
@@ -37,7 +39,7 @@ use crate::fasthash::FastMap;
 use crate::fault::FaultPlan;
 use crate::host::{HostId, HostRegistry};
 use crate::latency::LatencyModel;
-use crate::path::expand_path;
+use crate::path::path_cost;
 use crate::traceroute::Traceroute;
 use parking_lot::RwLock;
 use rand::Rng;
@@ -927,17 +929,11 @@ impl PingEngine {
         let s = self.hosts.get(src);
         let d = self.hosts.get(dst);
         let access = s.access_ms + d.access_ms;
-        let path = expand_path(
-            &self.topo,
-            &[s.asn],
-            s.location,
-            d.location,
-            &self.model.expand,
-        );
+        let path = path_cost(&self.topo, &[s.asn], s.city, d.city, &self.model.expand);
         let (as_path, fresh) = self.interner.intern(&[s.asn]);
         let charged = if fresh { as_path.len() } else { 0 };
         let info = Some(Arc::new(PairInfo {
-            base_ms: self.model.base_rtt_ms(&path) + access,
+            base_ms: self.model.base_rtt_ms(path) + access,
             rev_path: Arc::clone(&as_path),
             as_path,
             mid_lon: mid_longitude(s.location.lon(), d.location.lon()),
@@ -958,26 +954,14 @@ impl PingEngine {
         let s = self.hosts.get(src);
         let d = self.hosts.get(dst);
         let access = s.access_ms + d.access_ms;
-        let fwd = expand_path(
-            &self.topo,
-            fwd_as,
-            s.location,
-            d.location,
-            &self.model.expand,
-        );
-        let rev = expand_path(
-            &self.topo,
-            rev_as,
-            d.location,
-            s.location,
-            &self.model.expand,
-        );
+        let fwd = path_cost(&self.topo, fwd_as, s.city, d.city, &self.model.expand);
+        let rev = path_cost(&self.topo, rev_as, d.city, s.city, &self.model.expand);
         let (as_path, fwd_fresh) = self.interner.intern(fwd_as);
         let (rev_path, rev_fresh) = self.interner.intern(rev_as);
         let charged =
             if fwd_fresh { as_path.len() } else { 0 } + if rev_fresh { rev_path.len() } else { 0 };
         let info = Some(Arc::new(PairInfo {
-            base_ms: self.model.base_rtt_two_way(&fwd, &rev) + access,
+            base_ms: self.model.base_rtt_two_way(fwd, rev) + access,
             as_path,
             rev_path,
             mid_lon: mid_longitude(s.location.lon(), d.location.lon()),

@@ -98,13 +98,7 @@ impl PingEngine {
         let model = self.model();
 
         // Forward expansion with handoff points for hop attribution.
-        let fwd = expand_path(
-            self.topology(),
-            &as_path,
-            s.location,
-            d.location,
-            &model.expand,
-        );
+        let fwd = expand_path(self.topology(), &as_path, s.city, d.city, &model.expand);
         let handoffs = fwd.handoff_points(s.location, d.location);
 
         let mut hops = Vec::with_capacity(as_path.len());

@@ -16,7 +16,7 @@ use crate::asys::{AsInfo, AsType, Pop};
 use crate::facility::{Facility, Ixp};
 use crate::ids::{Asn, FacilityId, IxpId, NodeId, PopId};
 use shortcuts_geo::{CityDb, CityId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Business relationship on an inter-AS link, from the perspective of the
@@ -162,8 +162,8 @@ pub struct Topology {
     /// Cached: ASNs per [`AsType`], indexed by [`AsType::index`], in
     /// insertion order.
     asns_by_type: [Vec<Asn>; 6],
-    /// Cached: set of cities where each AS has a PoP.
-    pop_cities: HashMap<Asn, HashSet<CityId>>,
+    /// Cached: cities where each AS has a PoP, ascending and deduped.
+    pop_cities: HashMap<Asn, Box<[CityId]>>,
     /// Cached: facilities by city.
     facilities_by_city: HashMap<CityId, Vec<FacilityId>>,
 }
@@ -250,27 +250,10 @@ impl Topology {
         &self.csr
     }
 
-    /// Set of cities where `asn` has a PoP.
-    pub fn pop_cities(&self, asn: Asn) -> &HashSet<CityId> {
-        static EMPTY: std::sync::OnceLock<HashSet<CityId>> = std::sync::OnceLock::new();
-        self.pop_cities
-            .get(&asn)
-            .unwrap_or_else(|| EMPTY.get_or_init(HashSet::new))
-    }
-
-    /// Cities where both ASes have PoPs — candidate interconnection
-    /// points for the router-level path expansion in netsim.
-    pub fn common_pop_cities(&self, a: Asn, b: Asn) -> Vec<CityId> {
-        let ca = self.pop_cities(a);
-        let cb = self.pop_cities(b);
-        let (small, big) = if ca.len() <= cb.len() {
-            (ca, cb)
-        } else {
-            (cb, ca)
-        };
-        let mut v: Vec<CityId> = small.iter().filter(|c| big.contains(c)).copied().collect();
-        v.sort();
-        v
+    /// Cities where `asn` has a PoP, in ascending id order without
+    /// repeats (empty for an unknown AS).
+    pub fn pop_cities(&self, asn: Asn) -> &[CityId] {
+        self.pop_cities.get(&asn).map_or(&[], |c| c)
     }
 
     /// Facilities located in `city`.
@@ -464,10 +447,18 @@ impl TopologyBuilder {
     /// facilities by city, the per-type ASN lists, and the dense
     /// [`NodeIndex`] + [`CsrAdjacency`] the routing core runs on.
     pub fn build(self) -> Topology {
-        let mut pop_cities: HashMap<Asn, HashSet<CityId>> = HashMap::new();
+        let mut cities_of: HashMap<Asn, Vec<CityId>> = HashMap::new();
         for pop in &self.pops {
-            pop_cities.entry(pop.asn).or_default().insert(pop.city);
+            cities_of.entry(pop.asn).or_default().push(pop.city);
         }
+        let pop_cities = cities_of
+            .into_iter()
+            .map(|(asn, mut cities)| {
+                cities.sort_unstable();
+                cities.dedup();
+                (asn, cities.into_boxed_slice())
+            })
+            .collect();
         let mut facilities_by_city: HashMap<CityId, Vec<FacilityId>> = HashMap::new();
         for f in &self.facilities {
             facilities_by_city.entry(f.city).or_default().push(f.id);
@@ -584,6 +575,7 @@ mod tests {
         b.add_as(test_as(2, AsType::Eyeball, "GB"));
         let lon = city(&b, "London");
         let nyc = city(&b, "NewYork");
+        b.add_pop(Asn(1), nyc);
         b.add_pop(Asn(1), lon);
         b.add_pop(Asn(1), nyc);
         b.add_pop(Asn(2), lon);
@@ -595,7 +587,11 @@ mod tests {
         assert!(t.are_neighbors(Asn(1), Asn(2)));
         assert_eq!(t.adjacency(Asn(2)).providers, vec![Asn(1)]);
         assert_eq!(t.adjacency(Asn(1)).customers, vec![Asn(2)]);
-        assert_eq!(t.common_pop_cities(Asn(1), Asn(2)), vec![lon]);
+        // PoP cities come back ascending and deduped whatever the
+        // insertion order.
+        assert!(lon < nyc);
+        assert_eq!(t.pop_cities(Asn(1)), [lon, nyc]);
+        assert_eq!(t.pop_cities(Asn(2)), [lon]);
         // AS country list got updated from PoPs.
         let info = t.expect_as(Asn(1));
         assert_eq!(info.countries.len(), 2);

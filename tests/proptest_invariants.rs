@@ -207,6 +207,177 @@ fn plan_overlay_oracle(
     (feasible, needed.into_iter().collect())
 }
 
+/// `netsim::path::expand_path` as it stood when hand-offs were chosen
+/// by haversines on `GeoPoint`s, kept verbatim as the oracle for the
+/// `CityId` walk over the distance table (the common-city candidates
+/// come from the sorted PoP slices: ascending, as the sorted `Vec`
+/// was).
+fn expand_path_oracle(
+    topo: &colo_shortcuts::topology::Topology,
+    as_path: &[colo_shortcuts::topology::Asn],
+    src_loc: GeoPoint,
+    dst_loc: GeoPoint,
+    cfg: &colo_shortcuts::netsim::path::ExpandConfig,
+) -> colo_shortcuts::netsim::RouterPath {
+    use colo_shortcuts::geo::CityId;
+    use colo_shortcuts::netsim::path::Segment;
+    fn push_segment(segments: &mut Vec<Segment>, from: GeoPoint, to: GeoPoint) {
+        let km = from.distance_km(&to);
+        if km > 1e-9 {
+            segments.push(Segment { from, to, km });
+        }
+    }
+    assert!(!as_path.is_empty(), "empty AS path");
+    let mut segments = Vec::new();
+    let mut handoffs = Vec::with_capacity(as_path.len().saturating_sub(1));
+    let mut current = src_loc;
+    let mut router_hops = cfg.hops_per_as * as_path.len() as u32;
+
+    for w in as_path.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let common: Vec<CityId> = topo
+            .pop_cities(a)
+            .iter()
+            .filter(|c| topo.pop_cities(b).contains(c))
+            .copied()
+            .collect();
+        if !common.is_empty() {
+            // Handoff in the best common city.
+            let best = common
+                .iter()
+                .map(|&c| topo.cities.get(c).location)
+                .min_by(|x, y| {
+                    let cx = current.distance_km(x) + cfg.dst_weight * x.distance_km(&dst_loc);
+                    let cy = current.distance_km(y) + cfg.dst_weight * y.distance_km(&dst_loc);
+                    cx.partial_cmp(&cy).expect("finite costs")
+                })
+                .expect("non-empty common cities");
+            push_segment(&mut segments, current, best);
+            current = best;
+            handoffs.push(current);
+        } else {
+            // Long-haul interconnect: best (a_pop, b_pop) pair.
+            let a_cities = topo.pop_cities(a);
+            let b_cities = topo.pop_cities(b);
+            if a_cities.is_empty() || b_cities.is_empty() {
+                // Degenerate topology (AS without PoPs): charge direct.
+                handoffs.push(current);
+                continue;
+            }
+            let mut best: Option<(GeoPoint, GeoPoint, f64)> = None;
+            for &ca in a_cities {
+                let pa = topo.cities.get(ca).location;
+                let leg1 = current.distance_km(&pa);
+                for &cb in b_cities {
+                    let pb = topo.cities.get(cb).location;
+                    let cost =
+                        leg1 + pa.distance_km(&pb) + cfg.dst_weight * pb.distance_km(&dst_loc);
+                    if best.is_none_or(|(_, _, c)| cost < c) {
+                        best = Some((pa, pb, cost));
+                    }
+                }
+            }
+            let (pa, pb, _) = best.expect("non-empty PoP sets");
+            push_segment(&mut segments, current, pa);
+            push_segment(&mut segments, pa, pb);
+            current = pb;
+            handoffs.push(current);
+            router_hops += cfg.hops_per_longhaul;
+        }
+    }
+
+    push_segment(&mut segments, current, dst_loc);
+    colo_shortcuts::netsim::RouterPath {
+        segments,
+        router_hops,
+        as_path: as_path.to_vec(),
+        handoffs,
+    }
+}
+
+/// One walk to check: an AS path and the cities of its two hosts.
+type HandoffWalk = (
+    Vec<colo_shortcuts::topology::Asn>,
+    colo_shortcuts::geo::CityId,
+    colo_shortcuts::geo::CityId,
+);
+
+prop_compose! {
+    /// A hand-built eight-AS topology whose PoP lists cover the walk's
+    /// branches — ASes 1 and 5 have no PoP at all (degenerate), 2 and 6
+    /// exactly one city (so most of their links share none: long-haul),
+    /// 3 and 7 two to five, 4 and 8 twenty to forty — plus the walks to
+    /// check on it: every single-AS path, every ordered two-AS path,
+    /// and a dozen random paths of three to six ASes; one walk in four
+    /// has `src == dst`. The walk never consults adjacency, so the
+    /// topology carries no links.
+    fn arb_handoff_case()(
+        seed in 0u64..u64::MAX,
+        dst_weight in 0.0f64..2.0,
+    ) -> (
+        colo_shortcuts::topology::Topology,
+        colo_shortcuts::netsim::path::ExpandConfig,
+        Vec<HandoffWalk>,
+    ) {
+        use colo_shortcuts::geo::{CityId, CountryCode};
+        use colo_shortcuts::netsim::path::ExpandConfig;
+        use colo_shortcuts::topology::{AsInfo, AsType, Asn, Topology};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = Topology::builder();
+        let n_cities = b.cities().len() as u32;
+        let asns: Vec<Asn> = (1..=8).map(Asn).collect();
+        for (i, &asn) in asns.iter().enumerate() {
+            b.add_as(AsInfo {
+                asn,
+                as_type: AsType::Tier2,
+                home_country: CountryCode::new("US").expect("valid"),
+                countries: vec![],
+                pops: vec![],
+                prefixes: vec![],
+                user_share: 0.0,
+                offers_cloud: false,
+            });
+            let pops = match i % 4 {
+                0 => 0,
+                1 => 1,
+                2 => rng.gen_range(2..=5),
+                _ => rng.gen_range(20..=40),
+            };
+            // Repeats are allowed: the PoP list dedupes them.
+            for _ in 0..pops {
+                b.add_pop(asn, CityId(rng.gen_range(0..n_cities)));
+            }
+        }
+        let topo = b.build();
+
+        let mut paths: Vec<Vec<Asn>> = asns.iter().map(|&a| vec![a]).collect();
+        for &a in &asns {
+            paths.extend(asns.iter().filter(|&&b| b != a).map(|&b| vec![a, b]));
+        }
+        for _ in 0..12 {
+            let len = rng.gen_range(3..=6);
+            paths.push((0..len).map(|_| asns[rng.gen_range(0..asns.len())]).collect());
+        }
+        let walks = paths
+            .into_iter()
+            .map(|path| {
+                let src = CityId(rng.gen_range(0..n_cities));
+                let dst = if rng.gen_range(0..4) == 0 {
+                    src
+                } else {
+                    CityId(rng.gen_range(0..n_cities))
+                };
+                (path, src, dst)
+            })
+            .collect();
+        let cfg = ExpandConfig { dst_weight, ..ExpandConfig::default() };
+        (topo, cfg, walks)
+    }
+}
+
 fn empty_pool() -> colo_shortcuts::core::colo::ColoPool {
     colo_shortcuts::core::colo::ColoPool {
         relays: Vec::new(),
@@ -545,6 +716,53 @@ proptest! {
         for (pair_idx, want) in want_rows.iter().enumerate() {
             let got: Vec<u32> = rebuilt.feasible(pair_idx).collect();
             prop_assert_eq!(&got, want);
+        }
+    }
+
+    // ---- hand-off walk over CityIds == haversine oracle (netsim::path) ---
+
+    #[test]
+    fn handoff_walk_matches_the_haversine_oracle(case in arb_handoff_case()) {
+        // Table loads for haversines, a merge for the sorted common-city
+        // `Vec`, one cost per candidate for four per comparison: the
+        // chosen hand-offs, every segment and the totals must not move
+        // by a bit.
+        use colo_shortcuts::netsim::path::{expand_path, path_cost};
+        use colo_shortcuts::netsim::RouterPath;
+        let (topo, cfg, walks) = case;
+        let at = |c| topo.cities.get(c).location;
+        let segments = |p: &RouterPath| -> Vec<_> {
+            p.segments.iter().map(|s| (s.from, s.to, s.km.to_bits())).collect()
+        };
+        for (as_path, src, dst) in &walks {
+            let want = expand_path_oracle(&topo, as_path, at(*src), at(*dst), &cfg);
+            let cost = path_cost(&topo, as_path, *src, *dst, &cfg);
+            prop_assert_eq!(cost.km.to_bits(), want.total_km().to_bits(), "{:?}", as_path);
+            prop_assert_eq!(cost.router_hops, want.router_hops, "{:?}", as_path);
+            let got = expand_path(&topo, as_path, *src, *dst, &cfg);
+            prop_assert_eq!(segments(&got), segments(&want), "{:?}", as_path);
+            prop_assert_eq!(&got.handoffs, &want.handoffs, "{:?}", as_path);
+            prop_assert_eq!(got.router_hops, want.router_hops);
+            prop_assert_eq!(&got.as_path, as_path);
+        }
+    }
+
+    #[test]
+    fn handoff_two_way_rtt_is_bitwise_symmetric(case in arb_handoff_case()) {
+        // RTT(a, b) == RTT(b, a) exactly: the engine sums the forward
+        // and the return expansion, whichever it is handed first.
+        use colo_shortcuts::netsim::path::path_cost;
+        use colo_shortcuts::netsim::LatencyModel;
+        let (topo, cfg, walks) = case;
+        let model = LatencyModel { expand: cfg, ..LatencyModel::default() };
+        for (fwd_as, src, dst) in &walks {
+            let rev_as: Vec<_> = fwd_as.iter().rev().copied().collect();
+            let f = path_cost(&topo, fwd_as, *src, *dst, &cfg);
+            let r = path_cost(&topo, &rev_as, *dst, *src, &cfg);
+            prop_assert_eq!(
+                model.base_rtt_two_way(f, r).to_bits(),
+                model.base_rtt_two_way(r, f).to_bits()
+            );
         }
     }
 
