@@ -22,7 +22,12 @@
 //!
 //! Finished broadcasts linger in a small done-cache so a SUBSCRIBE
 //! that arrives just after the last round still gets a full replay —
-//! the "pool-cached run" case — without re-executing anything.
+//! the "pool-cached run" case — without re-executing anything. What
+//! the terminal event carries is a [`FinishedBatch`]: the report plus
+//! its CSV payloads, rendered on the first `CSV` fetch and shared by
+//! every tap and every repeat fetch after it. The payloads live and
+//! die with the batch (a session's last run, or this cache, already
+//! bounded by `broadcast_cache`), so nothing here evicts or sizes them.
 //!
 //! A producer that dies (client gone, panic unwound by the server's
 //! `catch_unwind`) must not strand its taps: [`ProducerGuard`]'s drop
@@ -31,11 +36,12 @@
 
 use crate::frame::RoundLine;
 use parking_lot::Mutex;
+use shortcuts_core::report::cases_csv;
 use shortcuts_core::sweep::SweepReport;
 use shortcuts_topology::routing::RoutingPolicy;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Identity of a broadcastable batch: requests with equal keys are
 /// guaranteed byte-identical response streams by the determinism
@@ -55,6 +61,64 @@ pub struct BroadcastKey {
     pub rounds: u32,
 }
 
+/// A finished batch and the CSV payloads derived from it.
+///
+/// The payloads are a pure function of the report, so each is rendered
+/// at most once — by whichever session fetches it first — and every
+/// later fetch, from any session holding the batch, borrows the same
+/// bytes.
+#[derive(Debug)]
+pub struct FinishedBatch {
+    report: SweepReport,
+    /// `cases.csv` per scenario, in report order.
+    cases: Vec<OnceLock<String>>,
+    sweep: OnceLock<String>,
+}
+
+impl FinishedBatch {
+    /// Wraps a finished report; nothing is rendered yet.
+    pub fn new(report: SweepReport) -> FinishedBatch {
+        FinishedBatch {
+            cases: report.scenarios.iter().map(|_| OnceLock::new()).collect(),
+            sweep: OnceLock::new(),
+            report,
+        }
+    }
+
+    /// The report itself.
+    pub fn report(&self) -> &SweepReport {
+        &self.report
+    }
+
+    /// `cases.csv` of scenario `index` (which must exist), counting the
+    /// fetch and — the first time — the render.
+    pub fn cases_csv(&self, index: usize, counters: &ServiceCounters) -> &str {
+        fetch(&self.cases[index], counters, || {
+            cases_csv(&self.report.scenarios[index].results)
+        })
+    }
+
+    /// The cross-scenario `sweep.csv`, counted like
+    /// [`FinishedBatch::cases_csv`].
+    pub fn sweep_csv(&self, counters: &ServiceCounters) -> &str {
+        fetch(&self.sweep, counters, || self.report.comparison_csv())
+    }
+}
+
+/// One payload fetch: counted, and rendered if nobody has yet. The
+/// fetch counts before its render so `csv_renders <= csv_fetches`.
+fn fetch<'a>(
+    payload: &'a OnceLock<String>,
+    counters: &ServiceCounters,
+    render: impl FnOnce() -> String,
+) -> &'a str {
+    counters.csv_fetched();
+    payload.get_or_init(|| {
+        counters.csv_rendered();
+        render()
+    })
+}
+
 /// One event of a broadcast stream, cheap to clone across N taps.
 #[derive(Debug, Clone)]
 pub enum BroadcastEvent {
@@ -63,12 +127,12 @@ pub enum BroadcastEvent {
     /// An `END` payload for one scenario.
     End(Arc<str>),
     /// Terminal: the batch finished; `ok` is the `OK` detail and the
-    /// report backs the taps' `CSV` fetches.
+    /// batch backs the taps' `CSV` fetches.
     Done {
         /// `OK` detail (`run 1` / `sweep <n>`).
         ok: Arc<str>,
-        /// The finished report, shared by every tap.
-        report: Arc<SweepReport>,
+        /// The finished batch, shared by every tap.
+        batch: Arc<FinishedBatch>,
     },
     /// Terminal: the producer failed; taps report this as `ERR`.
     Failed(Arc<str>),
@@ -83,12 +147,24 @@ pub struct ServiceCounters {
     rounds_fanned_out: AtomicU64,
     subscribers_shed: AtomicU64,
     credits_denied: AtomicU64,
+    csv_fetches: AtomicU64,
+    csv_renders: AtomicU64,
 }
 
 impl ServiceCounters {
     /// Records one credit-admission denial.
     pub fn credit_denied(&self) {
         self.credits_denied.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn csv_fetched(&self) {
+        self.csv_fetches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Release, paired with the Acquire load in `snapshot`: whoever
+    /// sees this render also sees the fetch counted just before it.
+    fn csv_rendered(&self) {
+        self.csv_renders.fetch_add(1, Ordering::Release);
     }
 
     /// A consistent-enough snapshot for reporting.
@@ -99,6 +175,11 @@ impl ServiceCounters {
             rounds_fanned_out: self.rounds_fanned_out.load(Ordering::Relaxed),
             subscribers_shed: self.subscribers_shed.load(Ordering::Relaxed),
             credits_denied: self.credits_denied.load(Ordering::Relaxed),
+            // Renders first (Acquire, see `csv_rendered`): a fetch counts
+            // before its render, so `csv_renders <= csv_fetches` holds
+            // in every snapshot.
+            csv_renders: self.csv_renders.load(Ordering::Acquire),
+            csv_fetches: self.csv_fetches.load(Ordering::Relaxed),
         }
     }
 }
@@ -116,6 +197,11 @@ pub struct ServiceStats {
     pub subscribers_shed: u64,
     /// Requests denied by credit admission.
     pub credits_denied: u64,
+    /// `CSV` payloads served.
+    pub csv_fetches: u64,
+    /// `CSV` payloads rendered; the difference to `csv_fetches` is what
+    /// [`FinishedBatch`] served from an earlier render.
+    pub csv_renders: u64,
 }
 
 impl ServiceStats {
@@ -129,6 +215,8 @@ impl ServiceStats {
             Field::int("rounds_fanned_out", self.rounds_fanned_out),
             Field::int("subscribers_shed", self.subscribers_shed),
             Field::int("credits_denied", self.credits_denied),
+            Field::int("csv_fetches", self.csv_fetches),
+            Field::int("csv_renders", self.csv_renders),
         ]
     }
 
@@ -488,13 +576,13 @@ impl ProducerGuard<'_> {
     }
 
     /// Finishes successfully: taps get the `OK` detail and the shared
-    /// report, and the broadcast moves to the replay cache.
-    pub fn finish_ok(&mut self, ok: &str, report: Arc<SweepReport>) {
+    /// batch, and the broadcast moves to the replay cache.
+    pub fn finish_ok(&mut self, ok: &str, batch: Arc<FinishedBatch>) {
         self.finished = true;
         self.b.finish(
             BroadcastEvent::Done {
                 ok: Arc::from(ok),
-                report,
+                batch,
             },
             &self.hub.counters,
         );
@@ -546,6 +634,10 @@ mod tests {
         }
     }
 
+    fn empty_batch() -> Arc<FinishedBatch> {
+        Arc::new(FinishedBatch::new(SweepReport { scenarios: vec![] }))
+    }
+
     fn hub(lag: usize, keep_done: usize) -> BroadcastHub {
         BroadcastHub::new(lag, keep_done, Arc::new(ServiceCounters::default()))
     }
@@ -576,7 +668,7 @@ mod tests {
         };
         p.publish_round(&round(1));
         p.publish_end("seed-1 seed=1 cases=2 pings=2 unresponsive=0");
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         let events = drain(&tap);
         assert_eq!(events.len(), 4);
         assert!(events[0].starts_with("ROUND seed-1 0 "));
@@ -593,7 +685,7 @@ mod tests {
             panic!()
         };
         p.publish_round(&round(0));
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         assert!(!hub.has_live(&key(1)));
         // Late subscriber: pure replay, no new execution.
         let Attach::Tap(tap) = hub.attach(key(1)) else {
@@ -612,7 +704,7 @@ mod tests {
             let Attach::Producer(mut p) = hub.attach(key(seed)) else {
                 panic!()
             };
-            p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+            p.finish_ok("run 1", empty_batch());
         }
         // Key 1 was evicted by key 2; attaching re-produces.
         assert!(matches!(hub.attach(key(1)), Attach::Producer(_)));
@@ -631,7 +723,7 @@ mod tests {
         // Empty backlog + lag 0 = capacity 0: the first publish sheds.
         p.publish_round(&round(0));
         p.publish_round(&round(1));
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         assert_eq!(drain(&tap), Vec::<String>::new());
         assert!(tap.was_shed());
         let snap = hub.counters().snapshot();
@@ -650,7 +742,7 @@ mod tests {
         };
         p.publish_round(&round(0)); // fits (cap 1)
         p.publish_round(&round(1)); // overflows: tap shed
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         let events = drain(&tap);
         assert_eq!(events.len(), 1, "the buffered prefix must survive");
         assert!(events[0].starts_with("ROUND seed-1 0 "));
@@ -691,7 +783,7 @@ mod tests {
     fn try_produce_supersedes_the_done_cache() {
         let hub = hub(16, 2);
         let mut p = hub.try_produce(key(1)).expect("free key");
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         // A fresh RUN replaces the cached broadcast rather than being
         // deduplicated into it.
         assert!(hub.try_produce(key(1)).is_some());
@@ -710,7 +802,7 @@ mod tests {
         drop(tap);
         assert_eq!(hub.counters().snapshot().subscribers, 0);
         p.publish_round(&round(0));
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         // The dropped tap was pruned: only its own drop decremented
         // the gauge, and no round was fanned out to it.
         assert_eq!(hub.counters().snapshot().rounds_fanned_out, 0);
@@ -736,7 +828,7 @@ mod tests {
             p.publish_round(&round(n));
         }
         p.publish_end("seed-1 seed=1 cases=8 pings=8 unresponsive=0");
-        p.finish_ok("run 1", Arc::new(SweepReport { scenarios: vec![] }));
+        p.finish_ok("run 1", empty_batch());
         let streams: Vec<Vec<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for s in &streams[1..] {
             assert_eq!(s, &streams[0], "every tap must see identical bytes");

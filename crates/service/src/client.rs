@@ -11,6 +11,12 @@
 //! harness; scripts can just as well speak the text protocol over
 //! `nc`.
 //!
+//! The socket runs with `TCP_NODELAY` and every request leaves as one
+//! `write` of `line + '\n'` ([`write_request`]): a request is a single
+//! small message that the server answers at once, which is exactly the
+//! traffic Nagle's algorithm and delayed ACKs turn into a 40 ms stall
+//! per round trip when the newline is written separately.
+//!
 //! Admission refusals are retryable by design: `ERR busy` (connection
 //! bound) and `ERR credits` (work bound, with a `retry-after-ms`
 //! hint) both leave the client a clean path to try again, and
@@ -101,6 +107,15 @@ pub fn retry_after(err: &std::io::Error) -> Option<Duration> {
     digits.parse().ok().map(Duration::from_millis)
 }
 
+/// Writes one request line as a single `write`: the line and its
+/// newline leave together, never as two segments.
+pub fn write_request<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(line.len() + 1);
+    message.extend_from_slice(line.as_bytes());
+    message.push(b'\n');
+    w.write_all(&message)
+}
+
 /// A decoded server response, framing-agnostic.
 enum Reply {
     Round(String),
@@ -125,6 +140,7 @@ impl Client {
     /// [`std::io::ErrorKind::ConnectionRefused`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -183,8 +199,7 @@ impl Client {
 
     /// Sends one request line (requests are text in both framings).
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
+        write_request(&mut self.writer, line)
     }
 
     fn read_response_line(&mut self) -> std::io::Result<String> {
@@ -366,6 +381,22 @@ impl Client {
             Framing::Binary => {
                 let _ = self.read_reply();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::tests::CountingWriter;
+
+    #[test]
+    fn a_request_is_one_write_ending_in_its_newline() {
+        for line in ["STATS", "SUBSCRIBE seed=2017 rounds=2", "CSV cases seed-7"] {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, line).unwrap();
+            assert_eq!(w.writes, [line.len() + 1]);
+            assert_eq!(w.bytes, format!("{line}\n").as_bytes());
         }
     }
 }

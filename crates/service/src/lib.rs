@@ -62,6 +62,10 @@
 //!   per-subscriber queues and receive a byte-identical stream without
 //!   re-executing anything. A tap that falls behind is shed with
 //!   `ERR lagged` — the producer never blocks on a slow consumer.
+//!   A finished batch travels as a `broadcast::FinishedBatch`, which
+//!   owns its CSV payloads: rendered on the first `CSV` fetch, shared
+//!   by every tap and repeat fetch (`csv_renders` vs `csv_fetches` on
+//!   the `STATS service` line).
 //! - [`credits::CreditLedger`] prices work per client IP
 //!   (`rounds × scenarios` per request, taps cost 1, probes cost 0)
 //!   with continuously refilling token buckets — `ERR credits` plus a
@@ -76,8 +80,10 @@
 //!   by `tests/metrics_e2e.rs`.
 //! - [`frame`] is the negotiated response framing: text lines by
 //!   default, length-prefixed binary frames after
-//!   `HELLO framing=binary`, both fed through one `BufWriter` per
-//!   session with per-round (not per-line) flushes.
+//!   `HELLO framing=binary`, both leaving through one
+//!   `ResponseWriter` per session that hands the (`TCP_NODELAY`)
+//!   socket whole messages — one `write` per round event or finished
+//!   response, payloads encoded from the borrowed CSV.
 //! - [`client::Client`] is the blocking client the CLI `client`
 //!   subcommand, the e2e tests, the `service_throughput` /
 //!   `service_capacity` benches and the `loadgen` harness use; it

@@ -133,14 +133,15 @@ fn accept_loop(listener: TcpListener, mgr: Arc<SessionManager>, shutdown: Arc<At
             None => {
                 // Over capacity: refuse loudly and hang up. The
                 // client sees ERR instead of the greeting; the hint
-                // feeds the client-side backoff.
-                let mut stream = stream;
-                let _ = writeln!(
-                    stream,
-                    "ERR busy: {} sessions active (max {}) retry-after-ms=100",
+                // feeds the client-side backoff. One write: the line must
+                // not reach the client torn ahead of the hang-up.
+                let refusal = format!(
+                    "ERR busy: {} sessions active (max {}) retry-after-ms=100\n",
                     mgr.active_sessions(),
                     mgr.config().max_sessions
                 );
+                let mut stream = stream;
+                let _ = stream.write_all(refusal.as_bytes());
             }
         }
     }

@@ -3,10 +3,10 @@
 //! A session is one TCP connection driven by one thread. The
 //! [`SessionManager`] owns what sessions share — the [`WorldPool`],
 //! the admission counter, the [`BroadcastHub`] and the
-//! [`CreditLedger`] — while everything request-scoped (the last run's
-//! results, the half-parsed line, the negotiated framing) lives on the
-//! session thread's stack, so a dying session takes nothing shared
-//! down with it:
+//! [`CreditLedger`] — while everything request-scoped (the half-parsed
+//! line, the negotiated framing, a handle on the last finished batch)
+//! lives on the session thread's stack, so a dying session takes
+//! nothing shared down with it:
 //!
 //! - admission is released by a [`SessionPermit`] drop guard, which
 //!   runs during unwinding too;
@@ -18,6 +18,15 @@
 //! - the measurement scheduler ([`shortcuts_core::shard`]) already
 //!   propagates worker panics as a panic of the calling (session)
 //!   thread instead of deadlocking the pool.
+//!
+//! On the wire a session pays only for work. The socket runs with
+//! `TCP_NODELAY` and every message leaves in one `write`
+//! ([`ResponseWriter`]), so no response waits behind Nagle for the
+//! client's delayed ACK. A request line is read through a
+//! [`MAX_REQUEST_LINE_BYTES`] cap, the text twin of the binary frame
+//! cap. Rendered `CSV` payloads belong to the [`FinishedBatch`] they
+//! derive from — the session's `last`, shared with the broadcast
+//! done-cache and every tap — never to the session or the writer.
 //!
 //! Requests execute synchronously on the session thread; concurrency
 //! across sessions comes from the thread-per-connection server,
@@ -36,21 +45,28 @@
 //! ` credits=<remaining>` suffix on each metered `OK` (appended after
 //! broadcast fan-out, so shared streams stay byte-identical).
 
-use crate::broadcast::{Attach, BroadcastHub, BroadcastKey, ProducerGuard, ServiceCounters};
+use crate::broadcast::{
+    Attach, BroadcastHub, BroadcastKey, FinishedBatch, ProducerGuard, ServiceCounters,
+};
 use crate::credits::{request_cost, Charge, CreditConfig, CreditLedger, TAP_COST};
 use crate::frame::{ResponseWriter, RoundLine};
 use crate::pool::WorldPool;
 use crate::protocol::{Request, GREETING};
-use shortcuts_core::report::cases_csv;
-use shortcuts_core::sweep::{Sweep, SweepConfig, SweepReport};
+use shortcuts_core::sweep::{Sweep, SweepConfig};
 use shortcuts_core::workflow::CampaignConfig;
 use shortcuts_core::world::WorldConfig;
 use shortcuts_telemetry as telemetry;
 use shortcuts_topology::{ChurnSchedule, MemoryBudget};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Longest request line a session reads, newline excluded. Requests
+/// are a verb and a handful of `key=value` options; a client that
+/// streams more than this without a newline is refused with `ERR` and
+/// disconnected instead of growing a `String` until the process dies.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 10;
 
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
@@ -266,18 +282,29 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
         .peer_addr()
         .map(|a| a.ip())
         .unwrap_or(IpAddr::V4(Ipv4Addr::LOCALHOST));
+    stream.set_nodelay(true)?;
     let mut w = ResponseWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     w.text_line(GREETING)?;
     w.flush()?;
 
-    let mut last: Option<Arc<SweepReport>> = None;
+    let mut last: Option<Arc<FinishedBatch>> = None;
     let mut show_credits = false;
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let read = reader
+            .by_ref()
+            .take(MAX_REQUEST_LINE_BYTES as u64 + 1)
+            .read_line(&mut line)?;
+        if read == 0 {
             return Ok(()); // clean disconnect
+        }
+        if read > MAX_REQUEST_LINE_BYTES && !line.ends_with('\n') {
+            // Whatever follows is the tail of this line, not a request:
+            // there is nothing to resynchronize on, so hang up.
+            w.err("request line too long")?;
+            return w.flush();
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -369,37 +396,32 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                     );
                 }
                 w.metrics(out.as_bytes())?;
-                w.flush()?;
             }
             Request::CsvCases { label } => {
-                let Some(report) = &last else {
+                let Some(batch) = &last else {
                     w.err("no finished run in this session")?;
                     w.flush()?;
                     continue;
                 };
-                let scenario = match &label {
-                    Some(l) => report.scenarios.iter().find(|s| &s.label == l),
-                    None => report.scenarios.first(),
+                let scenarios = &batch.report().scenarios;
+                let index = match &label {
+                    Some(l) => scenarios.iter().position(|s| &s.label == l),
+                    None => (!scenarios.is_empty()).then_some(0),
                 };
-                match scenario {
-                    Some(sc) => {
-                        w.csv(
-                            &format!("cases_{}.csv", sc.label),
-                            cases_csv(&sc.results).as_bytes(),
-                        )?;
-                        w.flush()?;
-                    }
+                match index {
+                    Some(i) => w.csv(
+                        &format!("cases_{}.csv", scenarios[i].label),
+                        batch.cases_csv(i, &mgr.counters).as_bytes(),
+                    )?,
                     None => {
-                        w.err(&format!("no scenario labelled {:?}", label.unwrap()))?;
+                        let label = label.as_deref().unwrap_or_default();
+                        w.err(&format!("no scenario labelled {label:?}"))?;
                         w.flush()?;
                     }
                 }
             }
             Request::CsvSweep => match &last {
-                Some(report) => {
-                    w.csv("sweep.csv", report.comparison_csv().as_bytes())?;
-                    w.flush()?;
-                }
+                Some(batch) => w.csv("sweep.csv", batch.sweep_csv(&mgr.counters).as_bytes())?,
                 None => {
                     w.err("no finished run in this session")?;
                     w.flush()?;
@@ -432,10 +454,10 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                     None
                 };
                 let suffix = credit_suffix(show_credits, remaining);
-                if let Some(report) =
+                if let Some(batch) =
                     stream_batch(mgr, &mut w, world_seed, cfg, "run 1", &suffix, producer)?
                 {
-                    last = Some(report);
+                    last = Some(batch);
                 }
             }
             Request::Sweep {
@@ -459,10 +481,10 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                 };
                 let ok = format!("sweep {n}");
                 let suffix = credit_suffix(show_credits, remaining);
-                if let Some(report) =
+                if let Some(batch) =
                     stream_batch(mgr, &mut w, world_seed, cfg, &ok, &suffix, producer)?
                 {
-                    last = Some(report);
+                    last = Some(batch);
                 }
             }
             Request::Subscribe {
@@ -498,7 +520,7 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                             continue;
                         };
                         let suffix = credit_suffix(show_credits, remaining);
-                        if let Some(report) = stream_batch(
+                        if let Some(batch) = stream_batch(
                             mgr,
                             &mut w,
                             world_seed,
@@ -507,7 +529,7 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                             &suffix,
                             Some(producer),
                         )? {
-                            last = Some(report);
+                            last = Some(batch);
                         }
                     }
                     Attach::Tap(sub) => {
@@ -517,8 +539,8 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                             continue;
                         };
                         let suffix = credit_suffix(show_credits, remaining);
-                        if let Some(report) = serve_subscription(&mut w, &sub, &suffix)? {
-                            last = Some(report);
+                        if let Some(batch) = serve_subscription(&mut w, &sub, &suffix)? {
+                            last = Some(batch);
                         }
                     }
                 }
@@ -588,7 +610,7 @@ fn stream_batch(
     ok_detail: &str,
     ok_suffix: &str,
     mut producer: Option<ProducerGuard<'_>>,
-) -> std::io::Result<Option<Arc<SweepReport>>> {
+) -> std::io::Result<Option<Arc<FinishedBatch>>> {
     let world_seed = world_seed.unwrap_or(mgr.cfg.default_world_seed);
     let policy = cfg
         .scenarios
@@ -620,11 +642,11 @@ fn stream_batch(
     };
     let labels: Vec<String> = cfg.scenarios.iter().map(|s| s.label.clone()).collect();
 
-    // Stream rounds as they complete: one buffered write + one flush
-    // per round. Write failures (the client went away) are remembered
-    // rather than propagated mid-run: the scheduler finishes the
-    // batch — and the broadcast keeps publishing for its taps — then
-    // the error ends the session.
+    // Stream rounds as they complete: one `write` per round. Write
+    // failures (the client went away) are remembered rather than
+    // propagated mid-run: the scheduler finishes the batch — and the
+    // broadcast keeps publishing for its taps — then the error ends
+    // the session.
     let mut write_err: Option<std::io::Error> = None;
     let report = Sweep::with_engine(world, engine, cfg).run_streaming(|scenario, s| {
         let round = RoundLine::from_summary(&labels[scenario], s);
@@ -638,9 +660,9 @@ fn stream_batch(
             write_err = Some(e);
         }
     });
-    let report = Arc::new(report);
-    // END lines batch into one flush with the OK terminator.
-    for sc in &report.scenarios {
+    let batch = Arc::new(FinishedBatch::new(report));
+    // END lines leave in one write with the OK terminator.
+    for sc in &batch.report().scenarios {
         let payload = format!(
             "{} seed={} cases={} pings={} unresponsive={}",
             sc.label,
@@ -659,26 +681,27 @@ fn stream_batch(
         }
     }
     if let Some(p) = producer.as_mut() {
-        p.finish_ok(ok_detail, Arc::clone(&report));
+        p.finish_ok(ok_detail, Arc::clone(&batch));
     }
     if let Some(e) = write_err {
         return Err(e);
     }
     w.ok(&format!("{ok_detail}{ok_suffix}"))?;
     w.flush()?;
-    Ok(Some(report))
+    Ok(Some(batch))
 }
 
 /// Rides an existing broadcast: replays the backlog, then streams live
-/// events until the terminal one. Returns the shared report so `CSV`
-/// fetches work identically to a solo run. `ok_suffix` carries the
+/// events until the terminal one. Returns the shared batch so `CSV`
+/// fetches work identically to a solo run (and render nothing the
+/// producer or another tap already rendered). `ok_suffix` carries the
 /// *tap's own* credit feedback — appended locally, the broadcast bytes
 /// stay shared.
 fn serve_subscription(
     w: &mut ResponseWriter,
     sub: &crate::broadcast::Subscription,
     ok_suffix: &str,
-) -> std::io::Result<Option<Arc<SweepReport>>> {
+) -> std::io::Result<Option<Arc<FinishedBatch>>> {
     use crate::broadcast::BroadcastEvent;
     loop {
         match sub.recv() {
@@ -690,10 +713,10 @@ fn serve_subscription(
                 // END events batch; the terminal event flushes them.
                 w.end(&payload)?;
             }
-            Some(BroadcastEvent::Done { ok, report }) => {
+            Some(BroadcastEvent::Done { ok, batch }) => {
                 w.ok(&format!("{ok}{ok_suffix}"))?;
                 w.flush()?;
-                return Ok(Some(report));
+                return Ok(Some(batch));
             }
             Some(BroadcastEvent::Failed(msg)) => {
                 w.err(&msg)?;

@@ -11,9 +11,9 @@ use shortcuts_core::report::cases_csv;
 use shortcuts_core::workflow::{Campaign, CampaignConfig};
 use shortcuts_core::world::{World, WorldConfig};
 use shortcuts_service::{BroadcastKey, Client, Framing, Server, ServiceConfig, StreamEvent};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small-world server with the test's default world seed.
 fn small_server(max_sessions: usize) -> Server {
@@ -297,6 +297,8 @@ fn stats_report_the_pooled_engine_health() {
         "rounds_fanned_out=",
         "subscribers_shed=",
         "credits_denied=",
+        "csv_fetches=",
+        "csv_renders=",
     ] {
         assert!(service_line.contains(key), "{service_line} missing {key}");
     }
@@ -709,5 +711,164 @@ fn budgeted_server_evicts_idle_stacks_and_stays_bytewise_correct() {
         .unwrap();
     assert!(evictions >= 1, "{pool_line}");
     client.quit();
+    server.shutdown();
+}
+
+/// Waits for every session thread to have released its permit.
+fn wait_for_idle(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.manager().active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "a session never ended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Sends `request` on a fresh raw connection and returns everything the
+/// server said before it closed the connection, greeting stripped.
+fn raw_exchange(server: &Server, request: &[u8]) -> String {
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    // The server may hang up mid-send; what it answered is the point.
+    let _ = raw.write_all(request);
+    let mut answer = Vec::new();
+    // A reset after the answer still leaves the answer in `answer`.
+    let _ = raw.read_to_end(&mut answer);
+    let answer = String::from_utf8(answer).unwrap();
+    let greeting = format!("{}\n", shortcuts_service::protocol::GREETING);
+    answer
+        .strip_prefix(&greeting)
+        .unwrap_or_else(|| panic!("no greeting in {answer:?}"))
+        .to_string()
+}
+
+/// A client streaming bytes without a newline gets one `ERR` and the
+/// door, not an unbounded `String`; a line of exactly the cap is still
+/// a (bad) request like any other, and the server keeps serving.
+#[test]
+fn oversized_request_lines_are_refused_and_the_session_closed() {
+    use shortcuts_service::session::MAX_REQUEST_LINE_BYTES;
+    let server = small_server(2);
+
+    let answer = raw_exchange(&server, &vec![b'A'; 1 << 20]);
+    assert_eq!(answer, "ERR request line too long\n");
+    wait_for_idle(&server);
+
+    // One byte over the cap, newline-terminated: still too long.
+    let mut line = vec![b'A'; MAX_REQUEST_LINE_BYTES + 1];
+    line.push(b'\n');
+    assert_eq!(raw_exchange(&server, &line), "ERR request line too long\n");
+    wait_for_idle(&server);
+
+    // Exactly the cap: parsed (and rejected as an unknown verb), and the
+    // session lives on to answer the next request.
+    let mut line = vec![b'A'; MAX_REQUEST_LINE_BYTES];
+    line.extend_from_slice(b"\nQUIT\n");
+    let answer = raw_exchange(&server, &line);
+    let lines: Vec<&str> = answer.lines().collect();
+    assert_eq!(lines.len(), 2, "{answer:?}");
+    assert!(lines[0].starts_with("ERR "), "{answer:?}");
+    assert!(!lines[0].contains("too long"), "{answer:?}");
+    assert_eq!(lines[1], "OK bye");
+    wait_for_idle(&server);
+
+    let mut client = Client::connect(server.local_addr()).expect("next connection is served");
+    assert!(client.stats().is_ok());
+    client.quit();
+    server.shutdown();
+}
+
+/// Stall canary. A request/response exchange of small messages is what
+/// Nagle's algorithm and delayed ACKs punish: written as two segments
+/// on a socket without `TCP_NODELAY`, *every* round trip below waits
+/// ~40 ms on loopback (56 of them: 2.2 s). Whole-message writes on
+/// no-delay sockets make the same exchange a few milliseconds. The
+/// stall is per request and deterministic, so the best of three
+/// attempts still fails on it, while a descheduled test thread on a
+/// loaded runner does not fail the build.
+#[test]
+fn request_response_round_trips_do_not_stall() {
+    let server = small_server(4);
+    let addr = server.local_addr();
+    // Execute (and render) once up front: the timed sessions replay.
+    let mut first = Client::connect(addr).unwrap();
+    first
+        .run_streaming("RUN seed=31 rounds=1 world-seed=90", |_| {})
+        .unwrap();
+    let (_, expected) = first.fetch_csv("cases").unwrap();
+    first.quit();
+
+    let attempt = || {
+        let t0 = Instant::now();
+        for framing in [Framing::Text, Framing::Binary] {
+            let mut client = Client::connect(addr).unwrap();
+            client.negotiate(framing).unwrap();
+            for _ in 0..25 {
+                client.stats().unwrap();
+            }
+            let (events, ok) =
+                collect_stream(&mut client, "SUBSCRIBE seed=31 rounds=1 world-seed=90");
+            assert_eq!((events.len(), ok.as_str()), (2, "run 1"));
+            let (_, csv) = client.fetch_csv("cases").unwrap();
+            assert_eq!(csv, expected);
+            client.quit();
+        }
+        t0.elapsed()
+    };
+    let best = (0..3).map(|_| attempt()).min().unwrap();
+    assert!(
+        best < Duration::from_millis(400),
+        "56 round trips took {best:?}: requests are stalling"
+    );
+    server.shutdown();
+}
+
+/// The CSV payloads of a finished batch are rendered once and shared:
+/// by the taps of a broadcast, by repeat fetches, and per scenario of a
+/// sweep — and what is shared is still the solo run's bytes.
+#[test]
+fn csv_payloads_render_once_per_finished_batch() {
+    let server = small_server(4);
+    let addr = server.local_addr();
+    let counters = || server.manager().counters().snapshot();
+    let expected = solo_cases_csv(90, 31, 2);
+
+    let mut producer = Client::connect(addr).unwrap();
+    producer
+        .run_streaming("RUN seed=31 rounds=2 world-seed=90", |_| {})
+        .unwrap();
+    assert_eq!((counters().csv_fetches, counters().csv_renders), (0, 0));
+    // Two taps (one per framing) and a repeat fetch on one broadcast key.
+    for framing in [Framing::Text, Framing::Binary] {
+        let mut tap = Client::connect(addr).unwrap();
+        tap.negotiate(framing).unwrap();
+        collect_stream(&mut tap, "SUBSCRIBE seed=31 rounds=2 world-seed=90");
+        let (_, bytes) = tap.fetch_csv("cases").unwrap();
+        assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+        tap.quit();
+    }
+    let (_, bytes) = producer.fetch_csv("cases").unwrap();
+    assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+    producer.quit();
+    assert_eq!((counters().csv_fetches, counters().csv_renders), (3, 1));
+
+    // Every payload of a sweep renders once, however often it is asked for.
+    let mut sweeper = Client::connect(addr).unwrap();
+    sweeper
+        .run_streaming("SWEEP seeds=7,8,9 rounds=1 world-seed=90", |_| {})
+        .unwrap();
+    for _ in 0..2 {
+        for seed in [7u64, 8, 9] {
+            let (_, bytes) = sweeper.fetch_csv(&format!("cases seed-{seed}")).unwrap();
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                solo_cases_csv(90, seed, 1)
+            );
+        }
+        let (_, sweep) = sweeper.fetch_csv("sweep").unwrap();
+        assert_eq!(String::from_utf8(sweep).unwrap().lines().count(), 4);
+    }
+    // A failed fetch serves nothing and counts nothing.
+    assert!(sweeper.fetch_csv("cases no-such-label").is_err());
+    sweeper.quit();
+    assert_eq!((counters().csv_fetches, counters().csv_renders), (11, 5));
     server.shutdown();
 }

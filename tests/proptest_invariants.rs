@@ -392,6 +392,111 @@ fn empty_pool() -> colo_shortcuts::core::colo::ColoPool {
     }
 }
 
+/// `report::cases_csv` as it was before it wrote rows in place: one
+/// `String` per field, every field through `field()`, joined per row.
+/// Kept verbatim as the byte-for-byte reference.
+fn cases_csv_oracle(results: &colo_shortcuts::core::workflow::CampaignResults) -> String {
+    use colo_shortcuts::core::relays::RelayType;
+
+    fn field(s: &str) -> String {
+        if s.contains([',', '"', '\n']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_string()
+        }
+    }
+
+    fn row<I: IntoIterator<Item = String>>(fields: I) -> String {
+        fields
+            .into_iter()
+            .map(|f| field(&f))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    let mut out = String::from(
+        "round,src_host,dst_host,src_country,dst_country,intercontinental,direct_ms,\
+         best_cor_ms,best_plr_ms,best_rar_other_ms,best_rar_eye_ms\n",
+    );
+    for c in &results.cases {
+        let best = |t: RelayType| {
+            c.outcome(t)
+                .best
+                .map(|(_, rtt)| format!("{rtt:.3}"))
+                .unwrap_or_default()
+        };
+        out.push_str(&row([
+            c.round.to_string(),
+            c.src.0.to_string(),
+            c.dst.0.to_string(),
+            c.src_country.to_string(),
+            c.dst_country.to_string(),
+            c.intercontinental.to_string(),
+            format!("{:.3}", c.direct_ms),
+            best(RelayType::Cor),
+            best(RelayType::Plr),
+            best(RelayType::RarOther),
+            best(RelayType::RarEye),
+        ]));
+        out.push('\n');
+    }
+    out
+}
+
+prop_compose! {
+    /// Random case records that lean on the formatter's edges: absent
+    /// bests, signed zeros, subnormals, 1e12, RTTs that round up across
+    /// a digit boundary at three decimals, and `u32::MAX` ids.
+    fn arb_case_records()(
+        n in 0usize..40,
+        seed in 0u64..u64::MAX,
+    ) -> Vec<colo_shortcuts::core::workflow::CaseRecord> {
+        use colo_shortcuts::core::workflow::{CaseRecord, TypeOutcome};
+        use colo_shortcuts::geo::CountryCode;
+        use colo_shortcuts::netsim::HostId;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const EDGES: [f64; 14] = [
+            0.0, -0.0, 5e-324, 1e-310, 1e12, 0.0004999, 0.0005, 0.9995, 9.9995, 99.9995,
+            999.9994999, 999.9995, 123.4565, 2.5e-4,
+        ];
+        const COUNTRIES: [&str; 5] = ["DE", "fr", "US", "jp", "BR"];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rtt = |rng: &mut StdRng| match rng.gen_range(0..3) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            1 => rng.gen_range(0.0..1000.0),
+            // A value a hair either side of a rounding tie.
+            _ => rng.gen_range(0u32..1_000_000) as f64 / 1e3 + 0.0005 + rng.gen_range(-1e-9..1e-9),
+        };
+        let id = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => u32::MAX,
+            1 => 0,
+            _ => rng.gen_range(0..u32::MAX),
+        };
+        (0..n)
+            .map(|_| {
+                let mut outcomes: [TypeOutcome; 4] = Default::default();
+                for outcome in &mut outcomes {
+                    if rng.gen_bool(0.6) {
+                        outcome.best = Some((HostId(id(&mut rng)), rtt(&mut rng)));
+                    }
+                }
+                CaseRecord {
+                    round: id(&mut rng),
+                    src: HostId(id(&mut rng)),
+                    dst: HostId(id(&mut rng)),
+                    src_country: CountryCode::new(COUNTRIES[rng.gen_range(0..5)]).expect("valid"),
+                    dst_country: CountryCode::new(COUNTRIES[rng.gen_range(0..5)]).expect("valid"),
+                    intercontinental: rng.gen_bool(0.5),
+                    direct_ms: rtt(&mut rng),
+                    outcomes,
+                }
+            })
+            .collect()
+    }
+}
+
 proptest! {
     // ---- geometry ------------------------------------------------------
 
@@ -841,6 +946,26 @@ proptest! {
             }
         }
         prop_assert!(cases.next().is_none());
+    }
+
+    #[test]
+    fn cases_csv_matches_the_per_field_oracle(cases in arb_case_records()) {
+        use colo_shortcuts::core::workflow::CampaignResults;
+        let results = CampaignResults {
+            cases,
+            direct_history: Default::default(),
+            link_history: Default::default(),
+            symmetry_samples: Vec::new(),
+            relay_meta: Default::default(),
+            colo_pool: empty_pool(),
+            pings_sent: 0,
+            unresponsive_pairs: 0,
+            avg_endpoints: 0.0,
+            avg_relays: [0.0; 4],
+        };
+        let csv = colo_shortcuts::core::report::cases_csv(&results);
+        prop_assert_eq!(csv.lines().count(), 1 + results.cases.len());
+        prop_assert_eq!(csv, cases_csv_oracle(&results));
     }
 
     #[test]
