@@ -140,6 +140,14 @@ impl<'n> Periscope<'n> {
         Periscope { net, attempts: 3 }
     }
 
+    /// The `(LG, target)` host pairs [`Periscope::min_rtt_from_city`]
+    /// probes for a city, in probing order — what a caller geolocating
+    /// many targets hands [`Pinger::resolve_ahead`] first.
+    pub fn probe_pairs(&self, city: CityId, target: HostId) -> Vec<(HostId, HostId)> {
+        let lgs = self.net.in_city(city);
+        lgs.into_iter().map(|lg| (lg.host, target)).collect()
+    }
+
     /// Minimum last-hop RTT (ms) from any LG in `city` to `target`,
     /// or `None` if the city has no LGs or all probes were lost.
     ///
@@ -155,12 +163,12 @@ impl<'n> Periscope<'n> {
         rng: &mut R,
     ) -> Option<f64> {
         let mut best: Option<f64> = None;
-        for lg in self.net.in_city(city) {
+        for (lg, target) in self.probe_pairs(city, target) {
             for k in 0..self.attempts {
                 // Each attempt is a real traceroute; the metric is the
                 // RTT yielded on the last hop to the target (§2.2).
                 let rtt = engine
-                    .traceroute(lg.host, target, t.plus_secs(k as f64), rng)
+                    .traceroute(lg, target, t.plus_secs(k as f64), rng)
                     .and_then(|tr| tr.last_hop_rtt());
                 if let Some(rtt) = rtt {
                     best = Some(best.map_or(rtt, |b: f64| b.min(rtt)));

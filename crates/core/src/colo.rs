@@ -23,6 +23,7 @@
 use crate::world::World;
 use rand::Rng;
 use shortcuts_atlas::looking_glass::Periscope;
+use shortcuts_datasets::FacilityIpRecord;
 use shortcuts_geo::CityId;
 use shortcuts_netsim::clock::SimTime;
 use shortcuts_netsim::{HostId, Pinger};
@@ -69,7 +70,7 @@ impl FilterFunnel {
 }
 
 /// A verified colo relay: a pingable interface confirmed at a facility.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColoRelay {
     /// The relay's address.
     pub ip: Ipv4Addr,
@@ -84,7 +85,7 @@ pub struct ColoRelay {
 }
 
 /// The verified COR pool plus funnel accounting.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ColoPool {
     /// Verified relays.
     pub relays: Vec<ColoRelay>,
@@ -159,7 +160,15 @@ pub fn run_pipeline<P: Pinger, R: Rng + ?Sized>(
         })
         .collect();
 
-    // Filter 2: pingability (a short burst; any reply counts).
+    // Filter 2: pingability (a short burst; any reply counts). The
+    // probes go out one by one, in record order, over hundreds of
+    // destination ASes; resolving the pairs as one batch first pins
+    // each routing table once instead of once per record.
+    let probes: Vec<_> = stage1
+        .iter()
+        .filter_map(|r| Some((vantage, world.hosts.by_ip(r.ip)?.id)))
+        .collect();
+    engine.resolve_ahead(&probes);
     let stage2: Vec<_> = stage1
         .iter()
         .copied()
@@ -190,17 +199,29 @@ pub fn run_pipeline<P: Pinger, R: Rng + ?Sized>(
         })
         .collect();
 
-    // Filter 5: RTT-based geolocation via Periscope.
-    let periscope = Periscope::new(&world.looking_glasses);
-    let mut relays = Vec::new();
-    for r in &stage4 {
+    // Filter 5: RTT-based geolocation via Periscope — again resolved
+    // as one batch before the traceroutes go out one by one.
+    let located = |r: &FacilityIpRecord| {
         let f = r.single_candidate().expect("single");
-        let city = world.topo.facility(f).city;
         let host = world
             .hosts
             .by_ip(r.ip)
             .expect("stage2 guarantees a live host")
             .id;
+        (f, world.topo.facility(f).city, host)
+    };
+    let periscope = Periscope::new(&world.looking_glasses);
+    let probes: Vec<_> = stage4
+        .iter()
+        .flat_map(|r| {
+            let (_, city, host) = located(r);
+            periscope.probe_pairs(city, host)
+        })
+        .collect();
+    engine.resolve_ahead(&probes);
+    let mut relays = Vec::new();
+    for r in &stage4 {
+        let (f, city, host) = located(r);
         let Some(min_rtt) = periscope.min_rtt_from_city(engine, city, host, t, rng) else {
             continue; // no Periscope coverage for this city
         };

@@ -7,7 +7,7 @@
 //! fact rather than a campaign fact:
 //!
 //! - **One engine** ([`shortcuts_netsim::PingEngine`]): the pair cache
-//!   (deterministic path facts per host pair) is shared, so a pair two
+//!   (deterministic path facts per site pair) is shared, so a pair two
 //!   scenarios both visit is expanded once, not once per scenario.
 //! - **One router** ([`shortcuts_topology::routing::Router`]): the
 //!   destination-table cache is warmed **once** with the union of all

@@ -5,6 +5,7 @@
 //! host an address from its AS's prefix space and resolves IPs back to
 //! hosts, which is what the ping engine operates on.
 
+use crate::fasthash::FastMap;
 use shortcuts_geo::{CityId, GeoPoint};
 use shortcuts_topology::{Asn, NodeId, Topology};
 use std::collections::HashMap;
@@ -13,6 +14,14 @@ use std::net::Ipv4Addr;
 /// Dense host identifier (index into the registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
+
+/// Dense identifier of a *site*: one `(AS, city)` combination at least
+/// one host sits at. Everything deterministic about a ping except the
+/// two hosts' last-mile `access_ms` — routes, hand-off kilometers,
+/// diurnal midpoint — depends only on the two sites, so the ping
+/// engine caches per site pair and every host of a site shares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SiteId(pub u32);
 
 /// What kind of equipment the host is; purely descriptive, but useful
 /// in reports and assertions.
@@ -44,6 +53,9 @@ pub struct Host {
     pub node: NodeId,
     /// City the host is physically in.
     pub city: CityId,
+    /// The host's `(node, city)` site, shared with every other host
+    /// registered in the same AS and city.
+    pub site: SiteId,
     /// Physical location (city center).
     pub location: GeoPoint,
     /// Equipment kind.
@@ -87,6 +99,8 @@ impl std::error::Error for HostError {}
 pub struct HostRegistry {
     hosts: Vec<Host>,
     by_ip: HashMap<Ipv4Addr, HostId>,
+    /// Site of each `(AS, city)` seen so far, in first-seen order.
+    sites: FastMap<(NodeId, CityId), SiteId>,
     /// Next free host index per AS (indexes into the AS's prefixes).
     next_addr: HashMap<Asn, u64>,
 }
@@ -105,6 +119,11 @@ impl HostRegistry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.hosts.is_empty()
+    }
+
+    /// Number of distinct `(AS, city)` sites the hosts occupy.
+    pub fn site_count(&self) -> usize {
+        self.sites.len()
     }
 
     /// Looks up a host by id.
@@ -192,12 +211,15 @@ impl HostRegistry {
             .node_index()
             .node(asn)
             .expect("validated AS has a dense node id");
+        let next_site = SiteId(self.sites.len() as u32);
+        let site = *self.sites.entry((node, city)).or_insert(next_site);
         self.hosts.push(Host {
             id,
             ip,
             asn,
             node,
             city,
+            site,
             location,
             kind,
             access_ms,
@@ -282,6 +304,29 @@ mod tests {
         assert_eq!(h.city, city);
         assert_eq!(h.kind, HostKind::ColoInterface);
         assert_eq!(h.location.lat(), topo.cities.get(city).location.lat());
+    }
+
+    #[test]
+    fn hosts_of_one_as_and_city_share_a_site() {
+        let topo = small_topo();
+        let mut reg = HostRegistry::new();
+        let eyes = topo.eyeball_asns();
+        let a = reg.add_host_in_as(&topo, eyes[0], None).unwrap();
+        let b = reg.add_host_in_as(&topo, eyes[0], None).unwrap();
+        let c = reg.add_host_in_as(&topo, eyes[1], None).unwrap();
+        assert_eq!(reg.get(a).site, reg.get(b).site);
+        assert_ne!(reg.get(a).site, reg.get(c).site);
+        // Same AS, another city: another site.
+        if let Some(&city) = topo
+            .pop_cities(eyes[0])
+            .iter()
+            .find(|&&c| c != reg.get(a).city)
+        {
+            let d = reg.add_host_in_as(&topo, eyes[0], Some(city)).unwrap();
+            assert_ne!(reg.get(a).site, reg.get(d).site);
+        }
+        // Site ids are dense.
+        assert!(reg.iter().all(|h| (h.site.0 as usize) < reg.site_count()));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod traceroute;
 
 pub use clock::SimClock;
 pub use fault::FaultPlan;
-pub use host::{Host, HostId, HostKind, HostRegistry};
+pub use host::{Host, HostId, HostKind, HostRegistry, SiteId};
 pub use latency::LatencyModel;
 pub use path::{expand_path, PathCost, RouterPath};
 pub use ping::{EngineStats, PairBlock, PingEngine, PingHandle, Pinger, SampleTally};

@@ -3,10 +3,27 @@
 //! Composes the stack: resolve hosts → policy AS path (cached per
 //! destination by [`Router`]) → hand-off walk over the hosts' cities
 //! ([`path_cost`]: kilometers and router hops, no path materialized) →
-//! base RTT → noise/faults → one observed sample. The deterministic
-//! part (AS paths + base RTT) is cached per host pair because the
-//! campaign pings the same pairs six times per window, 45 rounds in a
-//! row.
+//! base RTT → noise/faults → one observed sample.
+//!
+//! ## One resolver, three levels
+//!
+//! Everything deterministic about a ping is resolved once and cached,
+//! at the level it actually depends on:
+//!
+//! - **Routes per AS pair.** A forward route is a walk over the
+//!   destination AS's routing table, a reverse route the same walk for
+//!   the mirrored AS pair; both are interned ([`PathInterner`]), so a
+//!   route is stored — and churn-checked — once however many pairs
+//!   use it.
+//! - **Facts per site pair.** A *site* is an `(AS, city)` a host sits
+//!   at ([`SiteId`]). The two hand-off walks, the base RTT between the
+//!   sites, the interned forward and reverse paths and the diurnal
+//!   midpoint depend on nothing else, so the pair cache is keyed by
+//!   `(SiteId, SiteId)` and every host pair on those sites shares the
+//!   entry.
+//! - **Rows per host pair.** The hosts add their own last-mile delay,
+//!   `s.access_ms + d.access_ms`, on top of the site pair's base RTT —
+//!   never cached, so two hosts of one site keep distinct RTTs.
 //!
 //! The engine co-owns its topology, router and host registry behind
 //! `Arc`s and holds **no per-campaign state**: everything inside is
@@ -23,21 +40,21 @@
 //! a shard lock, a hash probe, an `Arc` bump — six times per
 //! measurement window. Round execution instead batches:
 //! [`PingEngine::resolve_pairs`] resolves a whole round's pair set in
-//! grouped flat passes (each cache shard locked once, misses expanded
-//! data-parallel per destination AS, one bulk insert per shard) into a
-//! [`PairBlock`] — a struct-of-arrays snapshot of the resolved facts —
-//! and [`PingEngine::sample_window_block`] then samples a window from
-//! a block row in a tight, allocation-free loop. RNG draws are
-//! replicated exactly, so batched results are bit-identical to the
-//! scalar path; the scalar path survives as the equivalence oracle.
-//! AS paths are interned ([`PathInterner`]) so the heavily shared
-//! forward/reverse arrays are stored — and churn-checked — once per
-//! distinct path instead of once per pair.
+//! flat passes (host pairs deduped to site pairs, each cache shard
+//! locked once, the missing routes swept destination-major so each
+//! routing table is pinned once per batch, one bulk insert per shard)
+//! into a [`PairBlock`] — a struct-of-arrays snapshot of the resolved
+//! facts — and [`PingEngine::sample_window_resolved`] then samples a
+//! window from a block row in a tight, allocation-free loop. RNG draws
+//! are replicated exactly, so batched results are bit-identical to the
+//! scalar path, which survives as the equivalence oracle: its miss
+//! walks one site pair's two routes directly, through the same route,
+//! facts and publication code the batch runs.
 
 use crate::clock::SimTime;
 use crate::fasthash::FastMap;
 use crate::fault::FaultPlan;
-use crate::host::{HostId, HostRegistry};
+use crate::host::{Host, HostId, HostRegistry, SiteId};
 use crate::latency::LatencyModel;
 use crate::path::path_cost;
 use crate::traceroute::Traceroute;
@@ -45,16 +62,23 @@ use parking_lot::RwLock;
 use rand::Rng;
 use rayon::prelude::*;
 use shortcuts_telemetry::Field;
-use shortcuts_topology::routing::Router;
+use shortcuts_topology::routing::{Router, RoutingTable};
 use shortcuts_topology::{Asn, NodeId, PathInterner, Topology, TopologyDelta};
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Cached deterministic path facts for a host pair.
+/// A pair-cache key: the source and destination hosts' sites.
+type SiteKey = (SiteId, SiteId);
+
+/// Cached deterministic path facts of a site pair — what every host
+/// pair on those two sites shares.
 #[derive(Debug, Clone)]
 struct PairInfo {
-    /// Base RTT (deterministic part), ms.
+    /// Base RTT between the sites (deterministic part, **without** the
+    /// hosts' access delay — that is added per host pair, on top), ms.
     base_ms: f64,
     /// AS-level path (for fault checks and diagnostics). Read-only
     /// after construction, so it is shared — handing it out is a
@@ -139,13 +163,20 @@ pub struct SampleTally {
 /// All counters are monotonic over the engine's lifetime and read with
 /// relaxed ordering — each is exact, and cross-counter totals are
 /// exact whenever no ping is mid-flight on another thread.
+///
+/// The pair cache is keyed by **site pair** (`(AS, city)` →
+/// `(AS, city)`), so every `pair_*` field counts site-pair entries and
+/// lookups, not host pairs; `pair_rows` counts the host pairs served
+/// from them, and `pair_rows / (hits + misses)` is the live
+/// hosts-per-site sharing factor *within* a batch (hosts of one site
+/// met in different batches share through the hit rate instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Pair-cache lookups that found a resident entry.
+    /// Site-pair lookups that found a resident entry.
     pub pair_cache_hits: u64,
-    /// Pair-cache lookups that had to expand the pair first.
+    /// Site-pair lookups that had to expand the site pair first.
     pub pair_cache_misses: u64,
-    /// Host pairs currently resident in the pair cache.
+    /// Site pairs currently resident in the pair cache.
     pub pair_cache_entries: u64,
     /// Destination routing tables resident in the router's cache.
     pub router_tables_resident: u64,
@@ -161,7 +192,7 @@ pub struct EngineStats {
     pub router_recomputes: u64,
     /// Approximate bytes resident across the pair cache's shards.
     pub pair_resident_bytes: u64,
-    /// Pair entries dropped by the per-shard byte budget.
+    /// Site-pair entries dropped by the per-shard byte budget.
     pub pair_evictions: u64,
     /// Stale routing tables brought current by incremental repair
     /// (rather than a full per-destination recompute).
@@ -172,16 +203,24 @@ pub struct EngineStats {
     /// Stale routing tables that fell back to a full view recompute
     /// (restoration batches, majority-dirty tables, ablation policy).
     pub full_rebuilds: u64,
-    /// Stale pair entries revalidated in place — their stored forward
-    /// and reverse paths crossed no dirty link, so the recompute was
-    /// skipped entirely.
+    /// Stale site-pair entries revalidated in place — their stored
+    /// forward and reverse paths crossed no dirty link, so the
+    /// recompute was skipped entirely.
     pub pair_revalidated: u64,
     /// Distinct AS paths interned fresh (each owns one shared
     /// allocation all pairs using that path point at).
     pub paths_interned: u64,
     /// Path-interning requests served by an already-live allocation —
-    /// pair entries whose path arrays cost zero additional bytes.
+    /// routes whose path array cost zero additional bytes.
     pub path_dedup_hits: u64,
+    /// Host pairs served: one per scalar lookup, one per distinct host
+    /// pair of a resolved batch. Every lookup behind `pair_cache_hits`
+    /// and `pair_cache_misses` serves at least one.
+    pub pair_rows: u64,
+    /// Directed AS-pair routes walked off a routing table and interned
+    /// (a batch walks each distinct route it is missing once, whatever
+    /// number of site pairs need it).
+    pub routes_walked: u64,
 }
 
 impl EngineStats {
@@ -217,6 +256,8 @@ impl EngineStats {
             Field::int("pair_revalidated", self.pair_revalidated),
             Field::int("paths_interned", self.paths_interned),
             Field::int("path_dedup_hits", self.path_dedup_hits),
+            Field::int("pair_rows", self.pair_rows),
+            Field::int("routes_walked", self.routes_walked),
         ]
     }
 
@@ -237,8 +278,8 @@ impl EngineStats {
 /// (each shard must afford at least one resident entry).
 pub const CACHE_SHARDS: usize = 64;
 
-/// One resident pair entry (`info == None` = known-unroutable pair)
-/// with its CLOCK bookkeeping.
+/// One resident site-pair entry (`info == None` = known-unroutable
+/// pair) with its CLOCK bookkeeping.
 struct CacheEntry {
     info: Option<Arc<PairInfo>>,
     /// CLOCK reference bit — set on every hit (under the shard's
@@ -257,31 +298,36 @@ struct CacheEntry {
 enum PairLookup {
     /// Resident and current: use as-is (counted as a hit).
     Hit(Option<Arc<PairInfo>>),
-    /// Resident but stamped at an older epoch. The caller decides —
-    /// revalidate against the dirty history, or recompute — so this
-    /// outcome alone counts neither hit nor miss.
+    /// Resident but stamped at an older epoch: the resolver
+    /// revalidates it against the dirty history (a hit) or recomputes
+    /// it (a miss).
     Stale(Option<Arc<PairInfo>>, u64),
-    /// Not resident (counted as a miss).
+    /// Not resident: the resolver expands it (a miss).
     Miss,
 }
 
-/// Resident pair facts of one shard.
-type PairMap = FastMap<(HostId, HostId), CacheEntry>;
+/// A freshly expanded entry awaiting publication: the site pair, its
+/// facts (`None` = unroutable), the bytes its cache entry is charged.
+type ComputedEntry = (SiteKey, Option<Arc<PairInfo>>, u32);
 
-/// One freshly expanded batch entry awaiting publication: the pair's
-/// slot in the [`PairBlock`], its facts (`None` = unroutable), and the
-/// bytes its cache entry will be charged.
-type ComputedEntry = (u32, Option<Arc<PairInfo>>, u32);
+/// One directed AS-level route as the resolver holds it: the interned
+/// path plus the ASNs its interning allocated fresh — the payload
+/// exactly one cache entry must be charged. `None` = unreachable.
+type Route = Option<(Arc<[Asn]>, u32)>;
 
-/// Approximate bytes one cached pair costs: key, entry, hash-map and
-/// clock-ring bookkeeping, plus the path payload this entry is
-/// *charged* for. Paths are interned, so an entry pays only for the
-/// ASN array bytes its own interning created fresh
-/// (`charged_path_asns`); an entry pointing at paths another resident
-/// pair already owns charges zero for them — the allocation exists
-/// once, so the gauge counts it once.
+/// One distinct site pair to resolve, with a host pair on it (whose
+/// hosts stand in for the sites when it must expand).
+type SiteRequest = (SiteKey, HostId, HostId);
+
+/// Approximate bytes one cached site pair costs: key, entry, hash-map
+/// and clock-ring bookkeeping, plus the path payload this entry is
+/// *charged* for. Paths are interned per route, so an entry pays only
+/// for the ASN array bytes of the routes whose fresh interning it was
+/// the first to reference (`charged_path_asns`); an entry pointing at
+/// paths another entry was already charged for adds zero — the
+/// allocation exists once, so the gauge counts it once.
 fn entry_bytes(info: &Option<Arc<PairInfo>>, charged_path_asns: usize) -> u32 {
-    const FIXED: usize = 2 * std::mem::size_of::<(HostId, HostId)>() // map key + ring slot
+    const FIXED: usize = 2 * std::mem::size_of::<SiteKey>() // map key + ring slot
         + std::mem::size_of::<CacheEntry>()
         + 16; // hash-map slot overhead
     let payload = match info {
@@ -306,10 +352,10 @@ pub fn pair_entry_min_bytes() -> u64 {
 /// byte gauge the shard budget is enforced against.
 #[derive(Default)]
 struct ShardState {
-    map: PairMap,
+    map: FastMap<SiteKey, CacheEntry>,
     /// Resident keys in (approximate) insertion order; eviction swaps
     /// removed keys out, so the ring stays dense and O(1) to maintain.
-    ring: Vec<(HostId, HostId)>,
+    ring: Vec<SiteKey>,
     /// CLOCK hand: index into `ring` the next sweep starts at.
     hand: usize,
     /// Approximate resident bytes of this shard.
@@ -325,8 +371,7 @@ struct CacheShard {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Stale entries re-stamped in place after their paths checked
-    /// clean against the dirty history (each also counts as a hit).
+    /// Stale entries re-stamped in place (each also counts as a hit).
     revalidated: AtomicU64,
 }
 
@@ -359,11 +404,10 @@ impl PairCache {
     }
 
     /// The shard index owning a pair: a SplitMix64 finalizer over both
-    /// host ids, so pairs sharing a source still spread across shards.
-    /// Exposed separately from [`PairCache::shard`] so the batch
-    /// resolver can group a round's pairs per shard before touching
+    /// site ids, so pairs sharing a source still spread across shards.
+    /// The batch resolver groups a round's pairs by it before touching
     /// any lock.
-    fn shard_index(key: (HostId, HostId)) -> usize {
+    fn shard_index(key: SiteKey) -> usize {
         let mut z = (u64::from(key.0 .0) << 32) | u64::from(key.1 .0);
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -372,45 +416,57 @@ impl PairCache {
         (z as usize) % CACHE_SHARDS
     }
 
-    /// The shard owning a pair.
-    fn shard(&self, key: (HostId, HostId)) -> &CacheShard {
-        &self.shards[Self::shard_index(key)]
+    /// Looks up a run of one shard's keys under a single read lock,
+    /// handing each outcome to `on` (under the lock) and counting the
+    /// run's hits at once. Misses are counted when their recompute is
+    /// published, which is also where a failed revalidation lands.
+    fn probe(
+        &self,
+        shard_idx: usize,
+        keys: impl Iterator<Item = (u32, SiteKey)>,
+        epoch: u64,
+        mut on: impl FnMut(u32, PairLookup),
+    ) {
+        let shard = &self.shards[shard_idx];
+        let mut hits = 0u64;
+        {
+            let st = shard.state.read();
+            for (i, key) in keys {
+                debug_assert_eq!(Self::shard_index(key), shard_idx);
+                let found = match st.map.get(&key) {
+                    Some(e) => {
+                        let stamp = e.epoch.load(Ordering::Relaxed);
+                        if stamp == epoch {
+                            e.referenced.store(true, Ordering::Relaxed);
+                            hits += 1;
+                            PairLookup::Hit(e.info.clone())
+                        } else {
+                            PairLookup::Stale(e.info.clone(), stamp)
+                        }
+                    }
+                    None => PairLookup::Miss,
+                };
+                on(i, found);
+            }
+        }
+        if hits > 0 {
+            shard.hits.fetch_add(hits, Ordering::Relaxed);
+        }
     }
 
-    fn get(&self, key: (HostId, HostId), epoch: u64) -> PairLookup {
-        let shard = self.shard(key);
-        let lookup = {
-            let st = shard.state.read();
-            match st.map.get(&key) {
-                Some(e) => {
-                    let stamp = e.epoch.load(Ordering::Relaxed);
-                    if stamp == epoch {
-                        e.referenced.store(true, Ordering::Relaxed);
-                        PairLookup::Hit(e.info.clone())
-                    } else {
-                        PairLookup::Stale(e.info.clone(), stamp)
-                    }
-                }
-                None => PairLookup::Miss,
-            }
-        };
-        match lookup {
-            PairLookup::Hit(_) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            PairLookup::Miss => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            PairLookup::Stale(..) => {}
-        }
-        lookup
+    /// A [`PairCache::probe`] of one key — the scalar lookup.
+    fn get(&self, key: SiteKey, epoch: u64) -> PairLookup {
+        let mut found = PairLookup::Miss;
+        let one = [(0, key)].into_iter();
+        self.probe(Self::shard_index(key), one, epoch, |_, l| found = l);
+        found
     }
 
     /// Re-stamps a stale entry whose paths survived every delta since
     /// its stamp: the stored facts are still exact at `epoch`, so this
     /// counts as a (revalidated) hit, not a miss.
-    fn refresh(&self, key: (HostId, HostId), epoch: u64) {
-        let shard = self.shard(key);
+    fn refresh(&self, key: SiteKey, epoch: u64) {
+        let shard = &self.shards[Self::shard_index(key)];
         {
             let st = shard.state.read();
             if let Some(e) = st.map.get(&key) {
@@ -422,36 +478,21 @@ impl PairCache {
         shard.revalidated.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a stale entry that failed revalidation — the deferred
-    /// miss its recompute pays for.
-    fn count_miss(&self, key: (HostId, HostId)) {
-        self.shard(key).misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Inserts one freshly computed entry. `bytes` is the charge the
-    /// expansion computed (fixed cost + freshly interned path bytes) —
-    /// precomputed by the caller because only the interning site knows
-    /// which path allocations this entry created.
-    fn insert(&self, key: (HostId, HostId), info: Option<Arc<PairInfo>>, epoch: u64, bytes: u32) {
-        let shard = self.shard(key);
-        let mut st = shard.state.write();
-        insert_locked(&mut st, key, info, epoch, bytes);
-        if let Some(budget) = self.shard_budget {
-            evict_shard_over_budget(&mut st, budget, key, &shard.evictions);
-        }
-    }
-
-    /// Bulk insert: all entries of one shard under a single write
-    /// lock. Entry semantics (incumbent handling, byte gauge, CLOCK
-    /// eviction pressure) are identical to per-entry [`insert`] —
-    /// the batch only amortizes the lock acquisition.
+    /// Publishes one shard's freshly expanded entries under a single
+    /// write lock, counting each as the miss it repairs. `bytes` is
+    /// the charge the expansion computed (fixed cost + freshly
+    /// interned path bytes) — only the interning site knows which
+    /// path allocations an entry created.
     fn insert_many(
         &self,
         shard_idx: usize,
-        entries: impl Iterator<Item = ((HostId, HostId), Option<Arc<PairInfo>>, u32)>,
+        entries: impl ExactSizeIterator<Item = ComputedEntry>,
         epoch: u64,
     ) {
         let shard = &self.shards[shard_idx];
+        shard
+            .misses
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
         let mut st = shard.state.write();
         for (key, info, bytes) in entries {
             debug_assert_eq!(Self::shard_index(key), shard_idx);
@@ -462,82 +503,58 @@ impl PairCache {
         }
     }
 
-    /// Pairs currently resident across all shards.
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.state.read().map.len()).sum()
+    /// One per-shard quantity, summed across the shards.
+    fn sum(&self, of: impl Fn(&CacheShard) -> u64) -> u64 {
+        self.shards.iter().map(of).sum()
     }
 
-    /// Total (hits, misses) summed across shards.
-    fn hit_miss(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            (
-                h + s.hits.load(Ordering::Relaxed),
-                m + s.misses.load(Ordering::Relaxed),
-            )
-        })
+    /// Pairs currently resident across all shards.
+    fn len(&self) -> usize {
+        self.sum(|s| s.state.read().map.len() as u64) as usize
     }
 
     /// Approximate resident bytes across all shards.
     fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.state.read().bytes).sum()
+        self.sum(|s| s.state.read().bytes)
     }
 
     /// Entries evicted by the budget, across all shards.
     fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Stale entries revalidated in place, across all shards.
-    fn revalidated(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.revalidated.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|s| s.evictions.load(Ordering::Relaxed))
     }
 }
 
 /// Insert/replace one entry in a shard whose write lock the caller
-/// holds — the shared body of [`PairCache::insert`] and
-/// [`PairCache::insert_many`].
+/// holds.
 fn insert_locked(
     st: &mut ShardState,
-    key: (HostId, HostId),
+    key: SiteKey,
     info: Option<Arc<PairInfo>>,
     epoch: u64,
     bytes: u32,
 ) {
-    if let Some(e) = st.map.get_mut(&key) {
-        if e.epoch.load(Ordering::Relaxed) >= epoch {
-            // A racing expander won the slot at the same (or a
-            // newer) epoch; both computed the same deterministic
-            // facts, so keep the incumbent.
-            return;
+    let fresh = CacheEntry {
+        info,
+        referenced: AtomicBool::new(true),
+        bytes,
+        epoch: AtomicU64::new(epoch),
+    };
+    match st.map.entry(key) {
+        // A racing expander won the slot at the same (or a newer)
+        // epoch; both computed the same deterministic facts, so keep
+        // the incumbent.
+        Entry::Occupied(e) if e.get().epoch.load(Ordering::Relaxed) >= epoch => {}
+        // Stale incumbent: replace in place. The key keeps its ring
+        // slot; only the byte gauge moves.
+        Entry::Occupied(mut e) => {
+            st.bytes = st.bytes - u64::from(e.get().bytes) + u64::from(bytes);
+            e.insert(fresh);
         }
-        // Stale incumbent: replace in place. The key keeps its
-        // ring slot; only the byte gauge moves.
-        let old_bytes = e.bytes;
-        *e = CacheEntry {
-            info,
-            referenced: AtomicBool::new(true),
-            bytes,
-            epoch: AtomicU64::new(epoch),
-        };
-        st.bytes = st.bytes - u64::from(old_bytes) + u64::from(bytes);
-    } else {
-        st.map.insert(
-            key,
-            CacheEntry {
-                info,
-                referenced: AtomicBool::new(true),
-                bytes,
-                epoch: AtomicU64::new(epoch),
-            },
-        );
-        st.ring.push(key);
-        st.bytes += u64::from(bytes);
+        Entry::Vacant(e) => {
+            e.insert(fresh);
+            st.ring.push(key);
+            st.bytes += u64::from(bytes);
+        }
     }
 }
 
@@ -547,12 +564,7 @@ fn insert_locked(
 /// `keep` — the entry just inserted — is never evicted, so a lookup
 /// cannot thrash against its own result; two revolutions bound the
 /// sweep even when the budget is unsatisfiable.
-fn evict_shard_over_budget(
-    st: &mut ShardState,
-    budget: u64,
-    keep: (HostId, HostId),
-    evictions: &AtomicU64,
-) {
+fn evict_shard_over_budget(st: &mut ShardState, budget: u64, keep: SiteKey, evictions: &AtomicU64) {
     let mut scanned = 0usize;
     let limit = 2 * st.ring.len();
     while st.bytes > budget && st.ring.len() > 1 && scanned < limit {
@@ -622,25 +634,33 @@ impl DirtyEpoch {
 }
 
 /// Struct-of-arrays snapshot of one batch's resolved pair facts — the
-/// output of [`PingEngine::resolve_pairs`] and the input of
-/// [`PingEngine::sample_window_block`].
+/// output of [`PingEngine::resolve_pairs`]; a row's
+/// [`PairBlock::resolved`] is what
+/// [`PingEngine::sample_window_resolved`] samples from.
 ///
-/// Each distinct `(src, dst)` pair of the batch owns one row (slot):
-/// base RTT, diurnal midpoint longitude and the shared forward AS
-/// path, laid out in parallel arrays so a round's sampling loop walks
-/// flat `f64` slices instead of chasing `Arc<PairInfo>` pointers
-/// through the cache on every window. Unroutable pairs hold a row
-/// with no path. The block is a *snapshot*: it pins the facts at the
-/// epoch `resolve_pairs` ran at, which is exactly the semantics a
-/// round wants (churn applies between rounds, never mid-round).
+/// Each distinct `(src, dst)` host pair of the batch owns one row
+/// (slot): the two hosts' access delay and the index of the pair's
+/// *site pair*, whose facts — base RTT between the sites, diurnal
+/// midpoint longitude, the shared forward AS path — are stored once
+/// for all the rows on it, in parallel arrays so a round's sampling
+/// loop walks flat slices instead of chasing `Arc<PairInfo>` pointers
+/// through the cache on every window. Unroutable site pairs hold no
+/// path. The block is a *snapshot*: it pins the facts at the epoch
+/// `resolve_pairs` ran at, which is exactly the semantics a round
+/// wants (churn applies between rounds, never mid-round).
 pub struct PairBlock {
-    /// Row index per distinct pair, in first-seen batch order.
+    /// Row index per distinct host pair, in first-seen batch order.
     slots: FastMap<(HostId, HostId), u32>,
-    /// Base RTT per row, ms (unspecified for unroutable rows).
+    /// Per row: `s.access_ms + d.access_ms` of its two hosts.
+    access_ms: Vec<f64>,
+    /// Per row: index of its site pair in the arrays below.
+    site: Vec<u32>,
+    /// Per site pair: base RTT between the sites, ms (unspecified for
+    /// unroutable site pairs).
     base_ms: Vec<f64>,
-    /// Diurnal midpoint longitude per row.
+    /// Per site pair: diurnal midpoint longitude.
     mid_lon: Vec<f64>,
-    /// Forward AS path per row; `None` = unroutable pair.
+    /// Per site pair: forward AS path; `None` = unroutable.
     paths: Vec<Option<Arc<[Asn]>>>,
 }
 
@@ -648,29 +668,35 @@ impl PairBlock {
     fn with_capacity(n: usize) -> Self {
         PairBlock {
             slots: FastMap::with_capacity_and_hasher(n, Default::default()),
-            base_ms: Vec::with_capacity(n),
-            mid_lon: Vec::with_capacity(n),
-            paths: Vec::with_capacity(n),
+            access_ms: Vec::with_capacity(n),
+            site: Vec::with_capacity(n),
+            base_ms: Vec::new(),
+            mid_lon: Vec::new(),
+            paths: Vec::new(),
         }
     }
 
-    /// Sizes the row arrays for `n` slots of unroutable defaults;
-    /// [`PairBlock::set_row`] then fills routable rows in place. Rows
-    /// are written at their slot index (not pushed) so the resolver's
-    /// passes can fill them in whatever order the shards come up.
-    fn size_rows(&mut self, n: usize) {
-        self.base_ms.resize(n, f64::NAN);
-        self.mid_lon.resize(n, 0.0);
-        self.paths.resize(n, None);
+    /// Appends the next site pair's facts (`None` = unroutable).
+    fn push_site(&mut self, info: Option<&PairInfo>) {
+        self.base_ms.push(info.map_or(f64::NAN, |p| p.base_ms));
+        self.mid_lon.push(info.map_or(0.0, |p| p.mid_lon));
+        self.paths.push(info.map(|p| Arc::clone(&p.as_path)));
     }
 
-    fn set_row(&mut self, slot: u32, info: Option<&PairInfo>) {
-        if let Some(p) = info {
-            let i = slot as usize;
-            self.base_ms[i] = p.base_ms;
-            self.mid_lon[i] = p.mid_lon;
-            self.paths[i] = Some(Arc::clone(&p.as_path));
-        }
+    /// What a window on row `slot` samples from, in the shape
+    /// [`PingEngine::sample_window_resolved`] takes: forward path, the
+    /// host pair's base RTT — its site pair's plus the two hosts' own
+    /// access delay — and midpoint longitude. `None` = unroutable.
+    pub fn resolved(&self, slot: u32) -> Option<(&[Asn], f64, f64)> {
+        let row = slot as usize;
+        let i = self.site[row] as usize;
+        self.paths[i].as_ref().map(|p| {
+            (
+                &p[..],
+                self.base_ms[i] + self.access_ms[row],
+                self.mid_lon[i],
+            )
+        })
     }
 
     /// The row holding `(src, dst)`'s facts, or `None` if the pair was
@@ -681,17 +707,17 @@ impl PairBlock {
 
     /// Whether the row's pair is routable (has a forward path).
     pub fn is_routable(&self, slot: u32) -> bool {
-        self.paths[slot as usize].is_some()
+        self.resolved(slot).is_some()
     }
 
-    /// Distinct pairs resolved in this block.
+    /// Distinct host pairs resolved in this block.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.site.len()
     }
 
     /// True when the block resolved no pairs.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.site.is_empty()
     }
 }
 
@@ -727,6 +753,16 @@ pub struct PingEngine {
     /// to `e + 1`). Read on every stale lookup, written once per
     /// batch.
     dirty: RwLock<Vec<DirtyEpoch>>,
+    /// Host-pair rows batches filled beyond the first of each site
+    /// pair (see [`EngineStats::pair_rows`]).
+    shared_rows: AtomicU64,
+    /// Directed routes walked and interned.
+    routes_walked: AtomicU64,
+    /// Direction of the next destination-major route sweep. A sweep
+    /// over more tables than the router keeps resident leaves the
+    /// cache holding its *tail*; the next one starts there, from the
+    /// other end (see [`PingEngine::sweep_routes`]).
+    sweep_down: AtomicBool,
 }
 
 impl PingEngine {
@@ -773,6 +809,9 @@ impl PingEngine {
             stats: StatCounters::default(),
             epoch: AtomicU64::new(0),
             dirty: RwLock::new(Vec::new()),
+            shared_rows: AtomicU64::new(0),
+            routes_walked: AtomicU64::new(0),
+            sweep_down: AtomicBool::new(false),
         }
     }
 
@@ -795,25 +834,6 @@ impl PingEngine {
     /// Current churn epoch (batches applied so far).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Do a stale pair's stored facts survive every delta batch from
-    /// `stamp` (exclusive of nothing — `dirty[stamp..cur]` is exactly
-    /// the history it missed) to `cur`? Unroutable pairs survive any
-    /// deletion-only span: removing links never creates a route.
-    fn paths_still_valid(&self, info: &Option<Arc<PairInfo>>, stamp: u64, cur: u64) -> bool {
-        let dirty = self.dirty.read();
-        for batch in &dirty[stamp as usize..cur as usize] {
-            if batch.restored {
-                return false;
-            }
-            if let Some(p) = info {
-                if batch.crosses(&p.as_path) || batch.crosses(&p.rev_path) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// The topology the engine routes over.
@@ -853,7 +873,8 @@ impl PingEngine {
     /// engine and the router it resolves paths with. See
     /// [`EngineStats`].
     pub fn engine_stats(&self) -> EngineStats {
-        let (pair_cache_hits, pair_cache_misses) = self.cache.hit_miss();
+        let pair_cache_hits = self.cache.sum(|s| s.hits.load(Ordering::Relaxed));
+        let pair_cache_misses = self.cache.sum(|s| s.misses.load(Ordering::Relaxed));
         let router = self.router.stats();
         let intern = self.interner.stats();
         EngineStats {
@@ -870,128 +891,157 @@ impl PingEngine {
             tables_repaired: router.tables_repaired,
             entries_rescanned: router.entries_rescanned,
             full_rebuilds: router.full_rebuilds,
-            pair_revalidated: self.cache.revalidated(),
+            pair_revalidated: self.cache.sum(|s| s.revalidated.load(Ordering::Relaxed)),
             paths_interned: intern.interned,
             path_dedup_hits: intern.dedup_hits,
+            pair_rows: pair_cache_hits
+                + pair_cache_misses
+                + self.shared_rows.load(Ordering::Relaxed),
+            routes_walked: self.routes_walked.load(Ordering::Relaxed),
         }
     }
 
-    /// Deterministic path facts for a pair, computed once per epoch —
-    /// and far less often than that in practice: a stale entry whose
-    /// forward and reverse paths cross no dirty link is revalidated in
-    /// place instead of re-expanded.
-    fn pair_info(&self, src: HostId, dst: HostId) -> Option<Arc<PairInfo>> {
+    /// Deterministic facts for a host pair — its site pair's cached
+    /// facts plus the pair's own base RTT (the site pair's, with the
+    /// two hosts' access delay on top). A stale entry whose paths dodge
+    /// every delta since its stamp is re-stamped, not re-expanded.
+    fn pair_info(&self, src: HostId, dst: HostId) -> Option<(Arc<PairInfo>, f64)> {
+        let s = self.hosts.get(src);
+        let d = self.hosts.get(dst);
+        let key = (s.site, d.site);
         let epoch = self.epoch();
-        match self.cache.get((src, dst), epoch) {
-            PairLookup::Hit(cached) => return cached,
-            PairLookup::Stale(cached, stamp) => {
-                if self.paths_still_valid(&cached, stamp, epoch) {
-                    self.cache.refresh((src, dst), epoch);
-                    return cached;
-                }
-                // The stored paths crossed a dirty link — this is the
-                // recompute the delta actually forced.
-                self.cache.count_miss((src, dst));
+        let mut memo = FastMap::default();
+        let info = match self.cache.get(key, epoch) {
+            PairLookup::Hit(info) => info,
+            PairLookup::Stale(info, at) if self.still_valid(&info, at..epoch, &mut memo) => {
+                self.cache.refresh(key, epoch);
+                info
             }
-            PairLookup::Miss => {}
+            _ => self.expand_one(key, s, d, epoch),
+        }?;
+        let base_ms = info.base_ms + (s.access_ms + d.access_ms);
+        Some((info, base_ms))
+    }
+
+    /// Churn revalidation: are facts stamped at `span.start` still
+    /// exact at `span.end`? Only if nothing was restored in between
+    /// and neither stored path crosses anything a batch in between
+    /// took down. `path_ok` memoizes the check per *unique path
+    /// allocation* and stamp: interning makes paths shared, so a
+    /// batch's churn work scales with the distinct-path population,
+    /// not the pair count.
+    fn still_valid(
+        &self,
+        info: &Option<Arc<PairInfo>>,
+        span: Range<u64>,
+        path_ok: &mut FastMap<(usize, u64), bool>,
+    ) -> bool {
+        let dirty = self.dirty.read();
+        let batches = &dirty[span.start as usize..span.end as usize];
+        if batches.iter().any(|b| b.restored) {
+            return false;
         }
-        let (info, bytes) = self.compute_pair(src, dst);
-        self.cache.insert((src, dst), info.clone(), epoch, bytes);
+        // Unroutable pairs survive any deletion-only span: removing
+        // links never creates a route.
+        let Some(p) = info else { return true };
+        let mut ok = |path: &Arc<[Asn]>| {
+            let ptr = Arc::as_ptr(path).cast::<Asn>() as usize;
+            *path_ok
+                .entry((ptr, span.start))
+                .or_insert_with(|| !batches.iter().any(|b| b.crosses(path)))
+        };
+        ok(&p.as_path) && ok(&p.rev_path)
+    }
+
+    /// The scalar miss: one site pair's two routes straight off their
+    /// tables, then the facts, byte charge and publication a batch
+    /// would give it.
+    fn expand_one(&self, key: SiteKey, s: &Host, d: &Host, epoch: u64) -> Option<Arc<PairInfo>> {
+        let same_as = s.node == d.node;
+        let mut buf = Vec::new();
+        let fwd = self.route(d.node, s.node, &mut None, &mut buf);
+        let rev = match &fwd {
+            // One self-route serves both directions (charged once).
+            Some((path, _)) if same_as => Some((Arc::clone(path), 0)),
+            _ => self.route(s.node, d.node, &mut None, &mut buf),
+        };
+        let walked = if same_as { 1 } else { 2 };
+        self.routes_walked.fetch_add(walked, Ordering::Relaxed);
+        let (info, charged) = match (&fwd, &rev) {
+            (Some((f, f_fresh)), Some((r, r_fresh))) => {
+                (Some(self.site_facts(s, d, f, r)), f_fresh + r_fresh)
+            }
+            _ => (None, 0),
+        };
+        let entry = (key, info.clone(), entry_bytes(&info, charged as usize));
+        let shard = PairCache::shard_index(key);
+        self.cache.insert_many(shard, [entry].into_iter(), epoch);
         info
     }
 
-    /// Expands one pair from scratch (routes, router-level expansion,
-    /// base RTT, interned paths). Returns the facts plus the bytes the
-    /// cache should charge this entry for — fixed cost plus whatever
-    /// path allocations *this* expansion interned fresh.
-    fn compute_pair(&self, src: HostId, dst: HostId) -> (Option<Arc<PairInfo>>, u32) {
-        let s = self.hosts.get(src);
-        let d = self.hosts.get(dst);
-        if s.asn == d.asn {
-            return self.expand_same_as(src, dst);
-        }
-        // An echo round trip traverses the forward route AND the
-        // (possibly different) return route; base RTT sums both
-        // one-way expansions, which also makes RTT(a,b) == RTT(b,a)
-        // exactly — matching the paper's symmetry observation.
-        // Hosts carry their AS's dense node id, so the table
-        // lookups skip the Asn→NodeId hash entirely.
-        let fwd_as = self.router.as_path_between(s.node, d.node);
-        let rev_as = self.router.as_path_between(d.node, s.node);
-        match (fwd_as, rev_as) {
-            (Some(fwd_as), Some(rev_as)) => self.expand_cross_as(src, dst, &fwd_as, &rev_as),
-            _ => (None, entry_bytes(&None, 0)),
-        }
-    }
-
-    /// Same-AS pair facts: intra-AS pings never consult the router.
-    fn expand_same_as(&self, src: HostId, dst: HostId) -> (Option<Arc<PairInfo>>, u32) {
-        let s = self.hosts.get(src);
-        let d = self.hosts.get(dst);
-        let access = s.access_ms + d.access_ms;
-        let path = path_cost(&self.topo, &[s.asn], s.city, d.city, &self.model.expand);
-        let (as_path, fresh) = self.interner.intern(&[s.asn]);
-        let charged = if fresh { as_path.len() } else { 0 };
-        let info = Some(Arc::new(PairInfo {
-            base_ms: self.model.base_rtt_ms(path) + access,
-            rev_path: Arc::clone(&as_path),
-            as_path,
-            mid_lon: mid_longitude(s.location.lon(), d.location.lon()),
-        }));
-        let bytes = entry_bytes(&info, charged);
-        (info, bytes)
-    }
-
-    /// Cross-AS pair facts once both AS-level routes are known (the
-    /// batch resolver computes routes group-wise before calling this).
-    fn expand_cross_as(
+    /// One directed AS-level route `src → dst`, walked off `dst`'s
+    /// routing table into `buf` and interned. `table` carries the
+    /// pinned table across a destination run's calls; a self-route (a
+    /// same-AS site pair) pins nothing — intra-AS pings never consult
+    /// the router, so an `AsDown` leaves them working.
+    fn route(
         &self,
-        src: HostId,
-        dst: HostId,
-        fwd_as: &[Asn],
-        rev_as: &[Asn],
-    ) -> (Option<Arc<PairInfo>>, u32) {
-        let s = self.hosts.get(src);
-        let d = self.hosts.get(dst);
-        let access = s.access_ms + d.access_ms;
-        let fwd = path_cost(&self.topo, fwd_as, s.city, d.city, &self.model.expand);
-        let rev = path_cost(&self.topo, rev_as, d.city, s.city, &self.model.expand);
-        let (as_path, fwd_fresh) = self.interner.intern(fwd_as);
-        let (rev_path, rev_fresh) = self.interner.intern(rev_as);
-        let charged =
-            if fwd_fresh { as_path.len() } else { 0 } + if rev_fresh { rev_path.len() } else { 0 };
-        let info = Some(Arc::new(PairInfo {
-            base_ms: self.model.base_rtt_two_way(fwd, rev) + access,
-            as_path,
-            rev_path,
-            mid_lon: mid_longitude(s.location.lon(), d.location.lon()),
-        }));
-        let bytes = entry_bytes(&info, charged);
-        (info, bytes)
+        dst: NodeId,
+        src: NodeId,
+        table: &mut Option<Arc<RoutingTable>>,
+        buf: &mut Vec<Asn>,
+    ) -> Route {
+        if src == dst {
+            buf.clear();
+            buf.push(self.topo.node_index().asn(dst));
+        } else {
+            let table = table.get_or_insert_with(|| self.router.table_at(dst));
+            if !table.walk_from(src, buf) {
+                return None;
+            }
+        }
+        let (path, fresh) = self.interner.intern(buf);
+        let fresh_asns = if fresh { path.len() as u32 } else { 0 };
+        Some((path, fresh_asns))
     }
 
-    /// Resolves a whole batch of pairs (typically one round's plan) in
-    /// flat passes and returns the facts as a [`PairBlock`]:
+    /// Site-pair facts from the pair's two interned routes — the one
+    /// place routes become RTT arithmetic.
     ///
-    /// 1. **Probe** — the batch is deduped and grouped by cache shard;
-    ///    each shard's read lock is taken once for all its pairs, and
-    ///    hit/miss counters are bumped once per shard, not per pair.
-    /// 2. **Revalidate** — stale entries are checked against the dirty
-    ///    history with results memoized per *unique path allocation*
-    ///    (interning makes paths shared, so churn work scales with the
-    ///    distinct-path population, not the pair count); survivors are
-    ///    re-stamped shard-wise under one read lock each.
-    /// 3. **Expand** — misses are split same-AS vs. cross-AS and the
-    ///    cross-AS remainder grouped by destination node, so each
-    ///    group resolves against one routing table; groups expand
-    ///    data-parallel.
-    /// 4. **Publish** — freshly expanded entries are bulk-inserted per
-    ///    shard (one write lock each, identical per-entry semantics to
-    ///    the scalar path's inserts, including eviction pressure).
-    ///
-    /// Every outcome counts in the cache telemetry exactly as the
-    /// scalar path would count it — hit, revalidated-hit, or miss —
-    /// once per distinct pair in the batch.
+    /// An echo round trip traverses the forward route AND the
+    /// (possibly different) return route; base RTT sums both one-way
+    /// hand-off walks, which also makes RTT(a,b) == RTT(b,a) exactly —
+    /// matching the paper's symmetry observation. Same-AS pairs walk
+    /// their one-element path once.
+    fn site_facts(
+        &self,
+        s: &Host,
+        d: &Host,
+        fwd_as: &Arc<[Asn]>,
+        rev_as: &Arc<[Asn]>,
+    ) -> Arc<PairInfo> {
+        let expand = &self.model.expand;
+        let fwd = path_cost(&self.topo, fwd_as, s.city, d.city, expand);
+        let base_ms = if s.node == d.node {
+            self.model.base_rtt_ms(fwd)
+        } else {
+            let rev = path_cost(&self.topo, rev_as, d.city, s.city, expand);
+            self.model.base_rtt_two_way(fwd, rev)
+        };
+        Arc::new(PairInfo {
+            base_ms,
+            as_path: Arc::clone(fwd_as),
+            rev_path: Arc::clone(rev_as),
+            // `Host::location` is the city centre: a site fact.
+            mid_lon: mid_longitude(s.location.lon(), d.location.lon()),
+        })
+    }
+
+    /// Resolves a whole batch of pairs (typically one round's plan)
+    /// into a [`PairBlock`]: host pairs are deduped to rows, rows to
+    /// site pairs; a row keeps its hosts' access delay, everything
+    /// else is resolved per site pair (`resolve_sites`) and shared by
+    /// the rows on it.
     pub fn resolve_pairs(&self, pairs: &[(HostId, HostId)]) -> PairBlock {
         self.resolve_pairs_indexed(pairs).0
     }
@@ -1004,24 +1054,58 @@ impl PingEngine {
     pub fn resolve_pairs_indexed(&self, pairs: &[(HostId, HostId)]) -> (PairBlock, Vec<u32>) {
         let epoch = self.epoch();
         let mut block = PairBlock::with_capacity(pairs.len());
-        let mut keys: Vec<(HostId, HostId)> = Vec::with_capacity(pairs.len());
         let mut index: Vec<u32> = Vec::with_capacity(pairs.len());
-        for &key in pairs {
-            let next = keys.len() as u32;
-            let slot = *block.slots.entry(key).or_insert_with(|| {
-                keys.push(key);
-                next
-            });
-            index.push(slot);
+        let mut sites: Vec<SiteRequest> = Vec::new();
+        let mut site_slots: FastMap<SiteKey, u32> = FastMap::default();
+        for &(src, dst) in pairs {
+            let row = match block.slots.entry((src, dst)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let s = self.hosts.get(src);
+                    let d = self.hosts.get(dst);
+                    let key = (s.site, d.site);
+                    let next = sites.len() as u32;
+                    let site = *site_slots.entry(key).or_insert_with(|| {
+                        sites.push((key, src, dst));
+                        next
+                    });
+                    block.access_ms.push(s.access_ms + d.access_ms);
+                    block.site.push(site);
+                    *e.insert(block.site.len() as u32 - 1)
+                }
+            };
+            index.push(row);
         }
-        // Rows start as unroutable defaults; the passes below fill
-        // routable facts in place at their slot index.
-        block.size_rows(keys.len());
+        self.shared_rows
+            .fetch_add((block.len() - sites.len()) as u64, Ordering::Relaxed);
+        for info in self.resolve_sites(&sites, epoch) {
+            block.push_site(info.as_deref());
+        }
+        (block, index)
+    }
 
-        // Pass 1: probe each shard once for all its pairs.
+    /// Resolves distinct site pairs, in flat passes:
+    ///
+    /// 1. **Probe** — site pairs are grouped by cache shard; each
+    ///    shard's read lock is taken once for all its pairs, and hits
+    ///    are counted once per shard, not per pair.
+    /// 2. **Revalidate** — stale entries [`PingEngine::still_valid`]
+    ///    clears are re-stamped; the rest join the misses and pay the
+    ///    recompute a delta deferred.
+    /// 3. **Expand** — the routes the missing site pairs need are
+    ///    swept destination-major ([`PingEngine::sweep_routes`]), then
+    ///    each site pair takes its two hand-off walks over those
+    ///    shared paths; both steps run data-parallel.
+    /// 4. **Publish** — fresh entries are bulk-inserted per shard, one
+    ///    write lock each, under the shard's eviction pressure.
+    ///
+    /// Every outcome counts in the cache telemetry once per site pair:
+    /// hit, revalidated hit, or miss.
+    fn resolve_sites(&self, sites: &[SiteRequest], epoch: u64) -> Vec<Option<Arc<PairInfo>>> {
+        let mut facts: Vec<Option<Arc<PairInfo>>> = vec![None; sites.len()];
         let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); CACHE_SHARDS];
-        for (i, &key) in keys.iter().enumerate() {
-            by_shard[PairCache::shard_index(key)].push(i as u32);
+        for (i, site) in sites.iter().enumerate() {
+            by_shard[PairCache::shard_index(site.0)].push(i as u32);
         }
         let mut stale: Vec<(u32, Option<Arc<PairInfo>>, u64)> = Vec::new();
         let mut misses: Vec<u32> = Vec::new();
@@ -1029,178 +1113,134 @@ impl PingEngine {
             if members.is_empty() {
                 continue;
             }
-            let shard = &self.cache.shards[sidx];
-            let mut hits = 0u64;
-            let mut missed = 0u64;
-            {
-                let st = shard.state.read();
-                for &i in members {
-                    match st.map.get(&keys[i as usize]) {
-                        Some(e) => {
-                            let stamp = e.epoch.load(Ordering::Relaxed);
-                            if stamp == epoch {
-                                e.referenced.store(true, Ordering::Relaxed);
-                                block.set_row(i, e.info.as_deref());
-                                hits += 1;
-                            } else {
-                                stale.push((i, e.info.clone(), stamp));
-                            }
-                        }
-                        None => {
-                            misses.push(i);
-                            missed += 1;
-                        }
-                    }
-                }
-            }
-            if hits > 0 {
-                shard.hits.fetch_add(hits, Ordering::Relaxed);
-            }
-            if missed > 0 {
-                shard.misses.fetch_add(missed, Ordering::Relaxed);
-            }
+            let keys = members.iter().map(|&i| (i, sites[i as usize].0));
+            self.cache.probe(sidx, keys, epoch, |i, found| match found {
+                PairLookup::Hit(info) => facts[i as usize] = info,
+                PairLookup::Stale(info, stamp) => stale.push((i, info, stamp)),
+                PairLookup::Miss => misses.push(i),
+            });
         }
-
-        // Pass 2: revalidate stale entries against the dirty history,
-        // memoizing per (path allocation, stamp) — shared paths are
-        // checked once, however many pairs point at them.
-        if !stale.is_empty() {
-            let mut refresh_by_shard: Vec<Vec<u32>> = vec![Vec::new(); CACHE_SHARDS];
-            let mut invalid_by_shard = [0u64; CACHE_SHARDS];
-            {
-                let dirty = self.dirty.read();
-                let mut span_restored: FastMap<u64, bool> = FastMap::default();
-                let mut path_ok: FastMap<(usize, u64), bool> = FastMap::default();
-                for (i, info, stamp) in stale.drain(..) {
-                    let span = &dirty[stamp as usize..epoch as usize];
-                    let restored = *span_restored
-                        .entry(stamp)
-                        .or_insert_with(|| span.iter().any(|b| b.restored));
-                    let valid = !restored
-                        && match &info {
-                            // Unroutable pairs survive any deletion-only
-                            // span: removing links never creates a route.
-                            None => true,
-                            Some(p) => {
-                                let mut ok = |path: &Arc<[Asn]>| {
-                                    let ptr = Arc::as_ptr(path).cast::<Asn>() as usize;
-                                    *path_ok
-                                        .entry((ptr, stamp))
-                                        .or_insert_with(|| !span.iter().any(|b| b.crosses(path)))
-                                };
-                                ok(&p.as_path) && ok(&p.rev_path)
-                            }
-                        };
-                    if valid {
-                        let key = keys[i as usize];
-                        refresh_by_shard[PairCache::shard_index(key)].push(i);
-                        block.set_row(i, info.as_deref());
-                    } else {
-                        // Failed revalidation: the recompute below pays
-                        // the miss the delta deferred.
-                        invalid_by_shard[PairCache::shard_index(keys[i as usize])] += 1;
-                        misses.push(i);
-                    }
-                }
-            }
-            for (sidx, &n) in invalid_by_shard.iter().enumerate() {
-                if n > 0 {
-                    self.cache.shards[sidx]
-                        .misses
-                        .fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            for (sidx, members) in refresh_by_shard.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let shard = &self.cache.shards[sidx];
-                {
-                    let st = shard.state.read();
-                    for &i in members {
-                        if let Some(e) = st.map.get(&keys[i as usize]) {
-                            e.epoch.store(epoch, Ordering::Relaxed);
-                            e.referenced.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let k = members.len() as u64;
-                shard.hits.fetch_add(k, Ordering::Relaxed);
-                shard.revalidated.fetch_add(k, Ordering::Relaxed);
-            }
-        }
-
-        // Pass 3: expand the misses. Same-AS pairs never touch the
-        // router; cross-AS pairs group by destination node so each
-        // group pins one routing table for all its sources. Failed
-        // revalidations land here too — count their deferred miss now.
-        let mut local: Vec<u32> = Vec::new();
-        let mut groups: FastMap<NodeId, Vec<u32>> = FastMap::default();
-        for &i in &misses {
-            let (src, dst) = keys[i as usize];
-            let s = self.hosts.get(src);
-            let d = self.hosts.get(dst);
-            if s.asn == d.asn {
-                local.push(i);
+        let mut path_ok = FastMap::default();
+        for (i, info, stamp) in stale {
+            if self.still_valid(&info, stamp..epoch, &mut path_ok) {
+                self.cache.refresh(sites[i as usize].0, epoch);
+                facts[i as usize] = info;
             } else {
-                groups.entry(d.node).or_default().push(i);
+                misses.push(i);
             }
         }
-        let mut computed: Vec<ComputedEntry> = Vec::with_capacity(misses.len());
-        for &i in &local {
-            let (src, dst) = keys[i as usize];
-            let (info, bytes) = self.expand_same_as(src, dst);
-            computed.push((i, info, bytes));
+        if misses.is_empty() {
+            return facts; // the warm steady state: nothing to expand
         }
-        let mut group_list: Vec<(NodeId, Vec<u32>)> = groups.into_iter().collect();
-        group_list.sort_unstable_by_key(|(node, _)| *node);
-        let expanded: Vec<Vec<ComputedEntry>> = group_list
+
+        // Routes first, once per directed AS pair, then two hand-off
+        // walks per site pair over those shared paths.
+        let ends = |i: u32| {
+            let (_, src, dst) = sites[i as usize];
+            (self.hosts.get(src), self.hosts.get(dst))
+        };
+        let (mut routes, route_of) = self.sweep_routes(misses.iter().map(|&i| {
+            let (s, d) = ends(i);
+            (s.node, d.node)
+        }));
+        let work: Vec<(u32, [u32; 2])> = misses.into_iter().zip(route_of).collect();
+        let expanded: Vec<Option<Arc<PairInfo>>> = work
             .par_iter()
-            .map(|(dst_node, members)| {
-                let table = self.router.table_at(*dst_node);
-                members
-                    .iter()
-                    .map(|&i| {
-                        let (src, dst) = keys[i as usize];
-                        let s = self.hosts.get(src);
-                        let d = self.hosts.get(dst);
-                        let fwd_as = table.as_path_from(s.node);
-                        let rev_as = self.router.as_path_between(d.node, s.node);
-                        match (fwd_as, rev_as) {
-                            (Some(fwd_as), Some(rev_as)) => {
-                                let (info, bytes) =
-                                    self.expand_cross_as(src, dst, &fwd_as, &rev_as);
-                                (i, info, bytes)
-                            }
-                            _ => (i, None, entry_bytes(&None, 0)),
-                        }
-                    })
+            .map(|&(i, [fwd, rev])| {
+                let (s, d) = ends(i);
+                let (fwd, _) = routes[fwd as usize].as_ref()?;
+                let (rev, _) = routes[rev as usize].as_ref()?;
+                Some(self.site_facts(s, d, fwd, rev))
+            })
+            .collect();
+
+        // A route's freshly interned bytes are charged to the first
+        // entry of the batch that references it, and to that one only.
+        let mut insert_by_shard: Vec<Vec<ComputedEntry>> = vec![Vec::new(); CACHE_SHARDS];
+        for (&(i, of), info) in work.iter().zip(expanded) {
+            let mut charged = 0;
+            if info.is_some() {
+                for r in of {
+                    if let Some((_, fresh_asns)) = &mut routes[r as usize] {
+                        charged += std::mem::take(fresh_asns) as usize;
+                    }
+                }
+            }
+            let key = sites[i as usize].0;
+            let bytes = entry_bytes(&info, charged);
+            facts[i as usize] = info.clone();
+            insert_by_shard[PairCache::shard_index(key)].push((key, info, bytes));
+        }
+        for (sidx, entries) in insert_by_shard.into_iter().enumerate() {
+            if !entries.is_empty() {
+                self.cache.insert_many(sidx, entries.into_iter(), epoch);
+            }
+        }
+        facts
+    }
+
+    /// Walks and interns every distinct directed AS-pair route a list
+    /// of `(S, D)` node pairs needs — `S→D` and `D→S` each — and
+    /// returns the routes plus, per input pair, the indices of its
+    /// forward and reverse route.
+    ///
+    /// The requests are sorted and deduped **destination-major**: each
+    /// destination's routing table is pinned once for all the sources
+    /// asking for it (a reverse route is the forward route of the
+    /// mirrored AS pair, so it joins the run of *its* destination),
+    /// each route is walked into the run's one buffer and interned
+    /// once ([`PingEngine::route`]), and no table is touched twice in
+    /// a batch. Runs execute data-parallel.
+    ///
+    /// Under a router budget a sweep over more tables than stay
+    /// resident leaves the cache holding only its tail, so the next
+    /// one runs the other way and meets those tables first; sweeps in
+    /// one direction would never find a table resident — nor, under
+    /// churn, one to repair. An unbudgeted router keeps every table,
+    /// so its sweeps never turn.
+    fn sweep_routes(
+        &self,
+        pairs: impl Iterator<Item = (NodeId, NodeId)>,
+    ) -> (Vec<Route>, Vec<[u32; 2]>) {
+        // A descending sweep sorts on the complemented destination.
+        let down = self.sweep_down.load(Ordering::Relaxed);
+        let flip = if down { u32::MAX } else { 0 };
+        let mut wanted: Vec<(u32, NodeId, u32)> = Vec::new();
+        for (s, d) in pairs {
+            let k = wanted.len() as u32;
+            wanted.push((d.0 ^ flip, s, k));
+            wanted.push((s.0 ^ flip, d, k + 1));
+        }
+        wanted.sort_unstable();
+        let mut route_of = vec![[0u32; 2]; wanted.len() / 2];
+        let mut keys: Vec<(NodeId, NodeId)> = Vec::new();
+        for &(dst, src, k) in &wanted {
+            let key = (NodeId(dst ^ flip), src);
+            if keys.last() != Some(&key) {
+                keys.push(key);
+            }
+            route_of[k as usize / 2][k as usize % 2] = keys.len() as u32 - 1;
+        }
+        let runs: Vec<&[(NodeId, NodeId)]> = keys.chunk_by(|a, b| a.0 == b.0).collect();
+        let routes: Vec<Vec<Route>> = runs
+            .par_iter()
+            .map(|run| {
+                let (mut table, mut buf) = (None, Vec::new());
+                run.iter()
+                    .map(|&(dst, src)| self.route(dst, src, &mut table, &mut buf))
                     .collect()
             })
             .collect();
-        computed.extend(expanded.into_iter().flatten());
-
-        // Pass 4: publish per shard — one write lock each — and fill
-        // the remaining rows.
-        let mut insert_by_shard: Vec<Vec<ComputedEntry>> = vec![Vec::new(); CACHE_SHARDS];
-        for (i, info, bytes) in computed {
-            block.set_row(i, info.as_deref());
-            insert_by_shard[PairCache::shard_index(keys[i as usize])].push((i, info, bytes));
-        }
-        for (sidx, entries) in insert_by_shard.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
+        self.routes_walked
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        if self.router.budget_bytes().is_some() {
+            let pins = |run: &[(NodeId, NodeId)]| run.iter().any(|&(dst, src)| dst != src);
+            let pinned = runs.iter().filter(|run| pins(run)).count() as u64;
+            if pinned > self.router.stats().tables_resident {
+                self.sweep_down.fetch_xor(true, Ordering::Relaxed);
             }
-            self.cache.insert_many(
-                sidx,
-                entries
-                    .into_iter()
-                    .map(|(i, info, bytes)| (keys[i as usize], info, bytes)),
-                epoch,
-            );
         }
-
-        (block, index)
+        (routes.into_iter().flatten().collect(), route_of)
     }
 
     /// Samples one measurement window — `pings` pings spaced
@@ -1306,73 +1346,22 @@ impl PingEngine {
         let info = self.pair_info(src, dst);
         let resolved = info
             .as_ref()
-            .map(|p| (&p.as_path[..], p.base_ms, p.mid_lon));
+            .map(|(p, base_ms)| (&p.as_path[..], *base_ms, p.mid_lon));
         self.sample_window_resolved(resolved, start, pings, interval_secs, faults, rng, out);
-    }
-
-    /// Samples one window from a [`PairBlock`] row — the innermost
-    /// loop of batched round execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_window_block<R: Rng + ?Sized>(
-        &self,
-        block: &PairBlock,
-        slot: u32,
-        start: SimTime,
-        pings: usize,
-        interval_secs: f64,
-        faults: &FaultPlan,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        let i = slot as usize;
-        let resolved = block.paths[i]
-            .as_ref()
-            .map(|p| (&p[..], block.base_ms[i], block.mid_lon[i]));
-        self.sample_window_resolved(resolved, start, pings, interval_secs, faults, rng, out);
-    }
-
-    /// [`PingEngine::sample_window_block`] with deferred counters (see
-    /// [`PingEngine::sample_window_resolved_tally`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_window_block_tally<R: Rng + ?Sized>(
-        &self,
-        block: &PairBlock,
-        slot: u32,
-        start: SimTime,
-        pings: usize,
-        interval_secs: f64,
-        faults: &FaultPlan,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-        tally: &mut SampleTally,
-    ) {
-        let i = slot as usize;
-        let resolved = block.paths[i]
-            .as_ref()
-            .map(|p| (&p[..], block.base_ms[i], block.mid_lon[i]));
-        self.sample_window_resolved_tally(
-            resolved,
-            start,
-            pings,
-            interval_secs,
-            faults,
-            rng,
-            out,
-            tally,
-        );
     }
 
     /// The deterministic base RTT between two hosts, ms (`None` if
     /// unroutable). Useful for tests and calibration; real measurements
     /// go through [`PingEngine::ping`].
     pub fn base_rtt(&self, src: HostId, dst: HostId) -> Option<f64> {
-        self.pair_info(src, dst).map(|p| p.base_ms)
+        self.pair_info(src, dst).map(|(_, base_ms)| base_ms)
     }
 
     /// AS path between two hosts (`None` if unroutable). Shared, not
     /// cloned: the campaign's fault checks read this on every ping.
     pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Arc<[Asn]>> {
-        self.pair_info(src, dst).map(|p| Arc::clone(&p.as_path))
+        self.pair_info(src, dst)
+            .map(|(p, _)| Arc::clone(&p.as_path))
     }
 
     /// Sends one ping at time `t`; returns the observed RTT in ms, or
@@ -1400,7 +1389,7 @@ impl PingEngine {
         rng: &mut R,
     ) -> Option<f64> {
         self.stats.attempts.fetch_add(1, Ordering::Relaxed);
-        let Some(info) = self.pair_info(src, dst) else {
+        let Some((info, base_ms)) = self.pair_info(src, dst) else {
             self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -1415,7 +1404,7 @@ impl PingEngine {
                 return None;
             }
         }
-        match self.model.sample_rtt(info.base_ms, t, info.mid_lon, rng) {
+        match self.model.sample_rtt(base_ms, t, info.mid_lon, rng) {
             Some(rtt) => {
                 self.stats.replies.fetch_add(1, Ordering::Relaxed);
                 Some(rtt)
@@ -1467,6 +1456,14 @@ pub trait Pinger: Sync {
         t: SimTime,
         rng: &mut R,
     ) -> Option<Traceroute>;
+
+    /// Hint that `pairs` are about to be pinged or tracerouted one by
+    /// one: an implementation with shared path state may resolve them
+    /// in bulk first, so each later scalar lookup is a hit. Sends no
+    /// ping and draws no randomness — results, accounting and RNG
+    /// streams never depend on whether it ran. The default does
+    /// nothing.
+    fn resolve_ahead(&self, _pairs: &[(HostId, HostId)]) {}
 
     /// Sends `n` pings spaced `interval_secs` apart starting at `t`
     /// and returns the replies (lost pings omitted).
@@ -1527,6 +1524,10 @@ impl Pinger for PingEngine {
         rng: &mut R,
     ) -> Option<Traceroute> {
         PingEngine::traceroute(self, src, dst, t, rng)
+    }
+
+    fn resolve_ahead(&self, pairs: &[(HostId, HostId)]) {
+        let _ = self.resolve_pairs(pairs);
     }
 }
 
@@ -1636,35 +1637,11 @@ impl PingHandle {
     }
 
     /// Samples one window from a [`PairBlock`] row under this handle's
-    /// fault plan (see [`PingEngine::sample_window_block`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_window_block<R: Rng + ?Sized>(
-        &self,
-        block: &PairBlock,
-        slot: u32,
-        start: SimTime,
-        pings: usize,
-        interval_secs: f64,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        self.attempts.fetch_add(pings as u64, Ordering::Relaxed);
-        self.engine.sample_window_block(
-            block,
-            slot,
-            start,
-            pings,
-            interval_secs,
-            &self.faults,
-            rng,
-            out,
-        );
-    }
-
-    /// [`PingHandle::sample_window_block`] with counter updates
-    /// deferred into `tally`; pair with one [`PingHandle::flush_tally`]
-    /// per worker chunk. Skipping the flush under-counts both the
-    /// handle's and the engine's traffic.
+    /// fault plan — the innermost loop of batched round execution
+    /// (see [`PingEngine::sample_window_resolved_tally`]). Counter
+    /// updates are deferred into `tally`; pair with one
+    /// [`PingHandle::flush_tally`] per worker chunk. Skipping the flush
+    /// under-counts both the handle's and the engine's traffic.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_window_block_tally<R: Rng + ?Sized>(
         &self,
@@ -1677,9 +1654,8 @@ impl PingHandle {
         out: &mut Vec<f64>,
         tally: &mut SampleTally,
     ) {
-        self.engine.sample_window_block_tally(
-            block,
-            slot,
+        self.engine.sample_window_resolved_tally(
+            block.resolved(slot),
             start,
             pings,
             interval_secs,
@@ -1728,6 +1704,10 @@ impl Pinger for PingHandle {
             self.attempts.fetch_add(1, Ordering::Relaxed);
         }
         tr
+    }
+
+    fn resolve_ahead(&self, pairs: &[(HostId, HostId)]) {
+        let _ = self.engine.resolve_pairs(pairs);
     }
 }
 
@@ -1806,8 +1786,9 @@ mod tests {
     fn pair_cache_shards_are_stable_and_spread() {
         let cache = PairCache::new(None);
         for i in 0..500u32 {
-            let key = (HostId(i), HostId(i ^ 0xABC));
-            cache.insert(key, None, 0, entry_bytes(&None, 0));
+            let key = (SiteId(i), SiteId(i ^ 0xABC));
+            let entry = (key, None, entry_bytes(&None, 0));
+            cache.insert_many(PairCache::shard_index(key), [entry].into_iter(), 0);
             assert!(
                 matches!(cache.get(key, 0), PairLookup::Hit(_)),
                 "inserted pair must be found"
@@ -1830,7 +1811,8 @@ mod tests {
         let budget = 2 * per_entry * CACHE_SHARDS as u64;
         let cache = PairCache::new(Some(budget));
         for i in 0..2000u32 {
-            cache.insert((HostId(i), HostId(i)), None, 0, entry_bytes(&None, 0));
+            let entry = ((SiteId(i), SiteId(i)), None, entry_bytes(&None, 0));
+            cache.insert_many(PairCache::shard_index(entry.0), [entry].into_iter(), 0);
         }
         assert!(cache.evictions() > 0, "budget never forced an eviction");
         for s in &cache.shards {
@@ -1908,19 +1890,40 @@ mod tests {
 
     #[test]
     fn engine_stats_track_cache_warmth_and_traffic() {
+        // Two hosts on `a`'s site (different access delays), one on
+        // `b`'s: the cache is keyed by site pair, so both host pairs
+        // share ONE entry — the second host's first ping is a hit.
         let f = fixture();
-        let (engine, a, b) = two_hosts(&f);
+        let mut reg = HostRegistry::new();
+        let eyes = f.topo.eyeball_asns();
+        let mut add = |asn, access_ms| {
+            reg.add_host_with_access(&f.topo, asn, None, HostKind::Probe, access_ms)
+                .unwrap()
+        };
+        let a = add(eyes[0], 3.0);
+        let a2 = add(eyes[0], 11.0);
+        let b = add(eyes[eyes.len() / 2], 5.0);
+        let engine = PingEngine::new(
+            Arc::clone(&f.topo),
+            Arc::clone(&f.router),
+            Arc::new(reg),
+            LatencyModel::default(),
+        );
         assert_eq!(engine.engine_stats(), EngineStats::default());
 
         let mut rng = StdRng::seed_from_u64(9);
-        for i in 0..10 {
+        for i in 0..5 {
             let _ = engine.ping(a, b, SimTime(f64::from(i)), &mut rng);
+            let _ = engine.ping(a2, b, SimTime(f64::from(i)), &mut rng);
         }
         let stats = engine.engine_stats();
-        // First lookup misses and expands the pair; the rest hit.
+        // The first lookup misses and expands the site pair; every
+        // other lookup — of either host pair — hits it.
         assert_eq!(stats.pair_cache_misses, 1);
         assert_eq!(stats.pair_cache_hits, 9);
         assert_eq!(stats.pair_cache_entries, 1);
+        assert_eq!(stats.pair_rows, 10);
+        assert_eq!(stats.routes_walked, 2, "one forward, one reverse");
         assert_eq!(stats.pings_sent, 10);
         assert!(stats.pair_cache_hit_rate() > 0.85);
         // Resolving the pair cached routing tables toward both hosts.
@@ -1932,6 +1935,8 @@ mod tests {
             "pair_misses=1",
             "pair_entries=1",
             "pings_sent=10",
+            "pair_rows=10",
+            "routes_walked=2",
         ] {
             assert!(line.contains(key), "{line} missing {key}");
         }
@@ -2058,6 +2063,10 @@ mod tests {
             Arc::new(reg),
             LatencyModel::default(),
         );
+        // A batch of self-routes pins no table and turns no sweep.
+        let _ = engine.resolve_pairs(&[(b, a)]);
+        assert_eq!(f.router.stats().misses, 0);
+        assert!(!engine.sweep_down.load(Ordering::Relaxed));
         assert_eq!(engine.as_path(a, b).unwrap().to_vec(), vec![asn]);
         assert!(engine.base_rtt(a, b).unwrap() >= 0.0);
     }
@@ -2182,76 +2191,6 @@ mod tests {
         assert_eq!(engine.stats().unroutable, 1 + 6);
     }
 
-    /// Registry with `n` hosts spread over distinct eyeball ASes.
-    fn many_hosts(f: &Fixture, n: usize) -> (Arc<HostRegistry>, Vec<HostId>) {
-        let mut reg = HostRegistry::new();
-        let eyes = f.topo.eyeball_asns();
-        let hosts: Vec<HostId> = eyes
-            .iter()
-            .step_by((eyes.len() / n).max(1))
-            .take(n)
-            .map(|&asn| reg.add_host_in_as(&f.topo, asn, None).unwrap())
-            .collect();
-        (Arc::new(reg), hosts)
-    }
-
-    #[test]
-    fn resolve_pairs_matches_scalar_resolution() {
-        let f = fixture();
-        let (reg, hosts) = many_hosts(&f, 8);
-        let batched = PingEngine::new(
-            Arc::clone(&f.topo),
-            Arc::clone(&f.router),
-            Arc::clone(&reg),
-            LatencyModel::default(),
-        );
-        let scalar = PingEngine::new(
-            Arc::clone(&f.topo),
-            Arc::clone(&f.router),
-            reg,
-            LatencyModel::default(),
-        );
-        // Every ordered pair, each listed twice: the resolver must
-        // dedupe and still answer for both occurrences.
-        let mut pairs = Vec::new();
-        for &s in &hosts {
-            for &d in &hosts {
-                if s != d {
-                    pairs.push((s, d));
-                    pairs.push((s, d));
-                }
-            }
-        }
-        let unique = pairs.len() / 2;
-        let block = batched.resolve_pairs(&pairs);
-        assert_eq!(block.len(), unique);
-        for &(s, d) in &pairs {
-            let slot = block.slot(s, d).expect("batched pair must have a row");
-            let i = slot as usize;
-            match scalar.base_rtt(s, d) {
-                Some(base) => {
-                    assert!(block.is_routable(slot));
-                    assert_eq!(block.base_ms[i], base, "base RTT must match scalar");
-                    assert_eq!(
-                        block.paths[i].as_ref().unwrap().to_vec(),
-                        scalar.as_path(s, d).unwrap().to_vec(),
-                    );
-                }
-                None => assert!(!block.is_routable(slot)),
-            }
-        }
-        // One miss per distinct pair, batch-counted.
-        let stats = batched.engine_stats();
-        assert_eq!(stats.pair_cache_misses, unique as u64, "{stats:?}");
-        assert_eq!(stats.pair_cache_hits, 0, "{stats:?}");
-        // A warm re-resolve is pure hits, again one per distinct pair.
-        let again = batched.resolve_pairs(&pairs);
-        assert_eq!(again.len(), unique);
-        let stats = batched.engine_stats();
-        assert_eq!(stats.pair_cache_hits, unique as u64, "{stats:?}");
-        assert_eq!(stats.pair_cache_misses, unique as u64, "{stats:?}");
-    }
-
     #[test]
     fn sample_window_block_is_bit_identical_to_scalar_pings() {
         let f = fixture();
@@ -2262,9 +2201,8 @@ mod tests {
         let block = engine.resolve_pairs(&[(a, b)]);
         let slot = block.slot(a, b).unwrap();
         let mut out = Vec::new();
-        engine.sample_window_block(
-            &block,
-            slot,
+        engine.sample_window_resolved(
+            block.resolved(slot),
             SimTime(0.0),
             6,
             300.0,
@@ -2296,7 +2234,8 @@ mod tests {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(7);
-        batched_handle.sample_window_block(
+        let mut tally = SampleTally::default();
+        batched_handle.sample_window_block_tally(
             &block,
             slot,
             SimTime(0.0),
@@ -2304,7 +2243,9 @@ mod tests {
             300.0,
             &mut rng,
             &mut out,
+            &mut tally,
         );
+        batched_handle.flush_tally(&tally);
         assert_eq!(out, scalar, "faulted window must replicate scalar draws");
         assert!(out.len() < 6, "the outage must eat mid-window pings");
         assert_eq!(scalar_handle.pings_sent(), batched_handle.pings_sent());
@@ -2312,46 +2253,37 @@ mod tests {
 
     #[test]
     fn interning_shares_paths_across_mirror_pairs() {
+        // Three hosts per site, eight sites: routes are interned per
+        // AS pair and facts cached per site pair, so nine host pairs
+        // share each entry.
         let f = fixture();
-        let (reg, hosts) = many_hosts(&f, 8);
+        let mut reg = HostRegistry::new();
+        let eyes = f.topo.eyeball_asns();
+        let sites: Vec<[HostId; 3]> = eyes
+            .iter()
+            .step_by(eyes.len() / 8)
+            .take(8)
+            .map(|&asn| [0; 3].map(|_| reg.add_host_in_as(&f.topo, asn, None).unwrap()))
+            .collect();
         let engine = PingEngine::new(
             Arc::clone(&f.topo),
             Arc::clone(&f.router),
-            reg,
+            Arc::new(reg),
             LatencyModel::default(),
         );
         let mut fwd = Vec::new();
         let mut mirror = Vec::new();
-        for i in 0..hosts.len() {
-            for j in (i + 1)..hosts.len() {
-                fwd.push((hosts[i], hosts[j]));
-                mirror.push((hosts[j], hosts[i]));
+        for i in 0..sites.len() {
+            for j in (i + 1)..sites.len() {
+                for a in sites[i] {
+                    for b in sites[j] {
+                        fwd.push((a, b));
+                        mirror.push((b, a));
+                    }
+                }
             }
         }
-        let _ = engine.resolve_pairs(&fwd);
-        let s1 = engine.engine_stats();
-        assert!(s1.paths_interned > 0, "{s1:?}");
-
-        // Every mirror pair's forward path is the forward pair's
-        // reverse path (and vice versa) — both already interned — so
-        // mirror entries charge exactly the fixed entry cost, zero
-        // path bytes. That is the interning win the byte budget sees.
-        let block = engine.resolve_pairs(&mirror);
-        let s2 = engine.engine_stats();
-        assert_eq!(s2.pair_cache_entries, 2 * s1.pair_cache_entries, "{s2:?}");
-        assert!(
-            s2.path_dedup_hits >= s1.path_dedup_hits + mirror.len() as u64,
-            "{s2:?} vs {s1:?}"
-        );
-        assert_eq!(
-            s2.paths_interned, s1.paths_interned,
-            "mirror resolution must intern nothing fresh"
-        );
-        let routable = (0..block.len() as u32)
-            .filter(|&k| block.is_routable(k))
-            .count() as u64;
-        let unroutable = block.len() as u64 - routable;
-        assert!(routable > 0, "fixture should route most mirror pairs");
+        let site_pairs = (fwd.len() / 9) as u64;
         let dummy = Some(Arc::new(PairInfo {
             base_ms: 0.0,
             as_path: Arc::from([Asn(1)].as_slice()),
@@ -2360,6 +2292,74 @@ mod tests {
         }));
         let fixed_routable = u64::from(entry_bytes(&dummy, 0));
         let fixed_unroutable = u64::from(entry_bytes(&None, 0));
+        let split = |block: &PairBlock| {
+            let routable = (0..block.len() as u32)
+                .filter(|&k| block.is_routable(k))
+                .count() as u64;
+            // Nine rows per site pair, all routable or none.
+            (routable / 9, site_pairs - routable / 9)
+        };
+
+        let block = engine.resolve_pairs(&fwd);
+        let s1 = engine.engine_stats();
+        assert_eq!(block.len(), fwd.len());
+        assert_eq!(s1.pair_cache_entries, site_pairs, "{s1:?}");
+        assert_eq!(s1.pair_cache_misses, site_pairs, "{s1:?}");
+        assert_eq!(s1.pair_cache_hits, 0, "{s1:?}");
+        assert_eq!(s1.pair_rows, fwd.len() as u64, "{s1:?}");
+        assert_eq!(s1.routes_walked, 2 * site_pairs, "{s1:?}");
+        assert!(s1.paths_interned > 0, "{s1:?}");
+        // Each freshly interned route is charged to exactly one entry:
+        // the gauge is the entries' fixed cost plus every distinct
+        // path's ASNs, once. (Forward and reverse routes of a pair may
+        // be one allocation when the route is a palindrome.)
+        let (routable, unroutable) = split(&block);
+        assert!(routable > 0, "fixture should route most pairs");
+        let mut live: Vec<Arc<[Asn]>> = Vec::new();
+        for &(a, b) in &fwd {
+            let Some((info, _)) = engine.pair_info(a, b) else {
+                continue;
+            };
+            for path in [&info.as_path, &info.rev_path] {
+                if !live.iter().any(|p| Arc::ptr_eq(p, path)) {
+                    live.push(Arc::clone(path));
+                }
+            }
+        }
+        assert_eq!(live.len() as u64, s1.paths_interned);
+        let fresh_asns: usize = live.iter().map(|p| p.len()).sum();
+        assert_eq!(
+            s1.pair_resident_bytes,
+            routable * fixed_routable
+                + unroutable * fixed_unroutable
+                + (fresh_asns * std::mem::size_of::<Asn>()) as u64,
+            "charged path ASNs must equal the ASNs of the routes interned fresh"
+        );
+
+        // A warm re-resolve is pure hits, one per distinct site pair
+        // (on top of the scalar lookups just above, one per host pair).
+        let _ = engine.resolve_pairs(&fwd);
+        let warm = engine.engine_stats();
+        assert_eq!(warm.pair_cache_misses, site_pairs, "{warm:?}");
+        assert_eq!(warm.pair_cache_hits, fwd.len() as u64 + site_pairs);
+
+        // Every mirror pair's forward route is the forward pair's
+        // reverse route (and vice versa) — both already interned — so
+        // mirror entries charge exactly the fixed entry cost, zero
+        // path bytes. That is the interning win the byte budget sees.
+        let block = engine.resolve_pairs(&mirror);
+        let s2 = engine.engine_stats();
+        assert_eq!(s2.pair_cache_entries, 2 * s1.pair_cache_entries, "{s2:?}");
+        assert_eq!(
+            s2.path_dedup_hits,
+            s1.path_dedup_hits + 2 * site_pairs - 2 * unroutable,
+            "one dedup hit per route the mirror batch walked: {s2:?} vs {s1:?}"
+        );
+        assert_eq!(
+            s2.paths_interned, s1.paths_interned,
+            "mirror resolution must intern nothing fresh"
+        );
+        let (routable, unroutable) = split(&block);
         assert_eq!(
             s2.pair_resident_bytes - s1.pair_resident_bytes,
             routable * fixed_routable + unroutable * fixed_unroutable,

@@ -397,7 +397,8 @@ mod tests {
         assert_eq!(p.worlds_resident(), 1, "only the leased world stays");
         assert!(p.pool_stats().stack_evictions >= 2);
         // The leased engine is still the live stack (never torn down
-        // under the session).
+        // under the session): no session ever resolved a pair on it,
+        // so its (site-pair) cache holds nothing either way.
         assert_eq!(held.engine.engine_stats().pair_cache_entries, 0);
         drop(held);
         // Now seed 1 is idle too and the next pass reclaims it.

@@ -70,7 +70,14 @@
 //!   pooled engine stack. The engine summary includes the byte-budget
 //!   gauges: `tables_bytes`/`table_evictions`/`table_recomputes` for
 //!   the router's destination-table cache and
-//!   `pair_bytes`/`pair_evictions` for the sharded pair cache.
+//!   `pair_bytes`/`pair_evictions` for the sharded pair cache. The
+//!   pair cache is keyed by **site pair** (`(AS, city)` →
+//!   `(AS, city)`): every `pair_*` counter counts site-pair entries
+//!   and lookups, `pair_rows` the host pairs served from them (so
+//!   `pair_rows / (pair_hits + pair_misses)` is the live
+//!   hosts-per-site sharing factor within a batch; sharing across
+//!   batches reads as hit rate), and `routes_walked` the directed
+//!   AS-pair routes walked off a routing table and interned.
 //! - `STATS pool worlds=<n> engines=<n> bytes=<b> stack_evictions=<n>
 //!   budget=<b|unbounded>` — one aggregate line after the per-engine
 //!   lines: whole-stack residency against the service's memory budget

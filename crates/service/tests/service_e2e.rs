@@ -284,9 +284,22 @@ fn stats_report_the_pooled_engine_health() {
         "pings_sent=",
         "tables_bytes=",
         "pair_bytes=",
+        "pair_rows=",
+        "routes_walked=",
     ] {
         assert!(line.contains(key), "{line} missing {key}");
     }
+    // `pair_*` count site pairs, `pair_rows` the host pairs served
+    // from them: every lookup serves at least one row. (How many more
+    // depends on how many hosts of one site a single batch holds —
+    // a property of the world, not of the service.)
+    let field = |key: &str| -> u64 {
+        let rest = &line[line.find(key).expect(key) + key.len()..];
+        let digits = rest.split(' ').next().expect("value");
+        digits.parse().expect("integer field")
+    };
+    let lookups = field("pair_hits=") + field("pair_misses=");
+    assert!(field("pair_rows=") >= lookups, "{line}");
     let pool_line = &stats[1];
     assert!(pool_line.starts_with("pool worlds=1 "), "{pool_line}");
     assert!(pool_line.contains("budget=unbounded"), "{pool_line}");

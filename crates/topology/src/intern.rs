@@ -1,12 +1,13 @@
 //! AS-path interning: one shared allocation per distinct path.
 //!
-//! The measurement layer caches deterministic facts per host *pair*,
-//! but the AS-level paths inside those facts are heavily shared: every
-//! host in an eyeball AS reaches a given destination over the same
-//! policy route, the reverse pair `(b, a)` stores the mirror of
-//! `(a, b)`'s arrays, and same-AS pairs all store one-element paths.
-//! Storing each pair's paths as private `Arc<[Asn]>` allocations
-//! multiplies that redundancy by the pair count.
+//! The measurement layer caches deterministic facts per *site pair*
+//! (`(AS, city)` → `(AS, city)`), but the AS-level paths inside those
+//! facts are heavily shared: every site of an eyeball AS reaches a
+//! given destination over the same policy route, the reverse pair
+//! `(b, a)` stores the mirror of `(a, b)`'s arrays, and same-AS pairs
+//! all store one-element paths. Storing each pair's paths as private
+//! `Arc<[Asn]>` allocations multiplies that redundancy by the pair
+//! count.
 //!
 //! [`PathInterner`] collapses the redundancy: `intern` returns a
 //! canonical `Arc<[Asn]>` per distinct path content, so `n` pairs

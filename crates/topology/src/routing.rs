@@ -245,17 +245,28 @@ impl RoutingTable {
     /// As [`RoutingTable::as_path`], from a dense node id — no ASN
     /// hashing anywhere on the reconstruction path.
     pub fn as_path_from(&self, src: NodeId) -> Option<Vec<Asn>> {
+        let mut path = Vec::new();
+        self.walk_from(src, &mut path).then_some(path)
+    }
+
+    /// Walks the route from `src` to the destination into `path`
+    /// (cleared first; inclusive on both ends) and returns whether the
+    /// destination is reachable — `false` leaves `path` empty. The
+    /// allocation-free form of [`RoutingTable::as_path_from`]: a caller
+    /// resolving many sources against one table reuses one buffer.
+    pub fn walk_from(&self, src: NodeId, path: &mut Vec<Asn>) -> bool {
+        path.clear();
         let entry = &self.entries[src.index()];
         if entry.is_unreached() {
-            return None;
+            return false;
         }
         let src_asn = self.nodes.asn(src);
+        path.push(src_asn);
         if entry.path_len() == 0 {
             // The destination's own node.
-            return Some(vec![src_asn]);
+            return true;
         }
         let mut node = src;
-        let mut path = vec![src_asn];
         // Bound iterations by the table size to guard against cycles
         // (which would indicate a computation bug).
         for _ in 0..=self.entries.len() {
@@ -263,7 +274,7 @@ impl RoutingTable {
             let asn = self.nodes.asn(node);
             path.push(asn);
             if asn == self.destination {
-                return Some(path);
+                return true;
             }
         }
         panic!("routing loop toward {} from {}", self.destination, src_asn);
@@ -1354,6 +1365,33 @@ mod tests {
         let table = compute_table(&t, Asn(2));
         assert!(table.as_path(Asn(1)).is_none());
         assert_eq!(table.reachable_count(), 1);
+    }
+
+    #[test]
+    fn walk_from_reuses_the_callers_buffer() {
+        let t = valley_topology();
+        let table = compute_table(&t, Asn(5));
+        let node = |asn| t.node_index().node(Asn(asn)).unwrap();
+        // One buffer across sources: each walk clears what the last
+        // left, and agrees with the allocating wrapper.
+        let mut buf = vec![Asn(77); 9];
+        for info in t.ases() {
+            let src = t.node_index().node(info.asn).unwrap();
+            assert!(table.walk_from(src, &mut buf), "{} unreached", info.asn);
+            assert_eq!(Some(buf.clone()), table.as_path_from(src));
+        }
+        assert!(table.walk_from(node(5), &mut buf));
+        assert_eq!(buf, vec![Asn(5)]);
+
+        // Unreached: `false`, and nothing stale left behind.
+        let mut b = Topology::builder();
+        mk_as(&mut b, 1, AsType::Eyeball);
+        mk_as(&mut b, 2, AsType::Eyeball);
+        let lonely = b.build();
+        let table = compute_table(&lonely, Asn(2));
+        let src = lonely.node_index().node(Asn(1)).unwrap();
+        assert!(!table.walk_from(src, &mut buf));
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The batched measurement kernel's equivalence contract:
 //!
-//! - [`PingEngine::resolve_pairs`] + `sample_window_block` is
+//! - [`PingEngine::resolve_pairs`] + sampling a block row
+//!   (`sample_window_resolved` over `PairBlock::resolved`) is
 //!   **bit-identical** to the scalar per-pair path (`sample_window`,
 //!   which resolves through `pair_info`) over arbitrary pair sets —
 //!   including duplicate pairs, unroutable pairs, budget-evicted
@@ -96,9 +97,8 @@ fn assert_batch_matches_scalar(
         let seed = rng_salt ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let start = SimTime((k as f64) * 1800.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        batched.sample_window_block(
-            &block,
-            slot,
+        batched.sample_window_resolved(
+            block.resolved(slot),
             start,
             6,
             300.0,

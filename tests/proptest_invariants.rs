@@ -378,6 +378,258 @@ prop_compose! {
     }
 }
 
+/// Host-pair resolution as `PingEngine::expand_same_as` /
+/// `expand_cross_as` did it when the pair cache was keyed by host
+/// pair, kept verbatim as the oracle for the site-keyed resolver: two
+/// routes from the router, two `path_cost` walks,
+/// `base + (s.access_ms + d.access_ms)`, `mid_longitude`. Returns the
+/// forward AS path, base RTT and midpoint longitude; `None` =
+/// unroutable.
+fn host_pair_oracle(
+    topo: &colo_shortcuts::topology::Topology,
+    router: &colo_shortcuts::topology::routing::Router,
+    model: &colo_shortcuts::netsim::LatencyModel,
+    s: &colo_shortcuts::netsim::Host,
+    d: &colo_shortcuts::netsim::Host,
+) -> Option<(Vec<colo_shortcuts::topology::Asn>, f64, f64)> {
+    use colo_shortcuts::netsim::path::path_cost;
+    fn mid_longitude(a: f64, b: f64) -> f64 {
+        let diff = (b - a + 540.0).rem_euclid(360.0) - 180.0;
+        let mid = a + diff / 2.0;
+        (mid + 540.0).rem_euclid(360.0) - 180.0
+    }
+    let access = s.access_ms + d.access_ms;
+    let mid_lon = mid_longitude(s.location.lon(), d.location.lon());
+    if s.asn == d.asn {
+        let path = path_cost(topo, &[s.asn], s.city, d.city, &model.expand);
+        return Some((vec![s.asn], model.base_rtt_ms(path) + access, mid_lon));
+    }
+    let fwd_as = router.as_path_between(s.node, d.node);
+    let rev_as = router.as_path_between(d.node, s.node);
+    match (fwd_as, rev_as) {
+        (Some(fwd_as), Some(rev_as)) => {
+            let fwd = path_cost(topo, &fwd_as, s.city, d.city, &model.expand);
+            let rev = path_cost(topo, &rev_as, d.city, s.city, &model.expand);
+            let base_ms = model.base_rtt_two_way(fwd, rev) + access;
+            Some((fwd_as, base_ms, mid_lon))
+        }
+        _ => None,
+    }
+}
+
+/// Ported from `netsim::ping`'s unit tests when the pair cache went
+/// from host-pair to site-pair keys (the oracle lives here): on the
+/// generated small topology, two hosts with distinct access delays in
+/// each of eight ASes, every ordered host pair listed twice. Rows and
+/// scalar lookups must equal the host-pair oracle bit for bit, and the
+/// cache telemetry must count *site* pairs, exactly.
+#[test]
+fn resolve_pairs_matches_scalar_resolution() {
+    use colo_shortcuts::netsim::{HostId, HostKind, HostRegistry, LatencyModel, PingEngine};
+    use colo_shortcuts::topology::routing::Router;
+    use colo_shortcuts::topology::{Topology, TopologyConfig};
+    use std::sync::Arc;
+
+    let topo = Arc::new(Topology::generate(&TopologyConfig::small(), 77));
+    let mut reg = HostRegistry::new();
+    let eyes = topo.eyeball_asns();
+    let mut hosts: Vec<HostId> = Vec::new();
+    for &asn in eyes.iter().step_by(eyes.len() / 8).take(8) {
+        for _ in 0..2 {
+            let access_ms = 1.0 + hosts.len() as f64 * 0.37;
+            let host = reg.add_host_with_access(&topo, asn, None, HostKind::Probe, access_ms);
+            hosts.push(host.expect("eyeball AS has a PoP"));
+        }
+    }
+    let reg = Arc::new(reg);
+    assert_eq!(reg.site_count(), 8, "two hosts per site");
+    let model = LatencyModel::default();
+    let engine = || {
+        let router = Arc::new(Router::new(Arc::clone(&topo)));
+        PingEngine::new(Arc::clone(&topo), router, Arc::clone(&reg), model.clone())
+    };
+    let (batched, scalar) = (engine(), engine());
+    let oracle_router = Router::new(Arc::clone(&topo));
+
+    // Every ordered pair, each listed twice: the resolver must dedupe
+    // and still answer for both occurrences.
+    let mut pairs = Vec::new();
+    for &s in &hosts {
+        for &d in &hosts {
+            if s != d {
+                pairs.push((s, d));
+                pairs.push((s, d));
+            }
+        }
+    }
+    let unique = (pairs.len() / 2) as u64; // 16 · 15 host pairs …
+    let site_pairs = 8 * 8; // … on 64 site pairs, `(X, X)` included
+    let block = batched.resolve_pairs(&pairs);
+    assert_eq!(block.len() as u64, unique);
+    let mut routable = 0;
+    for &(src, dst) in &pairs {
+        let want = host_pair_oracle(&topo, &oracle_router, &model, reg.get(src), reg.get(dst));
+        let slot = block.slot(src, dst).expect("batched pair must have a row");
+        let row = block.resolved(slot);
+        assert_eq!(row.is_some(), block.is_routable(slot));
+        assert_eq!(
+            row.map(|(path, base, mid)| (path.to_vec(), base.to_bits(), mid.to_bits())),
+            want.as_ref()
+                .map(|(path, base, mid)| (path.clone(), base.to_bits(), mid.to_bits())),
+            "row of {src:?}->{dst:?} must match the oracle"
+        );
+        assert_eq!(
+            scalar.base_rtt(src, dst).map(f64::to_bits),
+            want.as_ref().map(|w| w.1.to_bits()),
+            "scalar base RTT of {src:?}->{dst:?} must match the oracle"
+        );
+        assert_eq!(
+            scalar.as_path(src, dst).map(|p| p.to_vec()),
+            want.map(|w| w.0)
+        );
+        routable += u64::from(row.is_some());
+    }
+    assert!(routable > unique, "fixture should route most pairs");
+
+    // One miss per distinct site pair, batch-counted; nothing hit.
+    let stats = batched.engine_stats();
+    assert_eq!(stats.pair_cache_misses, site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_cache_hits, 0, "{stats:?}");
+    assert_eq!(stats.pair_cache_entries, site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_rows, unique, "{stats:?}");
+    // A warm re-resolve is pure hits, again one per distinct site pair.
+    let again = batched.resolve_pairs(&pairs);
+    assert_eq!(again.len() as u64, unique);
+    let stats = batched.engine_stats();
+    assert_eq!(stats.pair_cache_hits, site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_cache_misses, site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_rows, 2 * unique, "{stats:?}");
+    // The scalar engine saw two lookups per listed pair: the first on
+    // each site pair missed, every other one — either host of a site,
+    // either accessor — hit.
+    let stats = scalar.engine_stats();
+    assert_eq!(stats.pair_cache_misses, site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_cache_hits, 4 * unique - site_pairs, "{stats:?}");
+    assert_eq!(stats.pair_rows, 4 * unique, "{stats:?}");
+    assert_eq!(stats.pair_cache_entries, site_pairs, "{stats:?}");
+}
+
+/// A hand-built world for the site resolver: the topology, its hosts,
+/// a batch of host pairs and one link to take down.
+struct SiteCase {
+    topo: std::sync::Arc<colo_shortcuts::topology::Topology>,
+    hosts: std::sync::Arc<colo_shortcuts::netsim::HostRegistry>,
+    pairs: Vec<(
+        colo_shortcuts::netsim::HostId,
+        colo_shortcuts::netsim::HostId,
+    )>,
+    down: colo_shortcuts::topology::TopologyDelta,
+}
+
+impl std::fmt::Debug for SiteCase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SiteCase {{ {} hosts, pairs {:?}, {:?} }}",
+            self.hosts.len(),
+            self.pairs,
+            self.down
+        )
+    }
+}
+
+prop_compose! {
+    /// Ten ASes — two peered tier-1s, three tier-2s (one multihomed,
+    /// two of them peering or not), four eyeballs (one multihomed) and
+    /// one AS with no link at all, unroutable from everywhere — each
+    /// with two to four PoP cities. One or two cities per AS are
+    /// *sites* carrying one to six hosts, every host with its own
+    /// `access_ms`. The batch mixes random pairs (duplicates included)
+    /// with, for every site, its first host against its last and
+    /// against the first host of the AS's other site, each with its
+    /// mirror. The delta downs one existing link.
+    fn arb_site_case()(seed in 0u64..u64::MAX) -> SiteCase {
+        use colo_shortcuts::geo::{CityId, CountryCode};
+        use colo_shortcuts::netsim::{HostId, HostKind, HostRegistry};
+        use colo_shortcuts::topology::{AsInfo, AsType, Asn, Topology, TopologyDelta};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut alloc = IpAllocator::default();
+        let mut b = Topology::builder();
+        let n_cities = b.cities().len() as u32;
+        let mut pop_cities: Vec<Vec<CityId>> = Vec::new();
+        for asn in 1..=10u32 {
+            b.add_as(AsInfo {
+                asn: Asn(asn),
+                as_type: match asn { 1 | 2 => AsType::Tier1, 3..=5 => AsType::Tier2, _ => AsType::Eyeball },
+                home_country: CountryCode::new("US").expect("valid"),
+                countries: vec![],
+                pops: vec![],
+                prefixes: vec![alloc.alloc_prefix()],
+                user_share: 0.0,
+                offers_cloud: false,
+            });
+            let mut cities = Vec::new();
+            while cities.len() < rng.gen_range(2..=4) {
+                let c = CityId(rng.gen_range(0..n_cities));
+                if !cities.contains(&c) {
+                    b.add_pop(Asn(asn), c);
+                    cities.push(c);
+                }
+            }
+            pop_cities.push(cities);
+        }
+        b.add_peering(Asn(1), Asn(2));
+        let mut links = vec![(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 4), (8, 5), (9, 3), (9, 5)];
+        for &(customer, provider) in &links {
+            b.add_transit(Asn(customer), Asn(provider));
+        }
+        if rng.gen_bool(0.5) {
+            b.add_peering(Asn(3), Asn(4));
+            links.push((3, 4));
+        }
+        let topo = b.build();
+
+        let mut hosts = HostRegistry::new();
+        let mut sites: Vec<Vec<HostId>> = Vec::new();
+        for (i, cities) in pop_cities.iter().enumerate() {
+            for &city in cities.iter().take(rng.gen_range(1..=2)) {
+                let site = (0..rng.gen_range(1..=6)).map(|_| {
+                    // Distinct by construction: the host index is in it.
+                    let access_ms = hosts.len() as f64 * 0.37 + rng.gen_range(0.01..0.3);
+                    hosts
+                        .add_host_with_access(&topo, Asn(i as u32 + 1), Some(city), HostKind::Probe, access_ms)
+                        .expect("host on a PoP city")
+                });
+                sites.push(site.collect());
+            }
+        }
+        let n = hosts.len() as u32;
+        let mut pairs: Vec<(HostId, HostId)> = (0..rng.gen_range(10..60))
+            .map(|_| (HostId(rng.gen_range(0..n)), HostId(rng.gen_range(0..n))))
+            .filter(|(a, b)| a != b)
+            .collect();
+        for (k, site) in sites.iter().enumerate() {
+            let first = site[0];
+            let mut others = vec![*site.last().expect("non-empty site")];
+            others.extend(sites.get(k + 1).map(|next| next[0]));
+            for other in others.into_iter().filter(|&o| o != first) {
+                pairs.push((first, other));
+                pairs.push((other, first));
+            }
+        }
+        let (a, b) = links[rng.gen_range(0..links.len())];
+        SiteCase {
+            topo: std::sync::Arc::new(topo),
+            hosts: std::sync::Arc::new(hosts),
+            pairs,
+            down: TopologyDelta::LinkDown { a: Asn(a), b: Asn(b) },
+        }
+    }
+}
+
 fn empty_pool() -> colo_shortcuts::core::colo::ColoPool {
     colo_shortcuts::core::colo::ColoPool {
         relays: Vec::new(),
@@ -868,6 +1120,68 @@ proptest! {
                 model.base_rtt_two_way(f, r).to_bits(),
                 model.base_rtt_two_way(r, f).to_bits()
             );
+        }
+    }
+
+    // ---- site-keyed pair resolver == host-keyed oracle (netsim::ping) ----
+
+    #[test]
+    fn site_resolver_matches_the_host_pair_oracle(case in arb_site_case()) {
+        // Routes per AS pair, facts per site pair, rows per host pair:
+        // whatever is shared, every host pair must come out as if it
+        // had been resolved alone — batch rows and scalar lookups
+        // alike, cold, warm, and after churn made entries stale
+        // (revalidated where the path dodged the link, recomputed
+        // where it did not).
+        use colo_shortcuts::netsim::clock::SimTime;
+        use colo_shortcuts::netsim::{FaultPlan, LatencyModel, PingEngine};
+        use colo_shortcuts::topology::routing::Router;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+
+        let model = LatencyModel::default();
+        let engine = || {
+            let router = Arc::new(Router::new(Arc::clone(&case.topo)));
+            PingEngine::new(Arc::clone(&case.topo), router, Arc::clone(&case.hosts), model.clone())
+        };
+        // Private routers all round: each sees the delta exactly once.
+        let (batched, scalar) = (engine(), engine());
+        let oracle_router = Router::new(Arc::clone(&case.topo));
+        let window = |e: &PingEngine, facts: Option<(&[_], f64, f64)>| {
+            let mut out = Vec::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            e.sample_window_resolved(facts, SimTime(0.0), 6, 300.0, &FaultPlan::NONE, &mut rng, &mut out);
+            out
+        };
+        for round in 0..3 {
+            if round == 2 {
+                batched.apply_delta(std::slice::from_ref(&case.down));
+                scalar.apply_delta(std::slice::from_ref(&case.down));
+                oracle_router.apply_delta(std::slice::from_ref(&case.down));
+            }
+            let block = batched.resolve_pairs(&case.pairs);
+            for &(src, dst) in &case.pairs {
+                let (s, d) = (case.hosts.get(src), case.hosts.get(dst));
+                let want = host_pair_oracle(&case.topo, &oracle_router, &model, s, d);
+                let slot = block.slot(src, dst).expect("every batch pair has a row");
+                let row = block.resolved(slot);
+                prop_assert_eq!(row.is_some(), want.is_some(), "{:?}->{:?}", src, dst);
+                prop_assert_eq!(scalar.base_rtt(src, dst).map(f64::to_bits), want.as_ref().map(|w| w.1.to_bits()));
+                prop_assert_eq!(scalar.as_path(src, dst).map(|p| p.to_vec()), want.as_ref().map(|w| w.0.clone()));
+                let Some((fwd, base_ms, mid_lon)) = want else { continue };
+                let (path, row_base, row_mid) = row.expect("routable");
+                prop_assert_eq!(path, &fwd[..]);
+                prop_assert_eq!(row_base.to_bits(), base_ms.to_bits(), "{:?}->{:?}", src, dst);
+                prop_assert_eq!(row_mid.to_bits(), mid_lon.to_bits());
+                // The scalar path has no `mid_lon` accessor: a window
+                // sampled through it must match one sampled from the
+                // oracle's facts, draw for draw.
+                let mut got = Vec::new();
+                let mut rng = StdRng::seed_from_u64(7);
+                scalar.sample_window(src, dst, SimTime(0.0), 6, 300.0, &FaultPlan::NONE, &mut rng, &mut got);
+                prop_assert_eq!(got, window(&scalar, Some((&fwd[..], base_ms, mid_lon))));
+            }
         }
     }
 
