@@ -13,22 +13,45 @@
 //! in-repo implementation is [`NetsimBackend`] (the netsim ping
 //! engine); recorded-trace or analytical backends can slot in without
 //! touching planning or stitching.
+//!
+//! Both executors — [`execute`] and the [`crate::shard`] scheduler —
+//! measure a stage as one [`MeasurementBackend::open_stage`] plus a
+//! [`MeasurementBackend::measure_chunk`] per `KERNEL_CHUNK` windows.
+//! [`NetsimBackend`] resolves the stage's pair set into one block on
+//! opening and samples chunks from it, so the pair cache is probed
+//! once per *stage*: a window never re-expands a pair a memory budget
+//! evicted since, and results cannot tell — the block is a snapshot of
+//! the stage's epoch.
 
 use crate::measure::{measure_pair, window_median, with_reply_scratch, WindowConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use shortcuts_netsim::clock::SimTime;
-use shortcuts_netsim::{HostId, PingHandle, SampleTally};
+use shortcuts_netsim::{HostId, PairBlock, PingHandle, SampleTally};
 use shortcuts_telemetry as telemetry;
 use shortcuts_telemetry::Stage;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-/// Windows per worker chunk in the batched kernel. Large enough to
-/// amortize scheduling and the per-chunk stats flush down to noise,
+/// Windows per chunk, the unit both executors schedule. Large enough
+/// to amortize scheduling and the per-chunk stats flush down to noise,
 /// small enough that a stage of a few thousand windows still splits
 /// across every core.
-const KERNEL_CHUNK: usize = 64;
+pub(crate) const KERNEL_CHUNK: usize = 64;
+
+/// The chunk ranges that tile a stage of `n` windows, in order.
+pub(crate) fn chunk_ranges(n: usize) -> impl Iterator<Item = Range<usize>> {
+    let chunk = move |start: usize| start..(start + KERNEL_CHUNK).min(n);
+    (0..n).step_by(KERNEL_CHUNK).map(chunk)
+}
+
+/// A stage [`NetsimBackend`] has opened: its pair block and the block
+/// row of every task, aligned with the stage's task list.
+pub struct ResolvedStage {
+    block: PairBlock,
+    slots: Vec<u32>,
+}
 
 /// What a measurement window is for (part of the task's RNG identity:
 /// a direct pair and an overlay link between the same two hosts get
@@ -111,25 +134,56 @@ pub trait MeasurementBackend: Sync {
 
     /// Hands the backend a whole stage's task list before its windows
     /// are measured one by one, so shared state can be resolved in
-    /// bulk (the netsim backend batch-resolves the stage's pair set —
-    /// each cache shard locked once, misses expanded data-parallel).
-    /// A pure performance hook: results never depend on whether it ran,
-    /// and the default is a no-op.
+    /// bulk (the netsim backend opens the stage and drops the handle,
+    /// leaving the pair cache warm). A pure performance hook: results
+    /// never depend on whether it ran, and the default is a no-op.
     fn prepare(&self, _tasks: &[MeasureTask]) {}
 
     /// Measures a whole task list, returning results in task order;
     /// `parallel` picks the rayon pool over the calling thread. The
-    /// default prepares once and maps [`MeasurementBackend::measure`];
-    /// backends with a batched kernel override this to keep the whole
-    /// stage in flat passes. Any override must stay bit-identical to
-    /// the default — per-task RNG derivation makes that checkable.
+    /// default opens the stage once and measures it chunk by chunk;
+    /// any override must stay bit-identical to that — per-task RNG
+    /// derivation makes it checkable.
     fn measure_batch(&self, tasks: &[MeasureTask], parallel: bool) -> Vec<Option<f64>> {
-        self.prepare(tasks);
-        if parallel {
-            tasks.par_iter().map(|t| self.measure(t)).collect()
+        let Some(first) = tasks.first() else {
+            return Vec::new();
+        };
+        let stage = self.open_stage(tasks);
+        let _span = telemetry::global().span_for(Stage::Sample, telemetry::NO_LABEL, first.round);
+        let chunk = |range: &Range<usize>| {
+            let mut out = Vec::with_capacity(range.len());
+            self.measure_chunk(stage.as_deref(), tasks, range.clone(), &mut out);
+            out
+        };
+        let ranges: Vec<Range<usize>> = chunk_ranges(tasks.len()).collect();
+        let nested: Vec<Vec<Option<f64>>> = if parallel {
+            ranges.par_iter().map(chunk).collect()
         } else {
-            tasks.iter().map(|t| self.measure(t)).collect()
-        }
+            ranges.iter().map(chunk).collect()
+        };
+        nested.into_iter().flatten().collect()
+    }
+
+    /// Opens a stage: resolves once whatever its windows share and
+    /// returns the handle each [`MeasurementBackend::measure_chunk`] of
+    /// the stage is given back. The default prepares and has none.
+    fn open_stage(&self, tasks: &[MeasureTask]) -> Option<Arc<ResolvedStage>> {
+        self.prepare(tasks);
+        None
+    }
+
+    /// Measures `tasks[range]` of the stage opened as `stage` from
+    /// `tasks`, appending exactly `range.len()` results to `out` in
+    /// task order — the [`crate::shard`] scheduler's unit of work. The
+    /// default measures window by window.
+    fn measure_chunk(
+        &self,
+        _stage: Option<&ResolvedStage>,
+        tasks: &[MeasureTask],
+        range: Range<usize>,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        out.extend(tasks[range].iter().map(|t| self.measure(t)));
     }
 }
 
@@ -209,10 +263,9 @@ impl MeasurementBackend for NetsimBackend {
             );
         }
         // Batched single-task path: one cache lookup per window (not
-        // per ping) and the thread's scratch buffer for replies. The
-        // sharded scheduler lands here after `prepare` has already
-        // bulk-resolved the stage's pairs, so the lookup is a shard
-        // read-lock hit.
+        // per ping) and the thread's scratch buffer for replies. Only
+        // per-window wrappers land here; both executors go through
+        // `measure_chunk`.
         with_reply_scratch(|replies| {
             self.handle.sample_window(
                 task.src,
@@ -236,81 +289,59 @@ impl MeasurementBackend for NetsimBackend {
     }
 
     fn prepare(&self, tasks: &[MeasureTask]) {
+        let _ = self.open_stage(tasks);
+    }
+
+    fn open_stage(&self, tasks: &[MeasureTask]) -> Option<Arc<ResolvedStage>> {
         if self.scalar || tasks.len() < 2 {
-            return;
+            // Oracle mode, or too small for batching to buy anything.
+            return None;
         }
+        // Flat passes over the stage's whole pair set; the block is a
+        // snapshot of the current epoch, which is exactly stage
+        // semantics — churn applies between stages.
         let _span =
             telemetry::global().span_for(Stage::ResolvePairs, telemetry::NO_LABEL, tasks[0].round);
         let pairs: Vec<(HostId, HostId)> = tasks.iter().map(|t| (t.src, t.dst)).collect();
-        let _ = self.handle.resolve_pairs(&pairs);
+        let (block, slots) = self.handle.resolve_pairs_indexed(&pairs);
+        Some(Arc::new(ResolvedStage { block, slots }))
     }
 
-    fn measure_batch(&self, tasks: &[MeasureTask], parallel: bool) -> Vec<Option<f64>> {
-        if self.scalar || tasks.len() < 2 {
-            // Oracle mode, or too small for batching to buy anything.
-            return if parallel {
-                tasks.par_iter().map(|t| self.measure(t)).collect()
-            } else {
-                tasks.iter().map(|t| self.measure(t)).collect()
-            };
-        }
-        // The batched kernel: resolve the stage's whole pair set in
-        // flat passes, then sample every window from the block's SoA
-        // rows. `resolve_pairs` snapshots the current epoch, which is
-        // exactly stage semantics — churn applies between stages.
-        //
-        // Windows go to workers in chunks, not one by one: a window is
-        // sub-microsecond, so per-window scheduling and per-window
-        // counter updates are a measurable fraction of the kernel. A
-        // chunk claims one scheduling slot, reuses one reply buffer,
-        // and flushes one stats tally.
-        let round = tasks[0].round;
-        let pairs: Vec<(HostId, HostId)> = tasks.iter().map(|t| (t.src, t.dst)).collect();
-        let (block, slots) = {
-            let _span =
-                telemetry::global().span_for(Stage::ResolvePairs, telemetry::NO_LABEL, round);
-            self.handle.resolve_pairs_indexed(&pairs)
+    /// The batched kernel: samples a chunk's windows from the stage
+    /// block's SoA rows. A window is sub-microsecond, so per-window
+    /// scheduling, cache probes and counter updates would be a
+    /// measurable fraction of it: a chunk claims one scheduling slot,
+    /// reuses one reply buffer and flushes one stats tally.
+    fn measure_chunk(
+        &self,
+        stage: Option<&ResolvedStage>,
+        tasks: &[MeasureTask],
+        range: Range<usize>,
+        out: &mut Vec<Option<f64>>,
+    ) {
+        let Some(stage) = stage else {
+            out.extend(tasks[range].iter().map(|t| self.measure(t)));
+            return;
         };
-        let _sample_span = telemetry::global().span_for(Stage::Sample, telemetry::NO_LABEL, round);
-        let run_chunk = |offset: usize, chunk: &[MeasureTask]| -> Vec<Option<f64>> {
-            let mut tally = SampleTally::default();
-            let out = with_reply_scratch(|replies| {
-                chunk
-                    .iter()
-                    .zip(&slots[offset..offset + chunk.len()])
-                    .map(|(task, &slot)| {
-                        let mut rng = task.rng(self.campaign_seed);
-                        self.handle.sample_window_block_tally(
-                            &block,
-                            slot,
-                            task.start,
-                            self.window.pings,
-                            self.window.interval_secs,
-                            &mut rng,
-                            replies,
-                            &mut tally,
-                        );
-                        window_median(replies, self.window.min_valid)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            self.handle.flush_tally(&tally);
-            out
-        };
-        let chunks: Vec<(usize, &[MeasureTask])> = tasks
-            .chunks(KERNEL_CHUNK)
-            .enumerate()
-            .map(|(ci, c)| (ci * KERNEL_CHUNK, c))
-            .collect();
-        let nested: Vec<Vec<Option<f64>>> = if parallel {
-            chunks
-                .par_iter()
-                .map(|&(off, c)| run_chunk(off, c))
-                .collect()
-        } else {
-            chunks.iter().map(|&(off, c)| run_chunk(off, c)).collect()
-        };
-        nested.into_iter().flatten().collect()
+        let mut tally = SampleTally::default();
+        with_reply_scratch(|replies| {
+            let rows = tasks[range.clone()].iter().zip(&stage.slots[range]);
+            out.extend(rows.map(|(task, &slot)| {
+                let mut rng = task.rng(self.campaign_seed);
+                self.handle.sample_window_block_tally(
+                    &stage.block,
+                    slot,
+                    task.start,
+                    self.window.pings,
+                    self.window.interval_secs,
+                    &mut rng,
+                    replies,
+                    &mut tally,
+                );
+                window_median(replies, self.window.min_valid)
+            }));
+        });
+        self.handle.flush_tally(&tally);
     }
 }
 

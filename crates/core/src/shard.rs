@@ -14,18 +14,31 @@
 //! `(campaign, round)` jobs can interleave on the same pool.
 //!
 //! [`run_interleaved`] exploits that: a single FIFO work queue feeds a
-//! fixed worker pool with `Plan` and `Measure` items from up to
+//! fixed worker pool with `Plan` and `Chunk` items from up to
 //! `jobs_in_flight` jobs at once, each job one `(campaign, round)`
 //! pair. While job *j* sits at a stage boundary waiting for its last
-//! window, the workers measure another job's windows — from the same
+//! chunk, the workers measure another job's windows — from the same
 //! campaign or a different one — instead of idling. Per-job state
 //! machines (direct stage → tail stage of reverse + overlay windows →
-//! complete) advance whenever their last outstanding window lands; the
+//! complete) advance whenever their last outstanding chunk lands; the
 //! worker that completes a job hands the bundle to the coordinator
 //! thread and admits the next un-planned job, keeping at most
 //! `jobs_in_flight` jobs' plans and partial results alive. Jobs are
 //! admitted round-major (round 0 of every campaign, then round 1, …)
 //! so all campaigns of a sweep stream from their first round.
+//!
+//! The unit of measurement work is a **chunk of an opened stage**: on
+//! entering a stage a job calls [`MeasurementBackend::open_stage`]
+//! once (its `Stage::ResolvePairs` span) and queues one item per
+//! `KERNEL_CHUNK` windows, each run through
+//! [`MeasurementBackend::measure_chunk`] — `measure_batch`'s kernel
+//! body; the scheduler has no sampling path of its own. A sharded
+//! netsim run thus probes the pair cache once per *stage*:
+//! `pair_cache_hits` is lower by the window count than with per-window
+//! items, and under a memory budget a window no longer re-expands a
+//! pair evicted since its stage was resolved (misses can only fall;
+//! bytes cannot change — the block is the stage's epoch snapshot). A
+//! job's `Stage::Sample` span still runs from fan-out to drain.
 //!
 //! Each campaign brings its own [`MeasurementBackend`] — in a sweep,
 //! one [`crate::backend::NetsimBackend`] per campaign, all sharing one
@@ -43,12 +56,13 @@
 //! [`run_sharded`] is the single-campaign wrapper the solo
 //! [`crate::workflow::Campaign`] uses.
 
-use crate::backend::{MeasureTask, MeasurementBackend};
+use crate::backend::{chunk_ranges, MeasureTask, MeasurementBackend, ResolvedStage, TaskKind};
 use crate::plan::{plan_overlay, OverlayPlan, RoundPlan};
 use shortcuts_telemetry as telemetry;
 use shortcuts_telemetry::Stage;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One finished round, exactly as the serial loop would have produced
@@ -67,27 +81,24 @@ pub struct CompletedRound {
     pub links: Vec<Option<f64>>,
 }
 
-/// Which result slot a measure item writes into.
-#[derive(Debug, Clone, Copy)]
-enum Dest {
-    Direct,
-    Reverse,
-    Link,
+/// One opened stage of job `job`, shared by its chunks and dropped
+/// with the last of them: a pair block never outlives its windows.
+struct StageWork {
+    job: u32,
+    tasks: Vec<MeasureTask>,
+    /// What the backend's `open_stage` returned for `tasks`.
+    stage: Option<Arc<ResolvedStage>>,
 }
 
-/// One unit of work in the shared queue. `job` indexes the
+/// One unit of work in the shared queue. A job is an index into the
 /// coordination's job table (one entry per admitted `(campaign,
 /// round)` pair).
 enum Item {
-    /// Plan job `j` and enqueue its direct windows.
+    /// Plan job `j`, open its direct stage and enqueue its chunks.
     Plan(u32),
-    /// Measure one window and store it at `(job, dest, idx)`.
-    Measure {
-        job: u32,
-        dest: Dest,
-        idx: usize,
-        task: MeasureTask,
-    },
+    /// Measure the stage's windows `tasks[range]` into the job's
+    /// result vector for the tasks' kind, at `range`.
+    Chunk(Range<usize>, Arc<StageWork>),
 }
 
 /// A job currently in flight.
@@ -314,6 +325,7 @@ where
     P: Fn(u32, u32) -> RoundPlan + Sync,
 {
     let _guard = AbortGuard(coord);
+    let mut out: Vec<Option<f64>> = Vec::new();
     loop {
         let item = {
             let mut q = coord.queue.lock().expect("queue lock");
@@ -359,32 +371,32 @@ where
                     // Degenerate round with nothing to measure.
                     advance_job(coord, backends, job);
                 } else {
-                    // Let the campaign's backend batch-resolve the
-                    // stage's pair set before its windows fan out as
-                    // individual measure items.
-                    backends[campaign as usize].prepare(&direct_tasks);
-                    enqueue_measures(coord, job, Dest::Direct, direct_tasks);
+                    enqueue_stage(coord, backends[campaign as usize], job, direct_tasks);
                 }
             }
-            Item::Measure {
-                job,
-                dest,
-                idx,
-                task,
-            } => {
+            Item::Chunk(range, work) => {
                 // Measure outside any lock — this is the expensive
                 // part — on the owning campaign's backend (its seed,
                 // its faults, its ping accounting).
-                let campaign = coord.jobs[job as usize].0;
-                let m = backends[campaign as usize].measure(&task);
+                let job = work.job;
+                let backend = backends[coord.jobs[job as usize].0 as usize];
+                out.clear();
+                backend.measure_chunk(work.stage.as_deref(), &work.tasks, range.clone(), &mut out);
+                // A short answer would leave `remaining` above zero
+                // and the coordinator parked for ever: fail loudly.
+                assert_eq!(out.len(), range.len(), "measure_chunk must fill its range");
+                let kind = work.tasks[range.start].kind;
+                // Not held across `advance_job`, which opens the next.
+                drop(work);
                 let mut slot = coord.slots[job as usize].lock().expect("slot lock");
                 let st = slot.as_mut().expect("measured job is in flight");
-                match dest {
-                    Dest::Direct => st.direct[idx] = m,
-                    Dest::Reverse => st.reverse[idx] = m,
-                    Dest::Link => st.links[idx] = m,
-                }
-                st.remaining -= 1;
+                let results = match kind {
+                    TaskKind::Direct => &mut st.direct,
+                    TaskKind::Reverse => &mut st.reverse,
+                    TaskKind::Overlay => &mut st.links,
+                };
+                results[range.clone()].copy_from_slice(&out);
+                st.remaining -= range.len();
                 let stage_drained = st.remaining == 0;
                 drop(slot);
                 if stage_drained {
@@ -395,20 +407,23 @@ where
     }
 }
 
-fn enqueue_measures(coord: &Coordination, job: u32, dest: Dest, tasks: Vec<MeasureTask>) {
+/// Opens a stage on its campaign's backend and enqueues its chunks,
+/// built before taking the queue lock every worker pops under.
+fn enqueue_stage<B>(coord: &Coordination, backend: &B, job: u32, tasks: Vec<MeasureTask>)
+where
+    B: MeasurementBackend + ?Sized,
+{
+    if tasks.is_empty() {
+        return;
+    }
+    let stage = backend.open_stage(&tasks);
+    let work = Arc::new(StageWork { job, tasks, stage });
+    let items: Vec<Item> = chunk_ranges(work.tasks.len())
+        .map(|range| Item::Chunk(range, Arc::clone(&work)))
+        .collect();
     {
         let mut q = coord.queue.lock().expect("queue lock");
-        q.items.extend(
-            tasks
-                .into_iter()
-                .enumerate()
-                .map(|(idx, task)| Item::Measure {
-                    job,
-                    dest,
-                    idx,
-                    task,
-                }),
-        );
+        q.items.extend(items);
         let tele = telemetry::global();
         if tele.enabled() {
             tele.queue_depth().set(q.items.len() as i64);
@@ -458,10 +473,8 @@ where
             st.stage_started = tele.enabled().then(Instant::now);
             *slot.lock().expect("slot lock") = Some(st);
             let backend = backends[campaign_id as usize];
-            backend.prepare(&reverse_tasks);
-            backend.prepare(&link_tasks);
-            enqueue_measures(coord, job, Dest::Reverse, reverse_tasks);
-            enqueue_measures(coord, job, Dest::Link, link_tasks);
+            enqueue_stage(coord, backend, job, reverse_tasks);
+            enqueue_stage(coord, backend, job, link_tasks);
             return;
         }
         // No tail windows at all: fall through to completion.
@@ -676,6 +689,58 @@ mod tests {
             run_sharded(&PanicBackend, 2, 2, planner, |_| {});
         }));
         assert!(outcome.is_err(), "the backend panic must propagate");
+    }
+
+    #[test]
+    fn tail_open_stage_panic_propagates_instead_of_hanging() {
+        // The tail stage is opened from `advance_job`, after the job
+        // state was taken out of its slot and put back: a panic there
+        // must unwind like any other worker panic.
+        struct TailPanicBackend;
+        impl MeasurementBackend for TailPanicBackend {
+            fn measure(&self, _: &MeasureTask) -> Option<f64> {
+                Some(1.0)
+            }
+            fn pings_sent(&self) -> u64 {
+                0
+            }
+            fn open_stage(&self, tasks: &[MeasureTask]) -> Option<Arc<ResolvedStage>> {
+                assert_eq!(tasks[0].kind, TaskKind::Direct, "tail stage exploded");
+                None
+            }
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_sharded(&TailPanicBackend, 2, 2, planner, |_| {});
+        }));
+        assert!(outcome.is_err(), "the open_stage panic must propagate");
+    }
+
+    #[test]
+    fn short_chunk_answer_panics_instead_of_hanging() {
+        // One result too few would leave the stage's `remaining` above
+        // zero for ever; the worker must refuse the answer.
+        struct ShortBackend;
+        impl MeasurementBackend for ShortBackend {
+            fn measure(&self, _: &MeasureTask) -> Option<f64> {
+                Some(1.0)
+            }
+            fn pings_sent(&self) -> u64 {
+                0
+            }
+            fn measure_chunk(
+                &self,
+                _: Option<&ResolvedStage>,
+                tasks: &[MeasureTask],
+                range: Range<usize>,
+                out: &mut Vec<Option<f64>>,
+            ) {
+                out.extend(tasks[range].iter().skip(1).map(|t| self.measure(t)));
+            }
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_sharded(&ShortBackend, 2, 2, planner, |_| {});
+        }));
+        assert!(outcome.is_err(), "the under-filled chunk must panic");
     }
 
     #[test]

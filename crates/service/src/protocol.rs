@@ -92,8 +92,10 @@
 //! - `METRICS <len>` followed by exactly `<len>` raw bytes — a
 //!   Prometheus-style text exposition (`name{label="v"} value` lines):
 //!   process-wide telemetry (per-stage `colo_stage_duration_ns`
-//!   latency histograms, `colo_shard_queue_depth` /
-//!   `colo_shard_jobs_in_flight` scheduler gauges) plus
+//!   latency histograms, the scheduler gauges
+//!   `colo_shard_queue_depth` — queued work items, each a round to
+//!   plan or a chunk of at most 64 windows — and
+//!   `colo_shard_jobs_in_flight`) plus
 //!   `colo_engine_*{world=..,policy=..}`, `colo_pool_*`,
 //!   `colo_service_*` and `colo_credits_balance{ip=..}` samples
 //!   rendered from the same field lists as the `STATS` lines, so the

@@ -10,6 +10,22 @@
 
 use shortcuts_service::{Client, CreditLedger, Server, ServiceConfig};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test here that drives a `RUN`. `Telemetry` is a
+/// process-global singleton, so every `Server` of this binary shares
+/// one `colo_shard_jobs_in_flight` gauge: a sibling's campaign in
+/// flight made `stage_histograms_populate_after_a_run` read it above
+/// zero (3 failures in 25 runs). Serialising the runs hides that; the
+/// fix is a `Telemetry` per `Server` (ROADMAP item 2a).
+static ONE_RUN_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_run_at_a_time() -> MutexGuard<'static, ()> {
+    // A failed sibling must not fail this test too.
+    ONE_RUN_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn small_server() -> Server {
     let mut cfg = ServiceConfig::small();
@@ -50,6 +66,7 @@ fn parse_kv(segment: &str) -> Vec<(String, String)> {
 /// balances are the one time-dependent exception, checked separately.)
 #[test]
 fn metrics_values_agree_with_stats_fields() {
+    let _serial = one_run_at_a_time();
     let server = small_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client
@@ -144,6 +161,7 @@ fn metrics_values_agree_with_stats_fields() {
 /// (plan, sample, stitch) populated with samples and a nonzero sum.
 #[test]
 fn stage_histograms_populate_after_a_run() {
+    let _serial = one_run_at_a_time();
     let server = small_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client

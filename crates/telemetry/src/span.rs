@@ -241,7 +241,9 @@ impl Telemetry {
         self.stage_ns[stage.index()].snapshot()
     }
 
-    /// Scheduler queue-depth gauge (pending items in the shard queue).
+    /// Scheduler queue-depth gauge: pending items in the shard queue.
+    /// An item is a round to plan or a chunk of at most 64 measurement
+    /// windows — not a window.
     pub fn queue_depth(&self) -> &Gauge {
         &self.queue_depth
     }
