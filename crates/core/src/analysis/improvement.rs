@@ -104,7 +104,7 @@ impl ImprovementAnalysis {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::workflow::{CaseRecord, TypeOutcome};
+    use crate::workflow::{CaseRecord, PairHistory, TypeOutcome};
     use shortcuts_geo::CountryCode;
     use shortcuts_netsim::HostId;
     use std::collections::HashMap;
@@ -150,8 +150,8 @@ pub(crate) mod tests {
                 mk_case(1, Some(130.0), None),       // nobody improves
                 mk_case(1, None, None),              // nothing feasible
             ],
-            direct_history: HashMap::new(),
-            link_history: HashMap::new(),
+            direct_history: PairHistory::default(),
+            link_history: PairHistory::default(),
             symmetry_samples: vec![],
             relay_meta: HashMap::new(),
             colo_pool: ColoPool {

@@ -9,7 +9,7 @@
 
 use crate::analysis::stats;
 use crate::relays::RelayType;
-use crate::workflow::CampaignResults;
+use crate::workflow::{CampaignResults, PairHistory};
 use std::collections::HashMap;
 
 /// CV distribution over measured pairs.
@@ -27,11 +27,11 @@ impl StabilityAnalysis {
     /// Computes CVs over all pair histories with ≥ `min_samples`
     /// observations.
     pub fn compute(results: &CampaignResults, min_samples: usize) -> Self {
-        let cvs = |hist: &HashMap<_, Vec<f64>>| {
+        let cvs = |hist: &PairHistory| {
             let mut v: Vec<f64> = hist
                 .values()
                 .filter(|h| h.len() >= min_samples)
-                .filter_map(|h| stats::coefficient_of_variation(h))
+                .filter_map(stats::coefficient_of_variation)
                 .collect();
             v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             v

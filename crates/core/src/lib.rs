@@ -96,5 +96,7 @@ pub use plan::{OverlayPlan, RoundPlan};
 pub use relays::{Relay, RelayType};
 pub use stitch::ResultsBuilder;
 pub use sweep::{Sweep, SweepConfig, SweepReport, SweepScenario};
-pub use workflow::{Campaign, CampaignConfig, CampaignResults, CaseRecord, RoundSummary};
+pub use workflow::{
+    Campaign, CampaignConfig, CampaignResults, CaseRecord, PairHistory, RoundSummary,
+};
 pub use world::{SharedWorld, World, WorldConfig};

@@ -12,21 +12,27 @@
 //! the tasks.
 //!
 //! The builder is also **round-order-independent**: each
-//! [`ResultsBuilder::absorb_round`] call folds its round into a
-//! private per-round partial, and [`ResultsBuilder::finish`] merges
-//! the partials in ascending round order. Rounds may therefore be
-//! absorbed in any order — the sharded scheduler completes them
-//! whenever their last window lands — and the final
-//! [`CampaignResults`] is still bit-identical to a serial, in-order
-//! run.
+//! [`ResultsBuilder::absorb_round`] call stitches its round into a
+//! private per-round partial, which is buffered until every earlier
+//! round has arrived. Once the absorbed rounds are contiguous, the
+//! partials are appended to the campaign's results in ascending round
+//! order — at the start of the next `absorb_round` (after the caller
+//! has emitted the round's summary) or in [`ResultsBuilder::finish`].
+//! Rounds may therefore be absorbed in any order — the sharded
+//! scheduler completes them whenever their last window lands — and the
+//! final [`CampaignResults`] is still bit-identical to a serial,
+//! in-order run, while an in-order run holds at most one round's
+//! partial at a time.
 
 use crate::measure::stitch;
 use crate::plan::{OverlayPlan, RoundPlan};
-use crate::workflow::{CampaignResults, CaseRecord, RelayMeta, RoundSummary, TypeOutcome};
+use crate::workflow::{
+    CampaignResults, CaseRecord, PairHistory, RelayMeta, RoundSummary, TypeOutcome,
+};
 use shortcuts_netsim::HostId;
 use std::collections::{BTreeMap, HashMap};
 
-/// One absorbed round, not yet merged: everything the round
+/// One absorbed round, not yet appended: everything the round
 /// contributes to the campaign, in the round's own deterministic
 /// internal order.
 #[derive(Debug)]
@@ -43,12 +49,23 @@ struct RoundPartial {
 
 /// Accumulates per-round results into [`CampaignResults`].
 ///
-/// Rounds may arrive in any order; the merge in
-/// [`ResultsBuilder::finish`] restores ascending round order, so the
-/// output never depends on completion order.
+/// Rounds may arrive in any order; a round waits in its partial until
+/// the rounds before it have arrived, so the output never depends on
+/// completion order.
 #[derive(Debug, Default)]
 pub struct ResultsBuilder {
-    partials: BTreeMap<u32, RoundPartial>,
+    /// Absorbed rounds not yet appended (a gap precedes each).
+    pending: BTreeMap<u32, RoundPartial>,
+    /// The next round to append: every round below it is appended.
+    next: u32,
+    cases: Vec<CaseRecord>,
+    direct_history: PairHistory,
+    link_history: PairHistory,
+    symmetry_samples: Vec<(f64, f64)>,
+    relay_meta: HashMap<HostId, RelayMeta>,
+    unresponsive_pairs: u64,
+    endpoints_total: usize,
+    relays_total: [usize; 4],
 }
 
 impl ResultsBuilder {
@@ -75,10 +92,16 @@ impl ResultsBuilder {
         assert_eq!(direct.len(), plan.pairs.len());
         assert_eq!(links.len(), overlay.needed.len());
         assert!(
-            !self.partials.contains_key(&plan.round),
+            plan.round >= self.next && !self.pending.contains_key(&plan.round),
             "round {} absorbed twice",
             plan.round
         );
+        // The previous call's summary has been emitted by now: append
+        // whatever it made contiguous.
+        while let Some(partial) = self.pending.remove(&self.next) {
+            self.append(partial);
+            self.next += 1;
+        }
 
         // Pre-sized from the plan: every bound below is exact or a
         // tight upper bound, so the stitch hot path never reallocates.
@@ -145,7 +168,10 @@ impl ResultsBuilder {
             partial.link_entries.push((key, v));
         }
 
-        // Stitch one-relay paths and emit the round's cases.
+        // Stitch one-relay paths and emit the round's cases. Improving
+        // relays collect in per-type scratch buffers reused across the
+        // round's cases; each case keeps an exact-length copy.
+        let mut improving: [Vec<(HostId, f32)>; 4] = Default::default();
         for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
             let Some(d) = *d else { continue };
             let mut outcomes: [TypeOutcome; 4] = Default::default();
@@ -157,14 +183,19 @@ impl ResultsBuilder {
                 else {
                     continue;
                 };
-                let out = &mut outcomes[relay.rtype.index()];
+                let t = relay.rtype.index();
+                let out = &mut outcomes[t];
                 out.feasible += 1;
                 if out.best.is_none_or(|(_, best)| stitched < best) {
                     out.best = Some((relay.host, stitched));
                 }
                 if stitched < d {
-                    out.improving.push((relay.host, (d - stitched) as f32));
+                    improving[t].push((relay.host, (d - stitched) as f32));
                 }
+            }
+            for (out, scratch) in outcomes.iter_mut().zip(&mut improving) {
+                out.improving = scratch.as_slice().to_vec();
+                scratch.clear();
             }
             let (src, dst) = (&plan.endpoints[pair.src], &plan.endpoints[pair.dst]);
             partial.cases.push(CaseRecord {
@@ -180,72 +211,53 @@ impl ResultsBuilder {
         }
 
         let summary = summarize(plan, overlay, &partial);
-        self.partials.insert(plan.round, partial);
+        self.pending.insert(plan.round, partial);
         summary
     }
 
     /// Rounds folded in so far.
     pub fn rounds_absorbed(&self) -> u32 {
-        self.partials.len() as u32
+        self.next + self.pending.len() as u32
     }
 
-    /// Finalizes into [`CampaignResults`], merging the per-round
-    /// partials in ascending round order — the step that makes
-    /// completion order unobservable.
-    pub fn finish(self, colo_pool: crate::colo::ColoPool, pings_sent: u64) -> CampaignResults {
-        let _span = shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Stitch);
-        let rounds = (self.partials.len().max(1)) as f64;
-        let total = |f: fn(&RoundPartial) -> usize| self.partials.values().map(f).sum::<usize>();
-        let mut cases = Vec::with_capacity(total(|p| p.cases.len()));
-        // History maps: the entry totals over-count keys repeated
-        // across rounds, but they are cheap, correct upper bounds that
-        // spare the maps every rehash.
-        let mut direct_history: HashMap<(HostId, HostId), Vec<f64>> =
-            HashMap::with_capacity(total(|p| p.direct_entries.len()));
-        let mut link_history: HashMap<(HostId, HostId), Vec<f64>> =
-            HashMap::with_capacity(total(|p| p.link_entries.len()));
-        let mut symmetry_samples = Vec::with_capacity(total(|p| p.symmetry.len()));
-        let mut relay_meta: HashMap<HostId, RelayMeta> =
-            HashMap::with_capacity(total(|p| p.relay_meta.len()));
-        let mut unresponsive_pairs = 0u64;
-        let mut endpoints_total = 0usize;
-        let mut relays_total = [0usize; 4];
-
-        for partial in self.partials.into_values() {
-            for (host, meta) in partial.relay_meta {
-                relay_meta.entry(host).or_insert(meta);
-            }
-            for (key, m) in partial.direct_entries {
-                direct_history.entry(key).or_default().push(m);
-            }
-            for (key, v) in partial.link_entries {
-                link_history.entry(key).or_default().push(v);
-            }
-            symmetry_samples.extend(partial.symmetry);
-            cases.extend(partial.cases);
-            unresponsive_pairs += partial.unresponsive;
-            endpoints_total += partial.endpoints;
-            for (t, n) in partial.relays.iter().enumerate() {
-                relays_total[t] += n;
-            }
+    /// Appends one round's partial to the campaign-level results;
+    /// called in ascending round order. Moves, never re-keys: the
+    /// round's cases and history entries keep their allocations' order.
+    fn append(&mut self, partial: RoundPartial) {
+        for (host, meta) in partial.relay_meta {
+            self.relay_meta.entry(host).or_insert(meta);
         }
+        self.direct_history.push_round(partial.direct_entries);
+        self.link_history.push_round(partial.link_entries);
+        self.symmetry_samples.extend(partial.symmetry);
+        self.cases.extend(partial.cases);
+        self.unresponsive_pairs += partial.unresponsive;
+        self.endpoints_total += partial.endpoints;
+        for (total, n) in self.relays_total.iter_mut().zip(partial.relays) {
+            *total += n;
+        }
+    }
 
+    /// Finalizes into [`CampaignResults`], appending the rounds still
+    /// buffered in ascending round order — the step that makes
+    /// completion order unobservable.
+    pub fn finish(mut self, colo_pool: crate::colo::ColoPool, pings_sent: u64) -> CampaignResults {
+        let _span = shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Stitch);
+        let rounds = f64::from(self.rounds_absorbed().max(1));
+        for partial in std::mem::take(&mut self.pending).into_values() {
+            self.append(partial);
+        }
         CampaignResults {
-            cases,
-            direct_history,
-            link_history,
-            symmetry_samples,
-            relay_meta,
+            cases: self.cases,
+            direct_history: self.direct_history,
+            link_history: self.link_history,
+            symmetry_samples: self.symmetry_samples,
+            relay_meta: self.relay_meta,
             colo_pool,
             pings_sent,
-            unresponsive_pairs,
-            avg_endpoints: endpoints_total as f64 / rounds,
-            avg_relays: [
-                relays_total[0] as f64 / rounds,
-                relays_total[1] as f64 / rounds,
-                relays_total[2] as f64 / rounds,
-                relays_total[3] as f64 / rounds,
-            ],
+            unresponsive_pairs: self.unresponsive_pairs,
+            avg_endpoints: self.endpoints_total as f64 / rounds,
+            avg_relays: self.relays_total.map(|n| n as f64 / rounds),
         }
     }
 }

@@ -54,6 +54,12 @@
 //! per round) carrying the direct median and, per relay type, the best
 //! relayed RTT and the full list of improving relays — enough to
 //! regenerate every figure and table in §3.
+//!
+//! Per-pair RTT histories live in a [`PairHistory`]: each round's
+//! entries as the stitch layer produced them, plus a sorted key index
+//! built on first read. Its iterators walk pairs in **ascending key
+//! order** — deterministic, where a `HashMap` of histories iterated in
+//! random order — and a pair's values stay in round order.
 
 use crate::backend::{execute, ExecMode, MeasurementBackend, NetsimBackend};
 use crate::colo::{run_pipeline, ColoPipelineConfig, ColoPool};
@@ -72,7 +78,8 @@ use shortcuts_netsim::{FaultPlan, HostId, PingHandle, Pinger};
 use shortcuts_topology::routing::RoutingPolicy;
 use shortcuts_topology::{Asn, ChurnSchedule, FacilityId, MemoryBudget};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::{Index, Range};
+use std::sync::{Arc, OnceLock};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -229,9 +236,9 @@ pub struct CampaignResults {
     pub cases: Vec<CaseRecord>,
     /// Per-pair history of direct medians across rounds (for the CV
     /// stability analysis). Keyed by ordered host pair.
-    pub direct_history: HashMap<(HostId, HostId), Vec<f64>>,
+    pub direct_history: PairHistory,
     /// Per-link history of endpoint↔relay medians across rounds.
-    pub link_history: HashMap<(HostId, HostId), Vec<f64>>,
+    pub link_history: PairHistory,
     /// Forward/reverse direct medians for the symmetry analysis.
     pub symmetry_samples: Vec<(f64, f64)>,
     /// Metadata of every relay that appeared in any round.
@@ -252,6 +259,92 @@ impl CampaignResults {
     /// Total number of cases.
     pub fn total_cases(&self) -> usize {
         self.cases.len()
+    }
+}
+
+/// An ordered host pair.
+type PairKey = (HostId, HostId);
+
+/// Every pair with its range in the value array (ascending by pair),
+/// and the values grouped by pair.
+type SortedHistory = (Vec<(PairKey, Range<u32>)>, Vec<f64>);
+
+/// Per-pair median histories across rounds, keyed by ordered host pair.
+///
+/// Holds each round's `(pair, median)` entries exactly as the stitch
+/// layer produced them — moved in, never re-keyed — so finishing a
+/// campaign costs one move per round. The first read builds a sorted
+/// key index; reads then see every pair once, in ascending key order,
+/// with its values in round order and, within a round, in the order
+/// the round listed them.
+#[derive(Debug, Default)]
+pub struct PairHistory {
+    rounds: Vec<Vec<(PairKey, f64)>>,
+    sorted: OnceLock<SortedHistory>,
+}
+
+impl PairHistory {
+    /// Appends one round's entries; rounds arrive in round order.
+    pub(crate) fn push_round(&mut self, entries: Vec<(PairKey, f64)>) {
+        if !entries.is_empty() {
+            self.rounds.push(entries);
+            self.sorted = OnceLock::new();
+        }
+    }
+
+    fn sorted(&self) -> &SortedHistory {
+        self.sorted.get_or_init(|| {
+            let mut all = self.rounds.concat();
+            // Stable: a pair's values keep their round-then-listing order.
+            all.sort_by_key(|&(key, _)| key);
+            let mut keys: Vec<(PairKey, Range<u32>)> = Vec::new();
+            for (i, &(key, _)) in all.iter().enumerate() {
+                let i = u32::try_from(i).expect("fewer than 2^32 history entries");
+                match keys.last_mut() {
+                    Some((last, range)) if *last == key => range.end = i + 1,
+                    _ => keys.push((key, i..i + 1)),
+                }
+            }
+            (keys, all.into_iter().map(|(_, v)| v).collect())
+        })
+    }
+
+    /// The history of one pair, if it was ever measured.
+    pub fn get(&self, key: &PairKey) -> Option<&[f64]> {
+        let (keys, values) = self.sorted();
+        let i = keys.binary_search_by_key(key, |(k, _)| *k).ok()?;
+        let range = &keys[i].1;
+        Some(&values[range.start as usize..range.end as usize])
+    }
+
+    /// Every pair with its history, in ascending pair order.
+    pub fn iter(&self) -> impl Iterator<Item = (&PairKey, &[f64])> {
+        let (keys, values) = self.sorted();
+        keys.iter()
+            .map(move |(key, r)| (key, &values[r.start as usize..r.end as usize]))
+    }
+
+    /// Every pair's history, in ascending pair order.
+    pub fn values(&self) -> impl Iterator<Item = &[f64]> {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// Distinct pairs with a history.
+    pub fn len(&self) -> usize {
+        self.sorted().0.len()
+    }
+
+    /// Whether no pair was ever measured.
+    pub fn is_empty(&self) -> bool {
+        self.rounds.is_empty()
+    }
+}
+
+impl Index<&PairKey> for PairHistory {
+    type Output = [f64];
+
+    fn index(&self, key: &PairKey) -> &[f64] {
+        self.get(key).expect("no history for this pair")
     }
 }
 
@@ -695,5 +788,9 @@ mod tests {
             assert!(a <= b, "history keys must be ordered");
             assert!(!v.is_empty());
         }
+        // Pairs iterate in ascending order, each exactly once.
+        let keys: Vec<_> = r.link_history.iter().map(|(k, _)| *k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(keys.len(), r.link_history.len());
     }
 }

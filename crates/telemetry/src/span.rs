@@ -294,35 +294,28 @@ impl Drop for Span<'_> {
 mod tests {
     use super::*;
 
-    // The global singleton's enable flag is shared across tests in
-    // this binary, so every test restores the flag it found.
+    // Each test toggles the flags of its own instance: the global
+    // singleton's are shared by every test in this binary.
 
     #[test]
     fn disabled_span_records_nothing() {
-        let t = global();
-        let was = t.enabled();
+        let t = Telemetry::from_env();
         t.set_enabled(false);
-        let before = t.stage_snapshot(Stage::Repair).count();
         drop(t.span(Stage::Repair));
-        assert_eq!(t.stage_snapshot(Stage::Repair).count(), before);
-        t.set_enabled(was);
+        assert_eq!(t.stage_snapshot(Stage::Repair).count(), 0);
     }
 
     #[test]
     fn enabled_span_records_into_its_stage_histogram() {
-        let t = global();
-        let was = t.enabled();
+        let t = Telemetry::from_env();
         t.set_enabled(true);
-        let before = t.stage_snapshot(Stage::Stitch).count();
         drop(t.span_for(Stage::Stitch, 3, 7));
-        assert_eq!(t.stage_snapshot(Stage::Stitch).count(), before + 1);
-        t.set_enabled(was);
+        assert_eq!(t.stage_snapshot(Stage::Stitch).count(), 1);
     }
 
     #[test]
     fn trace_dump_is_chrome_compatible_json() {
-        let t = global();
-        let was = t.enabled();
+        let t = Telemetry::from_env();
         t.start_trace();
         drop(t.span_for(Stage::Plan, 0, 2));
         drop(t.span(Stage::Repair));
@@ -336,9 +329,10 @@ mod tests {
         let repair = json.split("\"name\":\"repair\"").nth(1).unwrap();
         let repair_event = &repair[..repair.find('}').unwrap() + 1];
         assert!(!repair_event.contains("args"));
-        // The buffer drains: a second dump is empty.
+        // Exactly the two spans, and the buffer drains: a second dump
+        // is empty.
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
         assert_eq!(t.finish_trace_json(), "{\"traceEvents\":[]}\n");
-        t.set_enabled(was);
     }
 
     #[test]

@@ -22,12 +22,20 @@
 //!
 //! The interner holds only [`Weak`] references, so it never keeps a
 //! path alive: when the last cache entry using a path is evicted, the
-//! allocation dies and the interner's slot is pruned on its bucket's
-//! next visit. Buckets are sharded under independent mutexes so
-//! data-parallel pair expansion rarely contends.
+//! allocation dies and the interner's slot is pruned or reused on its
+//! bucket's next visit. Buckets are sharded under independent mutexes
+//! so data-parallel pair expansion rarely contends.
+//!
+//! **Bucket layout.** A bucket is keyed by the path's 64-bit content
+//! hash and almost always holds one path, so that path's `Weak` sits
+//! inline in the map entry (`Bucket::One`). Only when two *live*
+//! paths share a hash does the bucket become a list (`Bucket::Many`).
+//! A fresh path therefore costs exactly one allocation — its own
+//! `Arc<[Asn]>` — plus amortized growth of the shard's map.
 
 use crate::ids::Asn;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -47,8 +55,14 @@ pub struct InternStats {
     pub dedup_hits: u64,
 }
 
-/// One hash bucket: the live paths whose content hashed there.
-type Bucket = Vec<Weak<[Asn]>>;
+/// One hash bucket: the paths whose content hashed there.
+enum Bucket {
+    /// The common case: one path, stored inline (possibly dead).
+    One(Weak<[Asn]>),
+    /// Two or more paths collided on the hash while alive; dead ones
+    /// are pruned when the bucket is next visited.
+    Many(Vec<Weak<[Asn]>>),
+}
 
 /// A content-addressed table of live `Arc<[Asn]>` paths.
 pub struct PathInterner {
@@ -80,30 +94,67 @@ impl PathInterner {
     /// gauge should charge the array payload exactly when fresh).
     ///
     /// Dead entries (paths whose last strong reference was dropped)
-    /// are pruned from the visited bucket, so the table tracks the
-    /// *live* path population, not everything ever interned.
+    /// are pruned from — or overwritten in — the visited bucket, so the
+    /// table tracks the *live* path population, not everything ever
+    /// interned.
     pub fn intern(&self, path: &[Asn]) -> (Arc<[Asn]>, bool) {
         let hash = hash_path(path);
         let mut shard = self.shards[(hash as usize) % INTERN_SHARDS].lock();
-        let bucket = shard.entry(hash).or_default();
-        let mut found = None;
-        bucket.retain(|weak| match weak.upgrade() {
-            Some(arc) => {
-                if found.is_none() && *arc == *path {
-                    found = Some(arc);
-                }
-                true
+        let bucket = match shard.entry(hash) {
+            Entry::Vacant(slot) => {
+                let arc: Arc<[Asn]> = Arc::from(path);
+                slot.insert(Bucket::One(Arc::downgrade(&arc)));
+                return self.fresh(arc);
             }
-            None => false,
-        });
-        if let Some(arc) = found {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            return (arc, false);
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        match bucket {
+            Bucket::One(weak) => match weak.upgrade() {
+                Some(live) if *live == *path => self.hit(live),
+                Some(live) => {
+                    let arc: Arc<[Asn]> = Arc::from(path);
+                    *bucket = Bucket::Many(vec![Arc::downgrade(&live), Arc::downgrade(&arc)]);
+                    self.fresh(arc)
+                }
+                None => {
+                    let arc: Arc<[Asn]> = Arc::from(path);
+                    *weak = Arc::downgrade(&arc);
+                    self.fresh(arc)
+                }
+            },
+            Bucket::Many(list) => {
+                let mut found = None;
+                list.retain(|weak| match weak.upgrade() {
+                    Some(arc) => {
+                        if found.is_none() && *arc == *path {
+                            found = Some(arc);
+                        }
+                        true
+                    }
+                    None => false,
+                });
+                if let Some(arc) = found {
+                    return self.hit(arc);
+                }
+                let arc: Arc<[Asn]> = Arc::from(path);
+                if list.is_empty() {
+                    *bucket = Bucket::One(Arc::downgrade(&arc));
+                } else {
+                    list.push(Arc::downgrade(&arc));
+                }
+                self.fresh(arc)
+            }
         }
-        let arc: Arc<[Asn]> = Arc::from(path);
-        bucket.push(Arc::downgrade(&arc));
+    }
+
+    fn fresh(&self, arc: Arc<[Asn]>) -> (Arc<[Asn]>, bool) {
         self.interned.fetch_add(1, Ordering::Relaxed);
         (arc, true)
+    }
+
+    fn hit(&self, arc: Arc<[Asn]>) -> (Arc<[Asn]>, bool) {
+        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        (arc, false)
     }
 
     /// Lifetime counters: fresh interns vs. dedup hits.
@@ -117,23 +168,41 @@ impl PathInterner {
     /// Distinct paths currently alive in the table (scans every
     /// bucket; diagnostics only).
     pub fn live_paths(&self) -> usize {
+        let live = |w: &Weak<[Asn]>| usize::from(w.strong_count() > 0);
         self.shards
             .iter()
             .map(|s| {
                 s.lock()
                     .values()
-                    .flat_map(|b| b.iter())
-                    .filter(|w| w.strong_count() > 0)
-                    .count()
+                    .map(|bucket| match bucket {
+                        Bucket::One(weak) => live(weak),
+                        Bucket::Many(list) => list.iter().map(live).sum(),
+                    })
+                    .sum::<usize>()
             })
             .sum()
     }
 }
 
+/// The hash a path is bucketed under: its content hash.
+#[cfg(not(test))]
+fn hash_path(path: &[Asn]) -> u64 {
+    content_hash(path)
+}
+
+/// The test build's hash seam: a thread may force every path it
+/// interns onto one hash, to drive the collision paths.
+#[cfg(test)]
+fn hash_path(path: &[Asn]) -> u64 {
+    tests::FORCED_HASH
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| content_hash(path))
+}
+
 /// SplitMix64-style content hash over the path's ASNs. Collisions are
 /// handled by per-bucket content comparison, so this only needs to
 /// spread.
-fn hash_path(path: &[Asn]) -> u64 {
+fn content_hash(path: &[Asn]) -> u64 {
     let mut h = 0x243F_6A88_85A3_08D3u64 ^ (path.len() as u64);
     for asn in path {
         h ^= u64::from(asn.0);
@@ -148,9 +217,20 @@ fn hash_path(path: &[Asn]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// When set, every path this thread interns hashes here.
+        pub(super) static FORCED_HASH: Cell<Option<u64>> = const { Cell::new(None) };
+    }
 
     fn path(asns: &[u32]) -> Vec<Asn> {
         asns.iter().copied().map(Asn).collect()
+    }
+
+    /// Map entries across all shards: one per hash bucket.
+    fn buckets(interner: &PathInterner) -> usize {
+        interner.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     #[test]
@@ -189,6 +269,74 @@ mod tests {
         let (_b, fresh) = interner.intern(&path(&[7, 8]));
         assert!(fresh, "a dead path re-interns as a fresh allocation");
         assert_eq!(interner.stats().interned, 2);
+    }
+
+    #[test]
+    fn colliding_paths_share_a_bucket_but_not_an_allocation() {
+        let interner = PathInterner::new();
+        FORCED_HASH.with(|h| h.set(Some(42)));
+        let (a, fresh_a) = interner.intern(&path(&[1, 2]));
+        let (b, fresh_b) = interner.intern(&path(&[3, 4]));
+        assert!(fresh_a && fresh_b, "equal hashes, different contents");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(buckets(&interner), 1);
+        let (a2, fresh) = interner.intern(&path(&[1, 2]));
+        assert!(!fresh && Arc::ptr_eq(&a, &a2));
+        let (b2, fresh) = interner.intern(&path(&[3, 4]));
+        assert!(!fresh && Arc::ptr_eq(&b, &b2));
+        assert_eq!(
+            interner.stats(),
+            InternStats {
+                interned: 2,
+                dedup_hits: 2
+            }
+        );
+        // Once every listed path is dead the bucket holds one inline
+        // path again.
+        drop((a, a2, b, b2));
+        let (_c, fresh) = interner.intern(&path(&[5, 6]));
+        assert!(fresh);
+        FORCED_HASH.with(|h| h.set(None));
+        let shard = interner.shards[42 % INTERN_SHARDS].lock();
+        assert!(matches!(shard.get(&42), Some(Bucket::One(_))));
+    }
+
+    #[test]
+    fn a_dead_inline_slot_is_reused_and_charged_once() {
+        let interner = PathInterner::new();
+        let (a, _) = interner.intern(&path(&[7, 8, 9]));
+        drop(a);
+        let (b, fresh) = interner.intern(&path(&[7, 8, 9]));
+        assert!(fresh, "a dead inline path re-interns fresh");
+        let (c, fresh) = interner.intern(&path(&[7, 8, 9]));
+        assert!(!fresh, "and is charged exactly once");
+        assert!(Arc::ptr_eq(&b, &c));
+        assert_eq!(buckets(&interner), 1, "the slot was overwritten in place");
+        assert_eq!(
+            interner.stats(),
+            InternStats {
+                interned: 2,
+                dedup_hits: 1
+            }
+        );
+    }
+
+    #[test]
+    fn live_paths_counts_inline_and_listed_buckets() {
+        let interner = PathInterner::new();
+        FORCED_HASH.with(|h| h.set(Some(7)));
+        let (a, _) = interner.intern(&path(&[1]));
+        let (b, _) = interner.intern(&path(&[2]));
+        FORCED_HASH.with(|h| h.set(None));
+        let (c, _) = interner.intern(&path(&[3]));
+        assert_eq!(buckets(&interner), 2);
+        assert_eq!(interner.live_paths(), 3);
+        drop(a);
+        assert_eq!(interner.live_paths(), 2, "a dead listed path");
+        drop(c);
+        assert_eq!(interner.live_paths(), 1, "a dead inline path");
+        drop(b);
+        assert_eq!(interner.live_paths(), 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn assert_identical(a: &CampaignResults, b: &CampaignResults) {
     }
     // Histories: same keys, same values in the same order.
     assert_eq!(a.direct_history.len(), b.direct_history.len());
-    for (key, va) in &a.direct_history {
+    for (key, va) in a.direct_history.iter() {
         let vb = b.direct_history.get(key).expect("history key present");
         assert_eq!(va.len(), vb.len());
         for (x, y) in va.iter().zip(vb) {
@@ -70,7 +70,7 @@ fn assert_identical(a: &CampaignResults, b: &CampaignResults) {
         }
     }
     assert_eq!(a.link_history.len(), b.link_history.len());
-    for (key, va) in &a.link_history {
+    for (key, va) in a.link_history.iter() {
         let vb = b.link_history.get(key).expect("link key present");
         assert_eq!(va.len(), vb.len());
         for (x, y) in va.iter().zip(vb) {

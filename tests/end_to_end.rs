@@ -132,7 +132,7 @@ fn more_rounds_accumulate_more_cases() {
     let (_, r3) = run(600, 3);
     assert!(r3.total_cases() > r1.total_cases() * 2);
     // Histories deepen with rounds.
-    let max_hist_1 = r1.direct_history.values().map(Vec::len).max().unwrap();
-    let max_hist_3 = r3.direct_history.values().map(Vec::len).max().unwrap();
+    let max_hist_1 = r1.direct_history.values().map(<[f64]>::len).max().unwrap();
+    let max_hist_3 = r3.direct_history.values().map(<[f64]>::len).max().unwrap();
     assert!(max_hist_3 > max_hist_1);
 }

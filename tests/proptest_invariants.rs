@@ -695,6 +695,106 @@ fn cases_csv_oracle(results: &colo_shortcuts::core::workflow::CampaignResults) -
     out
 }
 
+/// An ordered host pair and one median, as the stitch layer records it.
+type HistoryEntry = (
+    (
+        colo_shortcuts::netsim::HostId,
+        colo_shortcuts::netsim::HostId,
+    ),
+    f64,
+);
+
+/// `ResultsBuilder::finish`'s history fold as it was before pair
+/// histories were kept as measured: every buffered round's entries
+/// re-keyed into one `HashMap`, rounds in ascending order. Kept
+/// verbatim as the reference `PairHistory` must reproduce.
+fn history_oracle(
+    partials: &std::collections::BTreeMap<u32, Vec<HistoryEntry>>,
+) -> std::collections::HashMap<
+    (
+        colo_shortcuts::netsim::HostId,
+        colo_shortcuts::netsim::HostId,
+    ),
+    Vec<f64>,
+> {
+    use colo_shortcuts::netsim::HostId;
+    use std::collections::HashMap;
+
+    let total = |f: fn(&Vec<HistoryEntry>) -> usize| partials.values().map(f).sum::<usize>();
+    let mut direct_history: HashMap<(HostId, HostId), Vec<f64>> =
+        HashMap::with_capacity(total(|p| p.len()));
+    for entries in partials.values() {
+        for &(key, m) in entries {
+            direct_history.entry(key).or_default().push(m);
+        }
+    }
+    direct_history
+}
+
+/// One hand-built round for the history proptest: its plan, overlay,
+/// direct medians and link medians.
+type HistoryRound = (
+    colo_shortcuts::core::plan::RoundPlan,
+    colo_shortcuts::core::plan::OverlayPlan,
+    Vec<Option<f64>>,
+    Vec<Option<f64>>,
+);
+
+prop_compose! {
+    /// Rounds whose pairs and links revisit a handful of hosts — the
+    /// same key several times inside a round, in both orientations, and
+    /// across rounds — with arbitrary failures, plus a random order to
+    /// absorb them in.
+    fn arb_history_case()(
+        rounds in 1u32..8,
+        seed in 0u64..u64::MAX,
+    ) -> (Vec<HistoryRound>, Vec<u32>) {
+        use colo_shortcuts::core::plan::{OverlayPlan, PlannedPair, RoundPlan};
+        use colo_shortcuts::netsim::clock::SimTime;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let at = GeoPoint::new(0.0, 0.0).expect("in range");
+        let median = |rng: &mut StdRng| rng.gen_bool(0.8).then(|| rng.gen_range(1.0..300.0));
+        let plans = (0..rounds)
+            .map(|round| {
+                let n = rng.gen_range(2usize..5);
+                let m = rng.gen_range(0usize..3);
+                let endpoints = (0..n)
+                    .map(|_| synthetic_endpoint(rng.gen_range(1..4), at))
+                    .collect();
+                let pairs: Vec<PlannedPair> = (0..rng.gen_range(0usize..40))
+                    .map(|_| PlannedPair {
+                        src: rng.gen_range(0..n),
+                        dst: rng.gen_range(0..n),
+                        reverse: false,
+                    })
+                    .collect();
+                let relays = (0..m)
+                    .map(|i| synthetic_relay(rng.gen_range(2..6), i, at))
+                    .collect();
+                let needed: Vec<(usize, u32)> = if m == 0 {
+                    Vec::new()
+                } else {
+                    (0..rng.gen_range(0usize..40))
+                        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..m as u32)))
+                        .collect()
+                };
+                let direct = pairs.iter().map(|_| median(&mut rng)).collect();
+                let links = needed.iter().map(|_| median(&mut rng)).collect();
+                let overlay = OverlayPlan::from_rows(m, &vec![Vec::new(); pairs.len()], needed);
+                let plan = RoundPlan { round, t0: SimTime(0.0), endpoints, pairs, relays };
+                (plan, overlay, direct, links)
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..rounds).collect();
+        order.shuffle(&mut rng);
+        (plans, order)
+    }
+}
+
 prop_compose! {
     /// Random case records that lean on the formatter's edges: absent
     /// bests, signed zeros, subnormals, 1e12, RTTs that round up across
@@ -1011,7 +1111,7 @@ proptest! {
         // Every measured link is in the history under its own key —
         // and nothing else is.
         let measured = links.iter().filter(|l| l.is_some()).count();
-        let total: usize = results.link_history.values().map(Vec::len).sum();
+        let total: usize = results.link_history.values().map(<[f64]>::len).sum();
         prop_assert_eq!(total, measured);
         let mut link_val: HashMap<(usize, u32), f64> = HashMap::new();
         for (&(ei, ri), l) in overlay.needed.iter().zip(&links) {
@@ -1260,6 +1360,71 @@ proptest! {
             }
         }
         prop_assert!(cases.next().is_none());
+    }
+
+    // ---- pair histories == the HashMap fold they replaced (stitch) -------
+
+    #[test]
+    fn history_matches_the_hashmap_fold_oracle(case in arb_history_case()) {
+        // Rounds absorbed in any order must read back, through every
+        // `PairHistory` accessor, exactly the map the old fold built:
+        // same pairs, each pair's values in round order and then in
+        // the order its round listed them.
+        use colo_shortcuts::core::stitch::ResultsBuilder;
+        use colo_shortcuts::netsim::HostId;
+        use std::collections::BTreeMap;
+
+        let (rounds, order) = case;
+        let mut builder = ResultsBuilder::new();
+        for &r in &order {
+            let (plan, overlay, direct, links) = &rounds[r as usize];
+            builder.absorb_round(plan, overlay, direct, &[], links);
+        }
+        prop_assert_eq!(builder.rounds_absorbed() as usize, rounds.len());
+        let results = builder.finish(empty_pool(), 0);
+        prop_assert!(results.cases.windows(2).all(|w| w[0].round <= w[1].round));
+
+        let ordered = |a: HostId, b: HostId| if a <= b { (a, b) } else { (b, a) };
+        let (mut direct, mut link) = (BTreeMap::new(), BTreeMap::new());
+        for (plan, overlay, d, l) in &rounds {
+            let host = |i: usize| plan.endpoints[i].host;
+            direct.insert(
+                plan.round,
+                plan.pairs
+                    .iter()
+                    .zip(d)
+                    .filter_map(|(p, d)| d.map(|m| (ordered(host(p.src), host(p.dst)), m)))
+                    .collect(),
+            );
+            link.insert(
+                plan.round,
+                overlay
+                    .needed
+                    .iter()
+                    .zip(l)
+                    .filter_map(|(&(ei, ri), l)| {
+                        l.map(|v| (ordered(host(ei), plan.relays[ri as usize].host), v))
+                    })
+                    .collect(),
+            );
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (got, partials) in [(&results.direct_history, &direct), (&results.link_history, &link)] {
+            let oracle = history_oracle(partials);
+            let mut want: Vec<_> = oracle.iter().map(|(k, v)| (*k, bits(v))).collect();
+            want.sort_unstable_by_key(|(k, _)| *k);
+            prop_assert_eq!(got.len(), oracle.len());
+            prop_assert_eq!(got.is_empty(), oracle.is_empty());
+            let iterated: Vec<_> = got.iter().map(|(k, v)| (*k, bits(v))).collect();
+            prop_assert_eq!(&iterated, &want);
+            let values: Vec<_> = got.values().map(bits).collect();
+            prop_assert_eq!(values, want.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>());
+            for (key, v) in &oracle {
+                prop_assert_eq!(got.get(key).map(bits), Some(bits(v)));
+                prop_assert_eq!(bits(&got[key]), bits(v));
+            }
+            prop_assert!(got.get(&(HostId(0), HostId(0))).is_none());
+        }
     }
 
     #[test]

@@ -1,0 +1,411 @@
+//! What a campaign keeps in memory, pinned with allocation counts
+//! rather than RSS readings. A counting allocator, installed in this
+//! test binary only, counts per thread:
+//!
+//! - a fresh interned path costs one allocation — its own `Arc<[Asn]>`
+//!   — and the interner's map growth, not a bucket list per path;
+//! - `ResultsBuilder::finish` moves each buffered round into the
+//!   results: a handful of allocations per round, however many history
+//!   entries the rounds hold;
+//! - every `improving` list is stored at exact length;
+//! - a round absorbed out of order waits in its partial, and its case
+//!   buffer is released once the rounds before it have arrived;
+//! - none of this changes results: a sharded and a parallel run of one
+//!   campaign are bit-identical, histories included.
+
+use colo_shortcuts::core::backend::{ExecMode, NetsimBackend};
+use colo_shortcuts::core::plan::{
+    plan_round_for, OverlayPlan, PlannedEndpoint, PlannedPair, RoundPlan,
+};
+use colo_shortcuts::core::relays::{Relay, RelayType};
+use colo_shortcuts::core::shard::{run_sharded, CompletedRound};
+use colo_shortcuts::core::stitch::ResultsBuilder;
+use colo_shortcuts::core::workflow::{
+    Campaign, CampaignConfig, CampaignResults, CampaignSetup, CaseRecord, PairHistory,
+};
+use colo_shortcuts::core::world::{World, WorldConfig};
+use colo_shortcuts::geo::{CityId, Continent, CountryCode, GeoPoint};
+use colo_shortcuts::netsim::clock::SimTime;
+use colo_shortcuts::netsim::{HostId, PingHandle};
+use colo_shortcuts::topology::{Asn, PathInterner};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
+
+/// Forwards to the system allocator, counting on the calling thread.
+struct Counting;
+
+thread_local! {
+    /// Allocations made: `alloc`, `alloc_zeroed` and `realloc` calls.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of `WATCHED[i]` bytes made, and freed by `dealloc`.
+    static WATCHED: Cell<[usize; 4]> = const { Cell::new([0; 4]) };
+    static WATCHED_ALLOCS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    static WATCHED_FREES: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+}
+
+fn note(counts: &'static std::thread::LocalKey<Cell<[u64; 4]>>, size: usize) {
+    let _ = WATCHED.try_with(|watched| {
+        for (i, &w) in watched.get().iter().enumerate() {
+            if w != 0 && w == size {
+                let _ = counts.try_with(|c| {
+                    let mut v = c.get();
+                    v[i] += 1;
+                    c.set(v);
+                });
+            }
+        }
+    });
+}
+
+fn note_alloc(size: usize) {
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    note(&WATCHED_ALLOCS, size);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(&WATCHED_FREES, layout.size());
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on
+/// this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Starts counting allocations and frees of exactly these sizes.
+fn watch(sizes: [usize; 4]) {
+    WATCHED.with(|w| w.set(sizes));
+    WATCHED_ALLOCS.with(|c| c.set([0; 4]));
+    WATCHED_FREES.with(|c| c.set([0; 4]));
+}
+
+fn watched() -> ([u64; 4], [u64; 4]) {
+    (
+        WATCHED_ALLOCS.with(Cell::get),
+        WATCHED_FREES.with(Cell::get),
+    )
+}
+
+fn small_world() -> World {
+    World::build(&WorldConfig::small(), 77)
+}
+
+fn small_config(rounds: u32) -> CampaignConfig {
+    let mut cfg = CampaignConfig::small();
+    cfg.rounds = rounds;
+    cfg
+}
+
+/// Measures `cfg`'s rounds through the scheduler and returns them in
+/// round order, with the campaign's setup.
+fn measured_rounds<'w>(
+    world: &'w World,
+    cfg: &CampaignConfig,
+) -> (Vec<CompletedRound>, CampaignSetup<'w>) {
+    let engine = world.shared().engine_budgeted(cfg.routing, cfg.memory);
+    let handle = PingHandle::with_faults(Arc::clone(&engine), cfg.faults.clone());
+    let setup = CampaignSetup::prepare(world, &handle, cfg);
+    let backend = NetsimBackend::new(handle, cfg.window, cfg.seed);
+    let mut done = Vec::new();
+    run_sharded(
+        &backend,
+        cfg.rounds,
+        2,
+        |round| plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round),
+        |r| done.push(r),
+    );
+    done.sort_by_key(|r| r.plan.round);
+    (done, setup)
+}
+
+#[test]
+fn a_fresh_path_costs_one_allocation() {
+    const N: usize = 4096;
+    const LEN: usize = 5;
+    let paths: Vec<Vec<Asn>> = (0..N as u32)
+        .map(|i| (0..LEN as u32).map(|j| Asn(i * 7 + j)).collect())
+        .collect();
+    // `ArcInner<[Asn]>`: two reference counts, then the array.
+    let (arc, _) = Layout::new::<[AtomicUsize; 2]>()
+        .extend(Layout::array::<Asn>(LEN).unwrap())
+        .unwrap();
+    watch([arc.pad_to_align().size(), 0, 0, 0]);
+
+    let interner = PathInterner::new();
+    let (kept, allocs) =
+        allocations(|| paths.iter().map(|p| interner.intern(p)).collect::<Vec<_>>());
+    let (path_allocs, _) = watched();
+    assert!(kept.iter().all(|(_, fresh)| *fresh));
+    assert_eq!(interner.stats().interned, N as u64);
+    assert_eq!(path_allocs[0], N as u64, "one `Arc<[Asn]>` per path");
+    // The collecting `Vec` and the shards' map growth — O(shards · log
+    // N) — are all the rest. A list per bucket would add N more.
+    let rest = allocs - path_allocs[0];
+    assert!(rest < (N / 8) as u64, "{rest} allocations beside the paths");
+
+    // Interning them again allocates nothing.
+    let ((), again) = allocations(|| {
+        for p in &paths {
+            assert!(!interner.intern(p).1);
+        }
+    });
+    assert_eq!(again, 0);
+    assert_eq!(interner.live_paths(), N);
+}
+
+/// Absorbs `rounds` in `order`, then counts `finish`'s allocations.
+fn finish_allocations(
+    rounds: &[CompletedRound],
+    order: impl Iterator<Item = usize>,
+    setup: CampaignSetup<'_>,
+) -> (CampaignResults, u64) {
+    let mut builder = ResultsBuilder::new();
+    for i in order {
+        let r = &rounds[i];
+        builder.absorb_round(&r.plan, &r.overlay, &r.direct, &r.reverse, &r.links);
+    }
+    allocations(|| builder.finish(setup.colo, 0))
+}
+
+#[test]
+fn finish_moves_rounds_and_allocates_per_round_not_per_entry() {
+    const ROUNDS: u32 = 4;
+    // Allocations `finish` may make per buffered round: growth of the
+    // cases, both histories' round lists, the symmetry samples and the
+    // relay-metadata map.
+    const PER_ROUND: u64 = 8;
+    let world = small_world();
+    let cfg = small_config(ROUNDS);
+    let (rounds, setup) = measured_rounds(&world, &cfg);
+    // In reverse, every round is still buffered when `finish` runs.
+    let (results, allocs) = finish_allocations(&rounds, (0..rounds.len()).rev(), setup);
+    let pairs = results.direct_history.len() + results.link_history.len();
+    assert!(
+        allocs <= PER_ROUND * u64::from(ROUNDS),
+        "finish made {allocs} allocations for {ROUNDS} rounds"
+    );
+    // Re-keying the histories would allocate a list per pair.
+    assert!(pairs > 50 * PER_ROUND as usize * ROUNDS as usize);
+    assert_eq!(
+        results.cases.len(),
+        rounds.iter().map(|r| r.plan.pairs.len()).sum::<usize>()
+            - results.unresponsive_pairs as usize
+    );
+
+    // In order, only the last round is left for `finish`.
+    let (_, setup) = measured_rounds(&world, &cfg);
+    let (_, in_order) = finish_allocations(&rounds, 0..rounds.len(), setup);
+    assert!(in_order <= PER_ROUND, "finish made {in_order} allocations");
+}
+
+fn assert_exact_improving(results: &CampaignResults) -> usize {
+    let mut lists = 0;
+    for case in &results.cases {
+        for t in RelayType::ALL {
+            let improving = &case.outcome(t).improving;
+            assert_eq!(improving.capacity(), improving.len());
+            lists += usize::from(!improving.is_empty());
+        }
+    }
+    lists
+}
+
+#[test]
+fn improving_lists_are_stored_at_exact_length() {
+    let world = small_world();
+    let results = Campaign::new(&world, small_config(2)).run();
+    assert!(
+        assert_exact_improving(&results) > 0,
+        "no relay improved a case"
+    );
+}
+
+fn endpoint(host: u32) -> PlannedEndpoint {
+    PlannedEndpoint {
+        host: HostId(host),
+        country: CountryCode::new("US").unwrap(),
+        city: CityId(0),
+        continent: Continent::NorthAmerica,
+        location: GeoPoint::new(0.0, f64::from(host)).unwrap(),
+    }
+}
+
+/// Round `round` with `3 + round` responsive direct pairs between two
+/// endpoints and no relays, so its case buffer has a size of its own.
+fn sized_round(round: u32) -> (RoundPlan, OverlayPlan, Vec<Option<f64>>) {
+    let pairs = 3 + round as usize;
+    let plan = RoundPlan {
+        round,
+        t0: SimTime(0.0),
+        endpoints: vec![endpoint(1), endpoint(2)],
+        pairs: vec![
+            PlannedPair {
+                src: 0,
+                dst: 1,
+                reverse: false,
+            };
+            pairs
+        ],
+        relays: Vec::<Relay>::new(),
+    };
+    let overlay = OverlayPlan::from_rows(0, &vec![Vec::new(); pairs], Vec::new());
+    let direct = (0..pairs).map(|i| Some(50.0 + i as f64)).collect();
+    (plan, overlay, direct)
+}
+
+#[test]
+fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
+    let rounds: Vec<_> = (0..4).map(sized_round).collect();
+    let case_buffer = |r: usize| rounds[r].0.pairs.len() * std::mem::size_of::<CaseRecord>();
+    watch([
+        case_buffer(0),
+        case_buffer(1),
+        case_buffer(2),
+        case_buffer(3),
+    ]);
+
+    let mut builder = ResultsBuilder::new();
+    // After absorbing each round: case buffers freed so far, per round.
+    // (Allocations of these sizes are not a signal: the results' own
+    // case vector grows through them.)
+    let expect = [
+        (2, [0, 0, 0, 0]),
+        (0, [0, 0, 0, 0]),
+        // Round 0 became contiguous; it is appended as round 3 arrives.
+        (3, [1, 0, 0, 0]),
+        // Rounds 1–3 are contiguous now but wait for the next call.
+        (1, [1, 0, 0, 0]),
+    ];
+    for (n, (round, freed)) in expect.into_iter().enumerate() {
+        let (plan, overlay, direct) = &rounds[round];
+        let summary = builder.absorb_round(plan, overlay, direct, &[], &[]);
+        assert_eq!(summary.cases, plan.pairs.len());
+        assert_eq!(builder.rounds_absorbed(), n as u32 + 1);
+        assert_eq!(watched().1, freed, "after round {round}");
+    }
+    let results = builder.finish(
+        colo_shortcuts::core::colo::ColoPool {
+            relays: Vec::new(),
+            funnel: colo_shortcuts::core::colo::FilterFunnel {
+                initial: 0,
+                single_facility: 0,
+                pingable: 0,
+                ownership: 0,
+                presence: 0,
+                geolocated: 0,
+            },
+        },
+        0,
+    );
+    assert_eq!(watched().1, [1, 1, 1, 1], "finish releases the rest");
+    let order: Vec<u32> = results.cases.iter().map(|c| c.round).collect();
+    let want: Vec<u32> = (0..4u32)
+        .flat_map(|r| std::iter::repeat_n(r, 3 + r as usize))
+        .collect();
+    assert_eq!(order, want, "cases in round order");
+    assert_eq!(results.direct_history.len(), 1);
+    let history = &results.direct_history[&(HostId(1), HostId(2))];
+    assert_eq!(history.len(), want.len());
+    assert!((results.avg_endpoints - 2.0).abs() < 1e-12);
+}
+
+fn history_bits(h: &PairHistory) -> Vec<((HostId, HostId), Vec<u64>)> {
+    h.iter()
+        .map(|(k, v)| (*k, v.iter().map(|x| x.to_bits()).collect()))
+        .collect()
+}
+
+#[test]
+fn sharded_and_parallel_results_are_bit_equal_histories_included() {
+    let world = small_world();
+    let run = |exec: ExecMode| {
+        let mut cfg = small_config(3);
+        cfg.exec = exec;
+        Campaign::new(&world, cfg).run()
+    };
+    let parallel = run(ExecMode::Parallel);
+    let sharded = run(ExecMode::Sharded {
+        rounds_in_flight: 2,
+    });
+    assert!(!parallel.cases.is_empty());
+    assert_eq!(
+        colo_shortcuts::core::report::cases_csv(&parallel),
+        colo_shortcuts::core::report::cases_csv(&sharded)
+    );
+    assert_eq!(parallel.cases.len(), sharded.cases.len());
+    for (a, b) in parallel.cases.iter().zip(&sharded.cases) {
+        assert_eq!((a.round, a.src, a.dst), (b.round, b.src, b.dst));
+        assert_eq!(a.direct_ms.to_bits(), b.direct_ms.to_bits());
+        for t in RelayType::ALL {
+            let (oa, ob) = (a.outcome(t), b.outcome(t));
+            assert_eq!(oa.feasible, ob.feasible);
+            assert_eq!(
+                oa.best.map(|(h, v)| (h, v.to_bits())),
+                ob.best.map(|(h, v)| (h, v.to_bits()))
+            );
+            let bits = |o: &[(HostId, f32)]| -> Vec<_> {
+                o.iter().map(|&(h, v)| (h, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&oa.improving), bits(&ob.improving));
+        }
+    }
+    assert!(!parallel.direct_history.is_empty() && !parallel.link_history.is_empty());
+    assert_eq!(
+        history_bits(&parallel.direct_history),
+        history_bits(&sharded.direct_history)
+    );
+    assert_eq!(
+        history_bits(&parallel.link_history),
+        history_bits(&sharded.link_history)
+    );
+    let sym = |r: &CampaignResults| -> Vec<_> {
+        r.symmetry_samples
+            .iter()
+            .map(|&(f, b)| (f.to_bits(), b.to_bits()))
+            .collect()
+    };
+    assert_eq!(sym(&parallel), sym(&sharded));
+    let mut relays_a: Vec<_> = parallel.relay_meta.keys().copied().collect();
+    let mut relays_b: Vec<_> = sharded.relay_meta.keys().copied().collect();
+    relays_a.sort_unstable();
+    relays_b.sort_unstable();
+    assert_eq!(relays_a, relays_b);
+    assert_eq!(parallel.pings_sent, sharded.pings_sent);
+    assert_eq!(parallel.unresponsive_pairs, sharded.unresponsive_pairs);
+    assert_eq!(
+        parallel.avg_endpoints.to_bits(),
+        sharded.avg_endpoints.to_bits()
+    );
+    for t in 0..4 {
+        assert_eq!(
+            parallel.avg_relays[t].to_bits(),
+            sharded.avg_relays[t].to_bits()
+        );
+    }
+    assert_exact_improving(&sharded);
+}
