@@ -7,9 +7,10 @@
 //! top-10 subset, each case's improvement is the maximum over the
 //! top-10 relays that improved it.
 
-use crate::analysis::top_relays::TopRelayAnalysis;
+use crate::analysis::top_relays;
 use crate::relays::RelayType;
 use crate::workflow::CampaignResults;
+use shortcuts_netsim::fasthash::FastBuild;
 use shortcuts_netsim::HostId;
 use std::collections::HashSet;
 
@@ -35,9 +36,8 @@ impl ThresholdCurve {
         xs: &[f64],
     ) -> Self {
         let total = results.total_cases().max(1);
-        let allowed: Option<HashSet<HostId>> = top_k.map(|k| {
-            TopRelayAnalysis::compute(results, rtype, k)
-                .top_hosts(k)
+        let allowed: Option<HashSet<HostId, FastBuild>> = top_k.map(|k| {
+            top_relays::top_hosts(results, rtype, k)
                 .into_iter()
                 .collect()
         });

@@ -9,8 +9,8 @@
 
 use crate::relays::RelayType;
 use crate::workflow::CampaignResults;
+use shortcuts_netsim::fasthash::FastMap;
 use shortcuts_netsim::HostId;
-use std::collections::{HashMap, HashSet};
 
 /// Ranking and coverage curve for one relay type.
 #[derive(Debug, Clone)]
@@ -33,8 +33,8 @@ impl TopRelayAnalysis {
     pub fn compute(results: &CampaignResults, rtype: RelayType, max_k: usize) -> Self {
         let total = results.total_cases().max(1);
 
-        // Per relay: the set of case indexes it improved.
-        let mut improved_cases: HashMap<HostId, Vec<u32>> = HashMap::new();
+        // Per relay: the case indexes it improved.
+        let mut improved_cases: FastMap<HostId, Vec<u32>> = FastMap::default();
         for (case_idx, c) in results.cases.iter().enumerate() {
             for &(host, _) in &c.outcome(rtype).improving {
                 improved_cases
@@ -44,16 +44,20 @@ impl TopRelayAnalysis {
             }
         }
 
-        let mut ranked: Vec<(HostId, usize)> =
-            improved_cases.iter().map(|(&h, v)| (h, v.len())).collect();
-        // Frequency desc, host id asc for determinism.
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let ranked = rank(improved_cases.iter().map(|(&h, v)| (h, v.len())).collect());
 
+        // Cases covered so far, as a bitset over case indexes.
         let mut coverage = Vec::with_capacity(max_k.min(ranked.len()));
-        let mut covered: HashSet<u32> = HashSet::new();
+        let mut covered = vec![0u64; results.cases.len().div_ceil(64)];
+        let mut n_covered = 0usize;
         for (host, _) in ranked.iter().take(max_k) {
-            covered.extend(improved_cases[host].iter().copied());
-            coverage.push(covered.len() as f64 / total as f64);
+            for &case_idx in &improved_cases[host] {
+                let word = &mut covered[case_idx as usize / 64];
+                let bit = 1 << (case_idx % 64);
+                n_covered += usize::from(*word & bit == 0);
+                *word |= bit;
+            }
+            coverage.push(n_covered as f64 / total as f64);
         }
 
         TopRelayAnalysis {
@@ -65,13 +69,12 @@ impl TopRelayAnalysis {
     }
 
     /// Coverage of the top-k relays (fraction of total cases), or the
-    /// final coverage if fewer relays exist.
+    /// final coverage if fewer relays exist; no relays cover nothing.
     pub fn coverage_at(&self, k: usize) -> f64 {
-        if self.coverage.is_empty() {
-            return 0.0;
+        match k.min(self.coverage.len()) {
+            0 => 0.0,
+            n => self.coverage[n - 1],
         }
-        let idx = k.min(self.coverage.len()).saturating_sub(1);
-        self.coverage[idx]
     }
 
     /// Number of relays needed to reach `fraction` of the type's final
@@ -88,6 +91,30 @@ impl TopRelayAnalysis {
     pub fn top_hosts(&self, k: usize) -> Vec<HostId> {
         self.ranked.iter().take(k).map(|&(h, _)| h).collect()
     }
+}
+
+/// The `k` relays of `rtype` that improved the most cases, in
+/// [`TopRelayAnalysis::ranked`] order: the same ranking, counted
+/// without the per-relay case lists the coverage curve needs.
+pub(crate) fn top_hosts(results: &CampaignResults, rtype: RelayType, k: usize) -> Vec<HostId> {
+    let mut counts: FastMap<HostId, usize> = FastMap::default();
+    for c in &results.cases {
+        for &(host, _) in &c.outcome(rtype).improving {
+            *counts.entry(host).or_default() += 1;
+        }
+    }
+    rank(counts.into_iter().collect())
+        .into_iter()
+        .take(k)
+        .map(|(h, _)| h)
+        .collect()
+}
+
+/// Sorts `(relay, improvement count)` by frequency desc, host id asc
+/// for determinism.
+fn rank(mut counts: Vec<(HostId, usize)>) -> Vec<(HostId, usize)> {
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    counts
 }
 
 #[cfg(test)]
@@ -114,6 +141,14 @@ mod tests {
         assert_eq!(a.coverage_at(1), 0.5);
         assert_eq!(a.coverage_at(50), 0.5);
         assert_eq!(a.top_hosts(3).len(), 1);
+    }
+
+    #[test]
+    fn top_zero_relays_cover_nothing() {
+        let r = synthetic_results();
+        let a = TopRelayAnalysis::compute(&r, RelayType::Cor, 100);
+        assert_eq!(a.coverage_at(1), 0.5);
+        assert_eq!(a.coverage_at(0), 0.0);
     }
 
     #[test]

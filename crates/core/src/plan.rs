@@ -25,6 +25,7 @@ use rand::{Rng, SeedableRng};
 use shortcuts_geo::light::propagation_delay_ms;
 use shortcuts_geo::{CityId, Continent, CountryCode, GeoPoint};
 use shortcuts_netsim::clock::SimTime;
+use shortcuts_netsim::fasthash::FastMap;
 use shortcuts_netsim::HostId;
 use shortcuts_topology::Asn;
 use std::collections::BTreeSet;
@@ -256,7 +257,13 @@ impl OverlayPlan {
 
     /// Relay indices feasible for pair `pair_idx`, ascending.
     pub fn feasible(&self, pair_idx: usize) -> impl Iterator<Item = u32> + '_ {
-        ones(&self.feasible[pair_idx * self.row_words..][..self.row_words])
+        ones(self.row(pair_idx))
+    }
+
+    /// Pair `pair_idx`'s feasibility row: bit `ri % 64` of word
+    /// `ri / 64` is set iff relay `ri` is feasible.
+    pub(crate) fn row(&self, pair_idx: usize) -> &[u64] {
+        &self.feasible[pair_idx * self.row_words..][..self.row_words]
     }
 
     /// Measurement tasks for every needed overlay link, in
@@ -300,16 +307,33 @@ fn ones(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
 /// are stored (endpoint→relay for the source leg, relay→endpoint for
 /// the destination leg) so the operands match `is_feasible` bit for
 /// bit without assuming `distance_km` is symmetric in the last place.
+///
+/// The grid is computed per distinct *location*, not per host: a
+/// round's ≈ 460 relays sit in ≈ 165 places, so each delay is computed
+/// once per (endpoint location, relay location) and expanded to the
+/// relays by lookup. Locations are keyed by the bits of their
+/// coordinates, so equal keys mean bit-identical haversine operands.
+/// Each feasibility word is built from its ≤ 64 relays in a register.
 pub fn plan_overlay(plan: &RoundPlan, direct: &[Option<f64>]) -> OverlayPlan {
     assert_eq!(plan.pairs.len(), direct.len(), "one result per pair");
     let n_relays = plan.relays.len();
-    let mut to_relay = Vec::with_capacity(plan.endpoints.len() * n_relays);
-    let mut from_relay = Vec::with_capacity(plan.endpoints.len() * n_relays);
-    for e in &plan.endpoints {
-        for r in &plan.relays {
-            to_relay.push(propagation_delay_ms(e.location.distance_km(&r.location)));
-            from_relay.push(propagation_delay_ms(r.location.distance_km(&e.location)));
+    let (e_places, e_place) = distinct_places(plan.endpoints.iter().map(|e| e.location));
+    let (r_places, r_place) = distinct_places(plan.relays.iter().map(|r| r.location));
+
+    // One row per endpoint place over every relay: the delays to and
+    // from each relay place, then expanded to the relays by lookup.
+    let mut to_relay = Vec::with_capacity(e_places.len() * n_relays);
+    let mut from_relay = Vec::with_capacity(e_places.len() * n_relays);
+    let (mut to, mut from) = (Vec::new(), Vec::new());
+    for e in &e_places {
+        to.clear();
+        from.clear();
+        for r in &r_places {
+            to.push(propagation_delay_ms(e.distance_km(r)));
+            from.push(propagation_delay_ms(r.distance_km(e)));
         }
+        to_relay.extend(r_place.iter().map(|&rp| to[rp as usize]));
+        from_relay.extend(r_place.iter().map(|&rp| from[rp as usize]));
     }
 
     let row_words = n_relays.div_ceil(64);
@@ -320,13 +344,15 @@ pub fn plan_overlay(plan: &RoundPlan, direct: &[Option<f64>]) -> OverlayPlan {
     let mut needed = vec![0u64; plan.endpoints.len() * row_words];
     for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
         let Some(d) = *d else { continue };
-        let src_leg = &to_relay[pair.src * n_relays..][..n_relays];
-        let dst_leg = &from_relay[pair.dst * n_relays..][..n_relays];
+        let src_leg = &to_relay[e_place[pair.src] as usize * n_relays..][..n_relays];
+        let dst_leg = &from_relay[e_place[pair.dst] as usize * n_relays..][..n_relays];
         let row = &mut feasible[pair_idx * row_words..][..row_words];
-        for (ri, (t1, t2)) in src_leg.iter().zip(dst_leg).enumerate() {
-            row[ri / 64] |= u64::from(2.0 * (t1 + t2) <= d) << (ri % 64);
-        }
-        for (w, &bits) in row.iter().enumerate() {
+        for (w, (t1s, t2s)) in src_leg.chunks(64).zip(dst_leg.chunks(64)).enumerate() {
+            let mut bits = 0u64;
+            for (b, (t1, t2)) in t1s.iter().zip(t2s).enumerate() {
+                bits |= u64::from(2.0 * (t1 + t2) <= d) << b;
+            }
+            row[w] = bits;
             needed[pair.src * row_words + w] |= bits;
             needed[pair.dst * row_words + w] |= bits;
         }
@@ -339,6 +365,25 @@ pub fn plan_overlay(plan: &RoundPlan, direct: &[Option<f64>]) -> OverlayPlan {
         feasible,
         needed,
     }
+}
+
+/// The distinct points of `points` in first-seen order, and each
+/// point's index among them. Points are equal iff their coordinates
+/// are equal bit for bit (so `-0.0` and `0.0` stay apart).
+fn distinct_places(points: impl Iterator<Item = GeoPoint>) -> (Vec<GeoPoint>, Vec<u32>) {
+    let mut index: FastMap<(u64, u64), u32> = FastMap::default();
+    let mut places = Vec::new();
+    let place_of = points
+        .map(|p| {
+            *index
+                .entry((p.lat().to_bits(), p.lon().to_bits()))
+                .or_insert_with(|| {
+                    places.push(p);
+                    places.len() as u32 - 1
+                })
+        })
+        .collect();
+    (places, place_of)
 }
 
 #[cfg(test)]

@@ -152,14 +152,20 @@ impl ResultsBuilder {
         }
 
         // Overlay-link medians on the dense endpoint × relay grid,
-        // addressable by index.
+        // addressable by index, with a bitset of which cells hold one.
+        // Rows are padded to whole 64-relay words.
         let n_relays = plan.relays.len();
-        let mut link: Vec<Option<f64>> = vec![None; plan.endpoints.len() * n_relays];
+        let row_words = n_relays.div_ceil(64);
+        let width = row_words * 64;
+        let mut link = vec![0.0f64; plan.endpoints.len() * width];
+        let mut measured = vec![0u64; plan.endpoints.len() * row_words];
         for (&(ei, ri), l) in overlay.needed.iter().zip(links) {
             let Some(v) = *l else { continue };
-            link[ei * n_relays + ri as usize] = Some(v);
+            let ri = ri as usize;
+            link[ei * width + ri] = v;
+            measured[ei * row_words + ri / 64] |= 1 << (ri % 64);
             let e_host = plan.endpoints[ei].host;
-            let r_host = plan.relays[ri as usize].host;
+            let r_host = plan.relays[ri].host;
             let key = if e_host <= r_host {
                 (e_host, r_host)
             } else {
@@ -168,29 +174,53 @@ impl ResultsBuilder {
             partial.link_entries.push((key, v));
         }
 
-        // Stitch one-relay paths and emit the round's cases. Improving
-        // relays collect in per-type scratch buffers reused across the
-        // round's cases; each case keeps an exact-length copy.
+        // Per relay: its host, and per type a mask over relay indices,
+        // so a feasibility word splits into per-type words.
+        let mut hosts = vec![HostId(0); width];
+        let mut type_mask = vec![[0u64; 4]; row_words];
+        for (ri, r) in plan.relays.iter().enumerate() {
+            hosts[ri] = r.host;
+            type_mask[ri / 64][r.rtype.index()] |= 1 << (ri % 64);
+        }
+        let (hosts, _) = hosts.as_chunks::<64>();
+
+        // Stitch one-relay paths and emit the round's cases. Only the
+        // relays that are feasible *and* have both legs measured are
+        // visited: the three bitsets are ANDed a word at a time.
+        // Improving relays collect in per-type scratch buffers reused
+        // across the round's cases; each case keeps an exact-length
+        // copy.
         let mut improving: [Vec<(HostId, f32)>; 4] = Default::default();
         for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
             let Some(d) = *d else { continue };
             let mut outcomes: [TypeOutcome; 4] = Default::default();
-            let src_links = &link[pair.src * n_relays..][..n_relays];
-            let dst_links = &link[pair.dst * n_relays..][..n_relays];
-            for ri in overlay.feasible(pair_idx) {
-                let relay = &plan.relays[ri as usize];
-                let Some(stitched) = stitch_legs(src_links[ri as usize], dst_links[ri as usize])
-                else {
-                    continue;
-                };
-                let t = relay.rtype.index();
-                let out = &mut outcomes[t];
-                out.feasible += 1;
-                if out.best.is_none_or(|(_, best)| stitched < best) {
-                    out.best = Some((relay.host, stitched));
-                }
-                if stitched < d {
-                    improving[t].push((relay.host, (d - stitched) as f32));
+            let (src_links, _) = link[pair.src * width..][..width].as_chunks::<64>();
+            let (dst_links, _) = link[pair.dst * width..][..width].as_chunks::<64>();
+            let src_measured = &measured[pair.src * row_words..][..row_words];
+            let dst_measured = &measured[pair.dst * row_words..][..row_words];
+            let feasible = overlay.row(pair_idx);
+            for w in 0..row_words {
+                let both = feasible[w] & src_measured[w] & dst_measured[w];
+                let (src, dst, hosts) = (&src_links[w], &dst_links[w], &hosts[w]);
+                let masks = type_mask[w];
+                for ((out, improving), mask) in outcomes.iter_mut().zip(&mut improving).zip(masks) {
+                    let mut bits = both & mask;
+                    out.feasible += bits.count_ones();
+                    let mut best = out.best;
+                    while bits != 0 {
+                        // `% 64` changes nothing (`bits` is non-zero) but
+                        // lets the lane loads skip their bounds checks.
+                        let b = bits.trailing_zeros() as usize % 64;
+                        bits &= bits - 1;
+                        let stitched = stitch(src[b], dst[b]);
+                        if best.is_none_or(|(_, v)| stitched < v) {
+                            best = Some((hosts[b], stitched));
+                        }
+                        if stitched < d {
+                            improving.push((hosts[b], (d - stitched) as f32));
+                        }
+                    }
+                    out.best = best;
                 }
             }
             for (out, scratch) in outcomes.iter_mut().zip(&mut improving) {
@@ -420,6 +450,26 @@ mod tests {
         // Histories keyed in order.
         assert_eq!(r.direct_history[&(HostId(1), HostId(2))], vec![100.0]);
         assert_eq!(r.link_history[&(HostId(1), HostId(10))], vec![30.0]);
+    }
+
+    #[test]
+    fn ties_keep_the_first_relay_and_do_not_improve() {
+        // Two COR relays stitch to the same RTT, which equals the
+        // direct RTT: the lower relay index is the best, and a relay
+        // that only matches the direct path does not improve it.
+        let (mut plan, _) = tiny_round();
+        plan.relays.push(relay(12, RelayType::Cor));
+        let needed = vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)];
+        let overlay = OverlayPlan::from_rows(3, &[vec![0, 1, 2]], needed);
+        let links = [30.0, 50.0, 30.0, 40.0, 20.0, 40.0].map(Some);
+        let mut b = ResultsBuilder::new();
+        b.absorb_round(&plan, &overlay, &[Some(70.0)], &[None], &links);
+        let r = b.finish(empty_pool(), 0);
+        let cor = r.cases[0].outcome(RelayType::Cor);
+        assert_eq!(cor.best, Some((HostId(10), 70.0)));
+        assert_eq!(cor.feasible, 2);
+        assert!(cor.improving.is_empty());
+        assert!(r.cases[0].outcome(RelayType::Plr).improving.is_empty());
     }
 
     #[test]

@@ -103,10 +103,14 @@ prop_compose! {
     /// A round for the grid-planner equivalence tests: up to 40
     /// endpoints and 70 relays (so feasibility rows cross the 64-bit
     /// word boundary), with the geometry's corner cases mixed in —
-    /// points coincident with or antipodal to an earlier endpoint —
-    /// and directs that are `None`, arbitrary, or set *exactly* to
-    /// some relay's `min_relay_rtt` so the `<=` boundary is hit. The
-    /// third element lists those `(pair index, relay index)` hits.
+    /// points coincident with or antipodal to an earlier endpoint,
+    /// relays sharing an earlier relay's place (as a real round's
+    /// relays do, ≈ 460 in ≈ 165 places), and signed-zero twins: a
+    /// point whose latitude or longitude is `-0.0` beside one where it
+    /// is `+0.0` — and directs that are `None`, arbitrary, or set
+    /// *exactly* to some relay's `min_relay_rtt` so the `<=` boundary
+    /// is hit. The third element lists those `(pair index, relay
+    /// index)` hits.
     fn arb_grid_case()(
         n in 1usize..=40,
         m in 0usize..=70,
@@ -126,14 +130,31 @@ prop_compose! {
             let lon = if p.lon() > 0.0 { p.lon() - 180.0 } else { p.lon() + 180.0 };
             GeoPoint::new(-p.lat(), lon).expect("in range")
         };
-        // A fresh point, or one coincident with / antipodal to an
-        // earlier endpoint.
+        // `p` with one coordinate set to a zero: the other sign of it
+        // if that coordinate already is one, else a random sign.
+        let zero_twin = |rng: &mut StdRng, p: &GeoPoint| {
+            let zero = |rng: &mut StdRng, v: f64| {
+                if v == 0.0 { -v } else if rng.gen_bool(0.5) { 0.0 } else { -0.0 }
+            };
+            if rng.gen_bool(0.5) {
+                GeoPoint::new(zero(rng, p.lat()), p.lon())
+            } else {
+                GeoPoint::new(p.lat(), zero(rng, p.lon()))
+            }
+            .expect("in range")
+        };
+        // A fresh point, or one coincident with / antipodal to / the
+        // signed-zero twin of an earlier endpoint.
         let place = |rng: &mut StdRng, anchors: &[GeoPoint]| {
             let fresh = GeoPoint::new(rng.gen_range(-90.0..=90.0), rng.gen_range(-180.0..=180.0))
                 .expect("in range");
-            match (anchors.is_empty(), rng.gen_range(0..6)) {
+            match (anchors.is_empty(), rng.gen_range(0..7)) {
                 (false, 0) => anchors[rng.gen_range(0..anchors.len())],
                 (false, 1) => antipode(&anchors[rng.gen_range(0..anchors.len())]),
+                (false, 2) => {
+                    let anchor = anchors[rng.gen_range(0..anchors.len())];
+                    zero_twin(rng, &anchor)
+                }
                 _ => fresh,
             }
         };
@@ -147,8 +168,24 @@ prop_compose! {
             .enumerate()
             .map(|(i, &location)| synthetic_endpoint(1 + i as u32, location))
             .collect();
-        let relays: Vec<_> = (0..m)
-            .map(|i| synthetic_relay(1000 + i as u32, i, place(&mut rng, &locations)))
+        // Relays share an earlier relay's place half the time, or its
+        // signed-zero twin; otherwise they are placed like endpoints.
+        let mut relay_places: Vec<GeoPoint> = Vec::with_capacity(m);
+        for _ in 0..m {
+            let p = match (relay_places.is_empty(), rng.gen_range(0..8)) {
+                (false, 0..=3) => relay_places[rng.gen_range(0..relay_places.len())],
+                (false, 4) => {
+                    let anchor = relay_places[rng.gen_range(0..relay_places.len())];
+                    zero_twin(&mut rng, &anchor)
+                }
+                _ => place(&mut rng, &locations),
+            };
+            relay_places.push(p);
+        }
+        let relays: Vec<_> = relay_places
+            .iter()
+            .enumerate()
+            .map(|(i, &location)| synthetic_relay(1000 + i as u32, i, location))
             .collect();
         let mut pairs = Vec::new();
         let mut direct = Vec::new();
@@ -731,6 +768,102 @@ fn history_oracle(
     direct_history
 }
 
+/// `TopRelayAnalysis::compute` as it was before the fast map and the
+/// case bitset: a SipHash `HashMap` of per-relay case lists and a
+/// `HashSet` of covered cases. Kept verbatim as the reference.
+fn top_relays_oracle(
+    results: &colo_shortcuts::core::workflow::CampaignResults,
+    rtype: colo_shortcuts::core::relays::RelayType,
+    max_k: usize,
+) -> colo_shortcuts::core::analysis::top_relays::TopRelayAnalysis {
+    use colo_shortcuts::core::analysis::top_relays::TopRelayAnalysis;
+    use colo_shortcuts::netsim::HostId;
+    use std::collections::{HashMap, HashSet};
+
+    let total = results.total_cases().max(1);
+
+    // Per relay: the set of case indexes it improved.
+    let mut improved_cases: HashMap<HostId, Vec<u32>> = HashMap::new();
+    for (case_idx, c) in results.cases.iter().enumerate() {
+        for &(host, _) in &c.outcome(rtype).improving {
+            improved_cases
+                .entry(host)
+                .or_default()
+                .push(case_idx as u32);
+        }
+    }
+
+    let mut ranked: Vec<(HostId, usize)> =
+        improved_cases.iter().map(|(&h, v)| (h, v.len())).collect();
+    // Frequency desc, host id asc for determinism.
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+
+    let mut coverage = Vec::with_capacity(max_k.min(ranked.len()));
+    let mut covered: HashSet<u32> = HashSet::new();
+    for (host, _) in ranked.iter().take(max_k) {
+        covered.extend(improved_cases[host].iter().copied());
+        coverage.push(covered.len() as f64 / total as f64);
+    }
+
+    TopRelayAnalysis {
+        rtype,
+        ranked,
+        coverage,
+        total_cases: total,
+    }
+}
+
+/// `ThresholdCurve::compute` as it was before the fast set: the
+/// top-k hosts in a SipHash `HashSet`, ranked by
+/// [`top_relays_oracle`]. Otherwise kept verbatim as the reference.
+fn threshold_oracle(
+    results: &colo_shortcuts::core::workflow::CampaignResults,
+    rtype: colo_shortcuts::core::relays::RelayType,
+    top_k: Option<usize>,
+    xs: &[f64],
+) -> colo_shortcuts::core::analysis::threshold::ThresholdCurve {
+    use colo_shortcuts::core::analysis::threshold::ThresholdCurve;
+    use colo_shortcuts::netsim::HostId;
+    use std::collections::HashSet;
+
+    let total = results.total_cases().max(1);
+    let allowed: Option<HashSet<HostId>> = top_k.map(|k| {
+        top_relays_oracle(results, rtype, k)
+            .top_hosts(k)
+            .into_iter()
+            .collect()
+    });
+
+    // Best improvement per case within the allowed subset.
+    let mut best_improvements = Vec::new();
+    for c in &results.cases {
+        let best = c
+            .outcome(rtype)
+            .improving
+            .iter()
+            .filter(|(h, _)| allowed.as_ref().is_none_or(|a| a.contains(h)))
+            .map(|&(_, imp)| f64::from(imp))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if best.is_finite() {
+            best_improvements.push(best);
+        }
+    }
+
+    let points = xs
+        .iter()
+        .map(|&x| {
+            let n = best_improvements.iter().filter(|&&i| i > x).count();
+            (x, n as f64 / total as f64)
+        })
+        .collect();
+
+    ThresholdCurve {
+        rtype,
+        top_k,
+        points,
+    }
+}
+
 /// One hand-built round for the history proptest: its plan, overlay,
 /// direct medians and link medians.
 type HistoryRound = (
@@ -846,6 +979,74 @@ prop_compose! {
                 }
             })
             .collect()
+    }
+}
+
+prop_compose! {
+    /// Up to 200 cases (so case bitsets span several words) whose
+    /// `improving` lists draw from a small host pool: relays tie on
+    /// frequency, a list may name a host twice, some types are empty
+    /// in every case, and improvements land on the Fig. 4 thresholds.
+    /// The second element is the top-relay curve's cut.
+    fn arb_improving_results()(
+        n in 0usize..200,
+        cut in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) -> (colo_shortcuts::core::workflow::CampaignResults, usize) {
+        use colo_shortcuts::core::workflow::{CaseRecord, TypeOutcome};
+        use colo_shortcuts::geo::CountryCode;
+        use colo_shortcuts::netsim::HostId;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = rng.gen_range(1u32..16);
+        let live: [bool; 4] = std::array::from_fn(|_| rng.gen_bool(0.8));
+        let cc = CountryCode::new("DE").expect("valid");
+        let cases = (0..n)
+            .map(|i| {
+                let outcomes: [TypeOutcome; 4] = std::array::from_fn(|t| TypeOutcome {
+                    improving: if live[t] {
+                        (0..rng.gen_range(0usize..6))
+                            .map(|_| {
+                                let imp = if rng.gen_bool(0.2) {
+                                    5.0 * rng.gen_range(0u32..21) as f32
+                                } else {
+                                    rng.gen_range(0.0f32..120.0)
+                                };
+                                (HostId(100 + rng.gen_range(0..pool)), imp)
+                            })
+                            .collect()
+                    } else {
+                        Vec::new()
+                    },
+                    ..TypeOutcome::default()
+                });
+                CaseRecord {
+                    round: i as u32 / 20,
+                    src: HostId(1),
+                    dst: HostId(2),
+                    src_country: cc,
+                    dst_country: cc,
+                    intercontinental: false,
+                    direct_ms: 200.0,
+                    outcomes,
+                }
+            })
+            .collect();
+        let results = colo_shortcuts::core::workflow::CampaignResults {
+            cases,
+            direct_history: Default::default(),
+            link_history: Default::default(),
+            symmetry_samples: Vec::new(),
+            relay_meta: Default::default(),
+            colo_pool: empty_pool(),
+            pings_sent: 0,
+            unresponsive_pairs: 0,
+            avg_endpoints: 0.0,
+            avg_relays: [0.0; 4],
+        };
+        (results, [0, 1, 2, 3, 9, 10, 11, 16, 200][cut])
     }
 }
 
@@ -1424,6 +1625,44 @@ proptest! {
                 prop_assert_eq!(bits(&got[key]), bits(v));
             }
             prop_assert!(got.get(&(HostId(0), HostId(0))).is_none());
+        }
+    }
+
+    // ---- Fig. 3/4 analyses == the SipHash versions they replaced -------
+
+    #[test]
+    fn top_relays_matches_the_hashmap_oracle(case in arb_improving_results()) {
+        // Same ranking, tie order included, and coverage equal to the
+        // bit at every k, for every type.
+        use colo_shortcuts::core::analysis::top_relays::TopRelayAnalysis;
+        use colo_shortcuts::core::relays::RelayType;
+        let (results, max_k) = case;
+        for t in RelayType::ALL {
+            let got = TopRelayAnalysis::compute(&results, t, max_k);
+            let want = top_relays_oracle(&results, t, max_k);
+            prop_assert_eq!(&got.ranked, &want.ranked);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.coverage), bits(&want.coverage));
+            prop_assert_eq!(got.total_cases, want.total_cases);
+        }
+    }
+
+    #[test]
+    fn threshold_matches_the_hashset_oracle(case in arb_improving_results()) {
+        use colo_shortcuts::core::analysis::threshold::ThresholdCurve;
+        use colo_shortcuts::core::relays::RelayType;
+        let (results, _) = case;
+        let xs: Vec<f64> = (0..=20).map(|i| f64::from(i) * 5.0).collect();
+        let bits = |v: &[(f64, f64)]| {
+            v.iter().map(|(x, f)| (x.to_bits(), f.to_bits())).collect::<Vec<_>>()
+        };
+        for t in RelayType::ALL {
+            for top_k in [Some(1), Some(10), None] {
+                let got = ThresholdCurve::compute(&results, t, top_k, &xs);
+                let want = threshold_oracle(&results, t, top_k, &xs);
+                prop_assert_eq!(bits(&got.points), bits(&want.points), "{:?} {:?}", t, top_k);
+                prop_assert_eq!(got.top_k, want.top_k);
+            }
         }
     }
 
