@@ -194,14 +194,13 @@ pub struct EngineStats {
     pub pair_resident_bytes: u64,
     /// Site-pair entries dropped by the per-shard byte budget.
     pub pair_evictions: u64,
-    /// Stale routing tables brought current by incremental repair
-    /// (rather than a full per-destination recompute).
+    /// Always 0: stale routing tables are re-stamped or rebuilt since
+    /// incremental repair was removed. Kept because the perf ledger
+    /// reads it; a `benchmark` change may drop it.
     pub tables_repaired: u64,
-    /// Route entries re-examined by incremental repairs — the actual
-    /// sweep work churn cost, vs. a full rebuild's `O(nodes)` each.
+    /// Always 0, for the same reason as `tables_repaired`.
     pub entries_rescanned: u64,
-    /// Stale routing tables that fell back to a full view recompute
-    /// (restoration batches, majority-dirty tables, ablation policy).
+    /// Stale routing tables rebuilt under the current view.
     pub full_rebuilds: u64,
     /// Stale site-pair entries revalidated in place — their stored
     /// forward and reverse paths crossed no dirty link, so the
@@ -816,10 +815,10 @@ impl PingEngine {
     }
 
     /// Applies one batch of topology deltas: the router advances its
-    /// epoch (stale destination tables are repaired lazily on access)
-    /// and the engine records the batch's dirty summary so cached
-    /// pairs whose paths dodge every dirty link survive churn without
-    /// recomputation.
+    /// epoch (stale destination tables are re-stamped or rebuilt
+    /// lazily on access) and the engine records the batch's dirty
+    /// summary so cached pairs whose paths dodge every dirty link
+    /// survive churn without recomputation.
     ///
     /// Same-AS pairs never consult the router, so an `AsDown` leaves
     /// intra-AS pings working — hosts inside a withdrawn AS still
@@ -888,8 +887,8 @@ impl PingEngine {
             router_recomputes: router.recomputes,
             pair_resident_bytes: self.cache.resident_bytes(),
             pair_evictions: self.cache.evictions(),
-            tables_repaired: router.tables_repaired,
-            entries_rescanned: router.entries_rescanned,
+            tables_repaired: 0,
+            entries_rescanned: 0,
             full_rebuilds: router.full_rebuilds,
             pair_revalidated: self.cache.sum(|s| s.revalidated.load(Ordering::Relaxed)),
             paths_interned: intern.interned,
@@ -1196,8 +1195,8 @@ impl PingEngine {
     /// resident leaves the cache holding only its tail, so the next
     /// one runs the other way and meets those tables first; sweeps in
     /// one direction would never find a table resident — nor, under
-    /// churn, one to repair. An unbudgeted router keeps every table,
-    /// so its sweeps never turn.
+    /// churn, a stale one to bring current. An unbudgeted router keeps
+    /// every table, so its sweeps never turn.
     fn sweep_routes(
         &self,
         pairs: impl Iterator<Item = (NodeId, NodeId)>,
@@ -1997,7 +1996,8 @@ mod tests {
         }
         let stats = engine.engine_stats();
         assert_eq!(stats.pair_cache_misses, 2, "{stats:?}");
-        assert!(stats.tables_repaired + stats.full_rebuilds > 0, "{stats:?}");
+        assert_eq!(stats.tables_repaired, 0, "{stats:?}");
+        assert!(stats.full_rebuilds > 0, "{stats:?}");
         let line = stats.summary();
         for key in [
             "tables_repaired=",

@@ -29,7 +29,8 @@ pub enum Stage {
     Sample,
     /// Absorbing measured rounds into reports/builders.
     Stitch,
-    /// Incremental routing-table repair after topology churn.
+    /// Bringing stale routing tables current after topology churn
+    /// (re-stamp or rebuild).
     Repair,
 }
 

@@ -227,15 +227,33 @@ impl fmt::Display for ChurnSchedule {
 ///
 /// Routing sweeps walk the base CSR unchanged and skip edges the view
 /// forbids; an empty view forbids nothing, so the churn-free path pays
-/// only an `is_empty` check. Cloning is cheap relative to a sweep (two
-/// hash sets of the delta footprint, not of the graph).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// only an `is_empty` check. A dense per-node `touched` flag answers
+/// [`DeltaView::allows`] for the edges no delta names without hashing,
+/// so a view-filtered sweep costs about as much as a base sweep.
+/// Cloning is cheap relative to a sweep (two hash sets of the delta
+/// footprint plus one flag per node).
+#[derive(Debug, Clone, Default)]
 pub struct DeltaView {
     /// Masked base links, keyed `(min, max)` by node id.
     masked: HashSet<(NodeId, NodeId)>,
     /// Nodes currently down (all their links masked implicitly).
     down: HashSet<NodeId>,
+    /// Per node: down, or an endpoint of a masked link. Rebuilt by
+    /// [`DeltaView::apply`]; empty in [`DeltaView::empty`], where every
+    /// out-of-range read counts as untouched.
+    touched: Vec<bool>,
 }
+
+/// Views are equal when they mask the same state; `touched` is derived
+/// (and an empty view's is empty, while a view flapped back to nothing
+/// keeps an all-false one).
+impl PartialEq for DeltaView {
+    fn eq(&self, other: &Self) -> bool {
+        self.masked == other.masked && self.down == other.down
+    }
+}
+
+impl Eq for DeltaView {}
 
 impl DeltaView {
     /// The view with nothing masked — the base topology itself.
@@ -257,9 +275,18 @@ impl DeltaView {
         }
     }
 
+    /// Whether some delta names node `u` (down, or on a masked link).
+    #[inline]
+    fn touched(&self, u: NodeId) -> bool {
+        self.touched.get(u.index()).copied().unwrap_or(false)
+    }
+
     /// Whether the base edge `u — v` currently carries routes.
     #[inline]
     pub fn allows(&self, u: NodeId, v: NodeId) -> bool {
+        if !self.touched(u) && !self.touched(v) {
+            return true;
+        }
         !self.down.contains(&u)
             && !self.down.contains(&v)
             && !self.masked.contains(&Self::key(u, v))
@@ -309,6 +336,15 @@ impl DeltaView {
                     }
                 }
             }
+        }
+        self.touched.clear();
+        self.touched.resize(topo.node_index().len(), false);
+        for &(u, v) in &self.masked {
+            self.touched[u.index()] = true;
+            self.touched[v.index()] = true;
+        }
+        for &u in &self.down {
+            self.touched[u.index()] = true;
         }
     }
 
@@ -464,5 +500,67 @@ mod tests {
             ],
         );
         assert!(view.is_empty(), "restoring everything empties the view");
+    }
+
+    #[test]
+    fn allows_fast_path_matches_the_set_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let topo = tiny_topology();
+        let n = |asn: u32| topo.node_index().node(Asn(asn)).unwrap();
+        let nodes: Vec<NodeId> = (1..=3).map(n).collect();
+        let check = |view: &DeltaView, ctx: &str| {
+            for &u in &nodes {
+                for &v in &nodes {
+                    let by_sets = !view.down.contains(&u)
+                        && !view.down.contains(&v)
+                        && !view.masked.contains(&DeltaView::key(u, v));
+                    assert_eq!(view.allows(u, v), by_sets, "{ctx}: {u}—{v}");
+                }
+                assert_eq!(view.node_up(u), !view.down.contains(&u), "{ctx}: {u}");
+            }
+        };
+        let link_down = |a: u32, b: u32| TopologyDelta::LinkDown {
+            a: Asn(a),
+            b: Asn(b),
+        };
+        let link_up = |a: u32, b: u32| TopologyDelta::LinkUp {
+            a: Asn(a),
+            b: Asn(b),
+        };
+
+        let links = [(1, 2), (2, 3)];
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut view = DeltaView::empty();
+        for step in 0..400 {
+            let (a, b) = links[rng.gen_range(0..links.len())];
+            let asn = Asn(rng.gen_range(1..=3));
+            let delta = match rng.gen_range(0..4u8) {
+                0 => link_down(a, b),
+                1 => link_up(a, b),
+                2 => TopologyDelta::AsDown { asn },
+                _ => TopologyDelta::AsUp { asn },
+            };
+            view.apply(&topo, &[delta]);
+            check(&view, &format!("step {step}: {delta}"));
+        }
+
+        // Restoring the last masked link at a node clears its flag.
+        let mut view = DeltaView::empty();
+        view.apply(&topo, &[link_down(1, 2), link_down(2, 3)]);
+        view.apply(&topo, &[link_up(2, 1)]);
+        assert!(!view.touched(n(1)), "AS1 has no masked link left");
+        assert!(view.touched(n(2)) && view.touched(n(3)));
+        check(&view, "one link restored");
+        view.apply(&topo, &[TopologyDelta::AsDown { asn: Asn(1) }]);
+        check(&view, "AS1 down");
+        view.apply(&topo, &[link_up(2, 3), TopologyDelta::AsUp { asn: Asn(1) }]);
+        assert!(nodes.iter().all(|&u| !view.touched(u)));
+        check(&view, "flapped back");
+
+        // A view flapped back to nothing is the empty view.
+        assert!(view.is_empty());
+        assert_eq!(view, DeltaView::empty());
+        assert_eq!(DeltaView::empty(), view);
     }
 }

@@ -33,8 +33,8 @@
 //!   eviction over the destination-table cache.
 //! - [`delta`] — topology churn: [`TopologyDelta`] link/AS up-down
 //!   events, [`ChurnSchedule`] round→batch schedules, and the
-//!   [`DeltaView`] copy-on-write mask routing sweeps consult; the
-//!   incremental table repair lives in [`routing::repair`].
+//!   [`DeltaView`] copy-on-write mask routing sweeps consult; how a
+//!   stale table is re-stamped or rebuilt lives in [`routing::repair`].
 //! - [`intern`] — content-addressed AS-path interning
 //!   ([`PathInterner`]): one shared `Arc<[Asn]>` per distinct path, so
 //!   pair-level caches charge and revalidate per unique path instead of

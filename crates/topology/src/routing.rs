@@ -184,7 +184,7 @@ pub struct RoutingTable {
     reachable: usize,
     /// Churn epoch this table is valid for (0 = the base topology).
     /// Stamped by the [`Router`]; a table whose stamp lags the
-    /// router's current epoch is repaired lazily on access.
+    /// router's current epoch is re-stamped or rebuilt lazily on access.
     epoch: AtomicU64,
 }
 
@@ -237,7 +237,7 @@ impl RoutingTable {
     }
 
     /// Stamps the table as valid for churn epoch `e` (monotone; only
-    /// the router's repair path calls this).
+    /// the router calls this).
     fn set_epoch(&self, e: u64) {
         self.epoch.store(e, Ordering::Relaxed);
     }
@@ -316,6 +316,14 @@ impl SweepState {
 
 /// Computes the full valley-free routing table toward `dst`.
 pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
+    sweep(topo, dst, |_, _| true)
+}
+
+/// The three-phase valley-free sweep over the base CSR edges `allows`
+/// admits. [`compute_table`] admits every edge (the check compiles
+/// away); [`repair::compute_table_view`] admits what a [`DeltaView`]
+/// leaves up.
+fn sweep(topo: &Topology, dst: Asn, allows: impl Fn(NodeId, NodeId) -> bool) -> RoutingTable {
     let nodes = topo.node_index();
     let csr = topo.csr();
     let mut st = SweepState::new(nodes.len(), dst);
@@ -340,6 +348,9 @@ pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
         for &u in &frontier {
             let u_asn = nodes.asn(u);
             for &p in csr.providers(u) {
+                if !allows(u, p) {
+                    continue;
+                }
                 let e = &mut st.entries[p.index()];
                 if e.is_unreached() {
                     *e = RouteEntry::new(RouteClass::Customer, len, u_asn);
@@ -372,6 +383,9 @@ pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
         let u_asn = nodes.asn(u);
         let cand_len = e.path_len() + 1;
         for &p in csr.peers(u) {
+            if !allows(u, p) {
+                continue;
+            }
             let pe = &mut st.entries[p.index()];
             let accept = pe.is_unreached()
                 || (pe.class() == RouteClass::Peer
@@ -406,6 +420,9 @@ pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
         for &u in &bucket {
             let u_asn = nodes.asn(u);
             for &cust in csr.customers(u) {
+                if !allows(u, cust) {
+                    continue;
+                }
                 let ce = &mut st.entries[cust.index()];
                 if ce.is_unreached() {
                     *ce = RouteEntry::new(RouteClass::Provider, len, u_asn);
@@ -434,6 +451,16 @@ pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
 /// business relationships. Comparing against this isolates how much of
 /// the relay gain is produced by *policy* inflation.
 pub fn compute_table_shortest(topo: &Topology, dst: Asn) -> RoutingTable {
+    sweep_shortest(topo, dst, |_, _| true)
+}
+
+/// One BFS over the base CSR edges `allows` admits, of every class —
+/// the shortest-path counterpart of [`sweep`].
+fn sweep_shortest(
+    topo: &Topology,
+    dst: Asn,
+    allows: impl Fn(NodeId, NodeId) -> bool,
+) -> RoutingTable {
     let nodes = topo.node_index();
     let csr = topo.csr();
     let mut st = SweepState::new(nodes.len(), dst);
@@ -456,6 +483,9 @@ pub fn compute_table_shortest(topo: &Topology, dst: Asn) -> RoutingTable {
                 .chain(csr.customers(u))
                 .chain(csr.peers(u))
             {
+                if !allows(u, nb) {
+                    continue;
+                }
                 let e = &mut st.entries[nb.index()];
                 if e.is_unreached() {
                     *e = RouteEntry::new(RouteClass::Customer, len, u_asn);
@@ -556,15 +586,7 @@ pub struct RouterStats {
     pub resident_bytes: u64,
     /// The enforced byte budget, `None` when unbounded.
     pub budget_bytes: Option<u64>,
-    /// Stale tables brought up to date by the incremental repair
-    /// (restricted sweep over the dirty cut).
-    pub tables_repaired: u64,
-    /// Edge offers the restricted sweeps examined across all repairs —
-    /// the work actually done, vs. a full sweep's whole-CSR scan.
-    pub entries_rescanned: u64,
-    /// Stale tables rebuilt from scratch instead of repaired
-    /// (restoration batches, oversized dirty cuts, shortest-path
-    /// policy).
+    /// Stale tables rebuilt under the current view.
     pub full_rebuilds: u64,
 }
 
@@ -618,23 +640,15 @@ pub struct Router {
     misses: AtomicU64,
     evictions: AtomicU64,
     recomputes: AtomicU64,
-    /// Current churn epoch (number of delta batches applied). Read on
-    /// every lookup as the staleness fast path; 0 means no churn ever.
+    /// Current churn epoch (number of delta batches applied, i.e.
+    /// `views.len() - 1`). Read on every lookup as the staleness fast
+    /// path; 0 means no churn ever.
     epoch: AtomicU64,
-    /// The applied delta batches and the per-epoch views they
-    /// accumulate to (`views[e]` is the link mask after batch `e`;
-    /// `views[0]` is empty). Write-locked only by [`Router::apply_delta`].
-    churn: RwLock<ChurnState>,
-    tables_repaired: AtomicU64,
-    entries_rescanned: AtomicU64,
+    /// The accumulated view of every epoch (`views[e]` is the link mask
+    /// after batch `e`; `views[0]` is empty). Write-locked only by
+    /// [`Router::apply_delta`].
+    views: RwLock<Vec<DeltaView>>,
     full_rebuilds: AtomicU64,
-}
-
-/// Applied churn history: one batch and one accumulated [`DeltaView`]
-/// per epoch.
-struct ChurnState {
-    batches: Vec<Vec<TopologyDelta>>,
-    views: Vec<DeltaView>,
 }
 
 impl Router {
@@ -673,12 +687,7 @@ impl Router {
             evictions: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            churn: RwLock::new(ChurnState {
-                batches: Vec::new(),
-                views: vec![DeltaView::empty()],
-            }),
-            tables_repaired: AtomicU64::new(0),
-            entries_rescanned: AtomicU64::new(0),
+            views: RwLock::new(vec![DeltaView::empty()]),
             full_rebuilds: AtomicU64::new(0),
         }
     }
@@ -709,31 +718,27 @@ impl Router {
                 + self.other.read().len() as u64,
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             budget_bytes: self.budget,
-            tables_repaired: self.tables_repaired.load(Ordering::Relaxed),
-            entries_rescanned: self.entries_rescanned.load(Ordering::Relaxed),
             full_rebuilds: self.full_rebuilds.load(Ordering::Relaxed),
         }
     }
 
     /// Applies one churn batch: the new epoch's view is the previous
     /// one plus `batch`. Cached tables are **not** touched here — each
-    /// stale table is repaired lazily on its next access, so a batch
-    /// is O(batch) however many tables are resident.
+    /// stale table is re-stamped or rebuilt lazily on its next access
+    /// (see [`Router::table_at`]), so a batch is O(batch + nodes)
+    /// however many tables are resident.
     ///
     /// Churn mutates the router's routing state permanently; engines
     /// shared across unrelated runs (service pools) must not see this
     /// — churn requests get a private engine stack.
     pub fn apply_delta(&self, batch: &[TopologyDelta]) {
-        let mut churn = self.churn.write();
-        let next = churn
-            .views
+        let mut views = self.views.write();
+        let next = views
             .last()
             .expect("views[0] always exists")
             .applied(&self.topo, batch);
-        churn.batches.push(batch.to_vec());
-        churn.views.push(next);
-        self.epoch
-            .store(churn.batches.len() as u64, Ordering::Release);
+        views.push(next);
+        self.epoch.store(views.len() as u64 - 1, Ordering::Release);
     }
 
     /// The current churn epoch (number of batches applied so far).
@@ -745,26 +750,24 @@ impl Router {
     /// views are small — the delta footprint, not the graph).
     pub fn current_view(&self) -> DeltaView {
         let epoch = self.epoch() as usize;
-        self.churn.read().views[epoch].clone()
+        self.views.read()[epoch].clone()
+    }
+
+    /// Computes a fresh table for `dst` under `view`, by this router's
+    /// policy.
+    fn compute_under(&self, view: &DeltaView, dst: Asn) -> RoutingTable {
+        match self.policy {
+            RoutingPolicy::ValleyFree => repair::compute_table_view(&self.topo, view, dst),
+            RoutingPolicy::ShortestPath => {
+                repair::compute_table_shortest_view(&self.topo, view, dst)
+            }
+        }
     }
 
     /// Computes a fresh table for `dst` valid at `epoch` (under that
     /// epoch's accumulated view).
     fn compute_at(&self, dst: Asn, epoch: u64) -> RoutingTable {
-        if epoch == 0 {
-            return match self.policy {
-                RoutingPolicy::ValleyFree => compute_table(&self.topo, dst),
-                RoutingPolicy::ShortestPath => compute_table_shortest(&self.topo, dst),
-            };
-        }
-        let churn = self.churn.read();
-        let view = &churn.views[epoch as usize];
-        let t = match self.policy {
-            RoutingPolicy::ValleyFree => repair::compute_table_view(&self.topo, view, dst),
-            RoutingPolicy::ShortestPath => {
-                repair::compute_table_shortest_view(&self.topo, view, dst)
-            }
-        };
+        let t = self.compute_under(&self.views.read()[epoch as usize], dst);
         t.set_epoch(epoch);
         t
     }
@@ -773,55 +776,23 @@ impl Router {
         self.compute_at(dst, self.epoch())
     }
 
-    /// Walks `old` forward one epoch at a time until it is valid at
-    /// `target_epoch`, repairing incrementally where the dirty cut is
-    /// small and rebuilding fresh otherwise. Untouched epochs only
-    /// move the stamp (safe: stamps are monotone and the slot write
-    /// lock serializes repairs of one destination).
+    /// Brings `old` up to `target_epoch` in one step: re-stamps it when
+    /// [`repair::untouched`] proves no change between its epoch's view
+    /// and the target's (safe: stamps are monotone and the slot write
+    /// lock serializes callers per destination), and rebuilds it once
+    /// under the target view otherwise.
     fn repair_to(&self, old: &Arc<RoutingTable>, target_epoch: u64) -> Arc<RoutingTable> {
         let _span = shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Repair);
-        let churn = self.churn.read();
-        let mut cur = Arc::clone(old);
-        for e in (cur.epoch() + 1)..=target_epoch {
-            if self.policy == RoutingPolicy::ShortestPath {
-                // No incremental form for the ablation policy.
-                let t = repair::compute_table_shortest_view(
-                    &self.topo,
-                    &churn.views[e as usize],
-                    cur.destination,
-                );
-                t.set_epoch(e);
-                self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-                cur = Arc::new(t);
-                continue;
-            }
-            let (repaired, outcome) = repair::repair_table(
-                &self.topo,
-                &churn.views[e as usize - 1],
-                &churn.views[e as usize],
-                &churn.batches[e as usize - 1],
-                &cur,
-            );
-            match (repaired, outcome) {
-                (None, _) => cur.set_epoch(e),
-                (Some(t), outcome) => {
-                    t.set_epoch(e);
-                    match outcome {
-                        repair::RepairOutcome::Repaired { rescanned } => {
-                            self.tables_repaired.fetch_add(1, Ordering::Relaxed);
-                            self.entries_rescanned
-                                .fetch_add(rescanned, Ordering::Relaxed);
-                        }
-                        repair::RepairOutcome::FullRebuild => {
-                            self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-                        }
-                        repair::RepairOutcome::Unchanged => {}
-                    }
-                    cur = Arc::new(t);
-                }
-            }
+        let views = self.views.read();
+        let new_view = &views[target_epoch as usize];
+        if repair::untouched(&views[old.epoch() as usize], new_view, old) {
+            old.set_epoch(target_epoch);
+            return Arc::clone(old);
         }
-        cur
+        let t = self.compute_under(new_view, old.destination);
+        t.set_epoch(target_epoch);
+        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
+        Arc::new(t)
     }
 
     /// Stores `table` in its dense slot unless a racing thread beat us
@@ -895,11 +866,11 @@ impl Router {
     /// computed once and cached — an array slot away, no hashing.
     /// Under a byte budget the table may have been evicted since it
     /// was last seen; it is then recomputed here, bit-identical. Under
-    /// churn, a resident table stamped with an older epoch is repaired
-    /// in place (incrementally where possible) before being returned;
-    /// an *evicted* stale table simply misses and is rebuilt fresh
-    /// under the current view — repair composes with eviction for
-    /// free.
+    /// churn, a resident table stamped with an older epoch is
+    /// re-stamped when the deltas since its epoch provably leave it
+    /// unchanged, and rebuilt under the current view otherwise; an
+    /// *evicted* stale table simply misses and is rebuilt the same
+    /// way — staleness composes with eviction for free.
     pub fn table_at(&self, dst: NodeId) -> Arc<RoutingTable> {
         let epoch = self.epoch();
         let slot = &self.slots[dst.index()];
@@ -911,8 +882,8 @@ impl Router {
             }
         }
         if epoch > 0 {
-            // Stale (or raced): repair under the slot write lock so
-            // one thread walks the table forward per destination.
+            // Stale (or raced): bring it current under the slot write
+            // lock so one thread does so per destination.
             let mut guard = slot.table.write();
             match guard.as_ref() {
                 Some(t) if t.epoch() == epoch => {
@@ -925,12 +896,12 @@ impl Router {
                 Some(t) => {
                     // Same node count before and after, so resident
                     // byte accounting is unchanged by the swap.
-                    let repaired = self.repair_to(t, epoch);
-                    *guard = Some(Arc::clone(&repaired));
+                    let current = self.repair_to(t, epoch);
+                    *guard = Some(Arc::clone(&current));
                     drop(guard);
                     slot.referenced.store(true, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return repaired;
+                    return current;
                 }
                 None => {}
             }

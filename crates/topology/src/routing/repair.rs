@@ -1,586 +1,89 @@
-//! Incremental repair of routing tables under topology deltas.
+//! Bringing stale routing tables up to date under topology deltas.
 //!
-//! A [`super::RoutingTable`] is a fixpoint of the valley-free offer
-//! rules over the base CSR. When a delta batch masks links or downs
-//! ASes, most of that fixpoint survives: under *deletions* the offer
-//! set of every node only shrinks, so an entry can change **only if
-//! the path it stores crosses removed state**. Repair exploits this
-//! with a *reverse-reachability cut*:
+//! A [`super::RoutingTable`] stamped with an older churn epoch has two
+//! outcomes when it is next read: it is **re-stamped** if the deltas
+//! since its epoch provably leave it unchanged ([`untouched`]), and
+//! otherwise **rebuilt** once under the current view by
+//! [`compute_table_view`] (or [`compute_table_shortest_view`] for the
+//! ablation policy). Every table therefore stays a pure function of
+//! `(topology, policy, view, destination)`.
 //!
-//! 1. **Relevance (O(1) per removed link).** The old table stores, for
-//!    every node, the next hop of its best path. A removed link
-//!    `u — v` can affect the table at all only if `next_node[u] == v`
-//!    or `next_node[v] == u` (a downed AS only if it held a route).
-//!    For a single-link delta, almost every destination table fails
-//!    this test and is untouched — the aggregate speedup over full
-//!    recompute comes mostly from here.
-//! 2. **Dirty cut (chain walk).** A node is *dirty* iff its stored
-//!    next-hop chain crosses a removed link or downed node. The walk
-//!    memoizes verdicts along each chain, so marking is O(n) total.
-//!    Every clean entry is provably still exact: its stored offer
-//!    survives unchanged (the chain suffix is clean by construction),
-//!    and all other offers only worsened, so the stored minimum is
-//!    still the minimum — including the next-hop ASN tie-break.
-//! 3. **Restricted sweep.** Dirty entries are reset to unreached and
-//!    the three-phase bucket-queue sweep re-runs seeded from the
-//!    *clean frontier* — the in-view neighbors of dirty nodes that
-//!    hold surviving entries — instead of from the destination.
-//!    Buckets drain in increasing path length, so the drain order (and
-//!    therefore the `(class, len, next-hop)` tie-break) is identical
-//!    to a from-scratch sweep restricted to the dirty region.
+//! The proof is the relevance lemma over the *cumulative* diff between
+//! the table's view and the target view. Under pure deletions the offer
+//! set of every node only shrinks, so an entry can change only if the
+//! path it stores crosses removed state: a removed link `u — v` matters
+//! only if `next_node[u] == v` or `next_node[v] == u`, and a downed node
+//! only if it held a route. When no stored next-hop chain crosses
+//! removed state, every stored offer survives unchanged and every other
+//! offer only worsened, so each stored minimum — length, class and the
+//! lowest-next-hop-ASN tie-break alike — is still the minimum. That
+//! holds for valley-free and shortest-path tables alike. Restorations
+//! (a masked link allowed again, a downed node back up) can improve
+//! arbitrarily distant entries, so any restoration across the span
+//! rebuilds.
 //!
-//! Restorations (`LinkUp` / `AsUp`) can *improve* arbitrarily distant
-//! entries — monotonicity cuts the other way — so batches containing
-//! an up-delta rebuild affected tables fresh via
-//! [`compute_table_view`], which is also the per-epoch oracle the
-//! equivalence proptests compare repair against, and the fallback when
-//! the dirty cut's estimated sweep cost approaches a full sweep's.
+//! The view sweeps are the base sweeps with a [`DeltaView::allows`]
+//! check on every edge; the view answers edges no delta names from a
+//! dense per-node flag, so a rebuild costs about as much as a base
+//! sweep.
 
-use super::{
-    compute_table, compute_table_shortest, RouteClass, RouteEntry, RoutingTable, SweepState,
-};
-use crate::delta::{DeltaView, TopologyDelta};
+use super::{compute_table, compute_table_shortest, sweep, sweep_shortest, RoutingTable};
+use crate::delta::DeltaView;
 use crate::graph::Topology;
 use crate::ids::{Asn, NodeId};
 
-/// What [`repair_table`] did to bring a table up to date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairOutcome {
-    /// The delta cannot touch this table; only the epoch stamp moves.
-    Unchanged,
-    /// The dirty cut was re-swept in place.
-    Repaired {
-        /// Edge offers examined by the restricted sweep (the work a
-        /// full recompute would have multiplied across the whole CSR).
-        rescanned: u64,
-    },
-    /// Fell back to a fresh [`compute_table_view`] (restoration batch,
-    /// or a dirty cut covering most of the graph).
-    FullRebuild,
-}
-
 /// Full valley-free sweep toward `dst` restricted to the links `view`
-/// allows — the per-epoch oracle. An empty view is the base topology
-/// and delegates to [`compute_table`] so the churn-free path stays
-/// byte-identical. A downed destination keeps its own zero-length
-/// entry but offers nothing, so everyone else ends unreached.
+/// allows. An empty view is the base topology and delegates to
+/// [`compute_table`] so the churn-free path stays byte-identical. A
+/// downed destination keeps its own zero-length entry but offers
+/// nothing, so everyone else ends unreached.
 pub fn compute_table_view(topo: &Topology, view: &DeltaView, dst: Asn) -> RoutingTable {
     if view.is_empty() {
         return compute_table(topo, dst);
     }
-    let nodes = topo.node_index();
-    let csr = topo.csr();
-    let mut st = SweepState::new(nodes.len(), dst);
-    let Some(d) = nodes.node(dst) else {
-        return st.finish(topo, dst);
-    };
-    st.entries[d.index()] = RouteEntry::new(RouteClass::Customer, 0, dst);
-    st.next_node[d.index()] = d;
-
-    // Phase 1: customer routes climb provider links (BFS).
-    let mut frontier = vec![d];
-    let mut next_frontier: Vec<NodeId> = Vec::new();
-    let mut len = 1u32;
-    while !frontier.is_empty() {
-        for &u in &frontier {
-            let u_asn = nodes.asn(u);
-            for &p in csr.providers(u) {
-                if !view.allows(u, p) {
-                    continue;
-                }
-                let e = &mut st.entries[p.index()];
-                if e.is_unreached() {
-                    *e = RouteEntry::new(RouteClass::Customer, len, u_asn);
-                    st.next_node[p.index()] = u;
-                    next_frontier.push(p);
-                } else if e.path_len() == len && u_asn < e.next_hop() {
-                    e.set_next_hop(u_asn);
-                    st.next_node[p.index()] = u;
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        next_frontier.clear();
-        len += 1;
-    }
-
-    // Phase 2: one peer hop, in place.
-    for i in 0..st.entries.len() {
-        let e = st.entries[i];
-        if e.is_unreached() || e.class() != RouteClass::Customer {
-            continue;
-        }
-        let u = NodeId(i as u32);
-        let u_asn = nodes.asn(u);
-        let cand_len = e.path_len() + 1;
-        for &p in csr.peers(u) {
-            if !view.allows(u, p) {
-                continue;
-            }
-            let pe = &mut st.entries[p.index()];
-            let accept = pe.is_unreached()
-                || (pe.class() == RouteClass::Peer
-                    && (cand_len, u_asn) < (pe.path_len(), pe.next_hop()));
-            if accept {
-                *pe = RouteEntry::new(RouteClass::Peer, cand_len, u_asn);
-                st.next_node[p.index()] = u;
-            }
-        }
-    }
-
-    // Phase 3: routes descend customer links (bucket queue).
-    let mut buckets: Vec<Vec<NodeId>> = Vec::new();
-    for (i, e) in st.entries.iter().enumerate() {
-        if !e.is_unreached() {
-            let d = e.path_len() as usize;
-            if buckets.len() <= d {
-                buckets.resize_with(d + 1, Vec::new);
-            }
-            buckets[d].push(NodeId(i as u32));
-        }
-    }
-    let mut dist = 0usize;
-    while dist < buckets.len() {
-        let bucket = std::mem::take(&mut buckets[dist]);
-        let len = dist as u32 + 1;
-        for &u in &bucket {
-            let u_asn = nodes.asn(u);
-            for &cust in csr.customers(u) {
-                if !view.allows(u, cust) {
-                    continue;
-                }
-                let ce = &mut st.entries[cust.index()];
-                if ce.is_unreached() {
-                    *ce = RouteEntry::new(RouteClass::Provider, len, u_asn);
-                    st.next_node[cust.index()] = u;
-                    if buckets.len() <= len as usize {
-                        buckets.resize_with(len as usize + 1, Vec::new);
-                    }
-                    buckets[len as usize].push(cust);
-                } else if ce.class() == RouteClass::Provider
-                    && ce.path_len() == len
-                    && u_asn < ce.next_hop()
-                {
-                    ce.set_next_hop(u_asn);
-                    st.next_node[cust.index()] = u;
-                }
-            }
-        }
-        dist += 1;
-    }
-
-    st.finish(topo, dst)
+    sweep(topo, dst, |u, v| view.allows(u, v))
 }
 
-/// View-restricted shortest-path sweep (the ablation policy). No
-/// incremental variant exists for it — stale shortest-path tables are
-/// always rebuilt through here.
+/// View-restricted shortest-path sweep (the ablation policy).
 pub fn compute_table_shortest_view(topo: &Topology, view: &DeltaView, dst: Asn) -> RoutingTable {
     if view.is_empty() {
         return compute_table_shortest(topo, dst);
     }
-    let nodes = topo.node_index();
-    let csr = topo.csr();
-    let mut st = SweepState::new(nodes.len(), dst);
-    let Some(d) = nodes.node(dst) else {
-        return st.finish(topo, dst);
-    };
-    st.entries[d.index()] = RouteEntry::new(RouteClass::Customer, 0, dst);
-    st.next_node[d.index()] = d;
-    let mut frontier = vec![d];
-    let mut next_frontier: Vec<NodeId> = Vec::new();
-    let mut len = 1u32;
-    while !frontier.is_empty() {
-        for &u in &frontier {
-            let u_asn = nodes.asn(u);
-            for &nb in csr
-                .providers(u)
-                .iter()
-                .chain(csr.customers(u))
-                .chain(csr.peers(u))
-            {
-                if !view.allows(u, nb) {
-                    continue;
-                }
-                let e = &mut st.entries[nb.index()];
-                if e.is_unreached() {
-                    *e = RouteEntry::new(RouteClass::Customer, len, u_asn);
-                    st.next_node[nb.index()] = u;
-                    next_frontier.push(nb);
-                } else if e.path_len() == len && u_asn < e.next_hop() {
-                    e.set_next_hop(u_asn);
-                    st.next_node[nb.index()] = u;
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next_frontier);
-        next_frontier.clear();
-        len += 1;
-    }
-    st.finish(topo, dst)
+    sweep_shortest(topo, dst, |u, v| view.allows(u, v))
 }
 
-/// Verdict of one candidate offer against the incumbent entry, under
-/// the full `(class, len, next-hop ASN)` preference order with
-/// unreached as +∞.
-enum Offer {
-    /// Candidate strictly better in `(class, len)` — entry replaced,
-    /// target must (re)propagate.
-    Set,
-    /// Equal `(class, len)`, smaller next-hop ASN — tie-break update
-    /// only, nothing to propagate.
-    Tie,
-    /// Candidate loses.
-    No,
-}
-
-/// Applies one offer to `target`'s entry, returning what happened.
-fn offer(
-    st: &mut SweepState,
-    target: NodeId,
-    class: RouteClass,
-    len: u32,
-    from_asn: Asn,
-    from_node: NodeId,
-) -> Offer {
-    let e = &mut st.entries[target.index()];
-    if e.is_unreached() {
-        *e = RouteEntry::new(class, len, from_asn);
-        st.next_node[target.index()] = from_node;
-        return Offer::Set;
-    }
-    if (class, len) < (e.class(), e.path_len()) {
-        *e = RouteEntry::new(class, len, from_asn);
-        st.next_node[target.index()] = from_node;
-        return Offer::Set;
-    }
-    if (class, len) == (e.class(), e.path_len()) && from_asn < e.next_hop() {
-        e.set_next_hop(from_asn);
-        st.next_node[target.index()] = from_node;
-        return Offer::Tie;
-    }
-    Offer::No
-}
-
-/// Brings `old` (valid under `old_view`) up to date with `new_view`
-/// (= `old_view` + `batch`). Returns `None` when the table is provably
-/// untouched — the caller just bumps the epoch stamp — otherwise the
-/// repaired (or rebuilt) table, entry-for-entry identical to
-/// [`compute_table_view`] under `new_view`.
-pub fn repair_table(
-    topo: &Topology,
-    old_view: &DeltaView,
-    new_view: &DeltaView,
-    batch: &[TopologyDelta],
-    old: &RoutingTable,
-) -> (Option<RoutingTable>, RepairOutcome) {
+/// Whether `old`, computed under `old_view`, is provably identical to
+/// a fresh sweep under `new_view` — the caller then only moves the
+/// epoch stamp. `false` means rebuild: something was restored across
+/// the span, or a net-removed link carries a stored next hop, or a
+/// net-downed node holds a route.
+pub fn untouched(old_view: &DeltaView, new_view: &DeltaView, old: &RoutingTable) -> bool {
     if old_view == new_view {
-        return (None, RepairOutcome::Unchanged);
+        return true;
     }
-    // Restorations can improve entries anywhere; rebuild fresh.
-    if batch
-        .iter()
-        .any(|d| matches!(d, TopologyDelta::LinkUp { .. } | TopologyDelta::AsUp { .. }))
-    {
-        let t = compute_table_view(topo, new_view, old.destination);
-        return (Some(t), RepairOutcome::FullRebuild);
+    let restored = old_view.masked_links().any(|(u, v)| new_view.allows(u, v))
+        || old_view.down_nodes().any(|w| new_view.node_up(w));
+    if restored {
+        return false;
     }
-    let nodes = topo.node_index();
-    let Some(dst_node) = nodes.node(old.destination) else {
-        // Unknown destination: the table is degenerate (only the
-        // destination itself) and no delta can change that.
-        return (None, RepairOutcome::Unchanged);
+    let routed = |x: NodeId| !old.entries[x.index()].is_unreached();
+    let carries = |u: NodeId, v: NodeId| {
+        (routed(u) && old.next_node[u.index()] == v) || (routed(v) && old.next_node[v.index()] == u)
     };
-
-    // The stored chains were all valid under `old_view`, so only this
-    // batch's own removals can break them. Collect those as tiny dense
-    // lists — the O(n) chain walk below then does a couple of integer
-    // compares per step instead of hashing into the view's sets, which
-    // measured ~10× slower across a whole table.
-    let mut new_down: Vec<NodeId> = Vec::new();
-    let mut new_masked: Vec<(NodeId, NodeId)> = Vec::new();
-    for d in batch {
-        match *d {
-            TopologyDelta::AsDown { asn } => {
-                if let Some(x) = nodes.node(asn) {
-                    if old_view.node_up(x) {
-                        new_down.push(x);
-                    }
-                }
-            }
-            TopologyDelta::LinkDown { a, b } => {
-                if let (Some(u), Some(v)) = (nodes.node(a), nodes.node(b)) {
-                    if old_view.allows(u, v) {
-                        new_masked.push((u, v));
-                    }
-                }
-            }
-            // Restorations were handled above.
-            TopologyDelta::AsUp { .. } | TopologyDelta::LinkUp { .. } => {}
-        }
-    }
-    // `nx` must be checked too: the memoized walk normally discovers a
-    // downed next hop when it advances onto it, but the destination is
-    // pinned clean below, so a chain ending at a downed destination
-    // would otherwise never see the break.
-    let breaks = |x: NodeId, nx: NodeId| {
-        new_down.contains(&x)
-            || new_down.contains(&nx)
-            || new_masked.contains(&(x, nx))
-            || new_masked.contains(&(nx, x))
-    };
-
-    // Relevance: does any newly removed link carry a stored next hop,
-    // or any newly downed node hold a route?
-    let uses_link = |u: NodeId, v: NodeId| {
-        (!old.entries[u.index()].is_unreached() && old.next_node[u.index()] == v)
-            || (!old.entries[v.index()].is_unreached() && old.next_node[v.index()] == u)
-    };
-    let link_removed = new_masked.iter().any(|&(u, v)| uses_link(u, v));
-    let node_removed = new_down
-        .iter()
-        .any(|&w| !old.entries[w.index()].is_unreached());
-    if !link_removed && !node_removed {
-        return (None, RepairOutcome::Unchanged);
-    }
-
-    // Dirty cut: memoized walk of every stored next-hop chain. The
-    // destination's self-entry is pinned clean even when the
-    // destination is down (it offers nothing then, matching the view
-    // sweep); unreached entries stay unreached under deletions.
-    const UNKNOWN: u8 = 0;
-    const CLEAN: u8 = 1;
-    const DIRTY: u8 = 2;
-    let csr = topo.csr();
-    let n = old.entries.len();
-    let mut status = vec![UNKNOWN; n];
-    status[dst_node.index()] = CLEAN;
-    let mut trail: Vec<NodeId> = Vec::new();
-    let mut dirty_count = 0usize;
-
-    // The restricted sweep's cost is the dirty set's own edge budget
-    // *plus* the frontier above it: phase-3 seeds are the providers
-    // adjacent to the cut, and a high-degree hub on that frontier
-    // scans all its customers however small the cut is. Accumulate
-    // that estimate as nodes go dirty (deduped seeds make it an
-    // overestimate for overlapping frontiers — exactly the cuts where
-    // rebuilding wins) and bail to the plain full sweep mid-walk the
-    // moment repair can't beat it. The 16× margin is deliberately
-    // aggressive: the restricted sweep's scattered access measures
-    // several times the full sweep's streamlined per-edge cost, so
-    // re-sweeping only pays off for cuts well over an order of
-    // magnitude below the edge count. Calibrated on the
-    // `routing_churn` bench — single-link cuts win ~15×, while wide
-    // AS-down cuts would lose ~2.5× if re-swept and instead rebuild
-    // at walk-cost parity. The floor keeps toy graphs (where both
-    // paths are trivially cheap) on the repair path so its machinery
-    // stays exercised. Misjudging is cheap in both directions:
-    // rebuild is always correct, repair is exact.
-    let sweep_cost = |x: NodeId| {
-        let mut c = csr.providers(x).len() + csr.customers(x).len() + csr.peers(x).len();
-        for &u in csr.providers(x) {
-            c += csr.customers(u).len();
-        }
-        c
-    };
-    let budget = csr.edge_count().max(8192);
-    let mut est = 0usize;
-
-    for i in 0..n {
-        if status[i] != UNKNOWN {
-            continue;
-        }
-        if old.entries[i].is_unreached() {
-            status[i] = CLEAN;
-            continue;
-        }
-        let mut x = NodeId(i as u32);
-        let verdict = loop {
-            if status[x.index()] != UNKNOWN {
-                break status[x.index()];
-            }
-            if breaks(x, old.next_node[x.index()]) {
-                status[x.index()] = DIRTY;
-                dirty_count += 1;
-                est += sweep_cost(x);
-                break DIRTY;
-            }
-            trail.push(x);
-            x = old.next_node[x.index()];
-        };
-        for &y in &trail {
-            status[y.index()] = verdict;
-            if verdict == DIRTY {
-                dirty_count += 1;
-                est += sweep_cost(y);
-            }
-        }
-        trail.clear();
-        if 16 * est > budget {
-            let t = compute_table_view(topo, new_view, old.destination);
-            return (Some(t), RepairOutcome::FullRebuild);
-        }
-    }
-    if dirty_count == 0 {
-        return (None, RepairOutcome::Unchanged);
-    }
-    let dirty: Vec<NodeId> = (0..n)
-        .filter(|&i| status[i] == DIRTY)
-        .map(|i| NodeId(i as u32))
-        .collect();
-
-    // Reset the dirty cut; everything clean is already final.
-    let dst = old.destination;
-    let mut st = SweepState {
-        entries: old.entries.clone(),
-        next_node: old.next_node.clone(),
-    };
-    for &x in &dirty {
-        st.entries[x.index()] = RouteEntry::unreached(dst);
-        st.next_node[x.index()] = NodeId(0);
-    }
-
-    let mut rescanned = 0u64;
-    let mut buckets: Vec<Vec<NodeId>> = Vec::new();
-    let mut seeded = vec![false; n];
-    fn push_bucket(buckets: &mut Vec<Vec<NodeId>>, d: usize, x: NodeId) {
-        if buckets.len() <= d {
-            buckets.resize_with(d + 1, Vec::new);
-        }
-        buckets[d].push(x);
-    }
-
-    // Phase 1 (restricted): seeds are the in-view customers of dirty
-    // nodes that hold surviving customer routes; propagation re-enters
-    // the dirty region only (offers into clean entries are provable
-    // no-ops, counted as rescans).
-    for &p in &dirty {
-        if !new_view.node_up(p) {
-            continue;
-        }
-        for &c in csr.customers(p) {
-            if seeded[c.index()] || !new_view.node_up(c) {
-                continue;
-            }
-            let e = st.entries[c.index()];
-            if e.is_unreached() || e.class() != RouteClass::Customer {
-                continue;
-            }
-            seeded[c.index()] = true;
-            push_bucket(&mut buckets, e.path_len() as usize, c);
-        }
-    }
-    let mut dist = 0usize;
-    while dist < buckets.len() {
-        let bucket = std::mem::take(&mut buckets[dist]);
-        let len = dist as u32 + 1;
-        for &u in &bucket {
-            let e = st.entries[u.index()];
-            if e.is_unreached()
-                || e.class() != RouteClass::Customer
-                || e.path_len() as usize != dist
-            {
-                continue;
-            }
-            let u_asn = nodes.asn(u);
-            for &p in csr.providers(u) {
-                if !new_view.allows(u, p) {
-                    continue;
-                }
-                rescanned += 1;
-                if let Offer::Set = offer(&mut st, p, RouteClass::Customer, len, u_asn, u) {
-                    push_bucket(&mut buckets, len as usize, p);
-                }
-            }
-        }
-        dist += 1;
-    }
-
-    // Phase 2 (restricted): customer-route holders are final now, so
-    // dirty nodes pull the best surviving peer offer directly.
-    for &p in &dirty {
-        if !new_view.node_up(p) {
-            continue;
-        }
-        for &u in csr.peers(p) {
-            if !new_view.allows(u, p) {
-                continue;
-            }
-            let e = st.entries[u.index()];
-            if e.is_unreached() || e.class() != RouteClass::Customer {
-                continue;
-            }
-            rescanned += 1;
-            offer(
-                &mut st,
-                p,
-                RouteClass::Peer,
-                e.path_len() + 1,
-                nodes.asn(u),
-                u,
-            );
-        }
-    }
-
-    // Phase 3 (restricted): seeds are every in-view route holder
-    // adjacent-above a dirty node — plus dirty nodes already repaired
-    // in phases 1–2, which may pass routes further down.
-    buckets.clear();
-    seeded.iter_mut().for_each(|s| *s = false);
-    for &p in &dirty {
-        let e = st.entries[p.index()];
-        if !e.is_unreached() && !seeded[p.index()] {
-            seeded[p.index()] = true;
-            push_bucket(&mut buckets, e.path_len() as usize, p);
-        }
-        if !new_view.node_up(p) {
-            continue;
-        }
-        for &u in csr.providers(p) {
-            if seeded[u.index()] || !new_view.node_up(u) {
-                continue;
-            }
-            let e = st.entries[u.index()];
-            if e.is_unreached() {
-                continue;
-            }
-            seeded[u.index()] = true;
-            push_bucket(&mut buckets, e.path_len() as usize, u);
-        }
-    }
-    let mut dist = 0usize;
-    while dist < buckets.len() {
-        let bucket = std::mem::take(&mut buckets[dist]);
-        let len = dist as u32 + 1;
-        for &u in &bucket {
-            let e = st.entries[u.index()];
-            if e.is_unreached() || e.path_len() as usize != dist {
-                continue;
-            }
-            let u_asn = nodes.asn(u);
-            for &cust in csr.customers(u) {
-                if !new_view.allows(u, cust) {
-                    continue;
-                }
-                rescanned += 1;
-                if let Offer::Set = offer(&mut st, cust, RouteClass::Provider, len, u_asn, u) {
-                    push_bucket(&mut buckets, len as usize, cust);
-                }
-            }
-        }
-        dist += 1;
-    }
-
-    (
-        Some(st.finish(topo, dst)),
-        RepairOutcome::Repaired { rescanned },
-    )
+    let link_removed = new_view
+        .masked_links()
+        .any(|(u, v)| old_view.allows(u, v) && carries(u, v));
+    let node_removed = new_view
+        .down_nodes()
+        .any(|w| old_view.node_up(w) && routed(w));
+    !link_removed && !node_removed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asys::{AsInfo, AsType};
+    use crate::delta::TopologyDelta;
     use crate::graph::TopologyBuilder;
     use shortcuts_geo::CountryCode;
 
@@ -631,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn link_down_repair_matches_view_oracle() {
+    fn untouched_tables_match_the_view_oracle() {
         let topo = valley_topology();
         let base = DeltaView::empty();
         let batch = [TopologyDelta::LinkDown {
@@ -639,18 +142,18 @@ mod tests {
             b: Asn(4),
         }];
         let view = base.applied(&topo, &batch);
+        let mut touched = 0;
         for dst in [1u32, 2, 3, 4, 5, 6] {
             let old = compute_table(&topo, Asn(dst));
-            let oracle = compute_table_view(&topo, &view, Asn(dst));
-            let (repaired, outcome) = repair_table(&topo, &base, &view, &batch, &old);
-            match repaired {
-                Some(t) => assert_tables_equal(&t, &oracle, &format!("dst {dst}")),
-                None => {
-                    assert_eq!(outcome, RepairOutcome::Unchanged);
-                    assert_tables_equal(&old, &oracle, &format!("dst {dst} (unchanged)"));
-                }
+            if untouched(&base, &view, &old) {
+                let oracle = compute_table_view(&topo, &view, Asn(dst));
+                assert_tables_equal(&old, &oracle, &format!("dst {dst} (untouched)"));
+            } else {
+                touched += 1;
             }
         }
+        // Stub 5 reaches stub 6 over the 3—4 peering.
+        assert!(touched > 0);
     }
 
     #[test]
@@ -659,50 +162,53 @@ mod tests {
         let base = DeltaView::empty();
         // The 3→1 transit never carries a best path toward stub 6:
         // 3 prefers its peer 4, and 1 its peer 2.
-        let batch = [TopologyDelta::LinkDown {
-            a: Asn(3),
-            b: Asn(1),
-        }];
-        let view = base.applied(&topo, &batch);
+        let view = base.applied(
+            &topo,
+            &[TopologyDelta::LinkDown {
+                a: Asn(3),
+                b: Asn(1),
+            }],
+        );
         let old = compute_table(&topo, Asn(6));
-        let (repaired, outcome) = repair_table(&topo, &base, &view, &batch, &old);
-        assert!(repaired.is_none());
-        assert_eq!(outcome, RepairOutcome::Unchanged);
+        assert!(untouched(&base, &view, &old));
+        assert_tables_equal(&old, &compute_table_view(&topo, &view, Asn(6)), "3—1 down");
     }
 
     #[test]
     fn destination_down_leaves_only_its_self_entry() {
         let topo = valley_topology();
         let base = DeltaView::empty();
-        let batch = [TopologyDelta::AsDown { asn: Asn(6) }];
-        let view = base.applied(&topo, &batch);
+        let view = base.applied(&topo, &[TopologyDelta::AsDown { asn: Asn(6) }]);
         let old = compute_table(&topo, Asn(6));
+        assert!(!untouched(&base, &view, &old));
         let oracle = compute_table_view(&topo, &view, Asn(6));
         assert_eq!(oracle.reachable_count(), 1);
         assert!(oracle.route(Asn(6)).is_some());
-        let (repaired, _) = repair_table(&topo, &base, &view, &batch, &old);
-        assert_tables_equal(&repaired.unwrap(), &oracle, "downed dst");
     }
 
     #[test]
     fn restoration_batches_rebuild_fresh() {
         let topo = valley_topology();
-        let down = [TopologyDelta::LinkDown {
-            a: Asn(3),
-            b: Asn(4),
-        }];
-        let view1 = DeltaView::empty().applied(&topo, &down);
-        let up = [TopologyDelta::LinkUp {
-            a: Asn(3),
-            b: Asn(4),
-        }];
-        let view2 = view1.applied(&topo, &up);
+        let link = (Asn(3), Asn(4));
+        let view1 = DeltaView::empty().applied(
+            &topo,
+            &[TopologyDelta::LinkDown {
+                a: link.0,
+                b: link.1,
+            }],
+        );
+        let view2 = view1.applied(
+            &topo,
+            &[TopologyDelta::LinkUp {
+                a: link.0,
+                b: link.1,
+            }],
+        );
         let old = compute_table_view(&topo, &view1, Asn(6));
-        let (repaired, outcome) = repair_table(&topo, &view1, &view2, &up, &old);
-        assert_eq!(outcome, RepairOutcome::FullRebuild);
+        assert!(!untouched(&view1, &view2, &old));
         // Fully restored view ≡ the base table.
         assert_tables_equal(
-            &repaired.unwrap(),
+            &compute_table_view(&topo, &view2, Asn(6)),
             &compute_table(&topo, Asn(6)),
             "restored",
         );

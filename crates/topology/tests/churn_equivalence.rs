@@ -1,15 +1,15 @@
-//! Incremental routing repair ≡ full view recompute, under random
-//! delta sequences on random multigraphs.
+//! Stale routing tables, re-stamped or rebuilt ≡ full view recompute,
+//! under random delta sequences on random multigraphs.
 //!
 //! After every applied batch, every destination table the router
-//! serves — repaired incrementally, epoch-stamped in place, or rebuilt
-//! after an eviction — must be entry-for-entry identical to a fresh
-//! [`repair::compute_table_view`] sweep under the accumulated
+//! serves — re-stamped in place, rebuilt under the current view, or
+//! rebuilt after an eviction — must be entry-for-entry identical to a
+//! fresh [`repair::compute_table_view`] sweep under the accumulated
 //! [`DeltaView`] (which itself degenerates to the byte-identical base
 //! `compute_table` when the view is empty). A budget-starved router
-//! runs the same sequence to prove repair composes with CLOCK
-//! eviction: an evicted stale table simply misses and is rebuilt
-//! fresh under the current view.
+//! runs the same sequence to prove staleness composes with CLOCK
+//! eviction, and a lagging router, read only after the last batch,
+//! proves the re-stamp decision covers several epochs at once.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -137,9 +137,9 @@ fn assert_matches_view(topo: &Topology, router: &Router, view: &DeltaView, dst: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The core repair contract: any delta sequence, any destination,
-    /// repaired ≡ recomputed — with and without a starving byte
-    /// budget.
+    /// The core staleness contract: any delta sequence, any
+    /// destination, brought current ≡ recomputed — with and without a
+    /// starving byte budget, and across one epoch or several.
     #[test]
     fn repaired_tables_match_full_recompute(
         n in 2usize..40,
@@ -157,24 +157,31 @@ proptest! {
             RoutingPolicy::ValleyFree,
             Some(2 * table_approx_bytes(n)),
         );
+        let lagging = Router::new(Arc::clone(&topo));
         // Warm every destination so the batches hit *resident* tables
-        // (the repair path), not cold misses.
+        // (the re-stamp-or-rebuild path), not cold misses.
         router.precompute(&dsts);
+        lagging.precompute(&dsts);
 
         let mut view = DeltaView::empty();
         for (i, batch) in batches.iter().enumerate() {
             view.apply(&topo, batch);
             router.apply_delta(batch);
             starved.apply_delta(batch);
+            lagging.apply_delta(batch);
             for &dst in &dsts {
                 assert_matches_view(&topo, &router, &view, dst, &format!("batch {i}"));
                 assert_matches_view(&topo, &starved, &view, dst, &format!("batch {i} starved"));
             }
         }
+        // Stale by every batch at once.
+        for &dst in &dsts {
+            assert_matches_view(&topo, &lagging, &view, dst, "after the last batch, lagging");
+        }
     }
 
-    /// The ablation policy has no incremental form; its stale tables
-    /// must still come back exactly equal to the view sweep.
+    /// The re-stamp proof holds for the ablation policy too: its stale
+    /// tables must come back exactly equal to the view sweep.
     #[test]
     fn shortest_path_tables_rebuild_under_churn(
         n in 2usize..24,
@@ -199,11 +206,9 @@ proptest! {
     }
 }
 
-#[test]
-fn unaffected_tables_are_stamped_not_reswept() {
-    // A chain 100 ← 107 ← 114 plus an isolated island 121—128: downing
-    // the island link cannot touch any chain table, so repairing the
-    // chain tables must do zero sweep work.
+/// A chain 100 ← 107 ← 114 plus an isolated island 121 ← 128, with
+/// every chain table warm.
+fn chain_and_island() -> (Arc<Topology>, Router) {
     let mut b = Topology::builder();
     for (i, t) in [
         AsType::Tier1,
@@ -231,31 +236,78 @@ fn unaffected_tables_are_stamped_not_reswept() {
     b.add_transit(Asn(128), Asn(121));
     let topo = Arc::new(b.build());
     let router = Router::new(Arc::clone(&topo));
-    router.precompute(&[Asn(100), Asn(107), Asn(114)]);
+    router.precompute(&CHAIN.map(Asn));
+    (topo, router)
+}
 
-    router.apply_delta(&[TopologyDelta::LinkDown {
-        a: Asn(121),
-        b: Asn(128),
-    }]);
-    let view = router.current_view();
-    for dst in [100u32, 107, 114] {
-        assert_matches_view(&topo, &router, &view, Asn(dst), "island down");
-    }
-    let stats = router.stats();
-    assert_eq!(stats.tables_repaired, 0, "chain tables only re-stamp");
-    assert_eq!(stats.full_rebuilds, 0);
-    assert_eq!(stats.entries_rescanned, 0);
+const CHAIN: [u32; 3] = [100, 107, 114];
 
-    // Downing a chain link now really repairs the affected tables.
-    router.apply_delta(&[TopologyDelta::LinkDown {
-        a: Asn(100),
-        b: Asn(107),
-    }]);
-    let view = router.current_view();
-    for dst in [100u32, 107, 114] {
-        assert_matches_view(&topo, &router, &view, Asn(dst), "chain down");
+fn link_down(a: u32, b: u32) -> TopologyDelta {
+    TopologyDelta::LinkDown {
+        a: Asn(a),
+        b: Asn(b),
     }
-    assert!(router.stats().tables_repaired > 0);
+}
+
+fn link_up(a: u32, b: u32) -> TopologyDelta {
+    TopologyDelta::LinkUp {
+        a: Asn(a),
+        b: Asn(b),
+    }
+}
+
+fn assert_chain_matches_view(topo: &Topology, router: &Router, ctx: &str) {
+    let view = router.current_view();
+    for dst in CHAIN {
+        assert_matches_view(topo, router, &view, Asn(dst), ctx);
+    }
+}
+
+#[test]
+fn unaffected_tables_are_stamped_not_reswept() {
+    // Downing the island link cannot touch any chain table, so
+    // bringing the chain tables current must rebuild nothing.
+    let (topo, router) = chain_and_island();
+    router.apply_delta(&[link_down(121, 128)]);
+    assert_chain_matches_view(&topo, &router, "island down");
+    assert_eq!(
+        router.stats().full_rebuilds,
+        0,
+        "chain tables only re-stamp"
+    );
+
+    // Downing a chain link splits the chain: every chain table routes
+    // over it, so each is rebuilt once.
+    router.apply_delta(&[link_down(100, 107)]);
+    assert_chain_matches_view(&topo, &router, "chain down");
+    assert_eq!(router.stats().full_rebuilds, 3);
+}
+
+#[test]
+fn the_restamp_decision_spans_every_epoch_since_the_table_was_current() {
+    let (topo, router) = chain_and_island();
+
+    // A chain link flaps down and back up across two epochs while an
+    // irrelevant island link goes down. Nothing reads the tables in
+    // between, so against their own epoch only the island link is
+    // net-removed: they re-stamp.
+    router.apply_delta(&[link_down(100, 107)]);
+    router.apply_delta(&[link_up(107, 100), link_down(121, 128)]);
+    assert_chain_matches_view(&topo, &router, "flap across two epochs");
+    assert_eq!(
+        router.stats().full_rebuilds,
+        0,
+        "a net no-op flap re-stamps"
+    );
+
+    // An AS goes down and comes back: both reads rebuild, the second
+    // because a restoration can improve any entry.
+    router.apply_delta(&[TopologyDelta::AsDown { asn: Asn(107) }]);
+    assert_chain_matches_view(&topo, &router, "AS107 down");
+    assert_eq!(router.stats().full_rebuilds, 3);
+    router.apply_delta(&[TopologyDelta::AsUp { asn: Asn(107) }]);
+    assert_chain_matches_view(&topo, &router, "AS107 back up");
+    assert_eq!(router.stats().full_rebuilds, 6);
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn base_cfg(rounds: u32) -> CampaignConfig {
     // CI re-runs this suite with COLO_MEMORY_BUDGET small enough to
     // force cache eviction mid-churn: stale tables are then evicted
     // and rebuilt fresh under the current view, and the bit-identity
-    // assertions prove repair and eviction compose transparently.
+    // assertions prove staleness and eviction compose transparently.
     if let Ok(s) = std::env::var("COLO_MEMORY_BUDGET") {
         cfg.memory = MemoryBudget::parse(&s).expect("bad COLO_MEMORY_BUDGET");
     }
