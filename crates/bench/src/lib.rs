@@ -1,7 +1,8 @@
 //! # shortcuts-bench
 //!
 //! Reproduction harness: one binary per figure/table of the paper plus
-//! ablations, and Criterion micro-benchmarks for the hot paths.
+//! ablations, the `loadgen` load harness, and the `ledger` perf ledger
+//! that `BENCHMARK.json` runs.
 //!
 //! Every binary runs a deterministic paper-scale campaign and prints the
 //! same rows/series the paper reports, next to the paper's reference
@@ -10,9 +11,6 @@
 //! - `SHORTCUTS_ROUNDS` — measurement rounds (default 8 for a fast run;
 //!   set 45 for the paper's full campaign).
 //! - `SHORTCUTS_SEED` — world/campaign seed (default 2017).
-//!
-//! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured numbers.
 
 use shortcuts_core::workflow::{Campaign, CampaignConfig, CampaignResults};
 use shortcuts_core::world::{World, WorldConfig};

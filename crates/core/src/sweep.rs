@@ -28,11 +28,11 @@
 //! The consequence — enforced by the `sweep_equivalence` suite — is
 //! the sweep determinism contract: **every scenario of a concurrent
 //! sweep is bit-identical to running that `(seed, config)` alone** via
-//! [`Campaign::run_streaming`], down to the CSV bytes, at any
-//! `jobs_in_flight` and any worker count. Sharing caches is purely a
-//! scheduling/performance choice; cached pair facts and routing tables
-//! are deterministic world facts, identical however many campaigns
-//! touch them.
+//! [`crate::workflow::Campaign::run_streaming`], down to the CSV
+//! bytes, at any `jobs_in_flight` and any worker count. Sharing caches
+//! is purely a scheduling/performance choice; cached pair facts and
+//! routing tables are deterministic world facts, identical however
+//! many campaigns touch them.
 //!
 //! [`Sweep::run_streaming`] streams a `(scenario, RoundSummary)` per
 //! completed round — per scenario in round order, as rounds complete —
@@ -51,7 +51,7 @@ use crate::analysis::improvement::ImprovementAnalysis;
 use crate::relays::RelayType;
 use crate::shard::run_interleaved_ranges;
 use crate::stitch::{ResultsBuilder, RoundReorder};
-use crate::workflow::{Campaign, CampaignConfig, CampaignResults, CampaignSetup, RoundSummary};
+use crate::workflow::{CampaignConfig, CampaignResults, CampaignSetup, RoundSummary};
 use crate::world::World;
 use crate::{NetsimBackend, RoundPlan};
 use rayon::prelude::*;
@@ -418,27 +418,11 @@ impl Sweep {
     }
 }
 
-/// Convenience: runs `cfg`'s scenarios as **sequential solo campaigns**
-/// (each with its own engine and caches) and returns the same report
-/// shape. This is the baseline the `campaign_sweep` benchmark times
-/// the shared-world sweep against; results are bit-identical.
-pub fn run_sequential(world: &World, cfg: &SweepConfig) -> SweepReport {
-    let scenarios = cfg
-        .scenarios
-        .iter()
-        .map(|sc| ScenarioResults {
-            label: sc.label.clone(),
-            seed: sc.config.seed,
-            results: Campaign::new(world, sc.config.clone()).run(),
-        })
-        .collect();
-    SweepReport { scenarios }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report;
+    use crate::workflow::Campaign;
     use crate::world::WorldConfig;
     use shortcuts_netsim::clock::SimTime;
     use shortcuts_netsim::FaultPlan;
@@ -447,6 +431,21 @@ mod tests {
         let mut cfg = CampaignConfig::small();
         cfg.rounds = rounds;
         cfg
+    }
+
+    /// Runs `cfg`'s scenarios as sequential solo campaigns, each with
+    /// its own engine and caches, in the sweep's report shape.
+    fn run_sequential(world: &World, cfg: &SweepConfig) -> SweepReport {
+        let scenarios = cfg
+            .scenarios
+            .iter()
+            .map(|sc| ScenarioResults {
+                label: sc.label.clone(),
+                seed: sc.config.seed,
+                results: Campaign::new(world, sc.config.clone()).run(),
+            })
+            .collect();
+        SweepReport { scenarios }
     }
 
     #[test]

@@ -81,18 +81,21 @@ fn four_concurrent_sessions_match_solo_runs_bytewise() {
     let addr = server.local_addr();
     let seeds = [2017u64, 2018, 2019, 2020];
 
-    let streamed: Vec<(u64, String)> = std::thread::scope(|scope| {
+    let streamed: Vec<(u64, usize, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("admitted");
+                    let mut rounds = 0;
                     client
-                        .run_streaming(&format!("RUN seed={seed} rounds=2 world-seed=90"), |_| {})
+                        .run_streaming(&format!("RUN seed={seed} rounds=2 world-seed=90"), |e| {
+                            rounds += usize::from(matches!(e, StreamEvent::Round(_)));
+                        })
                         .expect("run");
                     let (_, bytes) = client.fetch_csv("cases").expect("csv");
                     client.quit();
-                    (seed, String::from_utf8(bytes).unwrap())
+                    (seed, rounds, String::from_utf8(bytes).unwrap())
                 })
             })
             .collect();
@@ -101,7 +104,8 @@ fn four_concurrent_sessions_match_solo_runs_bytewise() {
 
     // All four sessions shared one pooled engine stack.
     assert_eq!(server.manager().pool().worlds_resident(), 1);
-    for (seed, csv) in streamed {
+    for (seed, rounds, csv) in streamed {
+        assert_eq!(rounds, 2, "seed {seed} streamed every round");
         assert_eq!(
             csv,
             solo_cases_csv(90, seed, 2),
@@ -382,6 +386,12 @@ fn subscribers_get_streams_byte_identical_to_a_solo_run() {
     solo.quit();
     baseline_server.shutdown();
     assert_eq!(solo_ok, "run 1");
+    assert_eq!(solo_events.len(), 3, "two ROUNDs and an END");
+    assert_eq!(
+        String::from_utf8(solo_csv.clone()).unwrap(),
+        solo_cases_csv(90, 4242, 2),
+        "service CSV diverged from the solo campaign"
+    );
 
     // Producer subscriber on a background thread; taps attach once the
     // broadcast key is live, one in text framing and one in binary.

@@ -182,13 +182,17 @@ proptest! {
     }
 }
 
-/// The same equivalence over the real generator at `small` scale: the
-/// exact graph shapes (tier-1 clique, regional tier-2s, stub fans) the
-/// campaign routes over.
+/// The same equivalence over the real generator at `small` and paper
+/// scale: the exact graph shapes (tier-1 clique, regional tier-2s, stub
+/// fans) the campaign routes over.
 #[test]
 fn generated_topology_tables_match_oracle() {
-    for seed in [11u64, 404] {
-        let topo = Topology::generate(&TopologyConfig::small(), seed);
+    for (config, seed) in [
+        (TopologyConfig::small(), 11u64),
+        (TopologyConfig::small(), 404),
+        (TopologyConfig::paper_scale(), 1),
+    ] {
+        let topo = Topology::generate(&config, seed);
         for &dst in topo.eyeball_asns().iter().step_by(11) {
             assert_tables_match(&topo, dst);
         }

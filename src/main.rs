@@ -105,6 +105,7 @@ use shortcuts_service::{Client, Framing, RetryPolicy, Server, ServiceConfig, Str
 use shortcuts_topology::routing::table_approx_bytes;
 use shortcuts_topology::{ChurnSchedule, MemoryBudget};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 
 struct Args {
@@ -131,6 +132,15 @@ struct Args {
     metrics: bool,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
+}
+
+/// Parses one flag's value, or prints `<flag>: takes <what>, got
+/// "<value>"` and exits 2, as every other malformed flag does.
+fn parse_flag<T: FromStr>(flag: &str, value: &str, what: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: takes {what}, got \"{value}\"");
+        std::process::exit(2);
+    })
 }
 
 fn parse_args(mut argv: std::env::Args) -> (String, Args) {
@@ -161,135 +171,59 @@ fn parse_args(mut argv: std::env::Args) -> (String, Args) {
         metrics_out: None,
         trace_out: None,
     };
-    let rest: Vec<String> = argv.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let need_value = |i: usize| -> &str {
-            rest.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {}", rest[i]);
-                    std::process::exit(2);
-                })
-                .as_str()
+    while let Some(flag) = argv.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            argv.next().unwrap_or_else(|| {
+                eprintln!("missing value for {flag}");
+                std::process::exit(2);
+            })
         };
-        match rest[i].as_str() {
-            "--seed" => {
-                args.seed = need_value(i).parse().expect("--seed takes a u64");
-                i += 2;
-            }
-            "--world-seed" => {
-                args.world_seed = Some(need_value(i).parse().expect("--world-seed takes a u64"));
-                i += 2;
-            }
+        match flag {
+            "--seed" => args.seed = parse_flag(flag, &value(), "a u64"),
+            "--world-seed" => args.world_seed = Some(parse_flag(flag, &value(), "a u64")),
             "--seeds" => {
-                args.seeds = need_value(i)
+                args.seeds = value()
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--seeds takes u64,u64,..."))
-                    .collect();
-                i += 2;
+                    .map(|s| parse_flag(flag, s.trim(), "comma-separated u64s"))
+                    .collect()
             }
-            "--jobs-in-flight" => {
-                args.jobs_in_flight = need_value(i)
-                    .parse()
-                    .expect("--jobs-in-flight takes a usize");
-                i += 2;
-            }
-            "--rounds" => {
-                args.rounds = need_value(i).parse().expect("--rounds takes a u32");
-                i += 2;
-            }
-            "--out" => {
-                args.out = PathBuf::from(need_value(i));
-                i += 2;
-            }
-            "--serial" => {
-                args.serial = true;
-                i += 1;
-            }
-            "--addr" => {
-                args.addr = need_value(i).to_string();
-                i += 2;
-            }
-            "--max-sessions" => {
-                args.max_sessions = need_value(i).parse().expect("--max-sessions takes a usize");
-                i += 2;
-            }
-            "--world-scale" => {
-                args.world_scale = need_value(i).to_string();
-                i += 2;
-            }
-            "--stats" => {
-                args.stats = true;
-                i += 1;
-            }
-            "--metrics" => {
-                args.metrics = true;
-                i += 1;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(PathBuf::from(need_value(i)));
-                i += 2;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(PathBuf::from(need_value(i)));
-                i += 2;
-            }
+            "--jobs-in-flight" => args.jobs_in_flight = parse_flag(flag, &value(), "a usize"),
+            "--rounds" => args.rounds = parse_flag(flag, &value(), "a u32"),
+            "--out" => args.out = PathBuf::from(value()),
+            "--serial" => args.serial = true,
+            "--addr" => args.addr = value(),
+            "--max-sessions" => args.max_sessions = parse_flag(flag, &value(), "a usize"),
+            "--world-scale" => args.world_scale = value(),
+            "--stats" => args.stats = true,
+            "--metrics" => args.metrics = true,
+            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value())),
+            "--trace-out" => args.trace_out = Some(PathBuf::from(value())),
             "--memory-budget" => {
-                args.memory_budget = MemoryBudget::parse(need_value(i)).unwrap_or_else(|msg| {
+                args.memory_budget = MemoryBudget::parse(&value()).unwrap_or_else(|msg| {
                     eprintln!("--memory-budget: {msg}");
                     std::process::exit(2);
-                });
-                i += 2;
+                })
             }
             "--churn" => {
-                args.churn = ChurnSchedule::parse(need_value(i)).unwrap_or_else(|msg| {
+                args.churn = ChurnSchedule::parse(&value()).unwrap_or_else(|msg| {
                     eprintln!("--churn: {msg}");
                     std::process::exit(2);
-                });
-                i += 2;
+                })
             }
-            "--subscribe" => {
-                args.subscribe = true;
-                i += 1;
-            }
+            "--subscribe" => args.subscribe = true,
             "--framing" => {
-                args.framing = Framing::parse(need_value(i)).unwrap_or_else(|| {
+                args.framing = Framing::parse(&value()).unwrap_or_else(|| {
                     eprintln!("--framing takes `text` or `binary`");
                     std::process::exit(2);
-                });
-                i += 2;
+                })
             }
-            "--retries" => {
-                args.retries = need_value(i).parse().expect("--retries takes a u32");
-                i += 2;
-            }
-            "--credits" => {
-                args.credits = Some(need_value(i).parse().expect("--credits takes a number"));
-                i += 2;
-            }
-            "--credit-refill" => {
-                args.credit_refill = Some(
-                    need_value(i)
-                        .parse()
-                        .expect("--credit-refill takes a number"),
-                );
-                i += 2;
-            }
-            "--subscriber-lag" => {
-                args.subscriber_lag = Some(
-                    need_value(i)
-                        .parse()
-                        .expect("--subscriber-lag takes a usize"),
-                );
-                i += 2;
-            }
+            "--retries" => args.retries = parse_flag(flag, &value(), "a u32"),
+            "--credits" => args.credits = Some(parse_flag(flag, &value(), "a number")),
+            "--credit-refill" => args.credit_refill = Some(parse_flag(flag, &value(), "a number")),
+            "--subscriber-lag" => args.subscriber_lag = Some(parse_flag(flag, &value(), "a usize")),
             "--rounds-in-flight" => {
-                args.rounds_in_flight = Some(
-                    need_value(i)
-                        .parse()
-                        .expect("--rounds-in-flight takes a usize"),
-                );
-                i += 2;
+                args.rounds_in_flight = Some(parse_flag(flag, &value(), "a usize"))
             }
             other => {
                 eprintln!("unknown flag: {other}");

@@ -128,23 +128,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random pair sets (with duplicates and self-pairs), random cache
-    /// budgets tight enough to evict, and a churn epoch mid-sequence:
-    /// the batched kernel must stay bit-identical to the scalar path
-    /// through all of it.
+    /// budgets tight enough to evict, a churn epoch mid-sequence, and
+    /// both paths on one engine: the batched kernel must stay
+    /// bit-identical to the scalar path through all of it.
     #[test]
     fn resolve_pairs_is_bit_identical_to_scalar_resolution(
         world_seed in 0u64..4,
         pair_picks in prop::collection::vec((0usize..12, 0usize..12), 1..40),
         tight_budget in prop::bool::ANY,
         churn in prop::bool::ANY,
+        shared in prop::bool::ANY,
         rng_salt in 0u64..u64::MAX,
     ) {
         // A tight budget forces clock-hand eviction between batches;
         // `None` keeps every entry cached. Both must be unobservable.
         let budget = if tight_budget { Some(2_048) } else { None };
         let (batched, hosts) = engine_stack(world_seed, budget);
-        let (scalar, hosts_b) = engine_stack(world_seed, budget);
+        let (twin, hosts_b) = engine_stack(world_seed, budget);
         prop_assert_eq!(&hosts, &hosts_b, "twin stacks must mint identical host IDs");
+        // One engine for both paths makes the scalar path read the pair
+        // facts the batched kernel cached; churn needs the twin, since a
+        // shared router would see each delta twice.
+        let scalar = if shared && !churn { Arc::clone(&batched) } else { twin };
 
         let pairs: Vec<(HostId, HostId)> = pair_picks
             .iter()

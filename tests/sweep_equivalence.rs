@@ -31,8 +31,7 @@ fn base_cfg(rounds: u32) -> CampaignConfig {
 }
 
 /// The acceptance-criteria shape: a 4-scenario sweep whose per-scenario
-/// CSVs are byte-identical to four solo runs (small world here; the
-/// paper-scale version runs in the `campaign_sweep` bench canary).
+/// CSVs are byte-identical to four solo runs.
 #[test]
 fn four_scenario_sweep_matches_four_solo_runs_bytewise() {
     let world = Arc::new(World::build(&WorldConfig::small(), 90));
@@ -40,6 +39,7 @@ fn four_scenario_sweep_matches_four_solo_runs_bytewise() {
     let sweep = Sweep::new(Arc::clone(&world), cfg.clone()).run();
     assert_eq!(sweep.scenarios.len(), 4);
     for (sc, swept) in cfg.scenarios.iter().zip(&sweep.scenarios) {
+        assert_eq!(swept.label, sc.label);
         let solo = Campaign::new(&world, sc.config.clone()).run();
         assert_eq!(
             cases_csv(&swept.results),
@@ -115,9 +115,11 @@ proptest! {
 /// whose pair share is a handful of entries per shard) evicts and
 /// recomputes constantly — and still streams CSVs **byte-identical**
 /// to fully unbudgeted solo runs. Budgets bound residency, never
-/// results.
+/// results: the engine's resident table and pair bytes end within the
+/// budget, which the CLI's `ensure_fits` check accepts for this world.
 #[test]
 fn tiny_budget_sweep_matches_unbudgeted_solo_runs_bytewise() {
+    use colo_shortcuts::netsim::ping::{pair_entry_min_bytes, CACHE_SHARDS};
     use colo_shortcuts::topology::routing::table_approx_bytes;
 
     let world = Arc::new(World::build(&WorldConfig::small(), 94));
@@ -125,9 +127,21 @@ fn tiny_budget_sweep_matches_unbudgeted_solo_runs_bytewise() {
     base.rounds = 2;
     let table = table_approx_bytes(world.topo.node_index().len());
     // Total sized so the 45% router share is ~4 tables.
-    base.memory = MemoryBudget::bytes(9 * table);
+    let budget = 9 * table;
+    base.memory = MemoryBudget::bytes(budget);
+    base.memory
+        .ensure_fits(table, 2, pair_entry_min_bytes(), CACHE_SHARDS as u64)
+        .expect("the CLI accepts this budget for the small world");
     let cfg = SweepConfig::from_seeds(&base, [2017, 2018, 2019, 2020]);
-    let sweep = Sweep::new(Arc::clone(&world), cfg.clone()).run();
+    let engine = world.shared().engine_budgeted(base.routing, base.memory);
+    let sweep = Sweep::with_engine(Arc::clone(&world), Arc::clone(&engine), cfg.clone()).run();
+    let stats = engine.engine_stats();
+    assert!(
+        stats.router_resident_bytes + stats.pair_resident_bytes <= budget,
+        "resident bytes (tables {} + pairs {}) exceed the {budget} B budget",
+        stats.router_resident_bytes,
+        stats.pair_resident_bytes
+    );
     for (sc, swept) in cfg.scenarios.iter().zip(&sweep.scenarios) {
         let mut solo_cfg = sc.config.clone();
         solo_cfg.memory = MemoryBudget::unbounded();
