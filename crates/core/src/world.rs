@@ -62,7 +62,7 @@ impl WorldConfig {
     /// per-AS degree) while the measurement overlays (Atlas probes,
     /// PlanetLab, looking glasses) keep their paper-scale footprints.
     /// This is the "internet-scale world under a fixed budget" knob
-    /// the `memory_budget` bench turns.
+    /// the perf ledger's `campaign_churn_budget` workload turns.
     pub fn scaled(factor: f64) -> Self {
         WorldConfig {
             topology: TopologyConfig::scaled(factor),

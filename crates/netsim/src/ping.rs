@@ -17,10 +17,10 @@
 //!   use it.
 //! - **Facts per site pair.** A *site* is an `(AS, city)` a host sits
 //!   at ([`SiteId`]). The two hand-off walks, the base RTT between the
-//!   sites, the interned forward and reverse paths and the diurnal
-//!   midpoint depend on nothing else, so the pair cache is keyed by
-//!   `(SiteId, SiteId)` and every host pair on those sites shares the
-//!   entry.
+//!   sites and the interned forward and reverse paths depend on
+//!   nothing else, so the pair cache is keyed by `(SiteId, SiteId)` and
+//!   every host pair on those sites shares the entry: a 16-byte record
+//!   of the base RTT and two [`PathId`]s, stored inline.
 //! - **Rows per host pair.** The hosts add their own last-mile delay,
 //!   `s.access_ms + d.access_ms`, on top of the site pair's base RTT —
 //!   never cached, so two hosts of one site keep distinct RTTs.
@@ -37,12 +37,12 @@
 //! ## The batched kernel
 //!
 //! Scalar pings ([`PingEngine::ping`]) resolve the pair on every call:
-//! a shard lock, a hash probe, an `Arc` bump — six times per
-//! measurement window. Round execution instead batches:
+//! a shard lock, a hash probe and, under faults, a copy of the path —
+//! six times per measurement window. Round execution instead batches:
 //! [`PingEngine::resolve_pairs`] resolves a whole round's pair set in
 //! flat passes (host pairs deduped to site pairs, each cache shard
 //! locked once, the missing routes swept destination-major so each
-//! routing table is pinned once per batch, one bulk insert per shard)
+//! routing table is pinned once per batch, chunked inserts per shard)
 //! into a [`PairBlock`] — a struct-of-arrays snapshot of the resolved
 //! facts — and [`PingEngine::sample_window_resolved`] then samples a
 //! window from a block row in a tight, allocation-free loop. RNG draws
@@ -62,34 +62,60 @@ use parking_lot::RwLock;
 use rand::Rng;
 use rayon::prelude::*;
 use shortcuts_telemetry::Field;
+use shortcuts_topology::intern::map_heap_bytes;
 use shortcuts_topology::routing::{Router, RoutingTable};
-use shortcuts_topology::{Asn, NodeId, PathInterner, Topology, TopologyDelta};
+use shortcuts_topology::{Asn, NodeId, PathId, PathInterner, Topology, TopologyDelta};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, RwLockReadGuard};
+
+/// Most entries a batch interns and publishes per shard write lock.
+const PUBLISH_CHUNK: usize = 64;
 
 /// A pair-cache key: the source and destination hosts' sites.
 type SiteKey = (SiteId, SiteId);
 
-/// Cached deterministic path facts of a site pair — what every host
-/// pair on those two sites shares.
-#[derive(Debug, Clone)]
-struct PairInfo {
+/// Cached deterministic facts of a site pair — what every host pair on
+/// those two sites shares — as a plain value stored inline in the
+/// cache. The diurnal midpoint is not stored: it depends only on the
+/// two sites' cities, so it is recomputed from the requesting hosts'
+/// (city-centre) locations.
+#[derive(Debug, Clone, Copy)]
+struct PairFacts {
     /// Base RTT between the sites (deterministic part, **without** the
     /// hosts' access delay — that is added per host pair, on top), ms.
+    /// NaN for an unroutable pair.
     base_ms: f64,
-    /// AS-level path (for fault checks and diagnostics). Read-only
-    /// after construction, so it is shared — handing it out is a
-    /// refcount bump, never a per-ping deep clone.
-    as_path: Arc<[Asn]>,
-    /// Reverse AS-level path (the echo's return route). Kept so churn
-    /// revalidation can check *both* directions a cached base RTT
-    /// depends on against a delta's removed links.
-    rev_path: Arc<[Asn]>,
-    /// Midpoint longitude for the diurnal term.
-    mid_lon: f64,
+    /// Interned forward AS path (for fault checks and sampling);
+    /// [`PathId::NONE`] = unroutable.
+    fwd: PathId,
+    /// Interned reverse AS path (the echo's return route). Kept so
+    /// churn revalidation can check *both* directions a cached base
+    /// RTT depends on against a delta's removed links.
+    rev: PathId,
+}
+
+impl PairFacts {
+    const UNROUTABLE: PairFacts = PairFacts {
+        base_ms: f64::NAN,
+        fwd: PathId::NONE,
+        rev: PathId::NONE,
+    };
+
+    fn routable(&self) -> bool {
+        self.fwd != PathId::NONE
+    }
+
+    /// The interned paths this record holds one reference to each
+    /// (both directions; a same-AS pair's one path twice).
+    fn ids(&self) -> impl Iterator<Item = PathId> {
+        self.routable()
+            .then_some([self.fwd, self.rev])
+            .into_iter()
+            .flatten()
+    }
 }
 
 /// Statistics the engine keeps about itself (diagnostics/benchmarks).
@@ -206,11 +232,11 @@ pub struct EngineStats {
     /// forward and reverse paths crossed no dirty link, so the
     /// recompute was skipped entirely.
     pub pair_revalidated: u64,
-    /// Distinct AS paths interned fresh (each owns one shared
-    /// allocation all pairs using that path point at).
+    /// AS paths interned fresh (each stored once, however many pairs
+    /// reference it; a path freed and interned again counts again).
     pub paths_interned: u64,
-    /// Path-interning requests served by an already-live allocation —
-    /// routes whose path array cost zero additional bytes.
+    /// Path-interning requests served by an already-stored path —
+    /// references that cost no additional path bytes.
     pub path_dedup_hits: u64,
     /// Host pairs served: one per scalar lookup, one per distinct host
     /// pair of a resolved batch. Every lookup behind `pair_cache_hits`
@@ -277,88 +303,112 @@ impl EngineStats {
 /// (each shard must afford at least one resident entry).
 pub const CACHE_SHARDS: usize = 64;
 
-/// One resident site-pair entry (`info == None` = known-unroutable
-/// pair) with its CLOCK bookkeeping.
+/// One resident site-pair entry with its CLOCK and churn bookkeeping:
+/// 24 B, so a map slot with its key is 32 B.
 struct CacheEntry {
-    info: Option<Arc<PairInfo>>,
-    /// CLOCK reference bit — set on every hit (under the shard's
-    /// *read* lock, hence atomic), cleared when the hand passes.
-    referenced: AtomicBool,
-    /// Bytes this entry is accounted at (fixed at insert).
-    bytes: u32,
-    /// Churn epoch the entry is known valid at. Lookups under a newer
-    /// engine epoch come back [`PairLookup::Stale`]; entries whose
-    /// paths dodge every intervening delta are re-stamped in place
-    /// (atomic, under the shard's *read* lock), the rest recomputed.
-    epoch: AtomicU64,
+    facts: PairFacts,
+    /// Path bytes this entry is charged (fixed at insert).
+    path_bytes: u32,
+    /// Bit 31 ([`REFERENCED`]): the CLOCK reference bit — set on a hit
+    /// (under the shard's *read* lock, hence atomic), cleared when the
+    /// hand passes. Bits 0–30: the churn epoch the entry is known valid
+    /// at. Lookups under a newer engine epoch come back
+    /// [`PairLookup::Stale`]; entries whose paths dodge every
+    /// intervening delta are re-stamped in place (under the shard's
+    /// *read* lock), the rest recomputed.
+    state: AtomicU32,
+}
+
+/// The reference bit of [`CacheEntry::state`].
+const REFERENCED: u32 = 1 << 31;
+
+const _: () = assert!(std::mem::size_of::<(SiteKey, CacheEntry)>() == 32);
+
+impl CacheEntry {
+    fn stamp(&self) -> u32 {
+        self.state.load(Ordering::Relaxed) & !REFERENCED
+    }
 }
 
 /// Outcome of an epoch-aware pair-cache lookup.
 enum PairLookup {
     /// Resident and current: use as-is (counted as a hit).
-    Hit(Option<Arc<PairInfo>>),
+    Hit(PairFacts),
     /// Resident but stamped at an older epoch: the resolver
     /// revalidates it against the dirty history (a hit) or recomputes
     /// it (a miss).
-    Stale(Option<Arc<PairInfo>>, u64),
+    Stale(PairFacts, u64),
     /// Not resident: the resolver expands it (a miss).
     Miss,
 }
 
 /// A freshly expanded entry awaiting publication: the site pair, its
-/// facts (`None` = unroutable), the bytes its cache entry is charged.
-type ComputedEntry = (SiteKey, Option<Arc<PairInfo>>, u32);
+/// facts, the path bytes its cache entry is charged.
+type ComputedEntry = (SiteKey, PairFacts, u32);
 
-/// One directed AS-level route as the resolver holds it: the interned
-/// path plus the ASNs its interning allocated fresh — the payload
-/// exactly one cache entry must be charged. `None` = unreachable.
-type Route = Option<(Arc<[Asn]>, u32)>;
+/// One directed AS-level route as the resolver holds it: its
+/// `(start, end)` in the batch's route buffer. `None` = unreachable.
+type Route = Option<(u32, u32)>;
 
 /// One distinct site pair to resolve, with a host pair on it (whose
 /// hosts stand in for the sites when it must expand).
 type SiteRequest = (SiteKey, HostId, HostId);
 
-/// Approximate bytes one cached site pair costs: key, entry, hash-map
-/// and clock-ring bookkeeping, plus the path payload this entry is
-/// *charged* for. Paths are interned per route, so an entry pays only
-/// for the ASN array bytes of the routes whose fresh interning it was
-/// the first to reference (`charged_path_asns`); an entry pointing at
-/// paths another entry was already charged for adds zero — the
-/// allocation exists once, so the gauge counts it once.
-fn entry_bytes(info: &Option<Arc<PairInfo>>, charged_path_asns: usize) -> u32 {
-    const FIXED: usize = 2 * std::mem::size_of::<SiteKey>() // map key + ring slot
-        + std::mem::size_of::<CacheEntry>()
-        + 16; // hash-map slot overhead
-    let payload = match info {
-        None => 0,
-        // PairInfo + Arc refcounts + freshly interned path bytes.
-        Some(_) => {
-            std::mem::size_of::<PairInfo>() + 32 + charged_path_asns * std::mem::size_of::<Asn>()
-        }
-    };
-    (FIXED + payload) as u32
+/// What a batch resolved for one site pair: its base RTT and its
+/// forward path's `(start, end)` in the block's ASN buffer (empty =
+/// unroutable).
+type SiteRow = (f64, (u32, u32));
+
+/// Bytes one reference to a path of `len` ASNs is charged: the most
+/// heap the path can hold in the interner. Every live path is
+/// referenced by at least one resident entry, so the charges bound the
+/// arena; a path shared by several entries is charged to each, which
+/// overstates a loosely budgeted cache and is close to exact in a
+/// starved one, where few resident entries share a path.
+fn path_charge(len: usize) -> u32 {
+    PathInterner::stored_bytes_bound(len) as u32
 }
 
-/// Minimum bytes one resident pair costs (the unroutable-pair floor) —
-/// what `MemoryBudget::ensure_fits` should charge per shard when a
-/// front end validates a budget before running.
+/// Minimum bytes a shard holding one resident pair costs — its map and
+/// CLOCK ring at their smallest, for an unroutable entry — what
+/// `MemoryBudget::ensure_fits` should charge per shard when a front
+/// end validates a budget before running.
 pub fn pair_entry_min_bytes() -> u64 {
-    u64::from(entry_bytes(&None, 0))
+    // A vector of 8-byte keys allocates room for four on first push.
+    (map_heap_bytes::<SiteKey, CacheEntry>(1) + 4 * std::mem::size_of::<SiteKey>()) as u64
 }
 
 /// Write-locked state of one shard: the resident map plus its CLOCK
 /// machinery — a ring of resident keys, the hand position, and the
-/// byte gauge the shard budget is enforced against.
+/// byte gauges the shard budget is enforced against.
 #[derive(Default)]
 struct ShardState {
     map: FastMap<SiteKey, CacheEntry>,
-    /// Resident keys in (approximate) insertion order; eviction swaps
-    /// removed keys out, so the ring stays dense and O(1) to maintain.
+    /// Resident keys in (approximate) insertion order, kept only under
+    /// a budget; eviction swaps removed keys out, so the ring stays
+    /// dense and O(1) to maintain.
     ring: Vec<SiteKey>,
     /// CLOCK hand: index into `ring` the next sweep starts at.
     hand: usize,
-    /// Approximate resident bytes of this shard.
-    bytes: u64,
+    /// The most `map.capacity()` has been: the map never shrinks, and
+    /// removals can hide buckets from its `capacity()`.
+    map_cap: usize,
+    /// Path bytes charged to this shard's resident entries.
+    path_bytes: u64,
+}
+
+impl ShardState {
+    /// Heap bytes of the map and ring, at capacity.
+    fn table_bytes(&self) -> u64 {
+        let map = map_heap_bytes::<SiteKey, CacheEntry>(self.map_cap);
+        (map + self.ring.capacity() * std::mem::size_of::<SiteKey>()) as u64
+    }
+
+    /// What the shard budget bounds: the map and ring as allocated,
+    /// plus the resident entries' path charges.
+    fn bytes(&self) -> u64 {
+        self.table_bytes() + self.path_bytes
+    }
 }
 
 /// One independently locked portion of the pair cache, with its own
@@ -374,13 +424,14 @@ struct CacheShard {
     revalidated: AtomicU64,
 }
 
-/// Pair cache: `Arc` per entry so a hit is a refcount bump, not a
-/// deep clone of the AS path under the read lock; one lock per shard
-/// so concurrent first-touch inserts rarely contend. Hit/miss counters
-/// are per-shard relaxed atomics feeding [`EngineStats`] — health
-/// telemetry for long-lived engines (the service's `STATS` command),
-/// never control flow — summed on read so the all-hits steady state
-/// never bounces one shared cache line across worker threads.
+/// Pair cache: a site pair's facts are a `Copy` record stored inline
+/// in its shard's map, so a hit copies 16 bytes and chases no pointer;
+/// one lock per shard so concurrent first-touch inserts rarely contend.
+/// Hit/miss counters are per-shard relaxed atomics feeding
+/// [`EngineStats`] — health telemetry for long-lived engines (the
+/// service's `STATS` command), never control flow — summed on read so
+/// the all-hits steady state never bounces one shared cache line
+/// across worker threads.
 ///
 /// Under a byte budget each shard independently enforces its share
 /// (`budget / CACHE_SHARDS`) with a clock hand over its resident
@@ -388,10 +439,54 @@ struct CacheShard {
 /// clearing reference bits and evicting the first unreferenced entry
 /// until the shard fits. Every entry is a deterministic world fact,
 /// so an evicted pair re-expands bit-identically on its next miss.
+///
+/// Entries hold references to interned paths. Evicting or replacing
+/// an entry hands its ids back to the caller, which releases them
+/// after the shard's lock is dropped. The lock order is a cache
+/// shard's, then an interner shard's, never the reverse: reading a
+/// resident entry's paths happens under the entry's shard read lock,
+/// which is what keeps an eviction from freeing them mid-read.
 struct PairCache {
     shards: Vec<CacheShard>,
     /// Per-shard byte allowance; `None` = never evict.
     shard_budget: Option<u64>,
+}
+
+/// A run of lookups in one shard: holds the shard's read lock until
+/// dropped, and counts the run's hits at once. Misses are counted
+/// when their recompute is published, which is also where a failed
+/// revalidation lands.
+struct ShardProbe<'a> {
+    shard: &'a CacheShard,
+    st: RwLockReadGuard<'a, ShardState>,
+    epoch: u32,
+    hits: u64,
+}
+
+impl ShardProbe<'_> {
+    fn lookup(&mut self, key: SiteKey) -> PairLookup {
+        let Some(e) = self.st.map.get(&key) else {
+            return PairLookup::Miss;
+        };
+        let state = e.state.load(Ordering::Relaxed);
+        let stamp = state & !REFERENCED;
+        if stamp != self.epoch {
+            return PairLookup::Stale(e.facts, u64::from(stamp));
+        }
+        if state & REFERENCED == 0 {
+            e.state.fetch_or(REFERENCED, Ordering::Relaxed);
+        }
+        self.hits += 1;
+        PairLookup::Hit(e.facts)
+    }
+}
+
+impl Drop for ShardProbe<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.shard.hits.fetch_add(self.hits, Ordering::Relaxed);
+        }
+    }
 }
 
 impl PairCache {
@@ -415,50 +510,15 @@ impl PairCache {
         (z as usize) % CACHE_SHARDS
     }
 
-    /// Looks up a run of one shard's keys under a single read lock,
-    /// handing each outcome to `on` (under the lock) and counting the
-    /// run's hits at once. Misses are counted when their recompute is
-    /// published, which is also where a failed revalidation lands.
-    fn probe(
-        &self,
-        shard_idx: usize,
-        keys: impl Iterator<Item = (u32, SiteKey)>,
-        epoch: u64,
-        mut on: impl FnMut(u32, PairLookup),
-    ) {
+    /// Starts a run of lookups in one shard at `epoch`.
+    fn probe(&self, shard_idx: usize, epoch: u64) -> ShardProbe<'_> {
         let shard = &self.shards[shard_idx];
-        let mut hits = 0u64;
-        {
-            let st = shard.state.read();
-            for (i, key) in keys {
-                debug_assert_eq!(Self::shard_index(key), shard_idx);
-                let found = match st.map.get(&key) {
-                    Some(e) => {
-                        let stamp = e.epoch.load(Ordering::Relaxed);
-                        if stamp == epoch {
-                            e.referenced.store(true, Ordering::Relaxed);
-                            hits += 1;
-                            PairLookup::Hit(e.info.clone())
-                        } else {
-                            PairLookup::Stale(e.info.clone(), stamp)
-                        }
-                    }
-                    None => PairLookup::Miss,
-                };
-                on(i, found);
-            }
+        ShardProbe {
+            shard,
+            st: shard.state.read(),
+            epoch: epoch as u32,
+            hits: 0,
         }
-        if hits > 0 {
-            shard.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-    }
-
-    /// A [`PairCache::probe`] of one key — the scalar lookup.
-    fn get(&self, key: SiteKey, epoch: u64) -> PairLookup {
-        let mut found = PairLookup::Miss;
-        let one = [(0, key)].into_iter();
-        self.probe(Self::shard_index(key), one, epoch, |_, l| found = l);
-        found
     }
 
     /// Re-stamps a stale entry whose paths survived every delta since
@@ -469,37 +529,70 @@ impl PairCache {
         {
             let st = shard.state.read();
             if let Some(e) = st.map.get(&key) {
-                e.epoch.store(epoch, Ordering::Relaxed);
-                e.referenced.store(true, Ordering::Relaxed);
+                e.state.store(epoch as u32 | REFERENCED, Ordering::Relaxed);
             }
         }
         shard.hits.fetch_add(1, Ordering::Relaxed);
         shard.revalidated.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publishes one shard's freshly expanded entries under a single
-    /// write lock, counting each as the miss it repairs. `bytes` is
-    /// the charge the expansion computed (fixed cost + freshly
-    /// interned path bytes) — only the interning site knows which
-    /// path allocations an entry created.
+    /// Publishes freshly expanded entries of one shard under a single
+    /// write lock, counting each as the miss it repairs, each with the
+    /// path charge its expansion computed. The path references of
+    /// every entry that leaves the cache (evicted, replaced, or a
+    /// newcomer that lost a race) are appended to `released`, for the
+    /// caller to release once the lock is dropped.
     fn insert_many(
         &self,
         shard_idx: usize,
         entries: impl ExactSizeIterator<Item = ComputedEntry>,
         epoch: u64,
+        released: &mut Vec<PathId>,
     ) {
         let shard = &self.shards[shard_idx];
         shard
             .misses
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         let mut st = shard.state.write();
-        for (key, info, bytes) in entries {
+        for (key, facts, path_bytes) in entries {
             debug_assert_eq!(Self::shard_index(key), shard_idx);
-            insert_locked(&mut st, key, info, epoch, bytes);
-            if let Some(budget) = self.shard_budget {
-                evict_shard_over_budget(&mut st, budget, key, &shard.evictions);
+            let budget = self.shard_budget;
+            if let Some(budget) = budget {
+                if !st.map.contains_key(&key) && !fits_grown(&st, budget, path_bytes) {
+                    // The map is full: evict until it has room rather
+                    // than let the insert double it past the budget.
+                    evict_while(&mut st, key, &shard.evictions, released, |st| {
+                        st.map.len() >= st.map.capacity()
+                    });
+                }
+            }
+            let epoch = epoch as u32;
+            insert_locked(
+                &mut st,
+                key,
+                facts,
+                epoch,
+                path_bytes,
+                budget.is_some(),
+                released,
+            );
+            if let Some(budget) = budget {
+                evict_while(&mut st, key, &shard.evictions, released, |st| {
+                    st.bytes() > budget
+                });
             }
         }
+    }
+
+    /// How many entries a batch publishes per write lock: at most as
+    /// many as a shard's budget can hold, so the paths a chunk interns
+    /// before its evictions release theirs stay within about one
+    /// shard's share.
+    fn publish_chunk(&self) -> usize {
+        self.shard_budget.map_or(PUBLISH_CHUNK, |budget| {
+            let fit = budget / pair_entry_min_bytes();
+            (fit as usize).clamp(1, PUBLISH_CHUNK)
+        })
     }
 
     /// One per-shard quantity, summed across the shards.
@@ -512,9 +605,10 @@ impl PairCache {
         self.sum(|s| s.state.read().map.len() as u64) as usize
     }
 
-    /// Approximate resident bytes across all shards.
+    /// Heap bytes the shards' contents hold: their maps and rings at
+    /// capacity.
     fn resident_bytes(&self) -> u64 {
-        self.sum(|s| s.state.read().bytes)
+        self.sum(|s| s.state.read().table_bytes())
     }
 
     /// Entries evicted by the budget, across all shards.
@@ -524,65 +618,95 @@ impl PairCache {
 }
 
 /// Insert/replace one entry in a shard whose write lock the caller
-/// holds.
+/// holds; `ring` says whether the shard keeps a CLOCK ring (only a
+/// budgeted cache evicts).
 fn insert_locked(
     st: &mut ShardState,
     key: SiteKey,
-    info: Option<Arc<PairInfo>>,
-    epoch: u64,
-    bytes: u32,
+    facts: PairFacts,
+    epoch: u32,
+    path_bytes: u32,
+    ring: bool,
+    released: &mut Vec<PathId>,
 ) {
     let fresh = CacheEntry {
-        info,
-        referenced: AtomicBool::new(true),
-        bytes,
-        epoch: AtomicU64::new(epoch),
+        facts,
+        path_bytes,
+        state: AtomicU32::new(epoch | REFERENCED),
     };
     match st.map.entry(key) {
         // A racing expander won the slot at the same (or a newer)
         // epoch; both computed the same deterministic facts, so keep
-        // the incumbent.
-        Entry::Occupied(e) if e.get().epoch.load(Ordering::Relaxed) >= epoch => {}
+        // the incumbent and hand the newcomer's references back.
+        Entry::Occupied(e) if e.get().stamp() >= epoch => released.extend(facts.ids()),
         // Stale incumbent: replace in place. The key keeps its ring
         // slot; only the byte gauge moves.
         Entry::Occupied(mut e) => {
-            st.bytes = st.bytes - u64::from(e.get().bytes) + u64::from(bytes);
-            e.insert(fresh);
+            let old = e.insert(fresh);
+            st.path_bytes = st.path_bytes - u64::from(old.path_bytes) + u64::from(path_bytes);
+            released.extend(old.facts.ids());
         }
         Entry::Vacant(e) => {
             e.insert(fresh);
-            st.ring.push(key);
-            st.bytes += u64::from(bytes);
+            if ring {
+                st.ring.push(key);
+            }
+            st.path_bytes += u64::from(path_bytes);
+            st.map_cap = st.map_cap.max(st.map.capacity());
         }
     }
 }
 
+/// Whether a new entry charged `path_bytes` can join a budgeted shard
+/// without the shard outgrowing `budget`: either its map has room, or
+/// the map and ring after doubling (an insert into a full std
+/// `HashMap` reallocates it) still fit.
+fn fits_grown(st: &ShardState, budget: u64, path_bytes: u32) -> bool {
+    if st.map.len() < st.map.capacity() {
+        return true;
+    }
+    let map = map_heap_bytes::<SiteKey, CacheEntry>(st.map_cap + 1);
+    let ring = 2 * st.ring.capacity().max(4) * std::mem::size_of::<SiteKey>();
+    (map + ring) as u64 + st.path_bytes + u64::from(path_bytes) <= budget
+}
+
 /// CLOCK sweep over one shard (holding its write lock): advance the
 /// hand over the ring, clearing reference bits (the second chance) and
-/// evicting unreferenced entries until the shard fits its budget.
-/// `keep` — the entry just inserted — is never evicted, so a lookup
-/// cannot thrash against its own result; two revolutions bound the
-/// sweep even when the budget is unsatisfiable.
-fn evict_shard_over_budget(st: &mut ShardState, budget: u64, keep: SiteKey, evictions: &AtomicU64) {
+/// evicting unreferenced entries while `over` holds — the shard is
+/// over its budget, or its map has no room. `keep` — the entry just
+/// inserted — goes last: only an entry that does not fit the budget
+/// alone is dropped as soon as it is published (its lookup already has
+/// its facts). Two revolutions bound the sweep even when `over` cannot
+/// be cleared.
+fn evict_while(
+    st: &mut ShardState,
+    keep: SiteKey,
+    evictions: &AtomicU64,
+    released: &mut Vec<PathId>,
+    over: impl Fn(&ShardState) -> bool,
+) {
     let mut scanned = 0usize;
     let limit = 2 * st.ring.len();
-    while st.bytes > budget && st.ring.len() > 1 && scanned < limit {
+    while over(st) && !st.ring.is_empty() && scanned < limit {
         scanned += 1;
         if st.hand >= st.ring.len() {
             st.hand = 0;
         }
         let k = st.ring[st.hand];
-        if k == keep {
+        if k == keep && st.ring.len() > 1 {
             st.hand += 1;
             continue;
         }
-        let referenced = st.map[&k].referenced.swap(false, Ordering::Relaxed);
-        if referenced {
+        let state = st.map.get_mut(&k).expect("clock ring out of sync with map");
+        let state = state.state.get_mut();
+        if *state & REFERENCED != 0 {
+            *state &= !REFERENCED;
             st.hand += 1; // second chance
             continue;
         }
         let e = st.map.remove(&k).expect("clock ring out of sync with map");
-        st.bytes -= u64::from(e.bytes);
+        st.path_bytes -= u64::from(e.path_bytes);
+        released.extend(e.facts.ids());
         // O(1) removal; the swapped-in tail key inherits this hand
         // position, so the hand does not advance.
         st.ring.swap_remove(st.hand);
@@ -640,13 +764,15 @@ impl DirtyEpoch {
 /// Each distinct `(src, dst)` host pair of the batch owns one row
 /// (slot): the two hosts' access delay and the index of the pair's
 /// *site pair*, whose facts — base RTT between the sites, diurnal
-/// midpoint longitude, the shared forward AS path — are stored once
-/// for all the rows on it, in parallel arrays so a round's sampling
-/// loop walks flat slices instead of chasing `Arc<PairInfo>` pointers
-/// through the cache on every window. Unroutable site pairs hold no
-/// path. The block is a *snapshot*: it pins the facts at the epoch
-/// `resolve_pairs` ran at, which is exactly the semantics a round
-/// wants (churn applies between rounds, never mid-round).
+/// midpoint longitude, the forward AS path — are stored once for all
+/// the rows on it, in parallel arrays so a round's sampling loop walks
+/// flat slices instead of probing the cache on every window. The
+/// block owns copies of its forward paths, back to back in one
+/// buffer, so sampling takes no lock and a path id the cache frees
+/// and recycles mid-round can never reach it. The block is a
+/// *snapshot*: it pins the facts at the epoch `resolve_pairs` ran at,
+/// which is exactly the semantics a round wants (churn applies between
+/// rounds, never mid-round).
 pub struct PairBlock {
     /// Row index per distinct host pair, in first-seen batch order.
     slots: FastMap<(HostId, HostId), u32>,
@@ -659,8 +785,11 @@ pub struct PairBlock {
     base_ms: Vec<f64>,
     /// Per site pair: diurnal midpoint longitude.
     mid_lon: Vec<f64>,
-    /// Per site pair: forward AS path; `None` = unroutable.
-    paths: Vec<Option<Arc<[Asn]>>>,
+    /// Per site pair: its forward AS path's `(start, end)` in `asns`;
+    /// empty = unroutable.
+    paths: Vec<(u32, u32)>,
+    /// The forward paths' ASNs.
+    asns: Vec<Asn>,
 }
 
 impl PairBlock {
@@ -672,14 +801,18 @@ impl PairBlock {
             base_ms: Vec::new(),
             mid_lon: Vec::new(),
             paths: Vec::new(),
+            asns: Vec::new(),
         }
     }
 
-    /// Appends the next site pair's facts (`None` = unroutable).
-    fn push_site(&mut self, info: Option<&PairInfo>) {
-        self.base_ms.push(info.map_or(f64::NAN, |p| p.base_ms));
-        self.mid_lon.push(info.map_or(0.0, |p| p.mid_lon));
-        self.paths.push(info.map(|p| Arc::clone(&p.as_path)));
+    /// Appends the next site pair's resolved row; `s` and `d` are hosts
+    /// on its two sites.
+    fn push_site(&mut self, s: &Host, d: &Host, (base_ms, path): SiteRow) {
+        self.base_ms.push(base_ms);
+        // `Host::location` is the city centre: a site fact.
+        self.mid_lon
+            .push(mid_longitude(s.location.lon(), d.location.lon()));
+        self.paths.push(path);
     }
 
     /// What a window on row `slot` samples from, in the shape
@@ -689,9 +822,10 @@ impl PairBlock {
     pub fn resolved(&self, slot: u32) -> Option<(&[Asn], f64, f64)> {
         let row = slot as usize;
         let i = self.site[row] as usize;
-        self.paths[i].as_ref().map(|p| {
+        let (start, end) = self.paths[i];
+        (start < end).then(|| {
             (
-                &p[..],
+                &self.asns[start as usize..end as usize],
                 self.base_ms[i] + self.access_ms[row],
                 self.mid_lon[i],
             )
@@ -738,9 +872,8 @@ pub struct PingEngine {
     model: LatencyModel,
     cache: PairCache,
     /// Content-addressed store of the live AS-path population: every
-    /// `PairInfo` path is interned here, so pairs sharing a route
-    /// share one allocation (and one byte charge, and one churn
-    /// check).
+    /// cached pair's paths are interned here, so pairs sharing a route
+    /// share one stored copy (and one churn check).
     interner: PathInterner,
     stats: StatCounters,
     /// Current churn epoch == number of delta batches applied. Pair
@@ -826,6 +959,8 @@ impl PingEngine {
     pub fn apply_delta(&self, batch: &[TopologyDelta]) {
         self.router.apply_delta(batch);
         let mut dirty = self.dirty.write();
+        // Cache entries stamp their epoch in 31 bits.
+        assert!(dirty.len() < REFERENCED as usize, "churn epoch overflow");
         dirty.push(DirtyEpoch::from_batch(batch));
         self.epoch.store(dirty.len() as u64, Ordering::Release);
     }
@@ -885,7 +1020,7 @@ impl PingEngine {
             router_resident_bytes: router.resident_bytes,
             router_evictions: router.evictions,
             router_recomputes: router.recomputes,
-            pair_resident_bytes: self.cache.resident_bytes(),
+            pair_resident_bytes: self.cache.resident_bytes() + self.interner.resident_bytes(),
             pair_evictions: self.cache.evictions(),
             tables_repaired: 0,
             entries_rescanned: 0,
@@ -900,40 +1035,88 @@ impl PingEngine {
         }
     }
 
-    /// Deterministic facts for a host pair — its site pair's cached
-    /// facts plus the pair's own base RTT (the site pair's, with the
-    /// two hosts' access delay on top). A stale entry whose paths dodge
-    /// every delta since its stamp is re-stamped, not re-expanded.
-    fn pair_info(&self, src: HostId, dst: HostId) -> Option<(Arc<PairInfo>, f64)> {
+    /// Deterministic facts for a host pair: its base RTT (its site
+    /// pair's, with the two hosts' access delay on top) and diurnal
+    /// midpoint longitude, with its forward AS path copied into `path`
+    /// when one is passed. `None` = unroutable. A stale entry whose
+    /// paths dodge every delta since its stamp is re-stamped, not
+    /// re-expanded.
+    fn pair_info(
+        &self,
+        src: HostId,
+        dst: HostId,
+        mut path: Option<&mut Vec<Asn>>,
+    ) -> Option<(f64, f64)> {
         let s = self.hosts.get(src);
         let d = self.hosts.get(dst);
         let key = (s.site, d.site);
         let epoch = self.epoch();
-        let mut memo = FastMap::default();
-        let info = match self.cache.get(key, epoch) {
-            PairLookup::Hit(info) => info,
-            PairLookup::Stale(info, at) if self.still_valid(&info, at..epoch, &mut memo) => {
-                self.cache.refresh(key, epoch);
-                info
+        let mut pins = Vec::new();
+        let found = {
+            let mut probe = self.cache.probe(PairCache::shard_index(key), epoch);
+            let found = probe.lookup(key);
+            // Under the shard lock: the entry's references keep its
+            // paths live while they are copied or pinned.
+            match found {
+                PairLookup::Hit(f) => {
+                    if let (true, Some(out)) = (f.routable(), path.as_deref_mut()) {
+                        self.copy_path(f.fwd, out);
+                    }
+                }
+                PairLookup::Stale(f, _) => {
+                    pins.extend(f.ids());
+                    self.interner.retain(&mut pins);
+                }
+                PairLookup::Miss => {}
             }
-            _ => self.expand_one(key, s, d, epoch),
-        }?;
-        let base_ms = info.base_ms + (s.access_ms + d.access_ms);
-        Some((info, base_ms))
+            found
+        };
+        let facts = match found {
+            PairLookup::Hit(f) => f,
+            PairLookup::Stale(f, at) => {
+                let valid = self.still_valid(&f, at..epoch, &mut FastMap::default());
+                if valid {
+                    self.cache.refresh(key, epoch);
+                    if let (true, Some(out)) = (f.routable(), path.as_deref_mut()) {
+                        self.copy_path(f.fwd, out);
+                    }
+                }
+                self.interner.release(&mut pins);
+                if valid {
+                    f
+                } else {
+                    self.expand_one(key, s, d, epoch, path)
+                }
+            }
+            PairLookup::Miss => self.expand_one(key, s, d, epoch, path),
+        };
+        facts.routable().then(|| {
+            (
+                facts.base_ms + (s.access_ms + d.access_ms),
+                mid_longitude(s.location.lon(), d.location.lon()),
+            )
+        })
+    }
+
+    /// Replaces `out` with the path `id` names (which must be live).
+    fn copy_path(&self, id: PathId, out: &mut Vec<Asn>) {
+        out.clear();
+        self.interner.with_path(id, |p| out.extend_from_slice(p));
     }
 
     /// Churn revalidation: are facts stamped at `span.start` still
     /// exact at `span.end`? Only if nothing was restored in between
     /// and neither stored path crosses anything a batch in between
-    /// took down. `path_ok` memoizes the check per *unique path
-    /// allocation* and stamp: interning makes paths shared, so a
-    /// batch's churn work scales with the distinct-path population,
-    /// not the pair count.
+    /// took down. `path_ok` memoizes the check per interned path and
+    /// stamp: pairs share paths, so a batch's churn work scales with
+    /// the distinct-path population, not the pair count. The caller
+    /// holds a reference to both paths for as long as `path_ok` lives,
+    /// so no memoized id is freed and recycled meanwhile.
     fn still_valid(
         &self,
-        info: &Option<Arc<PairInfo>>,
+        facts: &PairFacts,
         span: Range<u64>,
-        path_ok: &mut FastMap<(usize, u64), bool>,
+        path_ok: &mut FastMap<(PathId, u64), bool>,
     ) -> bool {
         let dirty = self.dirty.read();
         let batches = &dirty[span.start as usize..span.end as usize];
@@ -942,53 +1125,99 @@ impl PingEngine {
         }
         // Unroutable pairs survive any deletion-only span: removing
         // links never creates a route.
-        let Some(p) = info else { return true };
-        let mut ok = |path: &Arc<[Asn]>| {
-            let ptr = Arc::as_ptr(path).cast::<Asn>() as usize;
-            *path_ok
-                .entry((ptr, span.start))
-                .or_insert_with(|| !batches.iter().any(|b| b.crosses(path)))
+        if !facts.routable() {
+            return true;
+        }
+        let mut ok = |id: PathId| {
+            *path_ok.entry((id, span.start)).or_insert_with(|| {
+                self.interner
+                    .with_path(id, |p| !batches.iter().any(|b| b.crosses(p)))
+            })
         };
-        ok(&p.as_path) && ok(&p.rev_path)
+        ok(facts.fwd) && ok(facts.rev)
     }
 
     /// The scalar miss: one site pair's two routes straight off their
     /// tables, then the facts, byte charge and publication a batch
-    /// would give it.
-    fn expand_one(&self, key: SiteKey, s: &Host, d: &Host, epoch: u64) -> Option<Arc<PairInfo>> {
+    /// would give it; the forward path is copied into `path` if passed.
+    fn expand_one(
+        &self,
+        key: SiteKey,
+        s: &Host,
+        d: &Host,
+        epoch: u64,
+        path: Option<&mut Vec<Asn>>,
+    ) -> PairFacts {
         let same_as = s.node == d.node;
-        let mut buf = Vec::new();
-        let fwd = self.route(d.node, s.node, &mut None, &mut buf);
-        let rev = match &fwd {
-            // One self-route serves both directions (charged once).
-            Some((path, _)) if same_as => Some((Arc::clone(path), 0)),
-            _ => self.route(s.node, d.node, &mut None, &mut buf),
+        let (mut buf, mut asns) = (Vec::new(), Vec::new());
+        let fwd = self.route(d.node, s.node, &mut None, &mut buf, &mut asns);
+        let rev = match fwd {
+            // One self-route serves both directions.
+            Some(at) if same_as => Some(at),
+            _ => self.route(s.node, d.node, &mut None, &mut buf, &mut asns),
         };
         let walked = if same_as { 1 } else { 2 };
         self.routes_walked.fetch_add(walked, Ordering::Relaxed);
-        let (info, charged) = match (&fwd, &rev) {
-            (Some((f, f_fresh)), Some((r, r_fresh))) => {
-                (Some(self.site_facts(s, d, f, r)), f_fresh + r_fresh)
+        let (facts, charged) = match (fwd, rev) {
+            (Some(fwd), Some(rev)) => {
+                let (fwd, rev) = (span(&asns, fwd), span(&asns, rev));
+                if let Some(out) = path {
+                    out.clear();
+                    out.extend_from_slice(fwd);
+                }
+                let base_ms = self.site_facts(s, d, fwd, rev);
+                self.intern_facts(base_ms, fwd, rev)
             }
-            _ => (None, 0),
+            _ => (PairFacts::UNROUTABLE, 0),
         };
-        let entry = (key, info.clone(), entry_bytes(&info, charged as usize));
-        let shard = PairCache::shard_index(key);
-        self.cache.insert_many(shard, [entry].into_iter(), epoch);
-        info
+        let entry = (key, facts, charged);
+        self.publish(PairCache::shard_index(key), [entry].into_iter(), epoch);
+        facts
+    }
+
+    /// A routable site pair's record, both paths interned (one
+    /// reference each, owned by the record), and the arena bytes the
+    /// record is charged: those of every distinct path it references.
+    fn intern_facts(&self, base_ms: f64, fwd: &[Asn], rev: &[Asn]) -> (PairFacts, u32) {
+        let facts = PairFacts {
+            base_ms,
+            fwd: self.interner.intern(fwd).0,
+            rev: self.interner.intern(rev).0,
+        };
+        let mut charged = path_charge(fwd.len());
+        if facts.rev != facts.fwd {
+            charged += path_charge(rev.len());
+        }
+        (facts, charged)
+    }
+
+    /// Inserts one shard's fresh entries, then — with the shard's lock
+    /// dropped — releases the paths of the entries that left it.
+    fn publish(
+        &self,
+        shard_idx: usize,
+        entries: impl ExactSizeIterator<Item = ComputedEntry>,
+        epoch: u64,
+    ) {
+        let mut released = Vec::new();
+        self.cache
+            .insert_many(shard_idx, entries, epoch, &mut released);
+        self.interner.release(&mut released);
     }
 
     /// One directed AS-level route `src → dst`, walked off `dst`'s
-    /// routing table into `buf` and interned. `table` carries the
-    /// pinned table across a destination run's calls; a self-route (a
-    /// same-AS site pair) pins nothing — intra-AS pings never consult
-    /// the router, so an `AsDown` leaves them working.
+    /// routing table into `buf` and appended to `asns`; returns its
+    /// range there. `table` carries the pinned table across a
+    /// destination run's calls; a self-route (a same-AS site pair)
+    /// pins nothing — intra-AS pings never consult the router, so an
+    /// `AsDown` leaves them working.
     fn route(
         &self,
         dst: NodeId,
         src: NodeId,
         table: &mut Option<Arc<RoutingTable>>,
         buf: &mut Vec<Asn>,
+        asns: &mut Vec<Asn>,
     ) -> Route {
         if src == dst {
             buf.clear();
@@ -999,41 +1228,28 @@ impl PingEngine {
                 return None;
             }
         }
-        let (path, fresh) = self.interner.intern(buf);
-        let fresh_asns = if fresh { path.len() as u32 } else { 0 };
-        Some((path, fresh_asns))
+        let start = asns.len() as u32;
+        asns.extend_from_slice(buf);
+        Some((start, asns.len() as u32))
     }
 
-    /// Site-pair facts from the pair's two interned routes — the one
-    /// place routes become RTT arithmetic.
+    /// A site pair's base RTT from its two routes — the one place
+    /// routes become RTT arithmetic.
     ///
     /// An echo round trip traverses the forward route AND the
     /// (possibly different) return route; base RTT sums both one-way
     /// hand-off walks, which also makes RTT(a,b) == RTT(b,a) exactly —
     /// matching the paper's symmetry observation. Same-AS pairs walk
     /// their one-element path once.
-    fn site_facts(
-        &self,
-        s: &Host,
-        d: &Host,
-        fwd_as: &Arc<[Asn]>,
-        rev_as: &Arc<[Asn]>,
-    ) -> Arc<PairInfo> {
+    fn site_facts(&self, s: &Host, d: &Host, fwd_as: &[Asn], rev_as: &[Asn]) -> f64 {
         let expand = &self.model.expand;
         let fwd = path_cost(&self.topo, fwd_as, s.city, d.city, expand);
-        let base_ms = if s.node == d.node {
+        if s.node == d.node {
             self.model.base_rtt_ms(fwd)
         } else {
             let rev = path_cost(&self.topo, rev_as, d.city, s.city, expand);
             self.model.base_rtt_two_way(fwd, rev)
-        };
-        Arc::new(PairInfo {
-            base_ms,
-            as_path: Arc::clone(fwd_as),
-            rev_path: Arc::clone(rev_as),
-            // `Host::location` is the city centre: a site fact.
-            mid_lon: mid_longitude(s.location.lon(), d.location.lon()),
-        })
+        }
     }
 
     /// Resolves a whole batch of pairs (typically one round's plan)
@@ -1077,17 +1293,21 @@ impl PingEngine {
         }
         self.shared_rows
             .fetch_add((block.len() - sites.len()) as u64, Ordering::Relaxed);
-        for info in self.resolve_sites(&sites, epoch) {
-            block.push_site(info.as_deref());
+        let rows = self.resolve_sites(&sites, epoch, &mut block.asns);
+        for (&(_, src, dst), row) in sites.iter().zip(rows) {
+            block.push_site(self.hosts.get(src), self.hosts.get(dst), row);
         }
         (block, index)
     }
 
-    /// Resolves distinct site pairs, in flat passes:
+    /// Resolves distinct site pairs, in flat passes, copying each
+    /// routable one's forward path into `asns`:
     ///
     /// 1. **Probe** — site pairs are grouped by cache shard; each
     ///    shard's read lock is taken once for all its pairs, and hits
-    ///    are counted once per shard, not per pair.
+    ///    are counted once per shard, not per pair. Before the lock is
+    ///    dropped, the hits' forward paths are copied and the stale
+    ///    entries' paths pinned.
     /// 2. **Revalidate** — stale entries [`PingEngine::still_valid`]
     ///    clears are re-stamped; the rest join the misses and pay the
     ///    recompute a delta deferred.
@@ -1095,41 +1315,75 @@ impl PingEngine {
     ///    swept destination-major ([`PingEngine::sweep_routes`]), then
     ///    each site pair takes its two hand-off walks over those
     ///    shared paths; both steps run data-parallel.
-    /// 4. **Publish** — fresh entries are bulk-inserted per shard, one
-    ///    write lock each, under the shard's eviction pressure.
+    /// 4. **Publish** — fresh entries intern their paths and are
+    ///    inserted per shard in chunks, one write lock each, under the
+    ///    shard's eviction pressure.
     ///
     /// Every outcome counts in the cache telemetry once per site pair:
     /// hit, revalidated hit, or miss.
-    fn resolve_sites(&self, sites: &[SiteRequest], epoch: u64) -> Vec<Option<Arc<PairInfo>>> {
-        let mut facts: Vec<Option<Arc<PairInfo>>> = vec![None; sites.len()];
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); CACHE_SHARDS];
+    fn resolve_sites(
+        &self,
+        sites: &[SiteRequest],
+        epoch: u64,
+        asns: &mut Vec<Asn>,
+    ) -> Vec<SiteRow> {
+        let mut rows: Vec<SiteRow> = vec![(f64::NAN, (0, 0)); sites.len()];
+        let mut by_shard: Vec<Vec<u32>> = shard_lists(sites.len());
         for (i, site) in sites.iter().enumerate() {
             by_shard[PairCache::shard_index(site.0)].push(i as u32);
         }
-        let mut stale: Vec<(u32, Option<Arc<PairInfo>>, u64)> = Vec::new();
+        let mut copy_rows = |copies: &mut Vec<(PathId, u32)>, rows: &mut [SiteRow]| {
+            self.interner.copy_paths(copies, asns, |i, start, end| {
+                rows[i as usize].1 = (start, end);
+            });
+            copies.clear();
+        };
+        let mut stale: Vec<(u32, PairFacts, u64)> = Vec::new();
+        let mut pins: Vec<PathId> = Vec::new();
         let mut misses: Vec<u32> = Vec::new();
+        let mut copies: Vec<(PathId, u32)> = Vec::new();
         for (sidx, members) in by_shard.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
-            let keys = members.iter().map(|&i| (i, sites[i as usize].0));
-            self.cache.probe(sidx, keys, epoch, |i, found| match found {
-                PairLookup::Hit(info) => facts[i as usize] = info,
-                PairLookup::Stale(info, stamp) => stale.push((i, info, stamp)),
-                PairLookup::Miss => misses.push(i),
-            });
+            let mut probe = self.cache.probe(sidx, epoch);
+            let pinned = pins.len();
+            for &i in members {
+                match probe.lookup(sites[i as usize].0) {
+                    PairLookup::Hit(f) => {
+                        rows[i as usize].0 = f.base_ms;
+                        if f.routable() {
+                            copies.push((f.fwd, i));
+                        }
+                    }
+                    PairLookup::Stale(f, stamp) => {
+                        pins.extend(f.ids());
+                        stale.push((i, f, stamp));
+                    }
+                    PairLookup::Miss => misses.push(i),
+                }
+            }
+            // Still under the shard's read lock, so no entry read above
+            // can be evicted and free its paths meanwhile.
+            copy_rows(&mut copies, &mut rows);
+            self.interner.retain(&mut pins[pinned..]);
         }
         let mut path_ok = FastMap::default();
-        for (i, info, stamp) in stale {
-            if self.still_valid(&info, stamp..epoch, &mut path_ok) {
+        for (i, f, stamp) in stale {
+            if self.still_valid(&f, stamp..epoch, &mut path_ok) {
                 self.cache.refresh(sites[i as usize].0, epoch);
-                facts[i as usize] = info;
+                rows[i as usize].0 = f.base_ms;
+                if f.routable() {
+                    copies.push((f.fwd, i));
+                }
             } else {
                 misses.push(i);
             }
         }
+        copy_rows(&mut copies, &mut rows);
+        self.interner.release(&mut pins);
         if misses.is_empty() {
-            return facts; // the warm steady state: nothing to expand
+            return rows; // the warm steady state: nothing to expand
         }
 
         // Routes first, once per directed AS pair, then two hand-off
@@ -1138,58 +1392,68 @@ impl PingEngine {
             let (_, src, dst) = sites[i as usize];
             (self.hosts.get(src), self.hosts.get(dst))
         };
-        let (mut routes, route_of) = self.sweep_routes(misses.iter().map(|&i| {
+        let (routes, route_of, route_asns) = self.sweep_routes(misses.iter().map(|&i| {
             let (s, d) = ends(i);
             (s.node, d.node)
         }));
         let work: Vec<(u32, [u32; 2])> = misses.into_iter().zip(route_of).collect();
-        let expanded: Vec<Option<Arc<PairInfo>>> = work
+        let expanded: Vec<Option<f64>> = work
             .par_iter()
             .map(|&(i, [fwd, rev])| {
                 let (s, d) = ends(i);
-                let (fwd, _) = routes[fwd as usize].as_ref()?;
-                let (rev, _) = routes[rev as usize].as_ref()?;
-                Some(self.site_facts(s, d, fwd, rev))
+                let (fwd, rev) = (routes[fwd as usize]?, routes[rev as usize]?);
+                Some(self.site_facts(s, d, span(&route_asns, fwd), span(&route_asns, rev)))
             })
             .collect();
 
-        // A route's freshly interned bytes are charged to the first
-        // entry of the batch that references it, and to that one only.
-        let mut insert_by_shard: Vec<Vec<ComputedEntry>> = vec![Vec::new(); CACHE_SHARDS];
-        for (&(i, of), info) in work.iter().zip(expanded) {
-            let mut charged = 0;
-            if info.is_some() {
-                for r in of {
-                    if let Some((_, fresh_asns)) = &mut routes[r as usize] {
-                        charged += std::mem::take(fresh_asns) as usize;
-                    }
-                }
-            }
-            let key = sites[i as usize].0;
-            let bytes = entry_bytes(&info, charged);
-            facts[i as usize] = info.clone();
-            insert_by_shard[PairCache::shard_index(key)].push((key, info, bytes));
+        // Paths are interned as their entries are published, a chunk
+        // of one shard at a time, and the evicted entries' paths are
+        // released after each chunk: a batch holds no more paths live
+        // than the cache keeps plus one chunk's worth.
+        let mut by_shard: Vec<Vec<u32>> = shard_lists(work.len());
+        for (w, &(i, _)) in work.iter().enumerate() {
+            by_shard[PairCache::shard_index(sites[i as usize].0)].push(w as u32);
         }
-        for (sidx, entries) in insert_by_shard.into_iter().enumerate() {
-            if !entries.is_empty() {
-                self.cache.insert_many(sidx, entries.into_iter(), epoch);
+        let chunk_len = self.cache.publish_chunk();
+        let mut entries: Vec<ComputedEntry> = Vec::with_capacity(chunk_len);
+        for (sidx, members) in by_shard.iter().enumerate() {
+            for chunk in members.chunks(chunk_len) {
+                entries.extend(chunk.iter().map(|&w| {
+                    let (i, [fwd, rev]) = work[w as usize];
+                    let routed = (
+                        expanded[w as usize],
+                        routes[fwd as usize],
+                        routes[rev as usize],
+                    );
+                    let (facts, charged) = match routed {
+                        (Some(base_ms), Some(fwd), Some(rev)) => {
+                            let fwd = span(&route_asns, fwd);
+                            let start = asns.len() as u32;
+                            asns.extend_from_slice(fwd);
+                            rows[i as usize] = (base_ms, (start, asns.len() as u32));
+                            self.intern_facts(base_ms, fwd, span(&route_asns, rev))
+                        }
+                        _ => (PairFacts::UNROUTABLE, 0),
+                    };
+                    (sites[i as usize].0, facts, charged)
+                }));
+                self.publish(sidx, entries.drain(..), epoch);
             }
         }
-        facts
+        rows
     }
 
-    /// Walks and interns every distinct directed AS-pair route a list
-    /// of `(S, D)` node pairs needs — `S→D` and `D→S` each — and
-    /// returns the routes plus, per input pair, the indices of its
-    /// forward and reverse route.
+    /// Walks every distinct directed AS-pair route a list of `(S, D)`
+    /// node pairs needs — `S→D` and `D→S` each — and returns the
+    /// routes, per input pair the indices of its forward and reverse
+    /// route, and the buffer the routes' ranges point into.
     ///
     /// The requests are sorted and deduped **destination-major**: each
     /// destination's routing table is pinned once for all the sources
     /// asking for it (a reverse route is the forward route of the
     /// mirrored AS pair, so it joins the run of *its* destination),
-    /// each route is walked into the run's one buffer and interned
-    /// once ([`PingEngine::route`]), and no table is touched twice in
-    /// a batch. Runs execute data-parallel.
+    /// each route is walked once ([`PingEngine::route`]), and no table
+    /// is touched twice in a batch. Runs execute data-parallel.
     ///
     /// Under a router budget a sweep over more tables than stay
     /// resident leaves the cache holding only its tail, so the next
@@ -1200,7 +1464,7 @@ impl PingEngine {
     fn sweep_routes(
         &self,
         pairs: impl Iterator<Item = (NodeId, NodeId)>,
-    ) -> (Vec<Route>, Vec<[u32; 2]>) {
+    ) -> (Vec<Route>, Vec<[u32; 2]>, Vec<Asn>) {
         // A descending sweep sorts on the complemented destination.
         let down = self.sweep_down.load(Ordering::Relaxed);
         let flip = if down { u32::MAX } else { 0 };
@@ -1221,13 +1485,17 @@ impl PingEngine {
             route_of[k as usize / 2][k as usize % 2] = keys.len() as u32 - 1;
         }
         let runs: Vec<&[(NodeId, NodeId)]> = keys.chunk_by(|a, b| a.0 == b.0).collect();
-        let routes: Vec<Vec<Route>> = runs
+        let walked: Vec<(Vec<Route>, Vec<Asn>)> = runs
             .par_iter()
             .map(|run| {
-                let (mut table, mut buf) = (None, Vec::new());
-                run.iter()
-                    .map(|&(dst, src)| self.route(dst, src, &mut table, &mut buf))
-                    .collect()
+                // Sized for typical paths, so a run rarely reallocates.
+                let mut buf = Vec::with_capacity(16);
+                let (mut table, mut asns) = (None, Vec::with_capacity(8 * run.len()));
+                let routes = run
+                    .iter()
+                    .map(|&(dst, src)| self.route(dst, src, &mut table, &mut buf, &mut asns))
+                    .collect();
+                (routes, asns)
             })
             .collect();
         self.routes_walked
@@ -1239,14 +1507,24 @@ impl PingEngine {
                 self.sweep_down.fetch_xor(true, Ordering::Relaxed);
             }
         }
-        (routes.into_iter().flatten().collect(), route_of)
+        let mut routes = Vec::with_capacity(keys.len());
+        let mut asns = Vec::new();
+        for (run, run_asns) in walked {
+            let base = asns.len() as u32;
+            routes.extend(
+                run.into_iter()
+                    .map(|r| r.map(|(s, e)| (s + base, e + base))),
+            );
+            asns.extend_from_slice(&run_asns);
+        }
+        (routes, route_of, asns)
     }
 
     /// Samples one measurement window — `pings` pings spaced
     /// `interval_secs` apart from `start` — against already-resolved
     /// pair facts, appending replies to `out` (cleared first). This is
     /// the allocation-free inner loop of the batched kernel: no cache
-    /// probe, no `Arc` chase, no per-window `Vec`.
+    /// probe, no lock, no per-window `Vec`.
     ///
     /// RNG draws replicate [`PingEngine::ping_faulted`] exactly —
     /// same draws, same order, same skips — so a window sampled here
@@ -1342,10 +1620,10 @@ impl PingEngine {
         rng: &mut R,
         out: &mut Vec<f64>,
     ) {
-        let info = self.pair_info(src, dst);
-        let resolved = info
-            .as_ref()
-            .map(|(p, base_ms)| (&p.as_path[..], *base_ms, p.mid_lon));
+        // The path is read only under faults, so only then is it copied.
+        let mut path = Vec::new();
+        let info = self.pair_info(src, dst, (!faults.is_empty()).then_some(&mut path));
+        let resolved = info.map(|(base_ms, mid_lon)| (&path[..], base_ms, mid_lon));
         self.sample_window_resolved(resolved, start, pings, interval_secs, faults, rng, out);
     }
 
@@ -1353,14 +1631,15 @@ impl PingEngine {
     /// unroutable). Useful for tests and calibration; real measurements
     /// go through [`PingEngine::ping`].
     pub fn base_rtt(&self, src: HostId, dst: HostId) -> Option<f64> {
-        self.pair_info(src, dst).map(|(_, base_ms)| base_ms)
+        self.pair_info(src, dst, None).map(|(base_ms, _)| base_ms)
     }
 
-    /// AS path between two hosts (`None` if unroutable). Shared, not
-    /// cloned: the campaign's fault checks read this on every ping.
-    pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Arc<[Asn]>> {
-        self.pair_info(src, dst)
-            .map(|(p, _)| Arc::clone(&p.as_path))
+    /// AS path between two hosts (`None` if unroutable), copied out of
+    /// the interner. Traceroute, the scalar oracle and tests read it;
+    /// the sampling loops never do.
+    pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Vec<Asn>> {
+        let mut path = Vec::new();
+        self.pair_info(src, dst, Some(&mut path)).map(|_| path)
     }
 
     /// Sends one ping at time `t`; returns the observed RTT in ms, or
@@ -1388,22 +1667,24 @@ impl PingEngine {
         rng: &mut R,
     ) -> Option<f64> {
         self.stats.attempts.fetch_add(1, Ordering::Relaxed);
-        let Some((info, base_ms)) = self.pair_info(src, dst) else {
+        let mut path = Vec::new();
+        let want_path = (!faults.is_empty()).then_some(&mut path);
+        let Some((base_ms, mid_lon)) = self.pair_info(src, dst, want_path) else {
             self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         if !faults.is_empty() {
-            if faults.path_down(&info.as_path, t) {
+            if faults.path_down(&path, t) {
                 self.stats.losses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-            let extra = faults.path_extra_loss(&info.as_path);
+            let extra = faults.path_extra_loss(&path);
             if extra > 0.0 && rng.gen_bool(extra.min(1.0)) {
                 self.stats.losses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
         }
-        match self.model.sample_rtt(base_ms, t, info.mid_lon, rng) {
+        match self.model.sample_rtt(base_ms, t, mid_lon, rng) {
             Some(rtt) => {
                 self.stats.replies.fetch_add(1, Ordering::Relaxed);
                 Some(rtt)
@@ -1590,7 +1871,7 @@ impl PingHandle {
     }
 
     /// AS path between two hosts (see [`PingEngine::as_path`]).
-    pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Arc<[Asn]>> {
+    pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Vec<Asn>> {
         self.engine.as_path(src, dst)
     }
 
@@ -1710,6 +1991,19 @@ impl Pinger for PingHandle {
     }
 }
 
+/// One list per cache shard for `n` items spread across them, each
+/// sized for twice its even share so it rarely grows.
+fn shard_lists<T>(n: usize) -> Vec<Vec<T>> {
+    (0..CACHE_SHARDS)
+        .map(|_| Vec::with_capacity(2 * n / CACHE_SHARDS + 4))
+        .collect()
+}
+
+/// The ASNs at `(start, end)` of a path buffer.
+fn span(asns: &[Asn], (start, end): (u32, u32)) -> &[Asn] {
+    &asns[start as usize..end as usize]
+}
+
 /// Longitude midpoint that respects the antimeridian (picks the midpoint
 /// on the shorter arc).
 fn mid_longitude(a: f64, b: f64) -> f64 {
@@ -1786,13 +2080,23 @@ mod tests {
         let cache = PairCache::new(None);
         for i in 0..500u32 {
             let key = (SiteId(i), SiteId(i ^ 0xABC));
-            let entry = (key, None, entry_bytes(&None, 0));
-            cache.insert_many(PairCache::shard_index(key), [entry].into_iter(), 0);
+            let entry = (key, PairFacts::UNROUTABLE, 0);
+            let mut released = Vec::new();
+            cache.insert_many(
+                PairCache::shard_index(key),
+                [entry].into_iter(),
+                0,
+                &mut released,
+            );
+            assert!(released.is_empty());
+            let mut probe = cache.probe(PairCache::shard_index(key), 0);
             assert!(
-                matches!(cache.get(key, 0), PairLookup::Hit(_)),
+                matches!(probe.lookup(key), PairLookup::Hit(_)),
                 "inserted pair must be found"
             );
         }
+        // Without a budget nothing can be evicted, so no ring is kept.
+        assert!(cache.shards.iter().all(|s| s.state.read().ring.is_empty()));
         // The shard hash must actually spread pairs; a constant hash
         // would silently restore single-lock contention.
         let used = cache
@@ -1805,25 +2109,33 @@ mod tests {
 
     #[test]
     fn budgeted_pair_cache_bounds_each_shard_and_still_answers() {
-        // Room for roughly two unroutable entries per shard.
-        let per_entry = u64::from(entry_bytes(&None, 0));
-        let budget = 2 * per_entry * CACHE_SHARDS as u64;
-        let cache = PairCache::new(Some(budget));
+        // Twice what a shard holding one unroutable entry costs: room
+        // for an eight-bucket map, never for a sixteen-bucket one.
+        let shard_budget = 2 * pair_entry_min_bytes();
+        let cache = PairCache::new(Some(shard_budget * CACHE_SHARDS as u64));
         for i in 0..2000u32 {
-            let entry = ((SiteId(i), SiteId(i)), None, entry_bytes(&None, 0));
-            cache.insert_many(PairCache::shard_index(entry.0), [entry].into_iter(), 0);
+            let entry = ((SiteId(i), SiteId(i)), PairFacts::UNROUTABLE, 0);
+            let shard = PairCache::shard_index(entry.0);
+            cache.insert_many(shard, [entry].into_iter(), 0, &mut Vec::new());
         }
         assert!(cache.evictions() > 0, "budget never forced an eviction");
         for s in &cache.shards {
             let st = s.state.read();
-            assert!(st.bytes <= 2 * per_entry, "shard over budget: {}", st.bytes);
+            assert!(
+                st.bytes() <= shard_budget,
+                "shard over budget: {}",
+                st.bytes()
+            );
+            assert!(st.map.capacity() <= 7, "the map outgrew the budget");
             assert_eq!(st.ring.len(), st.map.len(), "ring out of sync");
         }
-        assert!(cache.resident_bytes() <= budget);
         // Evicted keys read as misses (recomputed upstream), resident
         // ones as hits; either way the cache still answers.
         let resident = cache.len();
-        assert!((1..=2 * CACHE_SHARDS).contains(&resident), "{resident}");
+        assert!(
+            (CACHE_SHARDS..=7 * CACHE_SHARDS).contains(&resident),
+            "{resident}"
+        );
     }
 
     #[test]
@@ -1861,18 +2173,16 @@ mod tests {
                         continue;
                     }
                     assert_eq!(bounded.base_rtt(s, d), unbounded.base_rtt(s, d));
-                    assert_eq!(
-                        bounded.as_path(s, d).map(|p| p.to_vec()),
-                        unbounded.as_path(s, d).map(|p| p.to_vec()),
-                    );
+                    assert_eq!(bounded.as_path(s, d), unbounded.as_path(s, d));
                 }
             }
         }
         let stats = bounded.engine_stats();
         assert!(stats.pair_evictions > 0, "{stats:?}");
         assert!(stats.pair_cache_entries <= CACHE_SHARDS as u64, "{stats:?}");
+        let charged = |e: &PingEngine| e.cache.sum(|s| s.state.read().bytes());
         assert!(
-            stats.pair_resident_bytes < unbounded.engine_stats().pair_resident_bytes,
+            charged(&bounded) < charged(&unbounded),
             "budget did not reduce residency"
         );
         let line = stats.summary();
@@ -1974,7 +2284,7 @@ mod tests {
             b: spare.1,
         }]);
         let same = engine.as_path(a, b).expect("still routable");
-        assert_eq!(same.to_vec(), path.to_vec(), "untouched path must survive");
+        assert_eq!(same, path, "untouched path must survive");
         let stats = engine.engine_stats();
         assert_eq!(stats.pair_revalidated, 1, "{stats:?}");
         assert_eq!(stats.pair_cache_misses, 1, "revalidation is not a miss");
@@ -2067,7 +2377,7 @@ mod tests {
         let _ = engine.resolve_pairs(&[(b, a)]);
         assert_eq!(f.router.stats().misses, 0);
         assert!(!engine.sweep_down.load(Ordering::Relaxed));
-        assert_eq!(engine.as_path(a, b).unwrap().to_vec(), vec![asn]);
+        assert_eq!(engine.as_path(a, b).unwrap(), vec![asn]);
         assert!(engine.base_rtt(a, b).unwrap() >= 0.0);
     }
 
@@ -2284,14 +2594,8 @@ mod tests {
             }
         }
         let site_pairs = (fwd.len() / 9) as u64;
-        let dummy = Some(Arc::new(PairInfo {
-            base_ms: 0.0,
-            as_path: Arc::from([Asn(1)].as_slice()),
-            rev_path: Arc::from([Asn(1)].as_slice()),
-            mid_lon: 0.0,
-        }));
-        let fixed_routable = u64::from(entry_bytes(&dummy, 0));
-        let fixed_unroutable = u64::from(entry_bytes(&None, 0));
+        let path_bytes =
+            |engine: &PingEngine| -> u64 { engine.cache.sum(|s| s.state.read().path_bytes) };
         let split = |block: &PairBlock| {
             let routable = (0..block.len() as u32)
                 .filter(|&k| block.is_routable(k))
@@ -2309,45 +2613,45 @@ mod tests {
         assert_eq!(s1.pair_rows, fwd.len() as u64, "{s1:?}");
         assert_eq!(s1.routes_walked, 2 * site_pairs, "{s1:?}");
         assert!(s1.paths_interned > 0, "{s1:?}");
-        // Each freshly interned route is charged to exactly one entry:
-        // the gauge is the entries' fixed cost plus every distinct
-        // path's ASNs, once. (Forward and reverse routes of a pair may
-        // be one allocation when the route is a palindrome.)
+        // Every distinct path is stored once, however many entries
+        // reference it, and each entry is charged for the distinct
+        // paths it references. (Forward and reverse routes of a pair
+        // may be one path when the route is a palindrome.)
         let (routable, unroutable) = split(&block);
         assert!(routable > 0, "fixture should route most pairs");
-        let mut live: Vec<Arc<[Asn]>> = Vec::new();
-        for &(a, b) in &fwd {
-            let Some((info, _)) = engine.pair_info(a, b) else {
-                continue;
-            };
-            for path in [&info.as_path, &info.rev_path] {
-                if !live.iter().any(|p| Arc::ptr_eq(p, path)) {
-                    live.push(Arc::clone(path));
+        let mut live: Vec<PathId> = Vec::new();
+        let mut charges = 0;
+        let charge = |id| u64::from(path_charge(engine.interner.with_path(id, <[Asn]>::len)));
+        for map in engine.cache.shards.iter().map(|s| s.state.read()) {
+            for facts in map.map.values().map(|e| e.facts) {
+                if facts.routable() {
+                    charges += charge(facts.fwd);
+                    if facts.rev != facts.fwd {
+                        charges += charge(facts.rev);
+                    }
+                }
+                for id in facts.ids() {
+                    if !live.contains(&id) {
+                        live.push(id);
+                    }
                 }
             }
         }
         assert_eq!(live.len() as u64, s1.paths_interned);
-        let fresh_asns: usize = live.iter().map(|p| p.len()).sum();
-        assert_eq!(
-            s1.pair_resident_bytes,
-            routable * fixed_routable
-                + unroutable * fixed_unroutable
-                + (fresh_asns * std::mem::size_of::<Asn>()) as u64,
-            "charged path ASNs must equal the ASNs of the routes interned fresh"
-        );
+        assert_eq!(live.len(), engine.interner.live_paths());
+        assert_eq!(path_bytes(&engine), charges);
+        let arena = engine.interner.resident_bytes();
 
-        // A warm re-resolve is pure hits, one per distinct site pair
-        // (on top of the scalar lookups just above, one per host pair).
+        // A warm re-resolve is pure hits, one per distinct site pair.
         let _ = engine.resolve_pairs(&fwd);
         let warm = engine.engine_stats();
         assert_eq!(warm.pair_cache_misses, site_pairs, "{warm:?}");
-        assert_eq!(warm.pair_cache_hits, fwd.len() as u64 + site_pairs);
+        assert_eq!(warm.pair_cache_hits, site_pairs, "{warm:?}");
 
         // Every mirror pair's forward route is the forward pair's
         // reverse route (and vice versa) — both already interned — so
-        // mirror entries charge exactly the fixed entry cost, zero
-        // path bytes. That is the interning win the byte budget sees.
-        let block = engine.resolve_pairs(&mirror);
+        // the mirror entries store no path: the arena does not grow.
+        let _ = engine.resolve_pairs(&mirror);
         let s2 = engine.engine_stats();
         assert_eq!(s2.pair_cache_entries, 2 * s1.pair_cache_entries, "{s2:?}");
         assert_eq!(
@@ -2359,11 +2663,12 @@ mod tests {
             s2.paths_interned, s1.paths_interned,
             "mirror resolution must intern nothing fresh"
         );
-        let (routable, unroutable) = split(&block);
+        assert_eq!(engine.interner.live_paths(), live.len());
+        assert_eq!(engine.interner.resident_bytes(), arena);
         assert_eq!(
-            s2.pair_resident_bytes - s1.pair_resident_bytes,
-            routable * fixed_routable + unroutable * fixed_unroutable,
-            "mirror entries must be charged no path payload"
+            path_bytes(&engine),
+            2 * charges,
+            "each reference is charged"
         );
     }
 }

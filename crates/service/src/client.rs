@@ -7,9 +7,8 @@
 //! back into the same strings the text protocol would have produced,
 //! so callers never observe the framing. Used by the
 //! `colo-shortcuts client` subcommand, the end-to-end tests, the
-//! `service_throughput` / `service_capacity` benches and the `loadgen`
-//! harness; scripts can just as well speak the text protocol over
-//! `nc`.
+//! perf ledger's serve workloads and the `loadgen` harness; scripts
+//! can just as well speak the text protocol over `nc`.
 //!
 //! The socket runs with `TCP_NODELAY` and every request leaves as one
 //! `write` of `line + '\n'` ([`write_request`]): a request is a single

@@ -85,8 +85,8 @@
 //!   socket whole messages — one `write` per round event or finished
 //!   response, payloads encoded from the borrowed CSV.
 //! - [`client::Client`] is the blocking client the CLI `client`
-//!   subcommand, the e2e tests, the `service_throughput` /
-//!   `service_capacity` benches and the `loadgen` harness use; it
+//!   subcommand, the e2e tests, the perf ledger's serve workloads and
+//!   the `loadgen` harness use; it
 //!   retries `ERR busy` / `ERR credits` with jittered exponential
 //!   backoff ([`client::RetryPolicy`]).
 //!

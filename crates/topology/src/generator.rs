@@ -114,8 +114,8 @@ impl TopologyConfig {
     }
 
     /// A [`paper_scale`](Self::paper_scale) world inflated by `factor`
-    /// (≥ 1) — the internet-scale preset the `memory_budget` bench
-    /// sweeps under byte budgets.
+    /// (≥ 1) — the internet-scale preset run under byte budgets (the
+    /// perf ledger's `campaign_churn_budget` uses a 4× world).
     ///
     /// Populations that the paper treats as "the long tail" grow
     /// linearly (tier-2 transits, content, enterprises, research, and

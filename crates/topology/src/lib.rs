@@ -36,9 +36,9 @@
 //!   [`DeltaView`] copy-on-write mask routing sweeps consult; how a
 //!   stale table is re-stamped or rebuilt lives in [`routing::repair`].
 //! - [`intern`] — content-addressed AS-path interning
-//!   ([`PathInterner`]): one shared `Arc<[Asn]>` per distinct path, so
-//!   pair-level caches charge and revalidate per unique path instead of
-//!   per pair.
+//!   ([`PathInterner`]): one reference-counted copy per distinct path,
+//!   named by a dense [`PathId`], so pair-level caches store plain ids
+//!   and charge and revalidate per unique path instead of per pair.
 //!
 //! ## Example
 //!
@@ -74,5 +74,5 @@ pub use facility::{Facility, Ixp};
 pub use generator::TopologyConfig;
 pub use graph::{CsrAdjacency, NodeIndex, Relationship, Topology};
 pub use ids::{Asn, FacilityId, IxpId, NodeId, PopId};
-pub use intern::{InternStats, PathInterner};
+pub use intern::{InternStats, PathId, PathInterner};
 pub use ip::{IpAllocator, Prefix};

@@ -38,7 +38,7 @@
 //! arrive while the predecessor bucket drains — keep the lowest
 //! next-hop ASN. Tables are therefore bit-identical to the reference
 //! heap implementation, which survives as [`oracle`] for the
-//! equivalence proptest and the `routing` benchmark.
+//! equivalence tests (`tests/routing_equivalence.rs`).
 //!
 //! The result is a full routing table toward `d`: every AS that can
 //! reach `d` has a best (class, length, next-hop) entry, and the
@@ -1027,11 +1027,10 @@ pub mod oracle {
     //! Reference heap-based route computation (the pre-CSR
     //! implementation), kept verbatim as the correctness oracle.
     //!
-    //! The equivalence proptest asserts the flat bucket-queue sweeps in
-    //! the parent module produce entry-for-entry identical tables, and
-    //! the `routing` benchmark measures the speedup against this
-    //! implementation. Not for production use — [`super::compute_table`]
-    //! is strictly faster and returns the same routes.
+    //! The equivalence tests assert the flat bucket-queue sweeps in the
+    //! parent module produce entry-for-entry identical tables. Not for
+    //! production use — [`super::compute_table`] is strictly faster
+    //! and returns the same routes.
 
     use super::{better, Candidate, RouteClass, RouteEntry};
     use crate::graph::Topology;

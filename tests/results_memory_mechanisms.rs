@@ -1,9 +1,14 @@
 //! What a campaign keeps in memory, pinned with allocation counts
 //! rather than RSS readings. A counting allocator, installed in this
-//! test binary only, counts per thread:
+//! test binary only, counts per thread (and across threads, for a test
+//! that runs alone):
 //!
-//! - a fresh interned path costs one allocation — its own `Arc<[Asn]>`
-//!   — and the interner's map growth, not a bucket list per path;
+//! - fresh interned paths grow the interner's shard arenas by doubling
+//!   — no allocation per path — re-interning allocates nothing, and a
+//!   path released to zero is stored again in the slot it left;
+//! - resolving fresh site pairs allocates per cache shard and per
+//!   destination, never per site pair: a pair's facts are a plain
+//!   record inline in the cache;
 //! - `ResultsBuilder::finish` moves each buffered round into the
 //!   results: a handful of allocations per round, however many history
 //!   entries the rounds hold;
@@ -27,11 +32,13 @@ use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::geo::{CityId, Continent, CountryCode, GeoPoint};
 use colo_shortcuts::netsim::clock::SimTime;
 use colo_shortcuts::netsim::{HostId, PingHandle};
-use colo_shortcuts::topology::{Asn, PathInterner};
+use colo_shortcuts::netsim::{HostRegistry, LatencyModel, PingEngine};
+use colo_shortcuts::topology::routing::Router;
+use colo_shortcuts::topology::{Asn, PathId, PathInterner, Topology, TopologyConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Forwards to the system allocator, counting on the calling thread.
 struct Counting;
@@ -59,7 +66,23 @@ fn note(counts: &'static std::thread::LocalKey<Cell<[u64; 4]>>, size: usize) {
     });
 }
 
+/// Allocations made on every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Held shared by every test, exclusively by a test counting
+/// [`ALL_ALLOCS`], so no other test allocates meanwhile.
+static ALONE: RwLock<()> = RwLock::new(());
+
+fn beside_others() -> RwLockReadGuard<'static, ()> {
+    ALONE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    ALONE.write().unwrap_or_else(|e| e.into_inner())
+}
+
 fn note_alloc(size: usize) {
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
     note(&WATCHED_ALLOCS, size);
 }
@@ -76,6 +99,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
@@ -95,6 +119,15 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` alone and returns its result with the allocations every
+/// thread made meanwhile — `f`'s worker threads included.
+fn all_thread_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let _alone = alone();
+    let before = ALL_ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALL_ALLOCS.load(Ordering::Relaxed) - before)
 }
 
 /// Starts counting allocations and frees of exactly these sizes.
@@ -144,31 +177,26 @@ fn measured_rounds<'w>(
 }
 
 #[test]
-fn a_fresh_path_costs_one_allocation() {
+fn fresh_paths_grow_shard_arenas_and_freed_ones_are_recycled() {
+    let _beside = beside_others();
     const N: usize = 4096;
     const LEN: usize = 5;
-    let paths: Vec<Vec<Asn>> = (0..N as u32)
-        .map(|i| (0..LEN as u32).map(|j| Asn(i * 7 + j)).collect())
-        .collect();
-    // `ArcInner<[Asn]>`: two reference counts, then the array.
-    let (arc, _) = Layout::new::<[AtomicUsize; 2]>()
-        .extend(Layout::array::<Asn>(LEN).unwrap())
-        .unwrap();
-    watch([arc.pad_to_align().size(), 0, 0, 0]);
+    let path = |i: usize| -> Vec<Asn> { (0..LEN).map(|j| Asn((i * 7 + j) as u32)).collect() };
+    let paths: Vec<Vec<Asn>> = (0..N).map(path).collect();
 
     let interner = PathInterner::new();
-    let (kept, allocs) =
+    let (ids, allocs) =
         allocations(|| paths.iter().map(|p| interner.intern(p)).collect::<Vec<_>>());
-    let (path_allocs, _) = watched();
-    assert!(kept.iter().all(|(_, fresh)| *fresh));
+    assert!(ids.iter().all(|(_, fresh)| *fresh));
     assert_eq!(interner.stats().interned, N as u64);
-    assert_eq!(path_allocs[0], N as u64, "one `Arc<[Asn]>` per path");
-    // The collecting `Vec` and the shards' map growth — O(shards · log
-    // N) — are all the rest. A list per bucket would add N more.
-    let rest = allocs - path_allocs[0];
-    assert!(rest < (N / 8) as u64, "{rest} allocations beside the paths");
+    // 32 shards, each growing an ASN array, an id table and a hash
+    // table by doubling — O(shards · log N) — plus the collecting
+    // `Vec`. An allocation per path would be N.
+    let bound = 32 * 3 * (u64::from(N.ilog2()) + 1);
+    assert!(allocs < bound, "{allocs} allocations for {N} fresh paths");
 
-    // Interning them again allocates nothing.
+    // Interning them again allocates nothing: each takes one more
+    // reference to its stored copy.
     let ((), again) = allocations(|| {
         for p in &paths {
             assert!(!interner.intern(p).1);
@@ -176,6 +204,84 @@ fn a_fresh_path_costs_one_allocation() {
     });
     assert_eq!(again, 0);
     assert_eq!(interner.live_paths(), N);
+
+    // Releasing both references of half the paths frees them, and
+    // interning those paths again stores them fresh, in exactly the
+    // slots they left. What allocates is each shard compacting its
+    // dead ASNs away once, that array growing back, and a hash table
+    // rehashing.
+    let mut freed: Vec<PathId> = ids[..N / 2].iter().flat_map(|&(id, _)| [id, id]).collect();
+    interner.release(&mut freed);
+    assert_eq!(interner.live_paths(), N / 2);
+    let (again, allocs) = allocations(|| {
+        paths[..N / 2]
+            .iter()
+            .map(|p| interner.intern(p))
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        allocs <= 32 * 3 + 1,
+        "{allocs} allocations to re-intern {}",
+        N / 2
+    );
+    assert!(again.iter().all(|(_, fresh)| *fresh));
+    let key = |id: &PathId| format!("{id:?}");
+    let mut freed: Vec<PathId> = ids[..N / 2].iter().map(|&(id, _)| id).collect();
+    let mut again: Vec<PathId> = again.into_iter().map(|(id, _)| id).collect();
+    freed.sort_unstable_by_key(key);
+    again.sort_unstable_by_key(key);
+    assert_eq!(again, freed, "freed slots are recycled");
+    assert_eq!(interner.live_paths(), N);
+    assert_eq!(interner.stats().interned, (N + N / 2) as u64);
+}
+
+#[test]
+fn fresh_site_pairs_resolve_without_an_allocation_each() {
+    const K: usize = 128;
+    let topo = Arc::new(Topology::generate(&TopologyConfig::small(), 77));
+    let router = Arc::new(Router::new(Arc::clone(&topo)));
+    let mut reg = HostRegistry::new();
+    let hosts: Vec<HostId> = topo
+        .ases()
+        .iter()
+        .take(K)
+        .map(|info| reg.add_host_in_as(&topo, info.asn, None).unwrap())
+        .collect();
+    assert_eq!(hosts.len(), K);
+    let reg = Arc::new(reg);
+    // One host per AS: every ordered host pair is its own site pair,
+    // with its own forward and reverse route.
+    let pairs: Vec<(HostId, HostId)> = hosts
+        .iter()
+        .flat_map(|&a| hosts.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+        .collect();
+    let engine = || {
+        PingEngine::new(
+            Arc::clone(&topo),
+            Arc::clone(&router),
+            Arc::clone(&reg),
+            LatencyModel::default(),
+        )
+    };
+    // Build every routing table first: only the resolver allocates below.
+    let _ = engine().resolve_pairs(&pairs);
+    let engine = engine();
+    let (block, allocs) = all_thread_allocations(|| engine.resolve_pairs(&pairs));
+    let n = pairs.len() as u64;
+    let stats = engine.engine_stats();
+    assert_eq!(stats.pair_cache_misses, n);
+    assert_eq!(
+        stats.paths_interned, n,
+        "each directed route is a distinct path"
+    );
+    assert!((0..block.len() as u32).all(|s| block.is_routable(s)));
+    // Per cache shard, per interner shard (growth by doubling) and per
+    // destination's route run — O((shards + destinations) · log N). A
+    // record and two paths allocated per site pair would be 3N.
+    assert!(
+        allocs < n / 4,
+        "{allocs} allocations for {n} fresh site pairs"
+    );
 }
 
 /// Absorbs `rounds` in `order`, then counts `finish`'s allocations.
@@ -194,6 +300,7 @@ fn finish_allocations(
 
 #[test]
 fn finish_moves_rounds_and_allocates_per_round_not_per_entry() {
+    let _beside = beside_others();
     const ROUNDS: u32 = 4;
     // Allocations `finish` may make per buffered round: growth of the
     // cases, both histories' round lists, the symmetry samples and the
@@ -237,6 +344,7 @@ fn assert_exact_improving(results: &CampaignResults) -> usize {
 
 #[test]
 fn improving_lists_are_stored_at_exact_length() {
+    let _beside = beside_others();
     let world = small_world();
     let results = Campaign::new(&world, small_config(2)).run();
     assert!(
@@ -280,6 +388,7 @@ fn sized_round(round: u32) -> (RoundPlan, OverlayPlan, Vec<Option<f64>>) {
 
 #[test]
 fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
+    let _beside = beside_others();
     let rounds: Vec<_> = (0..4).map(sized_round).collect();
     let case_buffer = |r: usize| rounds[r].0.pairs.len() * std::mem::size_of::<CaseRecord>();
     watch([
@@ -342,6 +451,7 @@ fn history_bits(h: &PairHistory) -> Vec<((HostId, HostId), Vec<u64>)> {
 
 #[test]
 fn sharded_and_parallel_results_are_bit_equal_histories_included() {
+    let _beside = beside_others();
     let world = small_world();
     let run = |exec: ExecMode| {
         let mut cfg = small_config(3);
