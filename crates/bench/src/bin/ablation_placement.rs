@@ -41,8 +41,7 @@ fn main() {
             .cases
             .iter()
             .filter(|c| {
-                c.outcome(RelayType::Cor)
-                    .improving
+                c.improving(RelayType::Cor)
                     .iter()
                     .any(|(h, _)| allowed.contains(h))
             })
@@ -76,8 +75,7 @@ fn main() {
             .cases
             .iter()
             .map(|c| {
-                c.outcome(RelayType::Cor)
-                    .improving
+                c.improving(RelayType::Cor)
                     .iter()
                     .filter(|(h, _)| set.contains(h))
                     .count()

@@ -34,7 +34,7 @@ impl CountryAnalysis {
         let mut same = (0usize, 0usize);
         for c in &results.cases {
             let out = c.outcome(rtype);
-            let Some((host, rtt)) = out.best else {
+            let Some((host, rtt)) = out.best() else {
                 continue;
             };
             let Some(meta) = results.relay_meta.get(&host) else {

@@ -72,7 +72,7 @@ impl FacilityTable {
         let mut improved_case_total = 0usize;
         let mut per_facility_cases: HashMap<FacilityId, usize> = HashMap::new();
         for c in &results.cases {
-            let improving = &c.outcome(RelayType::Cor).improving;
+            let improving = c.improving(RelayType::Cor);
             if improving.is_empty() {
                 continue;
             }

@@ -65,7 +65,7 @@ impl ImprovementAnalysis {
                 if let Some(delta) = out.best_improvement(c.direct_ms) {
                     if delta > 0.0 {
                         improvements.push(delta);
-                        improving_counts.push(out.improving.len() as f64);
+                        improving_counts.push(f64::from(out.n_improving));
                     }
                 }
             }
@@ -104,7 +104,7 @@ impl ImprovementAnalysis {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::workflow::{CaseRecord, PairHistory, TypeOutcome};
+    use crate::workflow::{CaseRecord, Cases, PairHistory, TypeOutcome};
     use shortcuts_geo::CountryCode;
     use shortcuts_netsim::HostId;
     use std::collections::HashMap;
@@ -114,22 +114,24 @@ pub(crate) mod tests {
     pub(crate) fn synthetic_results() -> CampaignResults {
         use crate::colo::{ColoPool, FilterFunnel};
         let cc = |s| CountryCode::new(s).unwrap();
-        let mk_case = |round: u32, cor_best: Option<f64>, plr_best: Option<f64>| {
+        // A case of `round`, its improving relays appended to `arena`.
+        let mk_case = |round: u32,
+                       cor_best: Option<f64>,
+                       plr_best: Option<f64>,
+                       arena: &mut Vec<(HostId, f32)>| {
+            let improving_start = arena.len() as u32;
             let mut outcomes: [TypeOutcome; 4] = Default::default();
-            if let Some(v) = cor_best {
-                outcomes[RelayType::Cor.index()].best = Some((HostId(100), v));
-                if v < 100.0 {
-                    outcomes[RelayType::Cor.index()]
-                        .improving
-                        .push((HostId(100), (100.0 - v) as f32));
-                }
-            }
-            if let Some(v) = plr_best {
-                outcomes[RelayType::Plr.index()].best = Some((HostId(200), v));
-                if v < 100.0 {
-                    outcomes[RelayType::Plr.index()]
-                        .improving
-                        .push((HostId(200), (100.0 - v) as f32));
+            let bests = [
+                (RelayType::Cor, HostId(100), cor_best),
+                (RelayType::Plr, HostId(200), plr_best),
+            ];
+            for (t, host, best) in bests {
+                if let Some(v) = best {
+                    let improves = v < 100.0;
+                    if improves {
+                        arena.push((host, (100.0 - v) as f32));
+                    }
+                    outcomes[t.index()] = TypeOutcome::new(Some((host, v)), 0, u32::from(improves));
                 }
             }
             CaseRecord {
@@ -141,15 +143,24 @@ pub(crate) mod tests {
                 intercontinental: false,
                 direct_ms: 100.0,
                 outcomes,
+                improving_start,
             }
         };
+        let mut cases = Cases::default();
+        let mut arena = Vec::new();
+        let round = vec![
+            mk_case(0, Some(80.0), Some(95.0), &mut arena), // both improve
+            mk_case(0, Some(85.0), Some(120.0), &mut arena), // only COR improves
+        ];
+        cases.push_round(round, arena);
+        let mut arena = Vec::new();
+        let round = vec![
+            mk_case(1, Some(130.0), None, &mut arena), // nobody improves
+            mk_case(1, None, None, &mut arena),        // nothing feasible
+        ];
+        cases.push_round(round, arena);
         CampaignResults {
-            cases: vec![
-                mk_case(0, Some(80.0), Some(95.0)),  // both improve
-                mk_case(0, Some(85.0), Some(120.0)), // only COR improves
-                mk_case(1, Some(130.0), None),       // nobody improves
-                mk_case(1, None, None),              // nothing feasible
-            ],
+            cases,
             direct_history: PairHistory::default(),
             link_history: PairHistory::default(),
             symmetry_samples: vec![],

@@ -46,8 +46,7 @@ impl ThresholdCurve {
         let mut best_improvements = Vec::new();
         for c in &results.cases {
             let best = c
-                .outcome(rtype)
-                .improving
+                .improving(rtype)
                 .iter()
                 .filter(|(h, _)| allowed.as_ref().is_none_or(|a| a.contains(h)))
                 .map(|&(_, imp)| f64::from(imp))

@@ -36,7 +36,7 @@ impl TopRelayAnalysis {
         // Per relay: the case indexes it improved.
         let mut improved_cases: FastMap<HostId, Vec<u32>> = FastMap::default();
         for (case_idx, c) in results.cases.iter().enumerate() {
-            for &(host, _) in &c.outcome(rtype).improving {
+            for &(host, _) in c.improving(rtype) {
                 improved_cases
                     .entry(host)
                     .or_default()
@@ -99,7 +99,7 @@ impl TopRelayAnalysis {
 pub(crate) fn top_hosts(results: &CampaignResults, rtype: RelayType, k: usize) -> Vec<HostId> {
     let mut counts: FastMap<HostId, usize> = FastMap::default();
     for c in &results.cases {
-        for &(host, _) in &c.outcome(rtype).improving {
+        for &(host, _) in c.improving(rtype) {
             *counts.entry(host).or_default() += 1;
         }
     }

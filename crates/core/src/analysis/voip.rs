@@ -41,7 +41,7 @@ impl VoipAnalysis {
             if direct_bad {
                 direct_over += 1;
             }
-            let effective = match c.outcome(RelayType::Cor).best {
+            let effective = match c.outcome(RelayType::Cor).best() {
                 Some((_, rtt)) => c.direct_ms.min(rtt),
                 None => c.direct_ms,
             };

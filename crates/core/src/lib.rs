@@ -97,6 +97,6 @@ pub use relays::{Relay, RelayType};
 pub use stitch::ResultsBuilder;
 pub use sweep::{Sweep, SweepConfig, SweepReport, SweepScenario};
 pub use workflow::{
-    Campaign, CampaignConfig, CampaignResults, CaseRecord, PairHistory, RoundSummary,
+    Campaign, CampaignConfig, CampaignResults, Case, CaseRecord, Cases, PairHistory, RoundSummary,
 };
 pub use world::{SharedWorld, World, WorldConfig};

@@ -49,7 +49,7 @@ pub fn cases_csv(results: &CampaignResults) -> String {
         let _ = write!(out, ",{},{:.3}", c.intercontinental, c.direct_ms);
         for t in RelayType::ALL {
             out.push(',');
-            if let Some((_, rtt)) = c.outcome(t).best {
+            if let Some((_, rtt)) = c.outcome(t).best() {
                 let _ = write!(out, "{rtt:.3}");
             }
         }

@@ -27,7 +27,7 @@
 use crate::measure::stitch;
 use crate::plan::{OverlayPlan, RoundPlan};
 use crate::workflow::{
-    CampaignResults, CaseRecord, PairHistory, RelayMeta, RoundSummary, TypeOutcome,
+    CampaignResults, CaseRecord, Cases, PairHistory, RelayMeta, RoundSummary, TypeOutcome,
 };
 use shortcuts_netsim::HostId;
 use std::collections::{BTreeMap, HashMap};
@@ -38,6 +38,9 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Debug)]
 struct RoundPartial {
     cases: Vec<CaseRecord>,
+    /// The cases' improving relays, at exact length: what their
+    /// `improving_start` offsets index.
+    improving: Vec<(HostId, f32)>,
     direct_entries: Vec<((HostId, HostId), f64)>,
     link_entries: Vec<((HostId, HostId), f64)>,
     symmetry: Vec<(f64, f64)>,
@@ -58,7 +61,10 @@ pub struct ResultsBuilder {
     pending: BTreeMap<u32, RoundPartial>,
     /// The next round to append: every round below it is appended.
     next: u32,
-    cases: Vec<CaseRecord>,
+    /// The largest improving arena a round has needed so far: the next
+    /// round's arena starts at this capacity, so it rarely grows.
+    arena_capacity: usize,
+    cases: Cases,
     direct_history: PairHistory,
     link_history: PairHistory,
     symmetry_samples: Vec<(f64, f64)>,
@@ -104,9 +110,11 @@ impl ResultsBuilder {
         }
 
         // Pre-sized from the plan: every bound below is exact or a
-        // tight upper bound, so the stitch hot path never reallocates.
+        // tight upper bound, so the stitch hot path never reallocates
+        // unless a round outgrows every improving arena before it.
         let mut partial = RoundPartial {
             cases: Vec::with_capacity(plan.pairs.len()),
+            improving: Vec::with_capacity(self.arena_capacity),
             direct_entries: Vec::with_capacity(plan.pairs.len()),
             link_entries: Vec::with_capacity(overlay.needed.len()),
             symmetry: Vec::with_capacity(reverse.len()),
@@ -186,27 +194,28 @@ impl ResultsBuilder {
 
         // Stitch one-relay paths and emit the round's cases. Only the
         // relays that are feasible *and* have both legs measured are
-        // visited: the three bitsets are ANDed a word at a time.
-        // Improving relays collect in per-type scratch buffers reused
-        // across the round's cases; each case keeps an exact-length
-        // copy.
-        let mut improving: [Vec<(HostId, f32)>; 4] = Default::default();
+        // visited: the three bitsets are ANDed a word at a time and
+        // split by type. A case's improving relays go to the round's
+        // arena type after type, each type in relay order.
+        let arena = &mut partial.improving;
         for (pair_idx, (pair, d)) in plan.pairs.iter().zip(direct).enumerate() {
             let Some(d) = *d else { continue };
-            let mut outcomes: [TypeOutcome; 4] = Default::default();
+            let improving_start =
+                u32::try_from(arena.len()).expect("fewer than 2^32 improving relays a round");
             let (src_links, _) = link[pair.src * width..][..width].as_chunks::<64>();
             let (dst_links, _) = link[pair.dst * width..][..width].as_chunks::<64>();
             let src_measured = &measured[pair.src * row_words..][..row_words];
             let dst_measured = &measured[pair.dst * row_words..][..row_words];
             let feasible = overlay.row(pair_idx);
-            for w in 0..row_words {
-                let both = feasible[w] & src_measured[w] & dst_measured[w];
-                let (src, dst, hosts) = (&src_links[w], &dst_links[w], &hosts[w]);
-                let masks = type_mask[w];
-                for ((out, improving), mask) in outcomes.iter_mut().zip(&mut improving).zip(masks) {
-                    let mut bits = both & mask;
-                    out.feasible += bits.count_ones();
-                    let mut best = out.best;
+            let outcomes: [TypeOutcome; 4] = std::array::from_fn(|t| {
+                let first = arena.len();
+                let mut n_feasible = 0;
+                let mut best: Option<(HostId, f64)> = None;
+                for w in 0..row_words {
+                    let mut bits =
+                        feasible[w] & src_measured[w] & dst_measured[w] & type_mask[w][t];
+                    n_feasible += bits.count_ones();
+                    let (src, dst, hosts) = (&src_links[w], &dst_links[w], &hosts[w]);
                     while bits != 0 {
                         // `% 64` changes nothing (`bits` is non-zero) but
                         // lets the lane loads skip their bounds checks.
@@ -217,16 +226,12 @@ impl ResultsBuilder {
                             best = Some((hosts[b], stitched));
                         }
                         if stitched < d {
-                            improving.push((hosts[b], (d - stitched) as f32));
+                            arena.push((hosts[b], (d - stitched) as f32));
                         }
                     }
-                    out.best = best;
                 }
-            }
-            for (out, scratch) in outcomes.iter_mut().zip(&mut improving) {
-                out.improving = scratch.as_slice().to_vec();
-                scratch.clear();
-            }
+                TypeOutcome::new(best, n_feasible, (arena.len() - first) as u32)
+            });
             let (src, dst) = (&plan.endpoints[pair.src], &plan.endpoints[pair.dst]);
             partial.cases.push(CaseRecord {
                 round: plan.round,
@@ -237,8 +242,17 @@ impl ResultsBuilder {
                 intercontinental: src.continent != dst.continent,
                 direct_ms: d,
                 outcomes,
+                improving_start,
             });
         }
+        // Unresponsive pairs, unmeasured links and a smaller round than
+        // the largest so far leave the buffers short of their initial
+        // capacities: the results keep them at exact length.
+        self.arena_capacity = self.arena_capacity.max(partial.improving.len());
+        partial.cases.shrink_to_fit();
+        partial.direct_entries.shrink_to_fit();
+        partial.link_entries.shrink_to_fit();
+        partial.improving.shrink_to_fit();
 
         let summary = summarize(plan, overlay, &partial);
         self.pending.insert(plan.round, partial);
@@ -252,7 +266,8 @@ impl ResultsBuilder {
 
     /// Appends one round's partial to the campaign-level results;
     /// called in ascending round order. Moves, never re-keys: the
-    /// round's cases and history entries keep their allocations' order.
+    /// round's cases, improving arena and history entries keep their
+    /// allocations.
     fn append(&mut self, partial: RoundPartial) {
         for (host, meta) in partial.relay_meta {
             self.relay_meta.entry(host).or_insert(meta);
@@ -260,7 +275,7 @@ impl ResultsBuilder {
         self.direct_history.push_round(partial.direct_entries);
         self.link_history.push_round(partial.link_entries);
         self.symmetry_samples.extend(partial.symmetry);
-        self.cases.extend(partial.cases);
+        self.cases.push_round(partial.cases, partial.improving);
         self.unresponsive_pairs += partial.unresponsive;
         self.endpoints_total += partial.endpoints;
         for (total, n) in self.relays_total.iter_mut().zip(partial.relays) {
@@ -277,6 +292,7 @@ impl ResultsBuilder {
         for partial in std::mem::take(&mut self.pending).into_values() {
             self.append(partial);
         }
+        self.symmetry_samples.shrink_to_fit();
         CampaignResults {
             cases: self.cases,
             direct_history: self.direct_history,
@@ -434,17 +450,18 @@ mod tests {
         assert_eq!(summary.improved[RelayType::Plr.index()], 0);
         let r = b.finish(empty_pool(), 0);
         assert_eq!(r.cases.len(), 1);
-        let c = &r.cases[0];
+        let c = r.cases.iter().next().unwrap();
         assert!(c.intercontinental);
         // COR relay r0: 30 + 40 = 70, improves on 100 by 30.
         let cor = c.outcome(RelayType::Cor);
-        assert_eq!(cor.best, Some((HostId(10), 70.0)));
+        assert_eq!(cor.best(), Some((HostId(10), 70.0)));
         assert_eq!(cor.feasible, 1);
-        assert_eq!(cor.improving, vec![(HostId(10), 30.0f32)]);
+        assert_eq!(c.improving(RelayType::Cor), [(HostId(10), 30.0f32)]);
         // PLR relay r1 lost a leg: no stitched path.
         let plr = c.outcome(RelayType::Plr);
-        assert!(plr.best.is_none());
+        assert!(plr.best().is_none());
         assert_eq!(plr.feasible, 0);
+        assert!(c.improving(RelayType::Plr).is_empty());
         // Symmetry pair recorded.
         assert_eq!(r.symmetry_samples, vec![(100.0, 101.0)]);
         // Histories keyed in order.
@@ -465,11 +482,13 @@ mod tests {
         let mut b = ResultsBuilder::new();
         b.absorb_round(&plan, &overlay, &[Some(70.0)], &[None], &links);
         let r = b.finish(empty_pool(), 0);
-        let cor = r.cases[0].outcome(RelayType::Cor);
-        assert_eq!(cor.best, Some((HostId(10), 70.0)));
+        let c = r.cases.iter().next().unwrap();
+        let cor = c.outcome(RelayType::Cor);
+        assert_eq!(cor.best(), Some((HostId(10), 70.0)));
         assert_eq!(cor.feasible, 2);
-        assert!(cor.improving.is_empty());
-        assert!(r.cases[0].outcome(RelayType::Plr).improving.is_empty());
+        assert_eq!(cor.n_improving, 0);
+        assert!(c.improving(RelayType::Cor).is_empty());
+        assert!(c.improving(RelayType::Plr).is_empty());
     }
 
     #[test]
@@ -510,19 +529,27 @@ mod tests {
     fn absorption_order_is_unobservable() {
         // Four rounds with per-round distinguishable medians, absorbed
         // in order vs. scrambled: the merged results must be
-        // identical, with every history in ascending round order.
+        // identical, with every history in ascending round order. The
+        // odd rounds improve in two types, so each case's improving
+        // relays sit at a round-local offset, COR before PLR.
         let rounds = [0u32, 1, 2, 3];
         let run = |order: &[u32]| {
             let mut b = ResultsBuilder::new();
             for &round in order {
                 let (plan, overlay) = tiny_round_at(round);
                 let d = 100.0 + f64::from(round);
+                let plr_leg = (round % 2 == 1).then_some(45.0);
                 b.absorb_round(
                     &plan,
                     &overlay,
                     &[Some(d)],
                     &[Some(d + 0.5)],
-                    &[Some(30.0), Some(50.0), Some(40.0 + f64::from(round)), None],
+                    &[
+                        Some(30.0),
+                        Some(50.0),
+                        Some(40.0 + f64::from(round)),
+                        plr_leg,
+                    ],
                 );
             }
             b.finish(empty_pool(), 7)
@@ -530,9 +557,28 @@ mod tests {
         let in_order = run(&rounds);
         let scrambled = run(&[2, 0, 3, 1]);
         assert_eq!(in_order.cases.len(), scrambled.cases.len());
+        let bits =
+            |o: &[(HostId, f32)]| -> Vec<_> { o.iter().map(|&(h, v)| (h, v.to_bits())).collect() };
         for (a, b) in in_order.cases.iter().zip(&scrambled.cases) {
             assert_eq!(a.round, b.round);
             assert_eq!(a.direct_ms.to_bits(), b.direct_ms.to_bits());
+            for t in RelayType::ALL {
+                assert_eq!(bits(a.improving(t)), bits(b.improving(t)), "{t:?}");
+            }
+        }
+        for (c, round) in scrambled.cases.iter().zip(rounds) {
+            assert_eq!(c.round, round);
+            // COR: 30 + (40 + round) stitches to 70 + round.
+            assert_eq!(c.improving(RelayType::Cor), [(HostId(10), 30.0f32)]);
+            // PLR: 50 + 45 = 95, on odd rounds only.
+            let plr: &[(HostId, f32)] = if round % 2 == 1 {
+                &[(HostId(11), 5.0 + round as f32)]
+            } else {
+                &[]
+            };
+            assert_eq!(c.improving(RelayType::Plr), plr);
+            assert!(c.improving(RelayType::RarOther).is_empty());
+            assert!(c.improving(RelayType::RarEye).is_empty());
         }
         assert_eq!(in_order.symmetry_samples, scrambled.symmetry_samples);
         assert_eq!(

@@ -50,10 +50,11 @@
 //! waiting out the whole ~27-simulated-day campaign. [`Campaign::run`]
 //! is the no-observer convenience wrapper.
 //!
-//! The output is a flat list of **cases** (one per measured RAE pair
-//! per round) carrying the direct median and, per relay type, the best
-//! relayed RTT and the full list of improving relays — enough to
-//! regenerate every figure and table in §3.
+//! The output is a table of **cases** ([`Cases`], one per measured RAE
+//! pair per round) carrying the direct median and, per relay type, the
+//! best relayed RTT and the full list of improving relays — enough to
+//! regenerate every figure and table in §3. A case is a plain
+//! [`CaseRecord`]; its improving relays sit in its round's arena.
 //!
 //! Per-pair RTT histories live in a [`PairHistory`]: each round's
 //! entries as the stitch layer produced them, plus a sorted key index
@@ -160,34 +161,70 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Per-type outcome of one case.
-#[derive(Debug, Clone, Default)]
+/// Per-type outcome of one case: a plain 24-byte value. The relays
+/// that improved the case live in its round's improving arena (see
+/// [`Case::improving`]); the outcome keeps only their count.
+#[derive(Debug, Clone, Copy)]
 pub struct TypeOutcome {
-    /// Best (lowest-RTT) relayed path of this type, if any relay was
-    /// feasible and measurable: (relay host, stitched RTT ms).
-    pub best: Option<(HostId, f64)>,
-    /// Every relay of this type that beat the direct path, with its
-    /// improvement in ms.
-    pub improving: Vec<(HostId, f32)>,
+    /// Host of the best relay; meaningless without a best RTT.
+    best_host: HostId,
+    /// Stitched RTT of the best relay, ms; NaN when there is none (a
+    /// stitched RTT is a sum of two medians, never NaN).
+    best_rtt: f64,
     /// Number of feasible relays of this type for this case.
     pub feasible: u32,
+    /// Number of relays of this type that beat the direct path.
+    pub n_improving: u32,
+}
+
+// `Option<(HostId, f64)>` has no niche and alone would take 24 bytes.
+const _: () = assert!(std::mem::size_of::<TypeOutcome>() == 24);
+
+impl Default for TypeOutcome {
+    fn default() -> Self {
+        TypeOutcome::new(None, 0, 0)
+    }
 }
 
 impl TypeOutcome {
+    /// An outcome with its best relay (host, stitched RTT ms), if any,
+    /// and its feasible and improving relay counts.
+    pub fn new(best: Option<(HostId, f64)>, feasible: u32, n_improving: u32) -> Self {
+        let (best_host, best_rtt) = best.unwrap_or((HostId(0), f64::NAN));
+        assert!(
+            best.is_none() || !best_rtt.is_nan(),
+            "a best RTT is never NaN"
+        );
+        TypeOutcome {
+            best_host,
+            best_rtt,
+            feasible,
+            n_improving,
+        }
+    }
+
+    /// Best (lowest-RTT) relayed path of this type, if any relay was
+    /// feasible and measurable: (relay host, stitched RTT ms).
+    pub fn best(&self) -> Option<(HostId, f64)> {
+        (!self.best_rtt.is_nan()).then_some((self.best_host, self.best_rtt))
+    }
+
     /// Improvement of the best relay vs. the direct path (ms, positive
     /// = relay faster), if a best relay exists.
     pub fn best_improvement(&self, direct_ms: f64) -> Option<f64> {
-        self.best.map(|(_, rtt)| direct_ms - rtt)
+        self.best().map(|(_, rtt)| direct_ms - rtt)
     }
 
     /// Whether this type improved the case.
     pub fn improved(&self, direct_ms: f64) -> bool {
-        self.best.is_some_and(|(_, rtt)| rtt < direct_ms)
+        self.best().is_some_and(|(_, rtt)| rtt < direct_ms)
     }
 }
 
-/// One measured RAE pair in one round.
-#[derive(Debug, Clone)]
+/// One measured RAE pair in one round: a plain value of at most 128
+/// bytes. Its improving relays sit in its round's arena, from
+/// `improving_start` on, type after type in [`RelayType::ALL`] order.
+#[derive(Debug, Clone, Copy)]
 pub struct CaseRecord {
     /// Round index.
     pub round: u32,
@@ -205,14 +242,163 @@ pub struct CaseRecord {
     pub direct_ms: f64,
     /// Outcomes indexed by [`RelayType::index`].
     pub outcomes: [TypeOutcome; 4],
+    /// Offset of this case's first improving relay in its round's
+    /// improving arena.
+    pub improving_start: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<CaseRecord>() <= 128);
 
 impl CaseRecord {
     /// Outcome for a relay type.
     pub fn outcome(&self, t: RelayType) -> &TypeOutcome {
         &self.outcomes[t.index()]
     }
+
+    /// This case's range in its round's improving arena for type `t`.
+    fn improving_range(&self, t: RelayType) -> Range<usize> {
+        let counts = self.outcomes.map(|o| o.n_improving as usize);
+        let start = self.improving_start as usize + counts[..t.index()].iter().sum::<usize>();
+        start..start + counts[t.index()]
+    }
+
+    /// One past this case's last entry in its round's improving arena.
+    fn improving_end(&self) -> usize {
+        self.improving_start as usize
+            + self
+                .outcomes
+                .iter()
+                .map(|o| o.n_improving as usize)
+                .sum::<usize>()
+    }
 }
+
+/// A case as the campaign holds it: its record, read through `Deref`,
+/// and its improving relays.
+#[derive(Debug, Clone, Copy)]
+pub struct Case<'a> {
+    record: &'a CaseRecord,
+    /// The improving arena of the case's round.
+    arena: &'a [(HostId, f32)],
+}
+
+impl<'a> Case<'a> {
+    /// Every relay of type `t` that beat the direct path, with its
+    /// improvement in ms, in relay order.
+    pub fn improving(&self, t: RelayType) -> &'a [(HostId, f32)] {
+        &self.arena[self.record.improving_range(t)]
+    }
+}
+
+impl std::ops::Deref for Case<'_> {
+    type Target = CaseRecord;
+
+    fn deref(&self) -> &CaseRecord {
+        self.record
+    }
+}
+
+/// One round of cases and the improving arena their offsets index.
+#[derive(Debug)]
+struct RoundCases {
+    cases: Vec<CaseRecord>,
+    improving: Vec<(HostId, f32)>,
+}
+
+/// The campaign's case table (§2.5): one record per measured RAE pair
+/// per round, in round order.
+///
+/// Holds each round's cases and improving arena exactly as the stitch
+/// layer produced them — moved in, never re-keyed or copied, like
+/// [`PairHistory`]. Iteration yields [`Case`] views.
+#[derive(Debug, Default)]
+pub struct Cases {
+    rounds: Vec<RoundCases>,
+    len: usize,
+}
+
+impl Cases {
+    /// Appends one round's cases, in order, with the improving arena
+    /// their `improving_start` offsets index; rounds arrive in round
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// If a case's improving relays run past the end of the arena.
+    pub fn push_round(&mut self, cases: Vec<CaseRecord>, improving: Vec<(HostId, f32)>) {
+        assert!(
+            cases.iter().all(|c| c.improving_end() <= improving.len()),
+            "a case's improving relays run past its round's arena"
+        );
+        if !cases.is_empty() {
+            self.len += cases.len();
+            self.rounds.push(RoundCases { cases, improving });
+        }
+    }
+
+    /// Number of cases.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no cases.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every case, in round order and, within a round, in plan order.
+    pub fn iter(&self) -> CasesIter<'_> {
+        CasesIter {
+            rounds: self.rounds.iter(),
+            cases: [].iter(),
+            arena: &[],
+            remaining: self.len,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Cases {
+    type Item = Case<'a>;
+    type IntoIter = CasesIter<'a>;
+
+    fn into_iter(self) -> CasesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Cases`], yielding [`Case`] views.
+#[derive(Debug, Clone)]
+pub struct CasesIter<'a> {
+    rounds: std::slice::Iter<'a, RoundCases>,
+    cases: std::slice::Iter<'a, CaseRecord>,
+    arena: &'a [(HostId, f32)],
+    remaining: usize,
+}
+
+impl<'a> Iterator for CasesIter<'a> {
+    type Item = Case<'a>;
+
+    fn next(&mut self) -> Option<Case<'a>> {
+        loop {
+            if let Some(record) = self.cases.next() {
+                self.remaining -= 1;
+                return Some(Case {
+                    record,
+                    arena: self.arena,
+                });
+            }
+            let round = self.rounds.next()?;
+            self.cases = round.cases.iter();
+            self.arena = &round.improving;
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for CasesIter<'_> {}
 
 /// Identity and location facts about a relay host, for analyses.
 #[derive(Debug, Clone)]
@@ -233,7 +419,7 @@ pub struct RelayMeta {
 #[derive(Debug)]
 pub struct CampaignResults {
     /// All measured cases (one per valid RAE pair per round).
-    pub cases: Vec<CaseRecord>,
+    pub cases: Cases,
     /// Per-pair history of direct medians across rounds (for the CV
     /// stability analysis). Keyed by ordered host pair.
     pub direct_history: PairHistory,
@@ -665,10 +851,10 @@ mod tests {
         let (_, r) = quick_results();
         for c in &r.cases {
             for t in RelayType::ALL {
-                if let Some((_, rtt)) = c.outcome(t).best {
+                if let Some((_, rtt)) = c.outcome(t).best() {
                     assert!(rtt > 0.0);
                 }
-                for &(_, imp) in &c.outcome(t).improving {
+                for &(_, imp) in c.improving(t) {
                     assert!(imp > 0.0, "improvement must be positive");
                     assert!(f64::from(imp) < c.direct_ms);
                 }
@@ -682,7 +868,7 @@ mod tests {
         let mut seen_any = false;
         for c in &r.cases {
             for t in RelayType::ALL {
-                for &(host, _) in &c.outcome(t).improving {
+                for &(host, _) in c.improving(t) {
                     seen_any = true;
                     let meta = r.relay_meta.get(&host).expect("meta for improving relay");
                     assert_eq!(meta.rtype, t);

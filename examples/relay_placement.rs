@@ -28,7 +28,7 @@ fn main() {
     // For each facility: the set of cases improved by any of its relays.
     let mut by_facility: HashMap<FacilityId, HashSet<u32>> = HashMap::new();
     for (idx, case) in results.cases.iter().enumerate() {
-        for &(host, _) in &case.outcome(RelayType::Cor).improving {
+        for &(host, _) in case.improving(RelayType::Cor) {
             let Some(meta) = results.relay_meta.get(&host) else {
                 continue;
             };

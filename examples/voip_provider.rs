@@ -67,8 +67,7 @@ fn main() {
             .iter()
             .filter(|c| {
                 let best = c
-                    .outcome(RelayType::Cor)
-                    .improving
+                    .improving(RelayType::Cor)
                     .iter()
                     .filter(|(h, _)| allowed.contains(h))
                     .map(|&(_, imp)| f64::from(imp))

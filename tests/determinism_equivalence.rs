@@ -45,7 +45,7 @@ fn assert_identical(a: &CampaignResults, b: &CampaignResults) {
         for t in RelayType::ALL {
             let (oa, ob) = (ca.outcome(t), cb.outcome(t));
             assert_eq!(oa.feasible, ob.feasible);
-            match (oa.best, ob.best) {
+            match (oa.best(), ob.best()) {
                 (Some((ha, ra)), Some((hb, rb))) => {
                     assert_eq!(ha, hb);
                     assert_eq!(ra.to_bits(), rb.to_bits());
@@ -53,8 +53,9 @@ fn assert_identical(a: &CampaignResults, b: &CampaignResults) {
                 (None, None) => {}
                 other => panic!("best outcome mismatch: {other:?}"),
             }
-            assert_eq!(oa.improving.len(), ob.improving.len());
-            for (&(ha, ia), &(hb, ib)) in oa.improving.iter().zip(&ob.improving) {
+            let (ia, ib) = (ca.improving(t), cb.improving(t));
+            assert_eq!(ia.len(), ib.len());
+            for (&(ha, ia), &(hb, ib)) in ia.iter().zip(ib) {
                 assert_eq!(ha, hb);
                 assert_eq!(ia.to_bits(), ib.to_bits());
             }

@@ -53,7 +53,7 @@ fn campaign_and_all_analyses_run() {
     // Table 1 wiring: every COR improving relay has facility metadata
     // resolvable against the world.
     for c in &results.cases {
-        for &(host, _) in &c.outcome(RelayType::Cor).improving {
+        for &(host, _) in c.improving(RelayType::Cor) {
             let meta = results.relay_meta.get(&host).expect("meta");
             let f = meta.facility.expect("COR has facility");
             assert!(world.topo.facilities().len() > f.0 as usize);
@@ -72,7 +72,7 @@ fn campaign_is_fully_deterministic() {
         assert_eq!(a.dst, b.dst);
         assert_eq!(a.direct_ms, b.direct_ms);
         for t in RelayType::ALL {
-            assert_eq!(a.outcome(t).best, b.outcome(t).best);
+            assert_eq!(a.outcome(t).best(), b.outcome(t).best());
         }
     }
 }
@@ -91,10 +91,10 @@ fn improvements_never_exceed_direct_rtt() {
     for c in &results.cases {
         for t in RelayType::ALL {
             let out = c.outcome(t);
-            if let Some((_, rtt)) = out.best {
+            if let Some((_, rtt)) = out.best() {
                 assert!(rtt > 0.0, "stitched RTT must be positive");
             }
-            for &(_, imp) in &out.improving {
+            for &(_, imp) in c.improving(t) {
                 assert!(imp > 0.0);
                 assert!(
                     f64::from(imp) < c.direct_ms,
@@ -104,7 +104,7 @@ fn improvements_never_exceed_direct_rtt() {
             }
             // The best relay's improvement bounds every listed one.
             if let Some(best_delta) = out.best_improvement(c.direct_ms) {
-                for &(_, imp) in &out.improving {
+                for &(_, imp) in c.improving(t) {
                     assert!(f64::from(imp) <= best_delta + 1e-3); // f32 storage rounding
                 }
             }
@@ -118,8 +118,8 @@ fn feasible_counts_bound_improving_counts() {
     for c in &results.cases {
         for t in RelayType::ALL {
             let out = c.outcome(t);
-            assert!(out.improving.len() <= out.feasible as usize);
-            if out.best.is_some() {
+            assert!(c.improving(t).len() <= out.feasible as usize);
+            if out.best().is_some() {
                 assert!(out.feasible > 0);
             }
         }

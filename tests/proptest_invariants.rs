@@ -710,7 +710,7 @@ fn cases_csv_oracle(results: &colo_shortcuts::core::workflow::CampaignResults) -
     for c in &results.cases {
         let best = |t: RelayType| {
             c.outcome(t)
-                .best
+                .best()
                 .map(|(_, rtt)| format!("{rtt:.3}"))
                 .unwrap_or_default()
         };
@@ -785,7 +785,7 @@ fn top_relays_oracle(
     // Per relay: the set of case indexes it improved.
     let mut improved_cases: HashMap<HostId, Vec<u32>> = HashMap::new();
     for (case_idx, c) in results.cases.iter().enumerate() {
-        for &(host, _) in &c.outcome(rtype).improving {
+        for &(host, _) in c.improving(rtype) {
             improved_cases
                 .entry(host)
                 .or_default()
@@ -838,8 +838,7 @@ fn threshold_oracle(
     let mut best_improvements = Vec::new();
     for c in &results.cases {
         let best = c
-            .outcome(rtype)
-            .improving
+            .improving(rtype)
             .iter()
             .filter(|(h, _)| allowed.as_ref().is_none_or(|a| a.contains(h)))
             .map(|&(_, imp)| f64::from(imp))
@@ -964,7 +963,8 @@ prop_compose! {
                 let mut outcomes: [TypeOutcome; 4] = Default::default();
                 for outcome in &mut outcomes {
                     if rng.gen_bool(0.6) {
-                        outcome.best = Some((HostId(id(&mut rng)), rtt(&mut rng)));
+                        let best = (HostId(id(&mut rng)), rtt(&mut rng));
+                        *outcome = TypeOutcome::new(Some(best), 0, 0);
                     }
                 }
                 CaseRecord {
@@ -976,6 +976,7 @@ prop_compose! {
                     intercontinental: rng.gen_bool(0.5),
                     direct_ms: rtt(&mut rng),
                     outcomes,
+                    improving_start: 0,
                 }
             })
             .collect()
@@ -993,7 +994,7 @@ prop_compose! {
         cut in 0usize..9,
         seed in 0u64..u64::MAX,
     ) -> (colo_shortcuts::core::workflow::CampaignResults, usize) {
-        use colo_shortcuts::core::workflow::{CaseRecord, TypeOutcome};
+        use colo_shortcuts::core::workflow::{CaseRecord, Cases, TypeOutcome};
         use colo_shortcuts::geo::CountryCode;
         use colo_shortcuts::netsim::HostId;
         use rand::rngs::StdRng;
@@ -1003,37 +1004,38 @@ prop_compose! {
         let pool = rng.gen_range(1u32..16);
         let live: [bool; 4] = std::array::from_fn(|_| rng.gen_bool(0.8));
         let cc = CountryCode::new("DE").expect("valid");
-        let cases = (0..n)
-            .map(|i| {
-                let outcomes: [TypeOutcome; 4] = std::array::from_fn(|t| TypeOutcome {
-                    improving: if live[t] {
-                        (0..rng.gen_range(0usize..6))
-                            .map(|_| {
-                                let imp = if rng.gen_bool(0.2) {
-                                    5.0 * rng.gen_range(0u32..21) as f32
-                                } else {
-                                    rng.gen_range(0.0f32..120.0)
-                                };
-                                (HostId(100 + rng.gen_range(0..pool)), imp)
-                            })
-                            .collect()
+        // Twenty cases a round, each round with its own arena.
+        let mut cases = Cases::default();
+        let (mut round_cases, mut arena) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let improving_start = arena.len() as u32;
+            let outcomes: [TypeOutcome; 4] = std::array::from_fn(|t| {
+                let k = if live[t] { rng.gen_range(0usize..6) } else { 0 };
+                for _ in 0..k {
+                    let imp = if rng.gen_bool(0.2) {
+                        5.0 * rng.gen_range(0u32..21) as f32
                     } else {
-                        Vec::new()
-                    },
-                    ..TypeOutcome::default()
-                });
-                CaseRecord {
-                    round: i as u32 / 20,
-                    src: HostId(1),
-                    dst: HostId(2),
-                    src_country: cc,
-                    dst_country: cc,
-                    intercontinental: false,
-                    direct_ms: 200.0,
-                    outcomes,
+                        rng.gen_range(0.0f32..120.0)
+                    };
+                    arena.push((HostId(100 + rng.gen_range(0..pool)), imp));
                 }
-            })
-            .collect();
+                TypeOutcome::new(None, 0, k as u32)
+            });
+            round_cases.push(CaseRecord {
+                round: i as u32 / 20,
+                src: HostId(1),
+                dst: HostId(2),
+                src_country: cc,
+                dst_country: cc,
+                intercontinental: false,
+                direct_ms: 200.0,
+                outcomes,
+                improving_start,
+            });
+            if i % 20 == 19 || i + 1 == n {
+                cases.push_round(std::mem::take(&mut round_cases), std::mem::take(&mut arena));
+            }
+        }
         let results = colo_shortcuts::core::workflow::CampaignResults {
             cases,
             direct_history: Default::default(),
@@ -1228,17 +1230,18 @@ proptest! {
             },
             0,
         );
-        let case = &results.cases[0];
+        let case = results.cases.iter().next().expect("one case");
         let out = case.outcome(RelayType::Cor);
         let (sum0, sum1) = (a + b, c + e);
         let want_best = sum0.min(sum1);
-        let (_, got_best) = out.best.expect("both relays measured");
+        let (_, got_best) = out.best().expect("both relays measured");
         prop_assert_eq!(got_best.to_bits(), want_best.to_bits());
         prop_assert_eq!(out.feasible, 2);
         let want_improving =
             usize::from(sum0 < d) + usize::from(sum1 < d);
-        prop_assert_eq!(out.improving.len(), want_improving);
-        for &(_, imp) in &out.improving {
+        prop_assert_eq!(out.n_improving as usize, want_improving);
+        prop_assert_eq!(case.improving(RelayType::Cor).len(), want_improving);
+        for &(_, imp) in case.improving(RelayType::Cor) {
             prop_assert!(imp > 0.0);
         }
     }
@@ -1549,13 +1552,14 @@ proptest! {
             }
             for t in 0..4 {
                 let got = &case.outcomes[t];
+                let got_improving = case.improving(colo_shortcuts::core::relays::RelayType::ALL[t]);
                 prop_assert_eq!(got.feasible, feasible[t]);
                 prop_assert_eq!(
-                    got.best.map(|(h, v)| (h, v.to_bits())),
+                    got.best().map(|(h, v)| (h, v.to_bits())),
                     best[t].map(|(h, v)| (h, v.to_bits()))
                 );
-                prop_assert_eq!(got.improving.len(), improving[t].len());
-                for (g, w) in got.improving.iter().zip(&improving[t]) {
+                prop_assert_eq!(got_improving.len(), improving[t].len());
+                for (g, w) in got_improving.iter().zip(&improving[t]) {
                     prop_assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()));
                 }
             }
@@ -1583,7 +1587,8 @@ proptest! {
         }
         prop_assert_eq!(builder.rounds_absorbed() as usize, rounds.len());
         let results = builder.finish(empty_pool(), 0);
-        prop_assert!(results.cases.windows(2).all(|w| w[0].round <= w[1].round));
+        let case_rounds: Vec<u32> = results.cases.iter().map(|c| c.round).collect();
+        prop_assert!(case_rounds.windows(2).all(|w| w[0] <= w[1]));
 
         let ordered = |a: HostId, b: HostId| if a <= b { (a, b) } else { (b, a) };
         let (mut direct, mut link) = (BTreeMap::new(), BTreeMap::new());
@@ -1667,8 +1672,10 @@ proptest! {
     }
 
     #[test]
-    fn cases_csv_matches_the_per_field_oracle(cases in arb_case_records()) {
-        use colo_shortcuts::core::workflow::CampaignResults;
+    fn cases_csv_matches_the_per_field_oracle(records in arb_case_records()) {
+        use colo_shortcuts::core::workflow::{CampaignResults, Cases};
+        let mut cases = Cases::default();
+        cases.push_round(records, Vec::new());
         let results = CampaignResults {
             cases,
             direct_history: Default::default(),

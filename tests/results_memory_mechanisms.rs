@@ -12,13 +12,18 @@
 //! - `ResultsBuilder::finish` moves each buffered round into the
 //!   results: a handful of allocations per round, however many history
 //!   entries the rounds hold;
-//! - every `improving` list is stored at exact length;
-//! - a round absorbed out of order waits in its partial, and its case
-//!   buffer is released once the rounds before it have arrived;
+//! - a case is a plain 128-byte record and a round's improving relays
+//!   share one arena: absorbing a round allocates a constant number of
+//!   times however many improving lists it has, and finished results
+//!   free no more heap than their entries' plain sizes;
+//! - a round absorbed out of order waits in its partial, and is
+//!   handed to the results once the rounds before it have arrived: its
+//!   symmetry buffer is released then, and its case buffer moves;
 //! - none of this changes results: a sharded and a parallel run of one
 //!   campaign are bit-identical, histories included.
 
 use colo_shortcuts::core::backend::{ExecMode, NetsimBackend};
+use colo_shortcuts::core::colo::ColoRelay;
 use colo_shortcuts::core::plan::{
     plan_round_for, OverlayPlan, PlannedEndpoint, PlannedPair, RoundPlan,
 };
@@ -46,13 +51,15 @@ struct Counting;
 thread_local! {
     /// Allocations made: `alloc`, `alloc_zeroed` and `realloc` calls.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes freed by `dealloc`.
+    static FREED: Cell<u64> = const { Cell::new(0) };
     /// Allocations of `WATCHED[i]` bytes made, and freed by `dealloc`.
-    static WATCHED: Cell<[usize; 4]> = const { Cell::new([0; 4]) };
-    static WATCHED_ALLOCS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
-    static WATCHED_FREES: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    static WATCHED: Cell<[usize; 8]> = const { Cell::new([0; 8]) };
+    static WATCHED_ALLOCS: Cell<[u64; 8]> = const { Cell::new([0; 8]) };
+    static WATCHED_FREES: Cell<[u64; 8]> = const { Cell::new([0; 8]) };
 }
 
-fn note(counts: &'static std::thread::LocalKey<Cell<[u64; 4]>>, size: usize) {
+fn note(counts: &'static std::thread::LocalKey<Cell<[u64; 8]>>, size: usize) {
     let _ = WATCHED.try_with(|watched| {
         for (i, &w) in watched.get().iter().enumerate() {
             if w != 0 && w == size {
@@ -105,6 +112,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREED.try_with(|f| f.set(f.get() + layout.size() as u64));
         note(&WATCHED_FREES, layout.size());
         System.dealloc(ptr, layout)
     }
@@ -121,6 +129,13 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
+/// Runs `f` and returns the heap bytes it freed on this thread.
+fn freed_bytes(f: impl FnOnce()) -> u64 {
+    let before = FREED.with(Cell::get);
+    f();
+    FREED.with(Cell::get) - before
+}
+
 /// Runs `f` alone and returns its result with the allocations every
 /// thread made meanwhile — `f`'s worker threads included.
 fn all_thread_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -131,13 +146,13 @@ fn all_thread_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Starts counting allocations and frees of exactly these sizes.
-fn watch(sizes: [usize; 4]) {
+fn watch(sizes: [usize; 8]) {
     WATCHED.with(|w| w.set(sizes));
-    WATCHED_ALLOCS.with(|c| c.set([0; 4]));
-    WATCHED_FREES.with(|c| c.set([0; 4]));
+    WATCHED_ALLOCS.with(|c| c.set([0; 8]));
+    WATCHED_FREES.with(|c| c.set([0; 8]));
 }
 
-fn watched() -> ([u64; 4], [u64; 4]) {
+fn watched() -> ([u64; 8], [u64; 8]) {
     (
         WATCHED_ALLOCS.with(Cell::get),
         WATCHED_FREES.with(Cell::get),
@@ -330,26 +345,69 @@ fn finish_moves_rounds_and_allocates_per_round_not_per_entry() {
     assert!(in_order <= PER_ROUND, "finish made {in_order} allocations");
 }
 
-fn assert_exact_improving(results: &CampaignResults) -> usize {
-    let mut lists = 0;
+#[test]
+fn cases_are_plain_records_sharing_a_per_round_improving_arena() {
+    let _beside = beside_others();
+    const ROUNDS: u32 = 3;
+    // Allocations one `absorb_round` may make, however many cases and
+    // improving relays its round has: the partial's buffers, the link
+    // grid and its masks, trimming them to length, appending the round
+    // before, and growing the round's arena past the largest before it
+    // (from empty in the first round).
+    const PER_ROUND: u64 = 32;
+    // Heap per round beside its entries: the round's slots in the case
+    // table's and the histories' round lists.
+    const PER_ROUND_BYTES: usize = 512;
+    let world = small_world();
+    let cfg = small_config(ROUNDS);
+    let (rounds, setup) = measured_rounds(&world, &cfg);
+    let mut builder = ResultsBuilder::new();
+    let mut links_measured = 0;
+    for r in &rounds {
+        let (summary, allocs) = allocations(|| {
+            builder.absorb_round(&r.plan, &r.overlay, &r.direct, &r.reverse, &r.links)
+        });
+        assert!(
+            allocs <= PER_ROUND,
+            "absorbing round {} made {allocs} allocations for {} cases",
+            r.plan.round,
+            summary.cases
+        );
+        links_measured += summary.links_measured;
+    }
+    let results = builder.finish(setup.colo, 0);
+
+    let cases = results.cases.len();
+    let (mut improving, mut lists) = (0, 0);
     for case in &results.cases {
         for t in RelayType::ALL {
-            let improving = &case.outcome(t).improving;
-            assert_eq!(improving.capacity(), improving.len());
-            lists += usize::from(!improving.is_empty());
+            let n = case.improving(t).len();
+            assert_eq!(n, case.outcome(t).n_improving as usize);
+            improving += n;
+            lists += usize::from(n > 0);
         }
     }
-    lists
-}
-
-#[test]
-fn improving_lists_are_stored_at_exact_length() {
-    let _beside = beside_others();
-    let world = small_world();
-    let results = Campaign::new(&world, small_config(2)).run();
+    // An allocation per improving list would exceed the bound above.
     assert!(
-        assert_exact_improving(&results) > 0,
-        "no relay improved a case"
+        lists as u64 > PER_ROUND * u64::from(ROUNDS),
+        "{lists} improving lists"
+    );
+    // Every case left one direct-history entry.
+    let history = cases + links_measured;
+    let symmetry = results.symmetry_samples.len();
+    let meta = freed_bytes(|| drop(results.relay_meta.clone()));
+    let colo = results.colo_pool.relays.capacity() * std::mem::size_of::<ColoRelay>();
+    let bound = 128 * cases
+        + 8 * improving
+        + 16 * (history + symmetry)
+        + meta as usize
+        + colo
+        + PER_ROUND_BYTES * ROUNDS as usize;
+    let freed = freed_bytes(|| drop(results));
+    assert!(
+        freed <= bound as u64,
+        "dropping the results freed {freed} B, over the {bound} B their {cases} cases, \
+         {improving} improving relays and {history} history entries account for"
     );
 }
 
@@ -364,7 +422,8 @@ fn endpoint(host: u32) -> PlannedEndpoint {
 }
 
 /// Round `round` with `3 + round` responsive direct pairs between two
-/// endpoints and no relays, so its case buffer has a size of its own.
+/// endpoints, each also measured in reverse, and no relays, so its
+/// case and symmetry buffers have sizes of their own.
 fn sized_round(round: u32) -> (RoundPlan, OverlayPlan, Vec<Option<f64>>) {
     let pairs = 3 + round as usize;
     let plan = RoundPlan {
@@ -375,7 +434,7 @@ fn sized_round(round: u32) -> (RoundPlan, OverlayPlan, Vec<Option<f64>>) {
             PlannedPair {
                 src: 0,
                 dst: 1,
-                reverse: false,
+                reverse: true,
             };
             pairs
         ],
@@ -390,18 +449,27 @@ fn sized_round(round: u32) -> (RoundPlan, OverlayPlan, Vec<Option<f64>>) {
 fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
     let _beside = beside_others();
     let rounds: Vec<_> = (0..4).map(sized_round).collect();
-    let case_buffer = |r: usize| rounds[r].0.pairs.len() * std::mem::size_of::<CaseRecord>();
+    let buffer = |r: usize, entry: usize| rounds[r].0.pairs.len() * entry;
+    let symmetry_buffer = |r| buffer(r, std::mem::size_of::<(f64, f64)>());
+    let case_buffer = |r| buffer(r, std::mem::size_of::<CaseRecord>());
     watch([
+        symmetry_buffer(0),
+        symmetry_buffer(1),
+        symmetry_buffer(2),
+        symmetry_buffer(3),
         case_buffer(0),
         case_buffer(1),
         case_buffer(2),
         case_buffer(3),
     ]);
+    let symmetry_freed = || -> [u64; 4] { watched().1[..4].try_into().unwrap() };
+    let cases_freed = || -> [u64; 4] { watched().1[4..].try_into().unwrap() };
 
     let mut builder = ResultsBuilder::new();
-    // After absorbing each round: case buffers freed so far, per round.
-    // (Allocations of these sizes are not a signal: the results' own
-    // case vector grows through them.)
+    // After absorbing each round: symmetry buffers freed so far, per
+    // round — a round's samples join the results' list as it is
+    // appended. (Allocations of these sizes are not a signal: direct
+    // history entries have the same size.)
     let expect = [
         (2, [0, 0, 0, 0]),
         (0, [0, 0, 0, 0]),
@@ -412,10 +480,11 @@ fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
     ];
     for (n, (round, freed)) in expect.into_iter().enumerate() {
         let (plan, overlay, direct) = &rounds[round];
-        let summary = builder.absorb_round(plan, overlay, direct, &[], &[]);
+        let summary = builder.absorb_round(plan, overlay, direct, direct, &[]);
         assert_eq!(summary.cases, plan.pairs.len());
+        assert_eq!(summary.symmetry_samples, plan.pairs.len());
         assert_eq!(builder.rounds_absorbed(), n as u32 + 1);
-        assert_eq!(watched().1, freed, "after round {round}");
+        assert_eq!(symmetry_freed(), freed, "after round {round}");
     }
     let results = builder.finish(
         colo_shortcuts::core::colo::ColoPool {
@@ -431,7 +500,11 @@ fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
         },
         0,
     );
-    assert_eq!(watched().1, [1, 1, 1, 1], "finish releases the rest");
+    assert_eq!(symmetry_freed(), [1, 1, 1, 1], "finish releases the rest");
+    // Case buffers move into the results: each allocated once, and
+    // freed only with the results.
+    assert_eq!(cases_freed(), [0, 0, 0, 0]);
+    assert_eq!(watched().0[4..], [1, 1, 1, 1]);
     let order: Vec<u32> = results.cases.iter().map(|c| c.round).collect();
     let want: Vec<u32> = (0..4u32)
         .flat_map(|r| std::iter::repeat_n(r, 3 + r as usize))
@@ -441,6 +514,8 @@ fn an_out_of_order_round_waits_and_is_released_once_contiguous() {
     let history = &results.direct_history[&(HostId(1), HostId(2))];
     assert_eq!(history.len(), want.len());
     assert!((results.avg_endpoints - 2.0).abs() < 1e-12);
+    drop(results);
+    assert_eq!(cases_freed(), [1, 1, 1, 1]);
 }
 
 fn history_bits(h: &PairHistory) -> Vec<((HostId, HostId), Vec<u64>)> {
@@ -475,13 +550,13 @@ fn sharded_and_parallel_results_are_bit_equal_histories_included() {
             let (oa, ob) = (a.outcome(t), b.outcome(t));
             assert_eq!(oa.feasible, ob.feasible);
             assert_eq!(
-                oa.best.map(|(h, v)| (h, v.to_bits())),
-                ob.best.map(|(h, v)| (h, v.to_bits()))
+                oa.best().map(|(h, v)| (h, v.to_bits())),
+                ob.best().map(|(h, v)| (h, v.to_bits()))
             );
             let bits = |o: &[(HostId, f32)]| -> Vec<_> {
                 o.iter().map(|&(h, v)| (h, v.to_bits())).collect()
             };
-            assert_eq!(bits(&oa.improving), bits(&ob.improving));
+            assert_eq!(bits(a.improving(t)), bits(b.improving(t)), "{t:?}");
         }
     }
     assert!(!parallel.direct_history.is_empty() && !parallel.link_history.is_empty());
@@ -517,5 +592,4 @@ fn sharded_and_parallel_results_are_bit_equal_histories_included() {
             sharded.avg_relays[t].to_bits()
         );
     }
-    assert_exact_improving(&sharded);
 }
