@@ -12,9 +12,13 @@
 //!
 //! The report prints outcome counts, per-round latency percentiles
 //! (gap between consecutive stream events), session-duration
-//! percentiles, aggregate sessions/sec and rounds/sec, and the peak
-//! number of concurrently open sessions. Exits nonzero if no session
-//! succeeded.
+//! percentiles, aggregate sessions/sec and rounds/sec, the peak
+//! number of concurrently open sessions and the peak thread count of
+//! the loadgen process (`Threads:` in `/proc/self/status`, sampled
+//! every 2 ms; omitted where `/proc` is absent). Against a spawned
+//! server that count is the thread canary: client threads, session
+//! threads, the worker pool and a constant, never a multiple of the
+//! pool. Exits nonzero if no session succeeded.
 //!
 //!     loadgen --sessions 1024 --rate 512 --rounds 3 \
 //!             --mix run=6,subscribe=3,stats=1 --retries 6
@@ -35,8 +39,9 @@
 use shortcuts_service::{
     Client, CreditConfig, Framing, RetryPolicy, Server, ServiceConfig, StreamEvent,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const WORLD_SEED_DEFAULT: u64 = 7;
@@ -268,6 +273,52 @@ fn run_session(addr: &str, args: &Args, i: usize, tally: &Tally) -> SessionResul
     }
 }
 
+/// This process's current thread count, from `/proc/self/status`;
+/// `None` where `/proc` is absent.
+fn threads_now() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Samples [`threads_now`] every 2 ms on a thread of its own (counted
+/// in what it samples) and keeps the peak.
+struct ThreadSampler {
+    peak: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<()>,
+}
+
+impl ThreadSampler {
+    /// Starts sampling; `None` where `/proc` is absent.
+    fn start() -> Option<ThreadSampler> {
+        threads_now()?;
+        let peak = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (p, s) = (Arc::clone(&peak), Arc::clone(&stop));
+        let handle = std::thread::spawn(move || {
+            while !s.load(Ordering::Relaxed) {
+                if let Some(n) = threads_now() {
+                    p.fetch_max(n, Ordering::Relaxed);
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        Some(ThreadSampler { peak, stop, handle })
+    }
+
+    /// Stops sampling and returns the peak.
+    fn finish(self) -> u64 {
+        self.stop.store(true, Ordering::Relaxed);
+        self.handle.join().expect("thread sampler");
+        self.peak.load(Ordering::Relaxed)
+    }
+}
+
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
     if sorted.is_empty() {
         return Duration::ZERO;
@@ -313,12 +364,14 @@ fn main() {
         }
     };
 
+    let sampler = ThreadSampler::start();
     // A spawned server admits the whole fleet and never denies on
     // credits: loadgen measures serving capacity, not admission
     // policy. Point --addr at a configured server to test the latter.
+    let max_sessions = args.sessions + 16;
     let spawned = if args.addr.is_none() {
         let mut cfg = ServiceConfig::small();
-        cfg.max_sessions = args.sessions + 16;
+        cfg.max_sessions = max_sessions;
         cfg.default_world_seed = args.world_seed;
         cfg.credits = CreditConfig::generous();
         Some(Server::start("127.0.0.1:0", cfg).expect("spawn server"))
@@ -371,6 +424,7 @@ fn main() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall = begin.elapsed().as_secs_f64();
+    let peak_threads = sampler.map(ThreadSampler::finish);
 
     let ok = tally.ok.load(Ordering::Relaxed);
     let lagged = tally.lagged.load(Ordering::Relaxed);
@@ -397,16 +451,28 @@ fn main() {
     session_durations.sort();
     print_percentiles("round latency   ", &round_latencies);
     print_percentiles("session duration", &session_durations);
+    if let Some(peak) = peak_threads {
+        println!("threads: peak {peak} in this process");
+    }
 
     if let Some(path) = &args.json {
         // Machine-readable mirror of the printed report, for CI
         // trending. Hand-rolled: every value is a number, so no
-        // escaping is needed and no JSON dependency is worth it.
+        // escaping is needed and no JSON dependency is worth it. The
+        // spawned server's `max_sessions` rides along for the thread
+        // canary's bound.
+        let mut extra = String::new();
+        if spawned.is_some() {
+            extra.push_str(&format!("\"max_sessions\":{max_sessions},"));
+        }
+        if let Some(peak) = peak_threads {
+            extra.push_str(&format!("\"peak_threads\":{peak},"));
+        }
         let json = format!(
             concat!(
                 "{{\"sessions\":{},\"ok\":{},\"lagged\":{},\"denied\":{},\"failed\":{},",
                 "\"rounds\":{},\"wall_s\":{:.3},\"sessions_per_s\":{:.3},",
-                "\"rounds_per_s\":{:.3},\"peak_concurrent\":{},",
+                "\"rounds_per_s\":{:.3},\"peak_concurrent\":{},{}",
                 "\"round_latency\":{},\"session_duration\":{}}}\n"
             ),
             args.sessions,
@@ -419,6 +485,7 @@ fn main() {
             args.sessions as f64 / wall,
             rounds as f64 / wall,
             tally.peak_concurrent.load(Ordering::Relaxed),
+            extra,
             json_percentiles(&round_latencies),
             json_percentiles(&session_durations),
         );

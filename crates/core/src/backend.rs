@@ -349,19 +349,21 @@ impl MeasurementBackend for NetsimBackend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One task after another on the calling thread. (A backend's
-    /// batched pair *resolution* may still use the rayon pool — pin
-    /// `RAYON_NUM_THREADS=1` for a strictly single-threaded run;
-    /// results are bit-identical either way.)
+    /// batched pair *resolution* may still fork onto the process's
+    /// worker pool — pin `RAYON_NUM_THREADS=1` for a strictly
+    /// single-threaded run; results are bit-identical either way.)
     Serial,
     /// Data-parallel across all available cores, with a full barrier
-    /// between a round's stages.
+    /// between a round's stages: a stage's windows are one fork onto
+    /// the process's worker pool, which the calling thread waits out.
     Parallel,
     /// Round-sharded streaming pipeline: up to `rounds_in_flight`
     /// rounds are planned, measured and completed concurrently, with
-    /// windows from different rounds interleaved on one worker pool so
-    /// no core waits on another round's stage barrier (see
-    /// [`crate::shard`]). All three modes produce bit-identical
-    /// results for the same seed.
+    /// windows from different rounds interleaved on the process's
+    /// worker pool so no core waits on another round's stage barrier
+    /// (see [`crate::shard`]). No mode spawns threads: all of them run
+    /// on the one pool the `rayon` crate starts on first use. All three
+    /// modes produce bit-identical results for the same seed.
     Sharded {
         /// Maximum rounds planned-but-not-completed at once. Bounds
         /// memory (plans and partial results alive concurrently) and

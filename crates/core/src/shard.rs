@@ -1,5 +1,5 @@
 //! Two-level sharded scheduler: keeps `(campaign, round)` work items
-//! from one *or many* campaigns in flight on one worker pool.
+//! from one *or many* campaigns in flight on the process's worker pool.
 //!
 //! The serial/parallel round loop has three full barriers per round
 //! (direct → reverse/overlay → stitch): every core waits for the
@@ -13,8 +13,8 @@
 //! *campaigns* are just as independent as rounds: a scenario sweep's
 //! `(campaign, round)` jobs can interleave on the same pool.
 //!
-//! [`run_interleaved`] exploits that: a single FIFO work queue feeds a
-//! fixed worker pool with `Plan` and `Chunk` items from up to
+//! [`run_interleaved`] exploits that: a single FIFO work queue feeds
+//! the run's workers with `Plan` and `Chunk` items from up to
 //! `jobs_in_flight` jobs at once, each job one `(campaign, round)`
 //! pair. While job *j* sits at a stage boundary waiting for its last
 //! chunk, the workers measure another job's windows — from the same
@@ -55,9 +55,23 @@
 //!
 //! [`run_sharded`] is the single-campaign wrapper the solo
 //! [`crate::workflow::Campaign`] uses.
+//!
+//! **Threads.** A run spawns none. Its workers are runs of one drain
+//! loop on the process-wide `rayon` pool: enqueueing items queues a
+//! drain task for each while fewer than `current_num_threads()` of the
+//! run's tasks are live, and a task that finds the queue empty ends,
+//! giving its pool thread back instead of parking on it. So while one
+//! job opens a stage (the pair resolver's `par_iter`, run from a pool
+//! thread, does its own share and takes only idle pool threads), an
+//! idle thread picks up that fork's helper rather than waiting for
+//! chunks, and runs from concurrent sessions queue for the pool's
+//! threads instead of each adding a worker set. The coordinator (which
+//! calls `on_round`) stays on the calling thread, which must not itself
+//! be a pool thread.
 
 use crate::backend::{chunk_ranges, MeasureTask, MeasurementBackend, ResolvedStage, TaskKind};
 use crate::plan::{plan_overlay, OverlayPlan, RoundPlan};
+use rayon::Spawner;
 use shortcuts_telemetry as telemetry;
 use shortcuts_telemetry::Stage;
 use std::collections::VecDeque;
@@ -125,15 +139,14 @@ struct Queue {
     /// Next index into the admission-ordered job table not yet
     /// admitted.
     next_job: u32,
-    /// All jobs complete: workers exit.
-    finished: bool,
+    /// Drain tasks queued or running on the pool.
+    live: usize,
     /// A thread panicked: everyone bails out.
     aborted: bool,
 }
 
 struct DoneState {
     completed: VecDeque<(u32, CompletedRound)>,
-    jobs_done: u32,
     aborted: bool,
 }
 
@@ -142,16 +155,35 @@ struct DoneState {
 struct Coordination {
     /// `(campaign, round)` per job, in admission order.
     jobs: Vec<(u32, u32)>,
+    /// Most drain tasks live at once: the run's worker count.
+    width: usize,
     queue: Mutex<Queue>,
-    work_cv: Condvar,
     slots: Vec<Mutex<Option<JobState>>>,
     done: Mutex<DoneState>,
     done_cv: Condvar,
 }
 
 impl Coordination {
-    /// Flags the run as aborted and wakes every waiter, so a panic on
-    /// one thread cannot strand the others on a condvar. Runs during
+    /// Lets `fill` enqueue items under the queue lock, then queues a
+    /// drain task for each queued item while fewer than `width` are
+    /// live.
+    fn push(&self, tasks: &Spawner, fill: impl FnOnce(&mut Queue)) {
+        let spawn = {
+            let mut q = self.queue.lock().expect("queue lock");
+            fill(&mut q);
+            let tele = telemetry::global();
+            if tele.enabled() {
+                tele.queue_depth().set(q.items.len() as i64);
+            }
+            let spawn = self.width.saturating_sub(q.live).min(q.items.len());
+            q.live += spawn;
+            spawn
+        };
+        tasks.spawn(spawn);
+    }
+
+    /// Flags the run as aborted and wakes the coordinator, so a panic
+    /// on one thread cannot strand it on its condvar. Runs during
     /// unwinding, so it must shrug off mutexes the panicking thread
     /// itself poisoned — a second panic here would abort the process
     /// and eat the original panic message.
@@ -164,7 +196,6 @@ impl Coordination {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .aborted = true;
-        self.work_cv.notify_all();
         self.done_cv.notify_all();
     }
 }
@@ -181,7 +212,7 @@ impl Drop for AbortGuard<'_> {
 }
 
 /// Runs every `(campaign, round)` job of a batch of campaigns with up
-/// to `jobs_in_flight` jobs in flight on one worker pool, calling
+/// to `jobs_in_flight` jobs in flight on the process pool, calling
 /// `on_round(campaign, round)` on the calling thread for each
 /// completed job **in completion order** (callers needing round order
 /// reorder on top; [`crate::stitch::ResultsBuilder`] does not care).
@@ -246,31 +277,31 @@ pub fn run_interleaved_ranges<B, P, F>(
     }
     let in_flight = jobs_in_flight.clamp(1, total_jobs as usize);
     let coord = Coordination {
+        width: rayon::current_num_threads().max(1),
         queue: Mutex::new(Queue {
-            items: (0..in_flight as u32).map(Item::Plan).collect(),
+            items: VecDeque::new(),
             next_job: in_flight as u32,
-            finished: false,
+            live: 0,
             aborted: false,
         }),
-        work_cv: Condvar::new(),
         slots: (0..total_jobs).map(|_| Mutex::new(None)).collect(),
         done: Mutex::new(DoneState {
             completed: VecDeque::new(),
-            jobs_done: 0,
             aborted: false,
         }),
         done_cv: Condvar::new(),
         jobs,
     };
 
-    let threads = rayon::current_num_threads().max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker(backends, &planner, &coord));
-        }
-
+    // The workers are drain tasks on the process pool; the
+    // coordinator stays on the calling thread.
+    let work = |tasks: &Spawner| worker(backends, &planner, &coord, tasks);
+    rayon::task_scope(&work, |tasks| {
+        coord.push(tasks, |q| {
+            q.items.extend((0..in_flight as u32).map(Item::Plan))
+        });
         // Coordinator: drain completed jobs as they land. The guard
-        // keeps a panic in `on_round` from stranding the workers.
+        // keeps a panic in `on_round` from leaving workers running.
         let guard = AbortGuard(&coord);
         let mut seen = 0u32;
         while seen < total_jobs {
@@ -288,9 +319,6 @@ pub fn run_interleaved_ranges<B, P, F>(
             on_round(campaign, bundle);
         }
         drop(guard);
-        // All jobs delivered; release any workers still parked.
-        coord.queue.lock().expect("queue lock").finished = true;
-        coord.work_cv.notify_all();
     });
 }
 
@@ -317,9 +345,9 @@ pub fn run_sharded<B, P, F>(
     );
 }
 
-/// Worker loop: pull an item, do the work, advance the job's state
-/// machine when its stage drains.
-fn worker<B, P>(backends: &[&B], planner: &P, coord: &Coordination)
+/// A drain task: pull items and do the work, advancing each job's
+/// state machine when its stage drains, until the queue is empty.
+fn worker<B, P>(backends: &[&B], planner: &P, coord: &Coordination, tasks: &Spawner)
 where
     B: MeasurementBackend + ?Sized,
     P: Fn(u32, u32) -> RoundPlan + Sync,
@@ -329,19 +357,18 @@ where
     loop {
         let item = {
             let mut q = coord.queue.lock().expect("queue lock");
-            loop {
-                if q.finished || q.aborted {
-                    return;
-                }
-                if let Some(item) = q.items.pop_front() {
-                    let tele = telemetry::global();
-                    if tele.enabled() {
-                        tele.queue_depth().set(q.items.len() as i64);
-                    }
-                    break item;
-                }
-                q = coord.work_cv.wait(q).expect("queue lock");
+            let item = if q.aborted { None } else { q.items.pop_front() };
+            let Some(item) = item else {
+                // Whoever enqueues next sees one task fewer and
+                // queues another.
+                q.live -= 1;
+                return;
+            };
+            let tele = telemetry::global();
+            if tele.enabled() {
+                tele.queue_depth().set(q.items.len() as i64);
             }
+            item
         };
         match item {
             Item::Plan(job) => {
@@ -369,9 +396,9 @@ where
                 });
                 if n == 0 {
                     // Degenerate round with nothing to measure.
-                    advance_job(coord, backends, job);
+                    advance_job(coord, backends, job, tasks);
                 } else {
-                    enqueue_stage(coord, backends[campaign as usize], job, direct_tasks);
+                    enqueue_stage(coord, backends[campaign as usize], job, direct_tasks, tasks);
                 }
             }
             Item::Chunk(range, work) => {
@@ -400,7 +427,7 @@ where
                 let stage_drained = st.remaining == 0;
                 drop(slot);
                 if stage_drained {
-                    advance_job(coord, backends, job);
+                    advance_job(coord, backends, job, tasks);
                 }
             }
         }
@@ -409,33 +436,34 @@ where
 
 /// Opens a stage on its campaign's backend and enqueues its chunks,
 /// built before taking the queue lock every worker pops under.
-fn enqueue_stage<B>(coord: &Coordination, backend: &B, job: u32, tasks: Vec<MeasureTask>)
-where
+fn enqueue_stage<B>(
+    coord: &Coordination,
+    backend: &B,
+    job: u32,
+    windows: Vec<MeasureTask>,
+    tasks: &Spawner,
+) where
     B: MeasurementBackend + ?Sized,
 {
-    if tasks.is_empty() {
+    if windows.is_empty() {
         return;
     }
-    let stage = backend.open_stage(&tasks);
-    let work = Arc::new(StageWork { job, tasks, stage });
+    let stage = backend.open_stage(&windows);
+    let work = Arc::new(StageWork {
+        job,
+        tasks: windows,
+        stage,
+    });
     let items: Vec<Item> = chunk_ranges(work.tasks.len())
         .map(|range| Item::Chunk(range, Arc::clone(&work)))
         .collect();
-    {
-        let mut q = coord.queue.lock().expect("queue lock");
-        q.items.extend(items);
-        let tele = telemetry::global();
-        if tele.enabled() {
-            tele.queue_depth().set(q.items.len() as i64);
-        }
-    }
-    coord.work_cv.notify_all();
+    coord.push(tasks, |q| q.items.extend(items));
 }
 
 /// Advances a job whose current stage has no outstanding windows:
 /// direct → tail (reverse + overlay links), tail → complete. Runs on
 /// the worker that landed the stage's last window.
-fn advance_job<B>(coord: &Coordination, backends: &[&B], job: u32)
+fn advance_job<B>(coord: &Coordination, backends: &[&B], job: u32, tasks: &Spawner)
 where
     B: MeasurementBackend + ?Sized,
 {
@@ -473,8 +501,8 @@ where
             st.stage_started = tele.enabled().then(Instant::now);
             *slot.lock().expect("slot lock") = Some(st);
             let backend = backends[campaign_id as usize];
-            enqueue_stage(coord, backend, job, reverse_tasks);
-            enqueue_stage(coord, backend, job, link_tasks);
+            enqueue_stage(coord, backend, job, reverse_tasks, tasks);
+            enqueue_stage(coord, backend, job, link_tasks, tasks);
             return;
         }
         // No tail windows at all: fall through to completion.
@@ -495,29 +523,21 @@ where
     };
 
     // Admit the next job, keeping at most `jobs_in_flight` alive.
-    {
-        let mut q = coord.queue.lock().expect("queue lock");
+    coord.push(tasks, |q| {
         if (q.next_job as usize) < coord.jobs.len() {
-            let next = q.next_job;
+            q.items.push_back(Item::Plan(q.next_job));
             q.next_job += 1;
-            q.items.push_back(Item::Plan(next));
-            coord.work_cv.notify_all();
         }
-    }
+    });
 
-    // Deliver to the coordinator; the last job also releases the
-    // worker pool.
-    let all_done = {
-        let mut d = coord.done.lock().expect("done lock");
-        d.completed.push_back((campaign_id, bundle));
-        d.jobs_done += 1;
-        d.jobs_done as usize == coord.jobs.len()
-    };
+    // Deliver to the coordinator.
+    coord
+        .done
+        .lock()
+        .expect("done lock")
+        .completed
+        .push_back((campaign_id, bundle));
     coord.done_cv.notify_all();
-    if all_done {
-        coord.queue.lock().expect("queue lock").finished = true;
-        coord.work_cv.notify_all();
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //!                                         │                sessions
 //!                                         ▼
 //!                     core::sweep::Sweep::with_engine
-//!                     shard::run_interleaved worker pool
+//!                     shard::run_interleaved → process worker pool
 //! ```
 //!
 //! - [`pool::WorldPool`] caches `Arc<World>` per world seed and one
@@ -52,9 +52,9 @@
 //!   takes the shared engine — or the server — with it.
 //! - [`server::Server`] is thread-per-connection over
 //!   `std::net::TcpListener` — no async runtime (the build is fully
-//!   vendored); within a request the existing
-//!   `shard::run_interleaved` pool provides all the parallelism the
-//!   hardware has.
+//!   vendored); within a request `shard::run_interleaved` queues the
+//!   work on the process's one worker pool, which provides all the
+//!   parallelism the hardware has.
 //! - [`broadcast::BroadcastHub`] deduplicates identical batches: the
 //!   first session asking for a `(world seed, policy, seeds, rounds)`
 //!   key executes and **publishes** every `ROUND`/`END` event; later

@@ -3,10 +3,13 @@
 //! No async runtime — the build is fully vendored and the workload is
 //! compute-bound simulation, not massive fan-in I/O. A plain
 //! [`std::net::TcpListener`] with one OS thread per admitted session
-//! is simple, debuggable, and saturates the machine anyway: inside a
-//! session every run fans out over the sharded `(campaign, round)`
-//! worker pool, so session threads mostly sit in `read_line` waiting
-//! for the next request.
+//! is simple, debuggable, and saturates the machine anyway: a
+//! session's run queues its sharded `(campaign, round)` work on the
+//! process's one worker pool, shared by every session, so session
+//! threads mostly sit in `read_line` waiting for the next request or
+//! wait for their run's rounds. The process holds the session threads,
+//! the accept thread and the pool's threads — however many runs are
+//! live, no run adds threads of its own.
 //!
 //! Panic containment: each session runs under `catch_unwind`. A
 //! panicking request (a bug, a poisoned assumption) kills only its own

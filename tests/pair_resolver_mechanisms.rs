@@ -1,13 +1,13 @@
-//! The pair resolver's three mechanisms, pinned with counters rather
-//! than timings:
+//! The pair resolver's mechanisms, pinned with counters rather than
+//! timings:
 //!
 //! - a batch touches each routing table **once** — the reverse route of
 //!   a pair is a forward route of the mirrored AS pair, swept with its
 //!   own destination, never looked up pair by pair;
 //! - successive sweeps that overflow the router's budget run in
-//!   **alternating direction**, so the tables one leaves resident are
-//!   the first the next one asks for (and, under churn, brings
-//!   current);
+//!   **alternating direction** (pinned in
+//!   `pair_resolver_sweep_direction`, alone in its binary because it
+//!   sets `RAYON_NUM_THREADS`);
 //! - the §2.2 funnel **resolves ahead** in bulk — a pure hint: pool,
 //!   funnel, ping accounting and the RNG stream do not depend on it —
 //!   which is what keeps `CampaignSetup::prepare` from thrashing a
@@ -17,49 +17,16 @@ use colo_shortcuts::core::colo::{run_pipeline, ColoPipelineConfig};
 use colo_shortcuts::core::workflow::{CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::clock::SimTime;
-use colo_shortcuts::netsim::{
-    HostId, HostRegistry, LatencyModel, PingEngine, PingHandle, Pinger, Traceroute,
-};
-use colo_shortcuts::topology::routing::{table_approx_bytes, Router, RoutingPolicy};
-use colo_shortcuts::topology::{Asn, MemoryBudget, Topology, TopologyConfig, TopologyDelta};
+use colo_shortcuts::netsim::{HostId, PingHandle, Pinger, Traceroute};
+use colo_shortcuts::topology::{Asn, MemoryBudget};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One host in each of `n` eyeball ASes, on an engine whose router can
-/// hold `tables` routing tables — far fewer than the batch needs.
-fn budgeted_stack(n: usize, tables: u64) -> (PingEngine, Vec<HostId>) {
-    let topo = Arc::new(Topology::generate(&TopologyConfig::small(), 31));
-    let budget = tables * table_approx_bytes(topo.node_index().len());
-    let router = Arc::new(Router::with_budget(
-        Arc::clone(&topo),
-        RoutingPolicy::ValleyFree,
-        Some(budget),
-    ));
-    let mut hosts = HostRegistry::new();
-    let ids: Vec<HostId> = topo
-        .eyeball_asns()
-        .iter()
-        .take(n)
-        .map(|&asn| hosts.add_host_in_as(&topo, asn, None).expect("host"))
-        .collect();
-    assert_eq!(ids.len(), n, "small topology has {n} eyeball ASes");
-    let engine = PingEngine::new(topo, router, Arc::new(hosts), LatencyModel::default());
-    (engine, ids)
-}
+mod resolver_stack;
 
-fn all_ordered_pairs(hosts: &[HostId]) -> Vec<(HostId, HostId)> {
-    let mut pairs = Vec::new();
-    for &s in hosts {
-        for &d in hosts {
-            if s != d {
-                pairs.push((s, d));
-            }
-        }
-    }
-    pairs
-}
+use resolver_stack::{all_ordered_pairs, budgeted_stack};
 
 #[test]
 fn a_batch_touches_each_routing_table_once() {
@@ -76,51 +43,6 @@ fn a_batch_touches_each_routing_table_once() {
     assert!(router.misses <= hosts.len() as u64, "{router:?}");
     let stats = engine.engine_stats();
     assert_eq!(stats.routes_walked, pairs.len() as u64, "{stats:?}");
-}
-
-#[test]
-fn overflowing_sweeps_alternate_direction_and_meet_resident_tables() {
-    // 24 ASes against six tables. Destination runs execute on the
-    // worker pool, so the order tables are touched in is exact only up
-    // to the worker count: six tables leave room for the last few runs
-    // of a sweep to finish in any order and stay resident, and one
-    // worker (the other tests here assert counters too, so they do not
-    // mind) makes the order exact on any machine.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (engine, hosts) = budgeted_stack(24, 6);
-    let pairs = all_ordered_pairs(&hosts);
-    let _ = engine.resolve_pairs(&pairs);
-    assert_eq!(engine.engine_stats().full_rebuilds, 0);
-
-    // The sweep ran ascending, so the tables toward the highest nodes
-    // were touched last and are resident. Down the first provider
-    // link of the highest one: every pair to or from it goes stale
-    // *and* crosses the dirty link, so the batch re-expands them and
-    // asks for all 24 tables again.
-    let hosts_of = engine.hosts();
-    let top = hosts
-        .iter()
-        .map(|&h| hosts_of.get(h))
-        .max_by_key(|h| h.node)
-        .expect("hosts");
-    let provider = *engine
-        .topology()
-        .adjacency(top.asn)
-        .providers
-        .first()
-        .expect("an eyeball AS has a provider");
-    engine.apply_delta(&[TopologyDelta::LinkDown {
-        a: top.asn,
-        b: provider,
-    }]);
-    let _ = engine.resolve_pairs(&pairs);
-
-    // Descending, the second sweep asks for those resident, now stale
-    // tables first and brings them current. Ascending again it would
-    // get to them last, long after the rebuilt tables before them had
-    // pushed them out, and find nothing stale to rebuild.
-    let stats = engine.engine_stats();
-    assert!(stats.full_rebuilds >= 1, "{stats:?}");
 }
 
 /// A [`Pinger`] that forwards probes and drops the bulk-resolution
