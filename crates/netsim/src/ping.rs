@@ -12,15 +12,17 @@
 //!
 //! - **Routes per AS pair.** A forward route is a walk over the
 //!   destination AS's routing table, a reverse route the same walk for
-//!   the mirrored AS pair; both are interned ([`PathInterner`]), so a
-//!   route is stored — and churn-checked — once however many pairs
-//!   use it.
+//!   the mirrored AS pair. Both feed the base RTT; only the forward
+//!   route is kept, interned ([`PathInterner`]) so it is stored once
+//!   however many pairs use it.
 //! - **Facts per site pair.** A *site* is an `(AS, city)` a host sits
 //!   at ([`SiteId`]). The two hand-off walks, the base RTT between the
-//!   sites and the interned forward and reverse paths depend on
-//!   nothing else, so the pair cache is keyed by `(SiteId, SiteId)` and
-//!   every host pair on those sites shares the entry: a 16-byte record
-//!   of the base RTT and two [`PathId`]s, stored inline.
+//!   sites and the interned forward path depend on nothing else, so
+//!   the pair cache is keyed by `(SiteId, SiteId)` and every host pair
+//!   on those sites shares the entry: a 16-byte record of the base RTT
+//!   and the forward path's [`PathId`], stored inline. Under churn an
+//!   entry stamped before the engine's epoch is a miss and is
+//!   re-expanded, as a stale routing table is rebuilt.
 //! - **Rows per host pair.** The hosts add their own last-mile delay,
 //!   `s.access_ms + d.access_ms`, on top of the site pair's base RTT —
 //!   never cached, so two hosts of one site keep distinct RTTs.
@@ -66,8 +68,6 @@ use shortcuts_topology::intern::map_heap_bytes;
 use shortcuts_topology::routing::{Router, RoutingTable};
 use shortcuts_topology::{Asn, NodeId, PathId, PathInterner, Topology, TopologyDelta};
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard};
 
@@ -88,33 +88,25 @@ struct PairFacts {
     /// hosts' access delay — that is added per host pair, on top), ms.
     /// NaN for an unroutable pair.
     base_ms: f64,
-    /// Interned forward AS path (for fault checks and sampling);
-    /// [`PathId::NONE`] = unroutable.
+    /// Interned forward AS path (for fault checks, `as_path` and
+    /// traceroute); [`PathId::NONE`] = unroutable. The reverse route
+    /// only feeds `base_ms` and is not kept.
     fwd: PathId,
-    /// Interned reverse AS path (the echo's return route). Kept so
-    /// churn revalidation can check *both* directions a cached base
-    /// RTT depends on against a delta's removed links.
-    rev: PathId,
 }
 
 impl PairFacts {
     const UNROUTABLE: PairFacts = PairFacts {
         base_ms: f64::NAN,
         fwd: PathId::NONE,
-        rev: PathId::NONE,
     };
 
     fn routable(&self) -> bool {
         self.fwd != PathId::NONE
     }
 
-    /// The interned paths this record holds one reference to each
-    /// (both directions; a same-AS pair's one path twice).
-    fn ids(&self) -> impl Iterator<Item = PathId> {
-        self.routable()
-            .then_some([self.fwd, self.rev])
-            .into_iter()
-            .flatten()
+    /// The interned path this record holds one reference to, if any.
+    fn path(&self) -> Option<PathId> {
+        self.routable().then_some(self.fwd)
     }
 }
 
@@ -228,9 +220,9 @@ pub struct EngineStats {
     pub entries_rescanned: u64,
     /// Stale routing tables rebuilt under the current view.
     pub full_rebuilds: u64,
-    /// Stale site-pair entries revalidated in place — their stored
-    /// forward and reverse paths crossed no dirty link, so the
-    /// recompute was skipped entirely.
+    /// Always 0: a stale site-pair entry is re-expanded, never
+    /// revalidated in place. Kept because the perf ledger reads it; a
+    /// `benchmark` change may drop it.
     pub pair_revalidated: u64,
     /// AS paths interned fresh (each stored once, however many pairs
     /// reference it; a path freed and interned again counts again).
@@ -307,15 +299,14 @@ pub const CACHE_SHARDS: usize = 64;
 /// 24 B, so a map slot with its key is 32 B.
 struct CacheEntry {
     facts: PairFacts,
-    /// Path bytes this entry is charged (fixed at insert).
+    /// Path bytes this entry is charged (fixed at insert): its forward
+    /// path's.
     path_bytes: u32,
     /// Bit 31 ([`REFERENCED`]): the CLOCK reference bit — set on a hit
     /// (under the shard's *read* lock, hence atomic), cleared when the
-    /// hand passes. Bits 0–30: the churn epoch the entry is known valid
-    /// at. Lookups under a newer engine epoch come back
-    /// [`PairLookup::Stale`]; entries whose paths dodge every
-    /// intervening delta are re-stamped in place (under the shard's
-    /// *read* lock), the rest recomputed.
+    /// hand passes. Bits 0–30: the churn epoch the entry was expanded
+    /// at. A lookup under a newer engine epoch is a miss: the entry is
+    /// re-expanded and replaced in place.
     state: AtomicU32,
 }
 
@@ -328,18 +319,6 @@ impl CacheEntry {
     fn stamp(&self) -> u32 {
         self.state.load(Ordering::Relaxed) & !REFERENCED
     }
-}
-
-/// Outcome of an epoch-aware pair-cache lookup.
-enum PairLookup {
-    /// Resident and current: use as-is (counted as a hit).
-    Hit(PairFacts),
-    /// Resident but stamped at an older epoch: the resolver
-    /// revalidates it against the dirty history (a hit) or recomputes
-    /// it (a miss).
-    Stale(PairFacts, u64),
-    /// Not resident: the resolver expands it (a miss).
-    Miss,
 }
 
 /// A freshly expanded entry awaiting publication: the site pair, its
@@ -420,8 +399,6 @@ struct CacheShard {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Stale entries re-stamped in place (each also counts as a hit).
-    revalidated: AtomicU64,
 }
 
 /// Pair cache: a site pair's facts are a `Copy` record stored inline
@@ -440,12 +417,17 @@ struct CacheShard {
 /// until the shard fits. Every entry is a deterministic world fact,
 /// so an evicted pair re-expands bit-identically on its next miss.
 ///
-/// Entries hold references to interned paths. Evicting or replacing
-/// an entry hands its ids back to the caller, which releases them
-/// after the shard's lock is dropped. The lock order is a cache
-/// shard's, then an interner shard's, never the reverse: reading a
-/// resident entry's paths happens under the entry's shard read lock,
-/// which is what keeps an eviction from freeing them mid-read.
+/// Entries hold one reference each to an interned forward path.
+/// Evicting or replacing an entry hands its id back to the caller,
+/// which releases it after the shard's lock is dropped. The lock order
+/// is a cache shard's, then an interner shard's, never the reverse:
+/// reading a resident entry's path happens under the entry's shard
+/// read lock, which is what keeps an eviction from freeing it
+/// mid-read.
+///
+/// Staleness is the epoch stamp alone, as it is for routing tables: an
+/// entry stamped before the engine's current epoch reads as a miss and
+/// is re-expanded, whatever the deltas in between touched.
 struct PairCache {
     shards: Vec<CacheShard>,
     /// Per-shard byte allowance; `None` = never evict.
@@ -453,9 +435,8 @@ struct PairCache {
 }
 
 /// A run of lookups in one shard: holds the shard's read lock until
-/// dropped, and counts the run's hits at once. Misses are counted
-/// when their recompute is published, which is also where a failed
-/// revalidation lands.
+/// dropped, and counts the run's hits at once. Misses — absent or
+/// stale entries — are counted when their expansion is published.
 struct ShardProbe<'a> {
     shard: &'a CacheShard,
     st: RwLockReadGuard<'a, ShardState>,
@@ -464,20 +445,19 @@ struct ShardProbe<'a> {
 }
 
 impl ShardProbe<'_> {
-    fn lookup(&mut self, key: SiteKey) -> PairLookup {
-        let Some(e) = self.st.map.get(&key) else {
-            return PairLookup::Miss;
-        };
+    /// The facts of a resident entry stamped at the probe's epoch;
+    /// `None` = a miss, absent or stale.
+    fn lookup(&mut self, key: SiteKey) -> Option<PairFacts> {
+        let e = self.st.map.get(&key)?;
         let state = e.state.load(Ordering::Relaxed);
-        let stamp = state & !REFERENCED;
-        if stamp != self.epoch {
-            return PairLookup::Stale(e.facts, u64::from(stamp));
+        if state & !REFERENCED != self.epoch {
+            return None;
         }
         if state & REFERENCED == 0 {
             e.state.fetch_or(REFERENCED, Ordering::Relaxed);
         }
         self.hits += 1;
-        PairLookup::Hit(e.facts)
+        Some(e.facts)
     }
 }
 
@@ -521,26 +501,11 @@ impl PairCache {
         }
     }
 
-    /// Re-stamps a stale entry whose paths survived every delta since
-    /// its stamp: the stored facts are still exact at `epoch`, so this
-    /// counts as a (revalidated) hit, not a miss.
-    fn refresh(&self, key: SiteKey, epoch: u64) {
-        let shard = &self.shards[Self::shard_index(key)];
-        {
-            let st = shard.state.read();
-            if let Some(e) = st.map.get(&key) {
-                e.state.store(epoch as u32 | REFERENCED, Ordering::Relaxed);
-            }
-        }
-        shard.hits.fetch_add(1, Ordering::Relaxed);
-        shard.revalidated.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Publishes freshly expanded entries of one shard under a single
     /// write lock, counting each as the miss it repairs, each with the
-    /// path charge its expansion computed. The path references of
+    /// path charge its expansion computed. The path reference of
     /// every entry that leaves the cache (evicted, replaced, or a
-    /// newcomer that lost a race) are appended to `released`, for the
+    /// newcomer that lost a race) is appended to `released`, for the
     /// caller to release once the lock is dropped.
     fn insert_many(
         &self,
@@ -638,13 +603,13 @@ fn insert_locked(
         // A racing expander won the slot at the same (or a newer)
         // epoch; both computed the same deterministic facts, so keep
         // the incumbent and hand the newcomer's references back.
-        Entry::Occupied(e) if e.get().stamp() >= epoch => released.extend(facts.ids()),
+        Entry::Occupied(e) if e.get().stamp() >= epoch => released.extend(facts.path()),
         // Stale incumbent: replace in place. The key keeps its ring
         // slot; only the byte gauge moves.
         Entry::Occupied(mut e) => {
             let old = e.insert(fresh);
             st.path_bytes = st.path_bytes - u64::from(old.path_bytes) + u64::from(path_bytes);
-            released.extend(old.facts.ids());
+            released.extend(old.facts.path());
         }
         Entry::Vacant(e) => {
             e.insert(fresh);
@@ -706,53 +671,11 @@ fn evict_while(
         }
         let e = st.map.remove(&k).expect("clock ring out of sync with map");
         st.path_bytes -= u64::from(e.path_bytes);
-        released.extend(e.facts.ids());
+        released.extend(e.facts.path());
         // O(1) removal; the swapped-in tail key inherits this hand
         // position, so the hand does not advance.
         st.ring.swap_remove(st.hand);
         evictions.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// What one applied delta batch dirtied, in AS terms: the removed
-/// links (canonical `(min, max)` endpoint order) and downed ASes a
-/// cached pair path must be checked against, plus whether the batch
-/// restored anything (restorations can *improve* routes, so no stored
-/// path proves a cached entry still optimal — everything stale is
-/// recomputed).
-#[derive(Debug, Default)]
-struct DirtyEpoch {
-    removed: HashSet<(Asn, Asn)>,
-    down: HashSet<Asn>,
-    restored: bool,
-}
-
-impl DirtyEpoch {
-    fn from_batch(batch: &[TopologyDelta]) -> Self {
-        let mut d = DirtyEpoch::default();
-        for delta in batch {
-            match *delta {
-                TopologyDelta::LinkDown { a, b } => {
-                    d.removed.insert((a.min(b), a.max(b)));
-                }
-                TopologyDelta::AsDown { asn } => {
-                    d.down.insert(asn);
-                }
-                TopologyDelta::LinkUp { .. } | TopologyDelta::AsUp { .. } => d.restored = true,
-            }
-        }
-        d
-    }
-
-    /// Does `path` cross anything this batch took down?
-    fn crosses(&self, path: &[Asn]) -> bool {
-        if !self.down.is_empty() && path.iter().any(|a| self.down.contains(a)) {
-            return true;
-        }
-        !self.removed.is_empty()
-            && path
-                .windows(2)
-                .any(|w| self.removed.contains(&(w[0].min(w[1]), w[0].max(w[1]))))
     }
 }
 
@@ -871,20 +794,10 @@ pub struct PingEngine {
     hosts: Arc<HostRegistry>,
     model: LatencyModel,
     cache: PairCache,
-    /// Content-addressed store of the live AS-path population: every
-    /// cached pair's paths are interned here, so pairs sharing a route
-    /// share one stored copy (and one churn check).
+    /// Content-addressed store of the cached pairs' forward paths, so
+    /// pairs sharing a route share one stored copy.
     interner: PathInterner,
     stats: StatCounters,
-    /// Current churn epoch == number of delta batches applied. Pair
-    /// entries are stamped with the epoch they were computed (or last
-    /// revalidated) at.
-    epoch: AtomicU64,
-    /// Per-epoch dirty summaries, indexed by the epoch they *created*
-    /// (`dirty[e]` is the batch that moved the engine from epoch `e`
-    /// to `e + 1`). Read on every stale lookup, written once per
-    /// batch.
-    dirty: RwLock<Vec<DirtyEpoch>>,
     /// Host-pair rows batches filled beyond the first of each site
     /// pair (see [`EngineStats::pair_rows`]).
     shared_rows: AtomicU64,
@@ -939,8 +852,6 @@ impl PingEngine {
             cache: PairCache::new(pair_budget_bytes),
             interner: PathInterner::new(),
             stats: StatCounters::default(),
-            epoch: AtomicU64::new(0),
-            dirty: RwLock::new(Vec::new()),
             shared_rows: AtomicU64::new(0),
             routes_walked: AtomicU64::new(0),
             sweep_down: AtomicBool::new(false),
@@ -948,26 +859,25 @@ impl PingEngine {
     }
 
     /// Applies one batch of topology deltas: the router advances its
-    /// epoch (stale destination tables are re-stamped or rebuilt
-    /// lazily on access) and the engine records the batch's dirty
-    /// summary so cached pairs whose paths dodge every dirty link
-    /// survive churn without recomputation.
+    /// epoch, and with it the engine's. Stale destination tables are
+    /// re-stamped or rebuilt lazily on access; every pair entry
+    /// stamped before the new epoch is re-expanded on its next lookup.
     ///
     /// Same-AS pairs never consult the router, so an `AsDown` leaves
     /// intra-AS pings working — hosts inside a withdrawn AS still
     /// reach each other, they just stop being routable from outside.
     pub fn apply_delta(&self, batch: &[TopologyDelta]) {
-        self.router.apply_delta(batch);
-        let mut dirty = self.dirty.write();
         // Cache entries stamp their epoch in 31 bits.
-        assert!(dirty.len() < REFERENCED as usize, "churn epoch overflow");
-        dirty.push(DirtyEpoch::from_batch(batch));
-        self.epoch.store(dirty.len() as u64, Ordering::Release);
+        assert!(
+            self.epoch() < u64::from(!REFERENCED),
+            "churn epoch overflow"
+        );
+        self.router.apply_delta(batch);
     }
 
-    /// Current churn epoch (batches applied so far).
+    /// Current churn epoch (batches applied so far): the router's.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.router.epoch()
     }
 
     /// The topology the engine routes over.
@@ -1025,7 +935,7 @@ impl PingEngine {
             tables_repaired: 0,
             entries_rescanned: 0,
             full_rebuilds: router.full_rebuilds,
-            pair_revalidated: self.cache.sum(|s| s.revalidated.load(Ordering::Relaxed)),
+            pair_revalidated: 0,
             paths_interned: intern.interned,
             path_dedup_hits: intern.dedup_hits,
             pair_rows: pair_cache_hits
@@ -1038,9 +948,7 @@ impl PingEngine {
     /// Deterministic facts for a host pair: its base RTT (its site
     /// pair's, with the two hosts' access delay on top) and diurnal
     /// midpoint longitude, with its forward AS path copied into `path`
-    /// when one is passed. `None` = unroutable. A stale entry whose
-    /// paths dodge every delta since its stamp is re-stamped, not
-    /// re-expanded.
+    /// when one is passed. `None` = unroutable.
     fn pair_info(
         &self,
         src: HostId,
@@ -1051,90 +959,24 @@ impl PingEngine {
         let d = self.hosts.get(dst);
         let key = (s.site, d.site);
         let epoch = self.epoch();
-        let mut pins = Vec::new();
         let found = {
             let mut probe = self.cache.probe(PairCache::shard_index(key), epoch);
             let found = probe.lookup(key);
-            // Under the shard lock: the entry's references keep its
-            // paths live while they are copied or pinned.
-            match found {
-                PairLookup::Hit(f) => {
-                    if let (true, Some(out)) = (f.routable(), path.as_deref_mut()) {
-                        self.copy_path(f.fwd, out);
-                    }
-                }
-                PairLookup::Stale(f, _) => {
-                    pins.extend(f.ids());
-                    self.interner.retain(&mut pins);
-                }
-                PairLookup::Miss => {}
+            // Under the shard lock: the entry's reference keeps its
+            // path live while it is copied.
+            if let (Some(id), Some(out)) = (found.and_then(|f| f.path()), path.as_deref_mut()) {
+                out.clear();
+                self.interner.with_path(id, |p| out.extend_from_slice(p));
             }
             found
         };
-        let facts = match found {
-            PairLookup::Hit(f) => f,
-            PairLookup::Stale(f, at) => {
-                let valid = self.still_valid(&f, at..epoch, &mut FastMap::default());
-                if valid {
-                    self.cache.refresh(key, epoch);
-                    if let (true, Some(out)) = (f.routable(), path.as_deref_mut()) {
-                        self.copy_path(f.fwd, out);
-                    }
-                }
-                self.interner.release(&mut pins);
-                if valid {
-                    f
-                } else {
-                    self.expand_one(key, s, d, epoch, path)
-                }
-            }
-            PairLookup::Miss => self.expand_one(key, s, d, epoch, path),
-        };
+        let facts = found.unwrap_or_else(|| self.expand_one(key, s, d, epoch, path));
         facts.routable().then(|| {
             (
                 facts.base_ms + (s.access_ms + d.access_ms),
                 mid_longitude(s.location.lon(), d.location.lon()),
             )
         })
-    }
-
-    /// Replaces `out` with the path `id` names (which must be live).
-    fn copy_path(&self, id: PathId, out: &mut Vec<Asn>) {
-        out.clear();
-        self.interner.with_path(id, |p| out.extend_from_slice(p));
-    }
-
-    /// Churn revalidation: are facts stamped at `span.start` still
-    /// exact at `span.end`? Only if nothing was restored in between
-    /// and neither stored path crosses anything a batch in between
-    /// took down. `path_ok` memoizes the check per interned path and
-    /// stamp: pairs share paths, so a batch's churn work scales with
-    /// the distinct-path population, not the pair count. The caller
-    /// holds a reference to both paths for as long as `path_ok` lives,
-    /// so no memoized id is freed and recycled meanwhile.
-    fn still_valid(
-        &self,
-        facts: &PairFacts,
-        span: Range<u64>,
-        path_ok: &mut FastMap<(PathId, u64), bool>,
-    ) -> bool {
-        let dirty = self.dirty.read();
-        let batches = &dirty[span.start as usize..span.end as usize];
-        if batches.iter().any(|b| b.restored) {
-            return false;
-        }
-        // Unroutable pairs survive any deletion-only span: removing
-        // links never creates a route.
-        if !facts.routable() {
-            return true;
-        }
-        let mut ok = |id: PathId| {
-            *path_ok.entry((id, span.start)).or_insert_with(|| {
-                self.interner
-                    .with_path(id, |p| !batches.iter().any(|b| b.crosses(p)))
-            })
-        };
-        ok(facts.fwd) && ok(facts.rev)
     }
 
     /// The scalar miss: one site pair's two routes straight off their
@@ -1166,7 +1008,7 @@ impl PingEngine {
                     out.extend_from_slice(fwd);
                 }
                 let base_ms = self.site_facts(s, d, fwd, rev);
-                self.intern_facts(base_ms, fwd, rev)
+                self.intern_facts(base_ms, fwd)
             }
             _ => (PairFacts::UNROUTABLE, 0),
         };
@@ -1175,20 +1017,15 @@ impl PingEngine {
         facts
     }
 
-    /// A routable site pair's record, both paths interned (one
-    /// reference each, owned by the record), and the arena bytes the
-    /// record is charged: those of every distinct path it references.
-    fn intern_facts(&self, base_ms: f64, fwd: &[Asn], rev: &[Asn]) -> (PairFacts, u32) {
+    /// A routable site pair's record, its forward path interned (one
+    /// reference, owned by the record), and the arena bytes the record
+    /// is charged: that path's.
+    fn intern_facts(&self, base_ms: f64, fwd: &[Asn]) -> (PairFacts, u32) {
         let facts = PairFacts {
             base_ms,
             fwd: self.interner.intern(fwd).0,
-            rev: self.interner.intern(rev).0,
         };
-        let mut charged = path_charge(fwd.len());
-        if facts.rev != facts.fwd {
-            charged += path_charge(rev.len());
-        }
-        (facts, charged)
+        (facts, path_charge(fwd.len()))
     }
 
     /// Inserts one shard's fresh entries, then — with the shard's lock
@@ -1306,21 +1143,18 @@ impl PingEngine {
     /// 1. **Probe** — site pairs are grouped by cache shard; each
     ///    shard's read lock is taken once for all its pairs, and hits
     ///    are counted once per shard, not per pair. Before the lock is
-    ///    dropped, the hits' forward paths are copied and the stale
-    ///    entries' paths pinned.
-    /// 2. **Revalidate** — stale entries [`PingEngine::still_valid`]
-    ///    clears are re-stamped; the rest join the misses and pay the
-    ///    recompute a delta deferred.
-    /// 3. **Expand** — the routes the missing site pairs need are
+    ///    dropped, the hits' forward paths are copied. Absent and
+    ///    stale entries are misses alike.
+    /// 2. **Expand** — the routes the missing site pairs need are
     ///    swept destination-major ([`PingEngine::sweep_routes`]), then
     ///    each site pair takes its two hand-off walks over those
     ///    shared paths; both steps run data-parallel.
-    /// 4. **Publish** — fresh entries intern their paths and are
-    ///    inserted per shard in chunks, one write lock each, under the
-    ///    shard's eviction pressure.
+    /// 3. **Publish** — fresh entries intern their forward paths and
+    ///    are inserted per shard in chunks, one write lock each, under
+    ///    the shard's eviction pressure.
     ///
     /// Every outcome counts in the cache telemetry once per site pair:
-    /// hit, revalidated hit, or miss.
+    /// hit or miss.
     fn resolve_sites(
         &self,
         sites: &[SiteRequest],
@@ -1332,14 +1166,6 @@ impl PingEngine {
         for (i, site) in sites.iter().enumerate() {
             by_shard[PairCache::shard_index(site.0)].push(i as u32);
         }
-        let mut copy_rows = |copies: &mut Vec<(PathId, u32)>, rows: &mut [SiteRow]| {
-            self.interner.copy_paths(copies, asns, |i, start, end| {
-                rows[i as usize].1 = (start, end);
-            });
-            copies.clear();
-        };
-        let mut stale: Vec<(u32, PairFacts, u64)> = Vec::new();
-        let mut pins: Vec<PathId> = Vec::new();
         let mut misses: Vec<u32> = Vec::new();
         let mut copies: Vec<(PathId, u32)> = Vec::new();
         for (sidx, members) in by_shard.iter().enumerate() {
@@ -1347,41 +1173,23 @@ impl PingEngine {
                 continue;
             }
             let mut probe = self.cache.probe(sidx, epoch);
-            let pinned = pins.len();
             for &i in members {
                 match probe.lookup(sites[i as usize].0) {
-                    PairLookup::Hit(f) => {
+                    Some(f) => {
                         rows[i as usize].0 = f.base_ms;
-                        if f.routable() {
-                            copies.push((f.fwd, i));
-                        }
+                        copies.extend(f.path().map(|id| (id, i)));
                     }
-                    PairLookup::Stale(f, stamp) => {
-                        pins.extend(f.ids());
-                        stale.push((i, f, stamp));
-                    }
-                    PairLookup::Miss => misses.push(i),
+                    None => misses.push(i),
                 }
             }
             // Still under the shard's read lock, so no entry read above
-            // can be evicted and free its paths meanwhile.
-            copy_rows(&mut copies, &mut rows);
-            self.interner.retain(&mut pins[pinned..]);
+            // can be evicted and free its path meanwhile.
+            self.interner
+                .copy_paths(&mut copies, asns, |i, start, end| {
+                    rows[i as usize].1 = (start, end);
+                });
+            copies.clear();
         }
-        let mut path_ok = FastMap::default();
-        for (i, f, stamp) in stale {
-            if self.still_valid(&f, stamp..epoch, &mut path_ok) {
-                self.cache.refresh(sites[i as usize].0, epoch);
-                rows[i as usize].0 = f.base_ms;
-                if f.routable() {
-                    copies.push((f.fwd, i));
-                }
-            } else {
-                misses.push(i);
-            }
-        }
-        copy_rows(&mut copies, &mut rows);
-        self.interner.release(&mut pins);
         if misses.is_empty() {
             return rows; // the warm steady state: nothing to expand
         }
@@ -1419,19 +1227,15 @@ impl PingEngine {
         for (sidx, members) in by_shard.iter().enumerate() {
             for chunk in members.chunks(chunk_len) {
                 entries.extend(chunk.iter().map(|&w| {
-                    let (i, [fwd, rev]) = work[w as usize];
-                    let routed = (
-                        expanded[w as usize],
-                        routes[fwd as usize],
-                        routes[rev as usize],
-                    );
-                    let (facts, charged) = match routed {
-                        (Some(base_ms), Some(fwd), Some(rev)) => {
+                    // A base RTT means both routes exist.
+                    let (i, [fwd, _]) = work[w as usize];
+                    let (facts, charged) = match (expanded[w as usize], routes[fwd as usize]) {
+                        (Some(base_ms), Some(fwd)) => {
                             let fwd = span(&route_asns, fwd);
                             let start = asns.len() as u32;
                             asns.extend_from_slice(fwd);
                             rows[i as usize] = (base_ms, (start, asns.len() as u32));
-                            self.intern_facts(base_ms, fwd, span(&route_asns, rev))
+                            self.intern_facts(base_ms, fwd)
                         }
                         _ => (PairFacts::UNROUTABLE, 0),
                     };
@@ -2090,10 +1894,7 @@ mod tests {
             );
             assert!(released.is_empty());
             let mut probe = cache.probe(PairCache::shard_index(key), 0);
-            assert!(
-                matches!(probe.lookup(key), PairLookup::Hit(_)),
-                "inserted pair must be found"
-            );
+            assert!(probe.lookup(key).is_some(), "inserted pair must be found");
         }
         // Without a budget nothing can be evicted, so no ring is kept.
         assert!(cache.shards.iter().all(|s| s.state.read().ring.is_empty()));
@@ -2252,18 +2053,25 @@ mod tests {
     }
 
     #[test]
-    fn churn_revalidates_untouched_pairs_and_recomputes_crossing_ones() {
+    fn churn_reexpands_stale_pairs() {
         let f = fixture();
         let (engine, a, b) = two_hosts(&f);
         let path = engine.as_path(a, b).expect("routable fixture pair");
-        let before = engine.engine_stats();
-        assert_eq!(before.pair_cache_misses, 1);
+        let base = engine.base_rtt(a, b).expect("routable fixture pair");
+        let misses = || engine.engine_stats().pair_cache_misses;
+        assert_eq!(misses(), 1);
 
-        // Down a link the pair's path does NOT use: the stale entry
-        // must revalidate in place, never re-expand.
+        // Down a link neither route of the pair uses: the stale entry
+        // is still a miss, and re-expands to the same path and the
+        // same base RTT, bit for bit.
+        let mut reverse = Vec::new();
+        let (ha, hb) = (engine.hosts().get(a), engine.hosts().get(b));
+        assert!(f.router.table_at(ha.node).walk_from(hb.node, &mut reverse));
+        let canon = |w: &[Asn]| (w[0].min(w[1]), w[0].max(w[1]));
         let on_path: std::collections::HashSet<(Asn, Asn)> = path
             .windows(2)
-            .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
+            .chain(reverse.windows(2))
+            .map(canon)
             .collect();
         let spare = f
             .topo
@@ -2278,34 +2086,33 @@ mod tests {
                     .collect::<Vec<_>>()
             })
             .find(|l| !on_path.contains(l))
-            .expect("small topology has links off this path");
+            .expect("small topology has links off this pair's routes");
         engine.apply_delta(&[TopologyDelta::LinkDown {
             a: spare.0,
             b: spare.1,
         }]);
         let same = engine.as_path(a, b).expect("still routable");
-        assert_eq!(same, path, "untouched path must survive");
-        let stats = engine.engine_stats();
-        assert_eq!(stats.pair_revalidated, 1, "{stats:?}");
-        assert_eq!(stats.pair_cache_misses, 1, "revalidation is not a miss");
+        assert_eq!(misses(), 2, "a stale entry is a miss");
+        assert_eq!(same, path, "untouched path must re-expand unchanged");
+        let again = engine.base_rtt(a, b).expect("still routable");
+        assert_eq!(again.to_bits(), base.to_bits());
 
-        // Down a link the path DOES use: the entry must recompute, and
-        // the new path must dodge the dirty link.
-        let used = (path[0].min(path[1]), path[0].max(path[1]));
+        // Down a link the path DOES use: the entry re-expands, and the
+        // new path must dodge the downed link.
+        let used = canon(&path[..2]);
         engine.apply_delta(&[TopologyDelta::LinkDown {
             a: used.0,
             b: used.1,
         }]);
         if let Some(new_path) = engine.as_path(a, b) {
             assert!(
-                new_path
-                    .windows(2)
-                    .all(|w| (w[0].min(w[1]), w[0].max(w[1])) != used),
-                "recomputed path still crosses the downed link"
+                new_path.windows(2).all(|w| canon(w) != used),
+                "re-expanded path still crosses the downed link"
             );
         }
         let stats = engine.engine_stats();
-        assert_eq!(stats.pair_cache_misses, 2, "{stats:?}");
+        assert_eq!(stats.pair_cache_misses, 3, "{stats:?}");
+        assert_eq!(stats.pair_revalidated, 0, "{stats:?}");
         assert_eq!(stats.tables_repaired, 0, "{stats:?}");
         assert!(stats.full_rebuilds > 0, "{stats:?}");
         let line = stats.summary();
@@ -2313,7 +2120,7 @@ mod tests {
             "tables_repaired=",
             "entries_rescanned=",
             "full_rebuilds=",
-            "pair_revalidated=1",
+            "pair_revalidated=0",
         ] {
             assert!(line.contains(key), "{line} missing {key}");
         }
@@ -2562,47 +2369,50 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_paths_across_mirror_pairs() {
-        // Three hosts per site, eight sites: routes are interned per
-        // AS pair and facts cached per site pair, so nine host pairs
-        // share each entry.
+    fn interning_shares_forward_paths_across_site_pairs() {
+        // Eight ASes with two PoP cities each, three hosts per city:
+        // routes are interned per AS pair and facts cached per site
+        // pair, so nine host pairs share each entry, and the two site
+        // pairs of an AS pair share one forward path.
         let f = fixture();
         let mut reg = HostRegistry::new();
-        let eyes = f.topo.eyeball_asns();
-        let sites: Vec<[HostId; 3]> = eyes
+        let multi: Vec<Asn> = f
+            .topo
+            .ases()
             .iter()
-            .step_by(eyes.len() / 8)
-            .take(8)
-            .map(|&asn| [0; 3].map(|_| reg.add_host_in_as(&f.topo, asn, None).unwrap()))
+            .map(|info| info.asn)
+            .filter(|&asn| f.topo.pop_cities(asn).len() >= 2)
             .collect();
+        assert!(multi.len() >= 8, "{} multi-city ASes", multi.len());
+        let mut site = |asn, c: usize| {
+            let city = f.topo.pop_cities(asn)[c];
+            [0; 3].map(|_| reg.add_host_in_as(&f.topo, asn, Some(city)).unwrap())
+        };
+        let (sites, twins): (Vec<[HostId; 3]>, Vec<[HostId; 3]>) = multi
+            .iter()
+            .step_by(multi.len() / 8)
+            .take(8)
+            .map(|&asn| (site(asn, 0), site(asn, 1)))
+            .unzip();
         let engine = PingEngine::new(
             Arc::clone(&f.topo),
             Arc::clone(&f.router),
             Arc::new(reg),
             LatencyModel::default(),
         );
-        let mut fwd = Vec::new();
-        let mut mirror = Vec::new();
-        for i in 0..sites.len() {
-            for j in (i + 1)..sites.len() {
-                for a in sites[i] {
-                    for b in sites[j] {
-                        fwd.push((a, b));
-                        mirror.push((b, a));
-                    }
+        let host_pairs = |sites: &[[HostId; 3]]| {
+            let mut pairs = Vec::new();
+            for (i, from) in sites.iter().enumerate() {
+                for to in &sites[i + 1..] {
+                    pairs.extend(from.iter().flat_map(|&a| to.iter().map(move |&b| (a, b))));
                 }
             }
-        }
+            pairs
+        };
+        let (fwd, twin) = (host_pairs(&sites), host_pairs(&twins));
         let site_pairs = (fwd.len() / 9) as u64;
         let path_bytes =
             |engine: &PingEngine| -> u64 { engine.cache.sum(|s| s.state.read().path_bytes) };
-        let split = |block: &PairBlock| {
-            let routable = (0..block.len() as u32)
-                .filter(|&k| block.is_routable(k))
-                .count() as u64;
-            // Nine rows per site pair, all routable or none.
-            (routable / 9, site_pairs - routable / 9)
-        };
 
         let block = engine.resolve_pairs(&fwd);
         let s1 = engine.engine_stats();
@@ -2613,32 +2423,23 @@ mod tests {
         assert_eq!(s1.pair_rows, fwd.len() as u64, "{s1:?}");
         assert_eq!(s1.routes_walked, 2 * site_pairs, "{s1:?}");
         assert!(s1.paths_interned > 0, "{s1:?}");
-        // Every distinct path is stored once, however many entries
-        // reference it, and each entry is charged for the distinct
-        // paths it references. (Forward and reverse routes of a pair
-        // may be one path when the route is a palindrome.)
-        let (routable, unroutable) = split(&block);
+        // Every distinct forward path is stored once, however many
+        // entries reference it, and each routable entry is charged for
+        // its forward path alone.
+        let routable = (0..block.len() as u32)
+            .filter(|&k| block.is_routable(k))
+            .count() as u64
+            / 9; // nine rows per site pair, all routable or none
         assert!(routable > 0, "fixture should route most pairs");
-        let mut live: Vec<PathId> = Vec::new();
-        let mut charges = 0;
-        let charge = |id| u64::from(path_charge(engine.interner.with_path(id, <[Asn]>::len)));
-        for map in engine.cache.shards.iter().map(|s| s.state.read()) {
-            for facts in map.map.values().map(|e| e.facts) {
-                if facts.routable() {
-                    charges += charge(facts.fwd);
-                    if facts.rev != facts.fwd {
-                        charges += charge(facts.rev);
-                    }
-                }
-                for id in facts.ids() {
-                    if !live.contains(&id) {
-                        live.push(id);
-                    }
-                }
-            }
+        let mut ids: Vec<PathId> = Vec::new();
+        for st in engine.cache.shards.iter().map(|s| s.state.read()) {
+            ids.extend(st.map.values().filter_map(|e| e.facts.path()));
         }
-        assert_eq!(live.len() as u64, s1.paths_interned);
-        assert_eq!(live.len(), engine.interner.live_paths());
+        let charge = |&id| u64::from(path_charge(engine.interner.with_path(id, <[Asn]>::len)));
+        let charges: u64 = ids.iter().map(charge).sum();
+        let live = ids.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(live as u64, s1.paths_interned);
+        assert_eq!(live, engine.interner.live_paths());
         assert_eq!(path_bytes(&engine), charges);
         let arena = engine.interner.resident_bytes();
 
@@ -2648,22 +2449,22 @@ mod tests {
         assert_eq!(warm.pair_cache_misses, site_pairs, "{warm:?}");
         assert_eq!(warm.pair_cache_hits, site_pairs, "{warm:?}");
 
-        // Every mirror pair's forward route is the forward pair's
-        // reverse route (and vice versa) — both already interned — so
-        // the mirror entries store no path: the arena does not grow.
-        let _ = engine.resolve_pairs(&mirror);
+        // The twin site pairs sit on the same AS pairs, so their
+        // forward routes are already interned: the new entries store
+        // no path, and the arena does not grow.
+        let _ = engine.resolve_pairs(&twin);
         let s2 = engine.engine_stats();
-        assert_eq!(s2.pair_cache_entries, 2 * s1.pair_cache_entries, "{s2:?}");
+        assert_eq!(s2.pair_cache_entries, 2 * site_pairs, "{s2:?}");
         assert_eq!(
             s2.path_dedup_hits,
-            s1.path_dedup_hits + 2 * site_pairs - 2 * unroutable,
-            "one dedup hit per route the mirror batch walked: {s2:?} vs {s1:?}"
+            s1.path_dedup_hits + routable,
+            "one dedup hit per routable twin entry: {s2:?} vs {s1:?}"
         );
         assert_eq!(
             s2.paths_interned, s1.paths_interned,
-            "mirror resolution must intern nothing fresh"
+            "twin resolution must intern nothing fresh"
         );
-        assert_eq!(engine.interner.live_paths(), live.len());
+        assert_eq!(engine.interner.live_paths(), live);
         assert_eq!(engine.interner.resident_bytes(), arena);
         assert_eq!(
             path_bytes(&engine),

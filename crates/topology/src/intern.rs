@@ -4,29 +4,23 @@
 //! The measurement layer caches deterministic facts per *site pair*
 //! (`(AS, city)` → `(AS, city)`), but the AS-level paths inside those
 //! facts are heavily shared: every site of an eyeball AS reaches a
-//! given destination over the same policy route, the reverse pair
-//! `(b, a)` stores the mirror of `(a, b)`'s arrays, and same-AS pairs
-//! all store one-element paths. Storing each pair's paths privately
+//! given destination over the same policy route, and same-AS pairs
+//! all store one-element paths. Storing each pair's path privately
 //! multiplies that redundancy by the pair count.
 //!
 //! [`PathInterner`] collapses the redundancy: `intern` returns the
 //! [`PathId`] of the stored copy of a path's content, so `n` pairs
 //! sharing a route hold `n` references to **one** copy, and a pair's
-//! facts can be a plain `Copy` record of two ids. Two consequences the
-//! engine exploits:
-//!
-//! - **Residency**: a path shared by `n` pairs is stored once, and a
-//!   pair's record is two 4-byte ids instead of two pointers to
-//!   allocations of its own.
-//! - **Churn**: revalidating stale pairs against a delta batch can
-//!   memoize per `PathId` — per-path work, not per-pair work.
+//! facts can be a plain `Copy` record holding one id. A path shared by
+//! `n` pairs is stored once, and a pair's record holds a 4-byte id
+//! instead of a pointer to an allocation of its own. Churn needs no
+//! path at all: a stale pair is re-expanded, whatever its path.
 //!
 //! **Lifetime.** Every id carries a plain reference count: `intern`
-//! and [`PathInterner::retain`] add one, [`PathInterner::release`]
-//! drops one. An id released to zero leaves the dedup table and goes
-//! on its shard's free list, so the next fresh path reuses its record;
-//! its ASNs become dead space that the shard compacts away once it is
-//! a quarter of the ASN array. The arena is therefore as large as the
+//! adds one, [`PathInterner::release`] drops one. An id released to
+//! zero leaves the dedup table and goes on its shard's free list, so
+//! the next fresh path reuses its record; its ASNs become dead space
+//! that the shard compacts away once it is a quarter of the ASN array. The arena is therefore as large as the
 //! most paths ever live at once, not as every path ever interned.
 //!
 //! **Layout.** The interner is split into independently locked shards
@@ -303,22 +297,6 @@ impl PathInterner {
         (PathId::new(shard, local), true)
     }
 
-    /// Adds one reference to each id, each shard's lock taken once.
-    /// Every id must be live: the caller already holds a reference to
-    /// it, or reads it from an entry that does, under that entry's
-    /// lock.
-    pub fn retain(&self, ids: &mut [PathId]) {
-        ids.sort_unstable_by_key(|id| id.shard());
-        for run in ids.chunk_by(|a, b| a.shard() == b.shard()) {
-            let mut arena = self.shards[run[0].shard()].write();
-            for id in run {
-                let slot = &mut arena.slots[id.local()];
-                assert!(slot.refs > 0, "retained a freed path");
-                slot.refs += 1;
-            }
-        }
-    }
-
     /// Drops one reference from each id (an id listed twice loses
     /// two), each shard's lock taken once; ids released to zero are
     /// freed for reuse.
@@ -480,7 +458,7 @@ mod tests {
         let interner = PathInterner::new();
         let (a, _) = interner.intern(&path(&[7, 8]));
         let (b, _) = interner.intern(&path(&[7, 8]));
-        interner.retain(&mut [a]);
+        assert_eq!(interner.intern(&path(&[7, 8])).0, a);
         assert_eq!(interner.live_paths(), 1);
         interner.release(&mut [a, b]);
         assert_eq!(interner.live_paths(), 1, "one reference is left");

@@ -38,7 +38,7 @@
 //! - [`intern`] — content-addressed AS-path interning
 //!   ([`PathInterner`]): one reference-counted copy per distinct path,
 //!   named by a dense [`PathId`], so pair-level caches store plain ids
-//!   and charge and revalidate per unique path instead of per pair.
+//!   and each unique path is stored once instead of once per pair.
 //!
 //! ## Example
 //!

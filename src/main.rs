@@ -59,8 +59,8 @@
 //! `link-down:AS1-AS2@round3,as-down:AS5@7`. Events are `link-down`,
 //! `link-up`, `as-down`, `as-up`. A stale routing table is re-stamped
 //! when no change since it was built touches its routes (and rebuilt
-//! otherwise), and only cached pairs whose paths cross a dirty link
-//! are re-measured; an empty or absent
+//! otherwise), and every cached pair expanded before the change is
+//! re-expanded on its next lookup; an empty or absent
 //! spec is byte-identical to today's churn-free runs. On `sweep` the
 //! schedule is sweep-level: all scenarios share one world, so churn
 //! hits every scenario at the same absolute round.
@@ -104,7 +104,7 @@ use shortcuts_core::RelayType;
 use shortcuts_service::{Client, Framing, RetryPolicy, Server, ServiceConfig, StreamEvent};
 use shortcuts_topology::routing::table_approx_bytes;
 use shortcuts_topology::{ChurnSchedule, MemoryBudget};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -345,6 +345,22 @@ fn telemetry_setup(args: &Args) {
     }
 }
 
+/// A file operation's result, or — on failure — `<flag>: <path>:
+/// <error>` on stderr and exit 1: a bad path is the user's to fix.
+fn or_exit<T>(flag: &str, path: &Path, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{flag}: {}: {e}", path.display());
+        std::process::exit(1);
+    })
+}
+
+/// Writes `contents` to `name` in the `--out` directory.
+fn write_out(args: &Args, name: &str, contents: impl AsRef<[u8]>) {
+    let path = args.out.join(name);
+    or_exit("--out", &path, std::fs::write(&path, contents));
+    eprintln!("wrote {}", path.display());
+}
+
 /// Writes the `--metrics-out` exposition (global registry plus the
 /// run's engine counters) and the `--trace-out` chrome-trace JSON.
 fn telemetry_finish(args: &Args, engine: &shortcuts_netsim::PingEngine, world_seed: u64) {
@@ -362,18 +378,19 @@ fn telemetry_finish(args: &Args, engine: &shortcuts_netsim::PingEngine, world_se
             ],
             &engine.engine_stats().fields(),
         );
-        std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+        or_exit("--metrics-out", path, std::fs::write(path, out));
         eprintln!("wrote {}", path.display());
     }
     if let Some(path) = &args.trace_out {
         let json = shortcuts_telemetry::global().finish_trace_json();
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+        or_exit("--trace-out", path, std::fs::write(path, json));
         eprintln!("wrote {}", path.display());
     }
 }
 
 fn campaign(args: &Args) {
     telemetry_setup(args);
+    or_exit("--out", &args.out, std::fs::create_dir_all(&args.out));
     let w = build(args);
     check_budget(args.memory_budget, &w);
     check_churn(&args.churn, &w);
@@ -418,13 +435,7 @@ fn campaign(args: &Args) {
         results.pings_sent as f64 / 1e6
     );
 
-    std::fs::create_dir_all(&args.out).expect("create --out directory");
-    let write = |name: &str, contents: String| {
-        let path = args.out.join(name);
-        std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-        eprintln!("wrote {}", path.display());
-    };
-
+    let write = |name: &str, contents: String| write_out(args, name, contents);
     write("cases.csv", report::cases_csv(&results));
     let imp = ImprovementAnalysis::compute(&results);
     write("improvement.csv", report::improvement_csv(&imp));
@@ -463,6 +474,7 @@ fn sweep(args: &Args) {
             std::process::exit(2);
         }
     }
+    or_exit("--out", &args.out, std::fs::create_dir_all(&args.out));
     let w = Arc::new(build(args));
     check_budget(args.memory_budget, &w);
     check_churn(&args.churn, &w);
@@ -503,12 +515,7 @@ fn sweep(args: &Args) {
         },
     );
 
-    std::fs::create_dir_all(&args.out).expect("create --out directory");
-    let write = |name: &str, contents: String| {
-        let path = args.out.join(name);
-        std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-        eprintln!("wrote {}", path.display());
-    };
+    let write = |name: &str, contents: String| write_out(args, name, contents);
     for sc in &outcome.scenarios {
         eprintln!(
             "{:>10}: {} cases, {:.2} M pings",
@@ -698,7 +705,7 @@ fn client(args: &Args) {
 
     // Fetch every scenario's cases CSV (plus the comparison table for
     // sweeps) into --out, named by the server.
-    std::fs::create_dir_all(&args.out).expect("create --out directory");
+    or_exit("--out", &args.out, std::fs::create_dir_all(&args.out));
     let mut fetches: Vec<String> = labels.iter().map(|l| format!("cases {l}")).collect();
     if labels.len() > 1 {
         fetches.push("sweep".to_string());
@@ -709,16 +716,11 @@ fn client(args: &Args) {
                 // The name comes off the wire; never let a hostile
                 // server steer the write outside --out (absolute paths
                 // or `..` traversal through Path::join).
-                let file = std::path::Path::new(&name)
-                    .file_name()
-                    .filter(|f| *f == std::path::Path::new(&name).as_os_str())
-                    .unwrap_or_else(|| {
-                        eprintln!("server sent unsafe CSV name {name:?}");
-                        std::process::exit(1);
-                    });
-                let path = args.out.join(file);
-                std::fs::write(&path, bytes).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-                eprintln!("wrote {}", path.display());
+                if Path::new(&name).file_name() != Some(Path::new(&name).as_os_str()) {
+                    eprintln!("server sent unsafe CSV name {name:?}");
+                    std::process::exit(1);
+                }
+                write_out(args, &name, bytes);
             }
             Err(e) => {
                 eprintln!("CSV {what} failed: {e}");

@@ -161,9 +161,9 @@ proptest! {
         assert_batch_matches_scalar(&batched, &scalar, &pairs, rng_salt);
 
         if churn {
-            // The same delta on both (private) stacks: stale entries now
-            // cross a dirty epoch, so the next batch exercises
-            // revalidation and re-expansion — still bit-identically.
+            // The same delta on both (private) stacks: every entry is now
+            // stamped before the current epoch, so the next batch
+            // re-expands it — still bit-identically.
             let delta = transit_link(&batched);
             batched.apply_delta(std::slice::from_ref(&delta));
             scalar.apply_delta(std::slice::from_ref(&delta));

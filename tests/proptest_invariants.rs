@@ -1434,9 +1434,8 @@ proptest! {
         // Routes per AS pair, facts per site pair, rows per host pair:
         // whatever is shared, every host pair must come out as if it
         // had been resolved alone — batch rows and scalar lookups
-        // alike, cold, warm, and after churn made entries stale
-        // (revalidated where the path dodged the link, recomputed
-        // where it did not).
+        // alike, cold, warm, and after churn made entries stale (each
+        // re-expanded, whether or not its routes crossed the link).
         use colo_shortcuts::netsim::clock::SimTime;
         use colo_shortcuts::netsim::{FaultPlan, LatencyModel, PingEngine};
         use colo_shortcuts::topology::routing::Router;
