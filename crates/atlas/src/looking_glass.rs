@@ -182,7 +182,7 @@ impl<'n> Periscope<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shortcuts_netsim::{LatencyModel, PingEngine};
+    use shortcuts_netsim::{LatencyModel, PingEngine, PingHandle};
     use shortcuts_topology::routing::Router;
     use shortcuts_topology::TopologyConfig;
     use std::sync::Arc;
@@ -232,10 +232,11 @@ mod tests {
             .add_host(&t, lg.asn, Some(lg.city), HostKind::ColoInterface)
             .unwrap();
         let engine = PingEngine::new(t, router, Arc::new(hosts), LatencyModel::default());
+        let handle = PingHandle::new(Arc::new(engine));
         let peri = Periscope::new(&net);
         let mut rng = StdRng::seed_from_u64(8);
         let rtt = peri
-            .min_rtt_from_city(&engine, lg.city, target, SimTime(0.0), &mut rng)
+            .min_rtt_from_city(&handle, lg.city, target, SimTime(0.0), &mut rng)
             .expect("LG in city");
         assert!(rtt < 5.0, "same-city min RTT should be small, got {rtt}");
     }
@@ -255,10 +256,11 @@ mod tests {
             .expect("some city without LGs");
         let target = net.lgs()[0].host;
         let engine = PingEngine::new(t, router, Arc::new(hosts), LatencyModel::default());
+        let handle = PingHandle::new(Arc::new(engine));
         let peri = Periscope::new(&net);
         let mut rng = StdRng::seed_from_u64(8);
         assert!(peri
-            .min_rtt_from_city(&engine, empty_city, target, SimTime(0.0), &mut rng)
+            .min_rtt_from_city(&handle, empty_city, target, SimTime(0.0), &mut rng)
             .is_none());
     }
 }

@@ -15,17 +15,18 @@ use shortcuts_core::feasibility::{is_feasible, min_relay_rtt};
 use shortcuts_core::measure::{measure_pair, WindowConfig};
 use shortcuts_core::relays::RelayPools;
 use shortcuts_netsim::clock::SimTime;
+use shortcuts_netsim::PingHandle;
 
 fn main() {
     let world = build_world();
     print_header("Ablation: feasibility pre-filter (§2.4)", &world, 1);
 
-    let engine = world.shared().engine(Default::default());
+    let handle = PingHandle::new(world.shared().engine(Default::default()));
     let mut rng = StdRng::seed_from_u64(seed_from_env());
     let vantage = world.looking_glasses.lgs()[0].host;
     let colo = run_pipeline(
         &world,
-        &*engine,
+        &handle,
         vantage,
         SimTime(0.0),
         &ColoPipelineConfig::default(),
@@ -48,7 +49,7 @@ fn main() {
     for i in 0..raes.len() {
         for j in (i + 1)..raes.len() {
             let Some(direct) = measure_pair(
-                &*engine,
+                &handle,
                 raes[i].host,
                 raes[j].host,
                 SimTime(0.0),
@@ -70,8 +71,8 @@ fn main() {
                     // direct RTT (up to the noise floor of `direct`).
                     checked += 1;
                     if let (Some(l1), Some(l2)) = (
-                        engine.base_rtt(raes[i].host, r.host),
-                        engine.base_rtt(raes[j].host, r.host),
+                        handle.base_rtt(raes[i].host, r.host),
+                        handle.base_rtt(raes[j].host, r.host),
                     ) {
                         // Infeasibility certificate from geometry alone.
                         debug_assert!(min_relay_rtt(&si, &sj, &r.location) > direct);

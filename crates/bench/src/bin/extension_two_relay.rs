@@ -15,19 +15,19 @@ use shortcuts_core::eyeball::{select_eyeballs, EndpointPool};
 use shortcuts_core::feasibility::is_feasible;
 use shortcuts_core::measure::{measure_pair, WindowConfig};
 use shortcuts_netsim::clock::SimTime;
-use shortcuts_netsim::HostId;
+use shortcuts_netsim::{HostId, PingHandle};
 use std::collections::HashMap;
 
 fn main() {
     let world = build_world();
     print_header("Extension: one relay vs two relays (COR)", &world, 1);
 
-    let engine = world.shared().engine(Default::default());
+    let handle = PingHandle::new(world.shared().engine(Default::default()));
     let mut rng = StdRng::seed_from_u64(seed_from_env());
     let vantage = world.looking_glasses.lgs()[0].host;
     let colo = run_pipeline(
         &world,
-        &*engine,
+        &handle,
         vantage,
         SimTime(0.0),
         &ColoPipelineConfig::default(),
@@ -57,7 +57,7 @@ fn main() {
     let mut rr: HashMap<(HostId, HostId), f64> = HashMap::new();
     for (i, a) in relays.iter().enumerate() {
         for b in relays.iter().skip(i + 1) {
-            if let Some(m) = measure_pair(&*engine, a.host, b.host, SimTime(0.0), &window, &mut rng)
+            if let Some(m) = measure_pair(&handle, a.host, b.host, SimTime(0.0), &window, &mut rng)
             {
                 rr.insert((a.host, b.host), m);
                 rr.insert((b.host, a.host), m);
@@ -76,7 +76,7 @@ fn main() {
     for i in (0..raes.len()).step_by(3) {
         for j in ((i + 1)..raes.len()).step_by(3) {
             let (e1, e2) = (raes[i].host, raes[j].host);
-            let Some(direct) = measure_pair(&*engine, e1, e2, SimTime(0.0), &window, &mut rng)
+            let Some(direct) = measure_pair(&handle, e1, e2, SimTime(0.0), &window, &mut rng)
             else {
                 continue;
             };
@@ -87,8 +87,8 @@ fn main() {
                 if !is_feasible(&l1, &l2, &world.hosts.get(r.host).location, direct) {
                     continue;
                 }
-                let a = measure_pair(&*engine, e1, r.host, SimTime(0.0), &window, &mut rng);
-                let b = measure_pair(&*engine, e2, r.host, SimTime(0.0), &window, &mut rng);
+                let a = measure_pair(&handle, e1, r.host, SimTime(0.0), &window, &mut rng);
+                let b = measure_pair(&handle, e2, r.host, SimTime(0.0), &window, &mut rng);
                 legs.insert(r.host, (a, b));
             }
             let best1 = legs

@@ -8,17 +8,18 @@ use rand::SeedableRng;
 use shortcuts_bench::{build_world, print_header, seed_from_env};
 use shortcuts_core::colo::{run_pipeline, ColoPipelineConfig};
 use shortcuts_netsim::clock::SimTime;
+use shortcuts_netsim::PingHandle;
 
 fn main() {
     let world = build_world();
     print_header("§2.2 funnel: COR selection filters", &world, 0);
 
-    let engine = world.shared().engine(Default::default());
+    let handle = PingHandle::new(world.shared().engine(Default::default()));
     let vantage = world.looking_glasses.lgs()[0].host;
     let mut rng = StdRng::seed_from_u64(seed_from_env());
     let pool = run_pipeline(
         &world,
-        &*engine,
+        &handle,
         vantage,
         SimTime(0.0),
         &ColoPipelineConfig::default(),

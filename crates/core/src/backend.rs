@@ -23,7 +23,7 @@
 //! evicted since, and results cannot tell — the block is a snapshot of
 //! the stage's epoch.
 
-use crate::measure::{measure_pair, window_median, with_reply_scratch, WindowConfig};
+use crate::measure::{window_median, with_reply_scratch, WindowConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -32,7 +32,7 @@ use shortcuts_netsim::{HostId, PairBlock, PingHandle, SampleTally};
 use shortcuts_telemetry as telemetry;
 use shortcuts_telemetry::Stage;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Windows per chunk, the unit both executors schedule. Large enough
 /// to amortize scheduling and the per-chunk stats flush down to noise,
@@ -187,22 +187,6 @@ pub trait MeasurementBackend: Sync {
     }
 }
 
-/// True when `COLO_SCALAR_MEASURE` is set (non-empty, not `"0"`):
-/// every [`NetsimBackend`] then measures through the scalar per-ping
-/// path instead of the batched kernel. The equivalence suites run once
-/// under this flag in CI — the batched kernel's output must be
-/// byte-identical either way. Read once; the process-global env var is
-/// not meant to be toggled at runtime (tests use
-/// [`NetsimBackend::with_scalar_oracle`] instead).
-fn scalar_measure_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("COLO_SCALAR_MEASURE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
 /// The netsim-backed implementation: each task runs one ping window
 /// through the campaign's [`PingHandle`] with its own derived RNG.
 ///
@@ -215,32 +199,16 @@ pub struct NetsimBackend {
     handle: PingHandle,
     window: WindowConfig,
     campaign_seed: u64,
-    /// Measure through the scalar per-ping path instead of the batched
-    /// kernel. The scalar path is the equivalence *oracle*: slower,
-    /// but definitionally correct — the batched default must match it
-    /// byte for byte.
-    scalar: bool,
 }
 
 impl NetsimBackend {
-    /// Wraps a campaign's engine handle as a backend. Measures through
-    /// the batched kernel unless `COLO_SCALAR_MEASURE` forces the
-    /// scalar oracle process-wide.
+    /// Wraps a campaign's engine handle as a backend.
     pub fn new(handle: PingHandle, window: WindowConfig, campaign_seed: u64) -> Self {
         NetsimBackend {
             handle,
             window,
             campaign_seed,
-            scalar: scalar_measure_forced(),
         }
-    }
-
-    /// Forces (or un-forces) the scalar per-ping oracle for this
-    /// backend, regardless of the environment — how equivalence tests
-    /// pit the two paths against each other inside one process.
-    pub fn with_scalar_oracle(mut self, scalar: bool) -> Self {
-        self.scalar = scalar;
-        self
     }
 
     /// The campaign's engine handle.
@@ -252,16 +220,6 @@ impl NetsimBackend {
 impl MeasurementBackend for NetsimBackend {
     fn measure(&self, task: &MeasureTask) -> Option<f64> {
         let mut rng = task.rng(self.campaign_seed);
-        if self.scalar {
-            return measure_pair(
-                &self.handle,
-                task.src,
-                task.dst,
-                task.start,
-                &self.window,
-                &mut rng,
-            );
-        }
         // Batched single-task path: one cache lookup per window (not
         // per ping) and the thread's scratch buffer for replies. Only
         // per-window wrappers land here; both executors go through
@@ -293,8 +251,8 @@ impl MeasurementBackend for NetsimBackend {
     }
 
     fn open_stage(&self, tasks: &[MeasureTask]) -> Option<Arc<ResolvedStage>> {
-        if self.scalar || tasks.len() < 2 {
-            // Oracle mode, or too small for batching to buy anything.
+        if tasks.len() < 2 {
+            // Too small for batching to buy anything.
             return None;
         }
         // Flat passes over the stage's whole pair set; the block is a

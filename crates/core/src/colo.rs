@@ -256,12 +256,12 @@ mod tests {
     use shortcuts_datasets::GroundTruth;
 
     fn run(world: &World) -> ColoPool {
-        let engine = world.shared().engine(Default::default());
+        let handle = shortcuts_netsim::PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(77);
         run_pipeline(
             world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),

@@ -121,9 +121,10 @@ pub fn window_median(replies: &mut [f64], min_valid: usize) -> Option<f64> {
 }
 
 /// Measures one pair over a window: pings per [`WindowConfig`], median
-/// if enough replies, `None` otherwise. Generic over [`Pinger`], so it
-/// runs identically on a bare engine or a campaign's fault-carrying
-/// handle. Replies land in the thread's scratch buffer
+/// if enough replies, `None` otherwise, one [`Pinger::ping`] per ping.
+/// Generic over [`Pinger`]: a campaign's
+/// [`shortcuts_netsim::PingHandle`] or a test's wrapper around one.
+/// Replies land in the thread's scratch buffer
 /// ([`with_reply_scratch`]), so steady-state windows allocate nothing.
 pub fn measure_pair<P: Pinger, R: Rng + ?Sized>(
     engine: &P,

@@ -397,12 +397,12 @@ mod tests {
 
     fn plan_fixture() -> (World, RoundPlan) {
         let world = World::build(&WorldConfig::small(), 31);
-        let engine = world.shared().engine(Default::default());
+        let handle = shortcuts_netsim::PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(1);
         let colo = run_pipeline(
             &world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),
@@ -414,7 +414,7 @@ mod tests {
         let cfg = CampaignConfig::small();
         let mut round_rng = StdRng::seed_from_u64(9);
         let plan = plan_round(&world, &pool, &relays, &cfg, 2, &mut round_rng);
-        drop(engine);
+        drop(handle);
         (world, plan)
     }
 
@@ -492,12 +492,12 @@ mod tests {
         let (world, _) = plan_fixture();
         let verified = select_eyeballs(&world, 10.0).verified;
         let pool = EndpointPool::build(&world, &verified);
-        let engine = world.shared().engine(Default::default());
+        let handle = shortcuts_netsim::PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(1);
         let colo = run_pipeline(
             &world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),
@@ -531,12 +531,12 @@ mod tests {
         let (world, _) = plan_fixture();
         let verified = select_eyeballs(&world, 10.0).verified;
         let pool = EndpointPool::build(&world, &verified);
-        let engine = world.shared().engine(Default::default());
+        let handle = shortcuts_netsim::PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(1);
         let colo = run_pipeline(
             &world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),

@@ -269,12 +269,12 @@ mod tests {
 
     fn setup() -> (World, ColoPool, Vec<VerifiedEyeball>) {
         let world = World::build(&WorldConfig::small(), 14);
-        let engine = world.shared().engine(Default::default());
+        let handle = shortcuts_netsim::PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(1);
         let colo = run_pipeline(
             &world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),

@@ -38,13 +38,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan as a constant, for fault-free hot paths that
-    /// need a `&FaultPlan` without constructing one per call.
-    pub const NONE: FaultPlan = FaultPlan {
-        outages: Vec::new(),
-        lossy: Vec::new(),
-    };
-
     /// An empty plan (no faults).
     pub fn none() -> Self {
         Self::default()

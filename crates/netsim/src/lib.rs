@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use shortcuts_topology::{Topology, TopologyConfig, routing::Router};
-//! use shortcuts_netsim::{HostRegistry, LatencyModel, PingEngine, SimClock};
+//! use shortcuts_netsim::{HostRegistry, LatencyModel, PingEngine, PingHandle, Pinger, SimClock};
 //! use std::sync::Arc;
 //!
 //! let topo = Arc::new(Topology::generate(&TopologyConfig::small(), 1));
@@ -41,9 +41,12 @@
 //! let a = hosts.add_host_in_as(&topo, eyes[0], None).unwrap();
 //! let b = hosts.add_host_in_as(&topo, eyes[1], None).unwrap();
 //! let engine = PingEngine::new(topo, router, Arc::new(hosts), LatencyModel::default());
+//! // Probes go through a handle: a fault plan and ping accounting of
+//! // its own over the shared engine.
+//! let handle = PingHandle::new(Arc::new(engine));
 //! let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(9);
 //! let clock = SimClock::start();
-//! let reply = engine.ping(a, b, clock.now(), &mut rng);
+//! let reply = handle.ping(a, b, clock.now(), &mut rng);
 //! // Loss is possible but a reply carries a positive RTT.
 //! if let Some(rtt) = reply { assert!(rtt > 0.0); }
 //! ```

@@ -63,7 +63,7 @@ impl RouterPath {
     /// One location per AS of the path: where traffic sits when leaving
     /// each AS (the handoff point), with the final AS attributed to the
     /// destination itself.
-    pub fn handoff_points(&self, _src: GeoPoint, dst: GeoPoint) -> Vec<GeoPoint> {
+    pub fn handoff_points(&self, dst: GeoPoint) -> Vec<GeoPoint> {
         let mut v = self.handoffs.clone();
         v.push(dst);
         v

@@ -33,12 +33,13 @@
 //! it the pair cache and the router's destination tables — is shared
 //! by every campaign of a scenario sweep. Per-campaign concerns
 //! (a fault plan, ping accounting) live in [`PingHandle`], a cheap
-//! per-campaign view of the shared engine. The [`Pinger`] trait
-//! abstracts over the two so measurement code works with either.
+//! per-campaign view of the shared engine and the only way to probe
+//! it: every ping, window and traceroute goes through a handle, which
+//! implements the [`Pinger`] trait measurement code is generic over.
 //!
 //! ## The batched kernel
 //!
-//! Scalar pings ([`PingEngine::ping`]) resolve the pair on every call:
+//! A scalar ping ([`Pinger::ping`]) resolves its pair on every call:
 //! a shard lock, a hash probe and, under faults, a copy of the path —
 //! six times per measurement window. Round execution instead batches:
 //! [`PingEngine::resolve_pairs`] resolves a whole round's pair set in
@@ -46,12 +47,13 @@
 //! locked once, the missing routes swept destination-major so each
 //! routing table is pinned once per batch, chunked inserts per shard)
 //! into a [`PairBlock`] — a struct-of-arrays snapshot of the resolved
-//! facts — and [`PingEngine::sample_window_resolved`] then samples a
-//! window from a block row in a tight, allocation-free loop. RNG draws
-//! are replicated exactly, so batched results are bit-identical to the
-//! scalar path, which survives as the equivalence oracle: its miss
-//! walks one site pair's two routes directly, through the same route,
-//! facts and publication code the batch runs.
+//! facts — and [`PingEngine::sample_window_resolved_tally`] then
+//! samples a window from a block row in a tight, allocation-free loop.
+//! RNG draws are replicated exactly, so batched results are
+//! bit-identical to scalar pings, which the equivalence tests keep as
+//! their oracle: a scalar miss walks one site pair's two routes
+//! directly, through the same route, facts and publication code the
+//! batch runs.
 
 use crate::clock::SimTime;
 use crate::fasthash::FastMap;
@@ -682,7 +684,7 @@ fn evict_while(
 /// Struct-of-arrays snapshot of one batch's resolved pair facts — the
 /// output of [`PingEngine::resolve_pairs`]; a row's
 /// [`PairBlock::resolved`] is what
-/// [`PingEngine::sample_window_resolved`] samples from.
+/// [`PingEngine::sample_window_resolved_tally`] samples from.
 ///
 /// Each distinct `(src, dst)` host pair of the batch owns one row
 /// (slot): the two hosts' access delay and the index of the pair's
@@ -739,9 +741,10 @@ impl PairBlock {
     }
 
     /// What a window on row `slot` samples from, in the shape
-    /// [`PingEngine::sample_window_resolved`] takes: forward path, the
-    /// host pair's base RTT — its site pair's plus the two hosts' own
-    /// access delay — and midpoint longitude. `None` = unroutable.
+    /// [`PingEngine::sample_window_resolved_tally`] takes: forward
+    /// path, the host pair's base RTT — its site pair's plus the two
+    /// hosts' own access delay — and midpoint longitude. `None` =
+    /// unroutable.
     pub fn resolved(&self, slot: u32) -> Option<(&[Asn], f64, f64)> {
         let row = slot as usize;
         let i = self.site[row] as usize;
@@ -1328,42 +1331,14 @@ impl PingEngine {
     /// `interval_secs` apart from `start` — against already-resolved
     /// pair facts, appending replies to `out` (cleared first). This is
     /// the allocation-free inner loop of the batched kernel: no cache
-    /// probe, no lock, no per-window `Vec`.
+    /// probe, no lock, no per-window `Vec`. Counter updates are
+    /// deferred into `tally` instead of hitting the shared atomics;
+    /// the caller flushes it, once per worker chunk.
     ///
-    /// RNG draws replicate [`PingEngine::ping_faulted`] exactly —
+    /// RNG draws replicate a scalar [`Pinger::ping`] exactly —
     /// same draws, same order, same skips — so a window sampled here
-    /// is bit-identical to the scalar path under the same RNG stream.
-    /// Engine counters advance by the same totals (batched where the
-    /// scalar path bumps per ping).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_window_resolved<R: Rng + ?Sized>(
-        &self,
-        resolved: Option<(&[Asn], f64, f64)>,
-        start: SimTime,
-        pings: usize,
-        interval_secs: f64,
-        faults: &FaultPlan,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        let mut tally = SampleTally::default();
-        self.sample_window_resolved_tally(
-            resolved,
-            start,
-            pings,
-            interval_secs,
-            faults,
-            rng,
-            out,
-            &mut tally,
-        );
-        self.stats.flush(&tally);
-    }
-
-    /// [`PingEngine::sample_window_resolved`] with counter updates
-    /// deferred into `tally` instead of hitting the shared atomics —
-    /// the chunked form the batched kernel uses, flushing once per
-    /// worker chunk.
+    /// is bit-identical to the scalar path under the same RNG stream,
+    /// and a flushed tally advances the counters by the same totals.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_window_resolved_tally<R: Rng + ?Sized>(
         &self,
@@ -1409,60 +1384,27 @@ impl PingEngine {
         tally.losses += pings as u64 - out.len() as u64;
     }
 
-    /// Samples one window for a pair, resolving it through the cache
-    /// first (one lookup per *window*, not per ping — the scalar
-    /// path's remaining five lookups were pure overhead).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_window<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        start: SimTime,
-        pings: usize,
-        interval_secs: f64,
-        faults: &FaultPlan,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        // The path is read only under faults, so only then is it copied.
-        let mut path = Vec::new();
-        let info = self.pair_info(src, dst, (!faults.is_empty()).then_some(&mut path));
-        let resolved = info.map(|(base_ms, mid_lon)| (&path[..], base_ms, mid_lon));
-        self.sample_window_resolved(resolved, start, pings, interval_secs, faults, rng, out);
-    }
-
     /// The deterministic base RTT between two hosts, ms (`None` if
     /// unroutable). Useful for tests and calibration; real measurements
-    /// go through [`PingEngine::ping`].
+    /// go through a [`PingHandle`].
     pub fn base_rtt(&self, src: HostId, dst: HostId) -> Option<f64> {
         self.pair_info(src, dst, None).map(|(base_ms, _)| base_ms)
     }
 
     /// AS path between two hosts (`None` if unroutable), copied out of
-    /// the interner. Traceroute, the scalar oracle and tests read it;
-    /// the sampling loops never do.
+    /// the interner. Traceroute and tests read it; the sampling loops
+    /// never do.
     pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Vec<Asn>> {
         let mut path = Vec::new();
         self.pair_info(src, dst, Some(&mut path)).map(|_| path)
     }
 
-    /// Sends one ping at time `t`; returns the observed RTT in ms, or
-    /// `None` on loss / outage / no route. Fault-free — per-campaign
-    /// fault plans are applied by [`PingHandle`].
-    pub fn ping<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Option<f64> {
-        self.ping_faulted(src, dst, t, &FaultPlan::NONE, rng)
-    }
-
-    /// [`PingEngine::ping`] under a fault plan the *caller* owns. The
-    /// engine itself carries no faults — campaigns sharing one engine
-    /// each bring their own plan through their [`PingHandle`].
-    pub fn ping_faulted<R: Rng + ?Sized>(
+    /// Sends one ping at time `t` under a fault plan the *caller* owns;
+    /// returns the observed RTT in ms, or `None` on loss / outage / no
+    /// route. The engine itself carries no faults — campaigns sharing
+    /// one engine each bring their own plan through their
+    /// [`PingHandle`], whose [`Pinger::ping`] is the public way in.
+    pub(crate) fn ping_faulted<R: Rng + ?Sized>(
         &self,
         src: HostId,
         dst: HostId,
@@ -1499,29 +1441,12 @@ impl PingEngine {
             }
         }
     }
-
-    /// Sends `n` pings spaced `interval_secs` apart starting at `t` and
-    /// returns the replies (lost pings omitted). This is the paper's
-    /// "6 pings, 5 minutes apart, per 30-minute window" primitive.
-    pub fn ping_series<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        n: usize,
-        interval_secs: f64,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        (0..n)
-            .filter_map(|i| self.ping(src, dst, t.plus_secs(i as f64 * interval_secs), rng))
-            .collect()
-    }
 }
 
-/// Anything that can measure: the shared [`PingEngine`] itself, or a
-/// per-campaign [`PingHandle`] over it. Measurement code (windows, the
-/// §2.2 funnel, Periscope) is generic over this, so a solo run and a
-/// sweep campaign execute the byte-identical code path.
+/// Anything that can measure: a per-campaign [`PingHandle`], or a
+/// test's wrapper around one. Measurement code (windows, the §2.2
+/// funnel, Periscope) is generic over this, so a solo run and a sweep
+/// campaign execute the byte-identical code path.
 pub trait Pinger: Sync {
     /// Sends one ping at time `t`.
     fn ping<R: Rng + ?Sized>(
@@ -1550,25 +1475,10 @@ pub trait Pinger: Sync {
     fn resolve_ahead(&self, _pairs: &[(HostId, HostId)]) {}
 
     /// Sends `n` pings spaced `interval_secs` apart starting at `t`
-    /// and returns the replies (lost pings omitted).
-    fn ping_series<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        n: usize,
-        interval_secs: f64,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(n);
-        self.ping_series_into(src, dst, t, n, interval_secs, rng, &mut out);
-        out
-    }
-
-    /// As [`Pinger::ping_series`], but appends the replies into a
-    /// caller-owned buffer (cleared first) — the allocation-free
-    /// variant measurement loops feed with a per-thread scratch
-    /// buffer. RNG draws are identical to `ping_series`.
+    /// and appends the replies (lost pings omitted) to a caller-owned
+    /// buffer, cleared first — allocation-free when the caller feeds
+    /// it a per-thread scratch buffer. This is the paper's "6 pings,
+    /// 5 minutes apart, per 30-minute window" primitive.
     #[allow(clippy::too_many_arguments)]
     fn ping_series_into<R: Rng + ?Sized>(
         &self,
@@ -1586,32 +1496,6 @@ pub trait Pinger: Sync {
                 out.push(rtt);
             }
         }
-    }
-}
-
-impl Pinger for PingEngine {
-    fn ping<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Option<f64> {
-        PingEngine::ping(self, src, dst, t, rng)
-    }
-
-    fn traceroute<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Option<Traceroute> {
-        PingEngine::traceroute(self, src, dst, t, rng)
-    }
-
-    fn resolve_ahead(&self, pairs: &[(HostId, HostId)]) {
-        let _ = self.resolve_pairs(pairs);
     }
 }
 
@@ -1692,10 +1576,11 @@ impl PingHandle {
         self.engine.resolve_pairs_indexed(pairs)
     }
 
-    /// Samples one measurement window under this handle's fault plan
-    /// (see [`PingEngine::sample_window`]); counts `pings` attempts on
-    /// the handle, exactly as `pings` scalar [`Pinger::ping`] calls
-    /// would.
+    /// Samples one measurement window under this handle's fault plan,
+    /// resolving the pair through the cache once per *window*, not per
+    /// ping (see [`PingEngine::sample_window_resolved_tally`]); counts
+    /// `pings` attempts, exactly as `pings` scalar [`Pinger::ping`]
+    /// calls would.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_window<R: Rng + ?Sized>(
         &self,
@@ -1707,17 +1592,23 @@ impl PingHandle {
         rng: &mut R,
         out: &mut Vec<f64>,
     ) {
-        self.attempts.fetch_add(pings as u64, Ordering::Relaxed);
-        self.engine.sample_window(
-            src,
-            dst,
+        // The path is read only under faults, so only then is it copied.
+        let mut path = Vec::new();
+        let want_path = (!self.faults.is_empty()).then_some(&mut path);
+        let info = self.engine.pair_info(src, dst, want_path);
+        let resolved = info.map(|(base_ms, mid_lon)| (&path[..], base_ms, mid_lon));
+        let mut tally = SampleTally::default();
+        self.engine.sample_window_resolved_tally(
+            resolved,
             start,
             pings,
             interval_secs,
             &self.faults,
             rng,
             out,
+            &mut tally,
         );
+        self.flush_tally(&tally);
     }
 
     /// Samples one window from a [`PairBlock`] row under this handle's
@@ -1863,18 +1754,19 @@ mod tests {
         // counters consistent.
         let f = fixture();
         let (engine, a, b) = two_hosts(&f);
+        let handle = PingHandle::new(Arc::new(engine));
         std::thread::scope(|s| {
             for t in 0..4 {
-                let engine = &engine;
+                let handle = &handle;
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(100 + t);
                     for i in 0..50 {
-                        let _ = engine.ping(a, b, SimTime(f64::from(i)), &mut rng);
+                        let _ = handle.ping(a, b, SimTime(f64::from(i)), &mut rng);
                     }
                 });
             }
         });
-        let stats = engine.stats();
+        let stats = handle.engine().stats();
         assert_eq!(stats.attempts, 200);
         assert_eq!(stats.replies + stats.losses + stats.unroutable, 200);
     }
@@ -2021,12 +1913,13 @@ mod tests {
         );
         assert_eq!(engine.engine_stats(), EngineStats::default());
 
+        let handle = PingHandle::new(Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..5 {
-            let _ = engine.ping(a, b, SimTime(f64::from(i)), &mut rng);
-            let _ = engine.ping(a2, b, SimTime(f64::from(i)), &mut rng);
+            let _ = handle.ping(a, b, SimTime(f64::from(i)), &mut rng);
+            let _ = handle.ping(a2, b, SimTime(f64::from(i)), &mut rng);
         }
-        let stats = engine.engine_stats();
+        let stats = handle.engine().engine_stats();
         // The first lookup misses and expands the site pair; every
         // other lookup — of either host pair — hits it.
         assert_eq!(stats.pair_cache_misses, 1);
@@ -2130,16 +2023,17 @@ mod tests {
     fn ping_between_eyeballs_returns_plausible_rtt() {
         let f = fixture();
         let (engine, a, b) = two_hosts(&f);
+        let handle = PingHandle::new(Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(1);
         let mut got = 0;
         for i in 0..20 {
-            if let Some(rtt) = engine.ping(a, b, SimTime(i as f64 * 60.0), &mut rng) {
+            if let Some(rtt) = handle.ping(a, b, SimTime(i as f64 * 60.0), &mut rng) {
                 assert!(rtt > 0.0 && rtt < 2000.0, "rtt {rtt}");
                 got += 1;
             }
         }
         assert!(got >= 15, "most pings should succeed, got {got}");
-        let stats = engine.stats();
+        let stats = handle.engine().stats();
         assert_eq!(stats.attempts, 20);
         assert_eq!(stats.replies + stats.losses + stats.unroutable, 20);
     }
@@ -2240,9 +2134,12 @@ mod tests {
     fn ping_series_returns_replies() {
         let f = fixture();
         let (engine, a, b) = two_hosts(&f);
+        let handle = PingHandle::new(Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(4);
-        let replies = engine.ping_series(a, b, SimTime(0.0), 6, 300.0, &mut rng);
+        let mut replies = vec![-1.0];
+        handle.ping_series_into(a, b, SimTime(0.0), 6, 300.0, &mut rng, &mut replies);
         assert!(replies.len() >= 4, "got {}", replies.len());
+        assert!(replies.iter().all(|&rtt| rtt > 0.0), "buffer cleared first");
     }
 
     #[test]
@@ -2285,27 +2182,32 @@ mod tests {
         let a = reg.add_host(&topo, Asn(1), None, HostKind::Probe).unwrap();
         let c = reg.add_host(&topo, Asn(2), None, HostKind::Probe).unwrap();
         let engine = PingEngine::new(topo, router, Arc::new(reg), LatencyModel::default());
+        let handle = PingHandle::new(Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(engine.ping(a, c, SimTime(0.0), &mut rng).is_none());
-        assert_eq!(engine.stats().unroutable, 1);
+        assert!(handle.ping(a, c, SimTime(0.0), &mut rng).is_none());
+        assert_eq!(handle.engine().stats().unroutable, 1);
 
         // The batch resolver agrees: the pair gets a row, but an
         // unroutable one, and a sampled window consumes no RNG.
-        let block = engine.resolve_pairs(&[(a, c)]);
+        let block = handle.resolve_pairs(&[(a, c)]);
         let slot = block.slot(a, c).unwrap();
         assert!(!block.is_routable(slot));
         let mut out = vec![1.0; 4];
-        engine.sample_window_resolved(
-            None,
+        let mut tally = SampleTally::default();
+        handle.sample_window_block_tally(
+            &block,
+            slot,
             SimTime(0.0),
             6,
             300.0,
-            &FaultPlan::NONE,
             &mut rng,
             &mut out,
+            &mut tally,
         );
+        handle.flush_tally(&tally);
         assert!(out.is_empty(), "unroutable window must clear the buffer");
-        assert_eq!(engine.stats().unroutable, 1 + 6);
+        assert_eq!(handle.engine().stats().unroutable, 1 + 6);
+        assert_eq!(handle.pings_sent(), 1 + 6);
     }
 
     #[test]
@@ -2315,20 +2217,24 @@ mod tests {
         let engine = Arc::new(engine);
 
         // Fault-free: block sampling vs. the scalar series primitive.
-        let block = engine.resolve_pairs(&[(a, b)]);
+        let clean = PingHandle::new(Arc::clone(&engine));
+        let block = clean.resolve_pairs(&[(a, b)]);
         let slot = block.slot(a, b).unwrap();
         let mut out = Vec::new();
-        engine.sample_window_resolved(
-            block.resolved(slot),
+        let mut tally = SampleTally::default();
+        clean.sample_window_block_tally(
+            &block,
+            slot,
             SimTime(0.0),
             6,
             300.0,
-            &FaultPlan::NONE,
             &mut StdRng::seed_from_u64(42),
             &mut out,
+            &mut tally,
         );
-        let series =
-            engine.ping_series(a, b, SimTime(0.0), 6, 300.0, &mut StdRng::seed_from_u64(42));
+        let mut series = Vec::new();
+        let mut rng = StdRng::seed_from_u64(42);
+        clean.ping_series_into(a, b, SimTime(0.0), 6, 300.0, &mut rng, &mut series);
         assert_eq!(
             out, series,
             "batched window must replicate scalar RNG draws"

@@ -64,27 +64,18 @@ impl Traceroute {
 const SILENT_HOP_PROB: f64 = 0.15;
 
 impl PingEngine {
-    /// Runs a traceroute from `src` to `dst` at time `t`.
+    /// Runs a traceroute from `src` to `dst` at time `t` under a
+    /// caller-owned fault plan (the per-campaign plan a
+    /// [`crate::ping::PingHandle`] carries; its [`crate::Pinger::traceroute`]
+    /// is the public way in).
     ///
     /// Returns `None` when no route exists. Hop RTTs are built from the
     /// same deterministic geometry as pings (cumulative forward-path
     /// propagation, charged both ways, plus per-hop processing) with
-    /// fresh jitter per hop; the final hop samples the real ping RTT so
-    /// `last_hop_rtt` agrees statistically with [`PingEngine::ping`].
-    pub fn traceroute<R: Rng + ?Sized>(
-        &self,
-        src: HostId,
-        dst: HostId,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Option<Traceroute> {
-        self.traceroute_faulted(src, dst, t, &FaultPlan::NONE, rng)
-    }
-
-    /// [`PingEngine::traceroute`] under a caller-owned fault plan (the
-    /// per-campaign plan a [`crate::ping::PingHandle`] carries); the
-    /// destination's reply is a real ping under those faults.
-    pub fn traceroute_faulted<R: Rng + ?Sized>(
+    /// fresh jitter per hop; the final hop is a real ping under the
+    /// faults, so `last_hop_rtt` agrees statistically with
+    /// [`crate::Pinger::ping`].
+    pub(crate) fn traceroute_faulted<R: Rng + ?Sized>(
         &self,
         src: HostId,
         dst: HostId,
@@ -99,7 +90,7 @@ impl PingEngine {
 
         // Forward expansion with handoff points for hop attribution.
         let fwd = expand_path(self.topology(), &as_path, s.city, d.city, &model.expand);
-        let handoffs = fwd.handoff_points(s.location, d.location);
+        let handoffs = fwd.handoff_points(d.location);
 
         let mut hops = Vec::with_capacity(as_path.len());
         let mut cum_km = 0.0;
@@ -137,12 +128,13 @@ mod tests {
     use super::*;
     use crate::host::HostRegistry;
     use crate::latency::LatencyModel;
+    use crate::ping::{PingHandle, Pinger};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use shortcuts_topology::routing::Router;
     use shortcuts_topology::{Topology, TopologyConfig};
 
-    fn setup() -> (PingEngine, HostId, HostId) {
+    fn setup() -> (PingHandle, HostId, HostId) {
         let topo = std::sync::Arc::new(Topology::generate(&TopologyConfig::small(), 88));
         let router = std::sync::Arc::new(Router::new(std::sync::Arc::clone(&topo)));
         let mut reg = HostRegistry::new();
@@ -157,15 +149,15 @@ mod tests {
             std::sync::Arc::new(reg),
             LatencyModel::default(),
         );
-        (engine, a, b)
+        (PingHandle::new(std::sync::Arc::new(engine)), a, b)
     }
 
     #[test]
     fn traceroute_follows_the_as_path() {
-        let (engine, a, b) = setup();
+        let (handle, a, b) = setup();
         let mut rng = StdRng::seed_from_u64(1);
-        let tr = engine.traceroute(a, b, SimTime(0.0), &mut rng).unwrap();
-        let as_path = engine.as_path(a, b).unwrap();
+        let tr = handle.traceroute(a, b, SimTime(0.0), &mut rng).unwrap();
+        let as_path = handle.as_path(a, b).unwrap();
         assert_eq!(tr.hops.len(), as_path.len());
         for (hop, asn) in tr.hops.iter().zip(as_path.iter()) {
             assert_eq!(hop.asn, *asn);
@@ -174,15 +166,15 @@ mod tests {
 
     #[test]
     fn hop_rtts_are_monotone_in_expectation() {
-        let (engine, a, b) = setup();
+        let (handle, a, b) = setup();
         let mut rng = StdRng::seed_from_u64(2);
         // Average over repetitions to wash out jitter.
         let n = 40;
-        let len = engine.as_path(a, b).unwrap().len();
+        let len = handle.as_path(a, b).unwrap().len();
         let mut sums = vec![0.0f64; len];
         let mut counts = vec![0u32; len];
         for i in 0..n {
-            let tr = engine
+            let tr = handle
                 .traceroute(a, b, SimTime(f64::from(i) * 60.0), &mut rng)
                 .unwrap();
             for (k, hop) in tr.hops.iter().enumerate() {
@@ -203,11 +195,11 @@ mod tests {
 
     #[test]
     fn last_hop_rtt_matches_ping_scale() {
-        let (engine, a, b) = setup();
+        let (handle, a, b) = setup();
         let mut rng = StdRng::seed_from_u64(3);
-        let base = engine.base_rtt(a, b).unwrap();
+        let base = handle.base_rtt(a, b).unwrap();
         for i in 0..10 {
-            let tr = engine
+            let tr = handle
                 .traceroute(a, b, SimTime(f64::from(i)), &mut rng)
                 .unwrap();
             if let Some(last) = tr.last_hop_rtt() {
@@ -219,12 +211,12 @@ mod tests {
 
     #[test]
     fn some_hops_are_silent() {
-        let (engine, a, b) = setup();
+        let (handle, a, b) = setup();
         let mut rng = StdRng::seed_from_u64(4);
         let mut silent = 0;
         let mut total = 0;
         for i in 0..50 {
-            let tr = engine
+            let tr = handle
                 .traceroute(a, b, SimTime(f64::from(i)), &mut rng)
                 .unwrap();
             total += tr.hops.len();
@@ -266,7 +258,8 @@ mod tests {
             std::sync::Arc::new(reg),
             LatencyModel::default(),
         );
+        let handle = PingHandle::new(std::sync::Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(engine.traceroute(a, c, SimTime(0.0), &mut rng).is_none());
+        assert!(handle.traceroute(a, c, SimTime(0.0), &mut rng).is_none());
     }
 }

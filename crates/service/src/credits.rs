@@ -54,6 +54,10 @@ impl Default for CreditConfig {
     }
 }
 
+/// The retry hint for a charge the bucket can never cover, and the
+/// ceiling of every other hint.
+const NEVER_AFFORDABLE: Duration = Duration::from_secs(3600);
+
 /// Outcome of a charge attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Charge {
@@ -124,11 +128,14 @@ impl CreditLedger {
         } else {
             let need = cost - bucket.credits;
             let retry_after = if self.cfg.refill_per_sec > 0.0 && cost <= self.cfg.capacity {
-                Duration::from_secs_f64(need / self.cfg.refill_per_sec)
+                // A tiny refill rate puts the wait past what a
+                // `Duration` holds: saturate to the ceiling.
+                Duration::try_from_secs_f64(need / self.cfg.refill_per_sec)
+                    .map_or(NEVER_AFFORDABLE, |wait| wait.min(NEVER_AFFORDABLE))
             } else {
                 // Never affordable (cost above capacity, or no refill):
                 // an honest "come back much later".
-                Duration::from_secs(3600)
+                NEVER_AFFORDABLE
             };
             Charge::Denied {
                 need: cost,
@@ -267,9 +274,25 @@ mod tests {
         let ledger = CreditLedger::new(CreditConfig::new(2.0, 1.0));
         match ledger.try_charge(ip(1), 100.0) {
             Charge::Denied { retry_after, .. } => {
-                assert_eq!(retry_after, Duration::from_secs(3600));
+                assert_eq!(retry_after, NEVER_AFFORDABLE);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn tiny_refill_rates_saturate_the_retry_hint() {
+        // 1 credit short at 1e-300/s overflows a `Duration`; 1e-4/s
+        // fits one but waits far past the ceiling.
+        for refill in [1e-300, 1e-4] {
+            let ledger = CreditLedger::new(CreditConfig::new(2.0, refill));
+            assert!(matches!(ledger.try_charge(ip(1), 2.0), Charge::Ok { .. }));
+            match ledger.try_charge(ip(1), 1.0) {
+                Charge::Denied { retry_after, .. } => {
+                    assert_eq!(retry_after, NEVER_AFFORDABLE, "refill {refill}");
+                }
+                other => panic!("refill {refill}: {other:?}"),
+            }
         }
     }
 

@@ -27,8 +27,9 @@
 //!
 //! Telemetry never touches RNG streams and never feeds wall-clock time
 //! into deterministic outputs: spans observe *durations* at the edges
-//! of already-scheduled work, and CI re-runs the byte-identity suites
-//! with `COLO_TELEMETRY=1` to prove CSV outputs are unchanged.
+//! of already-scheduled work, and `tests/telemetry_neutrality.rs`
+//! proves a campaign's and a churned sweep's CSVs are unchanged with
+//! it on.
 
 pub mod fields;
 pub mod metrics;

@@ -97,27 +97,24 @@ pub struct Telemetry {
     epoch: Instant,
 }
 
-/// The process-wide telemetry instance. Initially enabled only when
-/// the `COLO_TELEMETRY` environment variable is set non-empty and not
-/// `"0"`; `serve` and the `--metrics-out` / `--trace-out` CLI flags
-/// enable it at runtime.
+/// The process-wide telemetry instance. It starts disabled; only
+/// [`Telemetry::set_enabled`] (or [`Telemetry::start_trace`]) turns it
+/// on — `serve`, the `--metrics-out` / `--trace-out` CLI flags and
+/// tests do.
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::from_env)
+    GLOBAL.get_or_init(Telemetry::new)
 }
 
 impl Telemetry {
-    fn from_env() -> Self {
-        let enabled = std::env::var("COLO_TELEMETRY")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
+    fn new() -> Self {
         let registry = Registry::new();
         let stage_ns = Stage::ALL
             .map(|stage| registry.histogram("colo_stage_duration_ns", &[("stage", stage.label())]));
         let queue_depth = registry.gauge("colo_shard_queue_depth", &[]);
         let jobs_in_flight = registry.gauge("colo_shard_jobs_in_flight", &[]);
         Self {
-            enabled: AtomicBool::new(enabled),
+            enabled: AtomicBool::new(false),
             tracing: AtomicBool::new(false),
             stage_ns,
             queue_depth,
@@ -300,15 +297,15 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
-        let t = Telemetry::from_env();
-        t.set_enabled(false);
+        let t = Telemetry::new();
+        assert!(!t.enabled(), "telemetry starts disabled");
         drop(t.span(Stage::Repair));
         assert_eq!(t.stage_snapshot(Stage::Repair).count(), 0);
     }
 
     #[test]
     fn enabled_span_records_into_its_stage_histogram() {
-        let t = Telemetry::from_env();
+        let t = Telemetry::new();
         t.set_enabled(true);
         drop(t.span_for(Stage::Stitch, 3, 7));
         assert_eq!(t.stage_snapshot(Stage::Stitch).count(), 1);
@@ -316,7 +313,7 @@ mod tests {
 
     #[test]
     fn trace_dump_is_chrome_compatible_json() {
-        let t = Telemetry::from_env();
+        let t = Telemetry::new();
         t.start_trace();
         drop(t.span_for(Stage::Plan, 0, 2));
         drop(t.span(Stage::Repair));

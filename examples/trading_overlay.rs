@@ -18,7 +18,7 @@ use colo_shortcuts::core::feasibility::is_feasible;
 use colo_shortcuts::core::measure::{measure_pair, stitch, WindowConfig};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::clock::SimTime;
-use colo_shortcuts::netsim::HostId;
+use colo_shortcuts::netsim::{HostId, PingHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,14 +33,14 @@ const ROUTES: &[(&str, &str)] = &[
 
 fn main() {
     let world = World::build(&WorldConfig::paper_scale(), 1234);
-    let engine = world.shared().engine(Default::default());
+    let handle = PingHandle::new(world.shared().engine(Default::default()));
     let mut rng = StdRng::seed_from_u64(42);
 
     // Verified colo relays (the §2.2 pipeline).
     let vantage = world.looking_glasses.lgs()[0].host;
     let colo = run_pipeline(
         &world,
-        &*engine,
+        &handle,
         vantage,
         SimTime(0.0),
         &ColoPipelineConfig::default(),
@@ -73,7 +73,7 @@ fn main() {
             println!("{a_name:<12} -> {b_name:<12}  no probe available");
             continue;
         };
-        let Some(direct) = measure_pair(&*engine, a, b, SimTime(0.0), &window, &mut rng) else {
+        let Some(direct) = measure_pair(&handle, a, b, SimTime(0.0), &window, &mut rng) else {
             println!("{a_name:<12} -> {b_name:<12}  unresponsive");
             continue;
         };
@@ -87,8 +87,8 @@ fn main() {
                 continue;
             }
             let (Some(l1), Some(l2)) = (
-                measure_pair(&*engine, a, relay.host, SimTime(0.0), &window, &mut rng),
-                measure_pair(&*engine, b, relay.host, SimTime(0.0), &window, &mut rng),
+                measure_pair(&handle, a, relay.host, SimTime(0.0), &window, &mut rng),
+                measure_pair(&handle, b, relay.host, SimTime(0.0), &window, &mut rng),
             ) else {
                 continue;
             };

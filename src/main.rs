@@ -143,6 +143,19 @@ fn parse_flag<T: FromStr>(flag: &str, value: &str, what: &str) -> T {
     })
 }
 
+/// A `--credits` / `--credit-refill` value: a finite number >= 0, or
+/// the same exit 2 as [`parse_flag`]. A negative or infinite policy
+/// would make every charge meaningless.
+fn parse_credit_flag(flag: &str, value: &str) -> f64 {
+    let what = "a finite number >= 0";
+    let credits: f64 = parse_flag(flag, value, what);
+    if !(credits.is_finite() && credits >= 0.0) {
+        eprintln!("{flag}: takes {what}, got \"{value}\"");
+        std::process::exit(2);
+    }
+    credits
+}
+
 fn parse_args(mut argv: std::env::Args) -> (String, Args) {
     let _bin = argv.next();
     let cmd = argv.next().unwrap_or_else(|| "help".to_string());
@@ -219,8 +232,8 @@ fn parse_args(mut argv: std::env::Args) -> (String, Args) {
                 })
             }
             "--retries" => args.retries = parse_flag(flag, &value(), "a u32"),
-            "--credits" => args.credits = Some(parse_flag(flag, &value(), "a number")),
-            "--credit-refill" => args.credit_refill = Some(parse_flag(flag, &value(), "a number")),
+            "--credits" => args.credits = Some(parse_credit_flag(flag, &value())),
+            "--credit-refill" => args.credit_refill = Some(parse_credit_flag(flag, &value())),
             "--subscriber-lag" => args.subscriber_lag = Some(parse_flag(flag, &value(), "a usize")),
             "--rounds-in-flight" => {
                 args.rounds_in_flight = Some(parse_flag(flag, &value(), "a usize"))
@@ -311,11 +324,11 @@ fn funnel(args: &Args) {
     use shortcuts_core::colo::{run_pipeline, ColoPipelineConfig};
     use shortcuts_netsim::clock::SimTime;
     let w = build(args);
-    let engine = w.shared().engine(Default::default());
+    let handle = shortcuts_netsim::PingHandle::new(w.shared().engine(Default::default()));
     let mut rng = rand::rngs::StdRng::seed_from_u64(args.seed);
     let pool = run_pipeline(
         &w,
-        &*engine,
+        &handle,
         w.looking_glasses.lgs()[0].host,
         SimTime(0.0),
         &ColoPipelineConfig::default(),
@@ -459,7 +472,14 @@ fn sweep(args: &Args) {
     telemetry_setup(args);
     let seeds: Vec<u64> = if args.seeds.is_empty() {
         // Default: four seeds starting at --seed.
-        (args.seed..args.seed + 4).collect()
+        let Some(last) = args.seed.checked_add(3) else {
+            eprintln!(
+                "--seed: {} leaves no room for the default four scenarios; pass --seeds",
+                args.seed
+            );
+            std::process::exit(2);
+        };
+        (args.seed..=last).collect()
     } else {
         args.seeds.clone()
     };

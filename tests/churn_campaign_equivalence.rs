@@ -9,27 +9,24 @@
 //!   per-task RNG derivation makes scheduling unobservable;
 //! - a sweep carrying a sweep-level schedule matches solo campaigns
 //!   running the same schedule on the same world;
+//! - a starved memory budget composes with churn: stale tables and
+//!   pair entries evicted mid-churn rebuild under the current view, and
+//!   a sharded churning campaign's bytes do not move;
 //! - churn actually bites: downing a Tier1 at mid-campaign changes
 //!   the measurements.
 
 use colo_shortcuts::core::backend::ExecMode;
 use colo_shortcuts::core::report::cases_csv;
 use colo_shortcuts::core::sweep::{Sweep, SweepConfig};
-use colo_shortcuts::core::workflow::{Campaign, CampaignConfig};
+use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults};
 use colo_shortcuts::core::world::{World, WorldConfig};
+use colo_shortcuts::netsim::EngineStats;
 use colo_shortcuts::topology::{AsType, ChurnSchedule, MemoryBudget, TopologyDelta};
 use std::sync::Arc;
 
 fn base_cfg(rounds: u32) -> CampaignConfig {
     let mut cfg = CampaignConfig::small();
     cfg.rounds = rounds;
-    // CI re-runs this suite with COLO_MEMORY_BUDGET small enough to
-    // force cache eviction mid-churn: stale tables are then evicted
-    // and rebuilt fresh under the current view, and the bit-identity
-    // assertions prove staleness and eviction compose transparently.
-    if let Ok(s) = std::env::var("COLO_MEMORY_BUDGET") {
-        cfg.memory = MemoryBudget::parse(&s).expect("bad COLO_MEMORY_BUDGET");
-    }
     cfg
 }
 
@@ -72,22 +69,31 @@ fn churn_free_schedule_is_byte_identical_to_no_schedule() {
     assert_eq!(cases_csv(&clean), cases_csv(&empty));
 }
 
+/// A three-round campaign on `world` that downs a transit link in
+/// round 1, then downs a Tier1 and restores the link in round 2, and
+/// its engine's counters.
+fn churny_run(
+    world: &World,
+    exec: ExecMode,
+    memory: MemoryBudget,
+) -> (CampaignResults, EngineStats) {
+    let (a, b) = transit_link(world);
+    let tier1 = world.topo.asns_of_type(AsType::Tier1)[0];
+    let mut cfg = base_cfg(3);
+    cfg.exec = exec;
+    cfg.memory = memory;
+    cfg.churn.add(1, TopologyDelta::LinkDown { a, b });
+    cfg.churn.add(2, TopologyDelta::AsDown { asn: tier1 });
+    cfg.churn.add(2, TopologyDelta::LinkUp { a, b });
+    let engine = world.shared().engine_budgeted(cfg.routing, cfg.memory);
+    let results = Campaign::new(world, cfg).run_streaming_on(&engine, |_| {});
+    (results, engine.engine_stats())
+}
+
 #[test]
 fn churny_campaign_is_identical_across_exec_modes() {
     let world = World::build(&WorldConfig::small(), 77);
-    let (a, b) = transit_link(&world);
-    let tier1 = world.topo.asns_of_type(AsType::Tier1)[0];
-    let mut schedule = ChurnSchedule::none();
-    schedule.add(1, TopologyDelta::LinkDown { a, b });
-    schedule.add(2, TopologyDelta::AsDown { asn: tier1 });
-    schedule.add(2, TopologyDelta::LinkUp { a, b });
-
-    let run = |exec: ExecMode| {
-        let mut cfg = base_cfg(3);
-        cfg.exec = exec;
-        cfg.churn = schedule.clone();
-        Campaign::new(&world, cfg).run()
-    };
+    let run = |exec: ExecMode| churny_run(&world, exec, MemoryBudget::unbounded()).0;
     let serial = run(ExecMode::Serial);
     assert!(!serial.cases.is_empty());
     for exec in [
@@ -106,6 +112,26 @@ fn churny_campaign_is_identical_across_exec_modes() {
         assert_eq!(cases_csv(&serial), cases_csv(&other), "{exec:?}");
         assert_eq!(serial.pings_sent, other.pings_sent, "{exec:?}");
     }
+}
+
+#[test]
+fn starved_budget_churny_campaign_matches_the_unbudgeted_one() {
+    // 256K holds a few routing tables and pair entries at most: stale
+    // ones are evicted between and within churn segments, and the
+    // sharded run rebuilds them under its own schedule.
+    let world = World::build(&WorldConfig::small(), 77);
+    let (unbudgeted, _) = churny_run(&world, ExecMode::Parallel, MemoryBudget::unbounded());
+    assert!(!unbudgeted.cases.is_empty());
+    let sharded = ExecMode::Sharded {
+        rounds_in_flight: 2,
+    };
+    let (starved, stats) = churny_run(&world, sharded, MemoryBudget::bytes(256 << 10));
+    assert!(
+        stats.pair_evictions > 0 && stats.router_evictions > 0,
+        "{stats:?}"
+    );
+    assert_eq!(cases_csv(&unbudgeted), cases_csv(&starved));
+    assert_eq!(unbudgeted.pings_sent, starved.pings_sent);
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! A malformed numeric flag is a usage error, not a crash: the CLI
-//! names the flag on stderr and exits 2 before it builds any world, as
-//! it does for `--memory-budget`, `--churn` and `--framing`. A file it
+//! A malformed or unworkable numeric flag is a usage error, not a
+//! crash: the CLI names the flag on stderr and exits 2 before it builds
+//! any world, as it does for `--memory-budget`, `--churn` and
+//! `--framing`. A file it
 //! cannot write is not a crash either: it names the flag and the path
 //! and exits 1.
 
@@ -25,6 +26,33 @@ fn bad_numeric_flags_exit_2_naming_the_flag() {
             "{flag} {value}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
+
+/// Values that parse but cannot work — a `--seed` too close to
+/// `u64::MAX` for `sweep`'s default four scenarios, a negative or
+/// non-finite credit policy — are usage errors too.
+#[test]
+fn unworkable_flag_values_exit_2_naming_the_flag() {
+    let cases: [&[&str]; 5] = [
+        &["sweep", "--seed", "18446744073709551615"],
+        &["sweep", "--seed", "18446744073709551613"],
+        &["campaign", "--credits", "-1"],
+        &["campaign", "--credit-refill", "inf"],
+        &["campaign", "--credit-refill", "NaN"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
+            .args(args)
+            .output()
+            .expect("spawn colo-shortcuts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{}: ", args[1])),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("building world"), "{args:?}: {stderr}");
     }
 }
 

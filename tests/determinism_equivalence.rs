@@ -9,26 +9,25 @@
 //!   unobservable;
 //! - streaming summaries are deterministic and consistent with the
 //!   final results in every mode;
+//! - a starved memory budget is unobservable: a sharded run that
+//!   evicts and recomputes under its own schedule changes no bit;
 //! - different seeds actually change the measurements.
 
 use colo_shortcuts::core::backend::ExecMode;
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults, RoundSummary};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::core::RelayType;
+use colo_shortcuts::topology::MemoryBudget;
 
-fn run(world: &World, exec: ExecMode) -> CampaignResults {
+fn config(exec: ExecMode) -> CampaignConfig {
     let mut cfg = CampaignConfig::small();
     cfg.rounds = 2;
     cfg.exec = exec;
-    // CI re-runs this suite with COLO_MEMORY_BUDGET small enough to
-    // force cache eviction: every execution mode then evicts and
-    // recomputes under its own schedule, and the bit-identity
-    // assertions prove the budget is unobservable in the results.
-    if let Ok(s) = std::env::var("COLO_MEMORY_BUDGET") {
-        cfg.memory =
-            colo_shortcuts::topology::MemoryBudget::parse(&s).expect("bad COLO_MEMORY_BUDGET");
-    }
-    Campaign::new(world, cfg).run()
+    cfg
+}
+
+fn run(world: &World, exec: ExecMode) -> CampaignResults {
+    Campaign::new(world, config(exec)).run()
 }
 
 /// Exhaustive bit-level comparison of two campaign results.
@@ -128,6 +127,29 @@ fn sharded_is_bit_identical_to_serial() {
         let sharded = run(&world, ExecMode::Sharded { rounds_in_flight });
         assert_identical(&serial, &sharded);
     }
+}
+
+#[test]
+fn starved_budget_sharded_is_bit_identical_to_unbudgeted_parallel() {
+    // 256K holds a few routing tables and pair entries at most, so the
+    // sharded run evicts and recomputes on its hot paths, racing
+    // eviction against rounds in flight. None of it may show in the
+    // results.
+    let world = World::build(&WorldConfig::small(), 77);
+    let unbudgeted = run(&world, ExecMode::Parallel);
+    assert!(!unbudgeted.cases.is_empty());
+    let mut cfg = config(ExecMode::Sharded {
+        rounds_in_flight: 2,
+    });
+    cfg.memory = MemoryBudget::bytes(256 << 10);
+    let engine = world.shared().engine_budgeted(cfg.routing, cfg.memory);
+    let starved = Campaign::new(&world, cfg).run_streaming_on(&engine, |_| {});
+    let stats = engine.engine_stats();
+    assert!(
+        stats.pair_evictions > 0 && stats.router_evictions > 0,
+        "{stats:?}"
+    );
+    assert_identical(&unbudgeted, &starved);
 }
 
 #[test]

@@ -5,6 +5,7 @@ use colo_shortcuts::core::colo::{run_pipeline, ColoPipelineConfig};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::datasets::GroundTruth;
 use colo_shortcuts::netsim::clock::SimTime;
+use colo_shortcuts::netsim::PingHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -12,12 +13,12 @@ use std::collections::HashSet;
 fn run_funnel(seed: u64) -> (World, colo_shortcuts::core::colo::ColoPool) {
     let world = World::build(&WorldConfig::small(), seed);
     let pool = {
-        let engine = world.shared().engine(Default::default());
+        let handle = PingHandle::new(world.shared().engine(Default::default()));
         let vantage = world.looking_glasses.lgs()[0].host;
         let mut rng = StdRng::seed_from_u64(seed);
         run_pipeline(
             &world,
-            &*engine,
+            &handle,
             vantage,
             SimTime(0.0),
             &ColoPipelineConfig::default(),

@@ -1,30 +1,37 @@
 //! The batched measurement kernel's equivalence contract:
 //!
-//! - [`PingEngine::resolve_pairs`] + sampling a block row
-//!   (`sample_window_resolved` over `PairBlock::resolved`) is
-//!   **bit-identical** to the scalar per-pair path (`sample_window`,
-//!   which resolves through `pair_info`) over arbitrary pair sets —
-//!   including duplicate pairs, unroutable pairs, budget-evicted
-//!   cache shards and stale entries crossing churn epochs;
+//! - [`PingHandle::resolve_pairs`] + sampling a block row
+//!   (`sample_window_block_tally`) is **bit-identical** to the scalar
+//!   per-pair path (`PingHandle::sample_window`, which resolves through
+//!   the cache once per window) over arbitrary pair sets — including
+//!   duplicate pairs, unroutable pairs, budget-evicted cache shards and
+//!   stale entries crossing churn epochs;
 //! - a full campaign run on the batched default backend produces CSVs
-//!   and ping counts **byte-identical** to the scalar oracle
-//!   (`NetsimBackend::with_scalar_oracle(true)`) in every execution
-//!   mode — the in-process counterpart of CI's process-wide
-//!   `COLO_SCALAR_MEASURE=1` re-runs.
+//!   and ping counts **byte-identical** to the scalar oracle (the
+//!   test-only [`ScalarOracle`], one ping at a time) in every execution
+//!   mode, and so does a sweep's schedule: two campaigns on one shared
+//!   engine, interleaved by `core::shard::run_interleaved`. CI re-runs
+//!   this suite under `RAYON_NUM_THREADS=1` and `=2`, so the oracle
+//!   also faces the constrained pools' schedules.
 
-use colo_shortcuts::core::backend::{ExecMode, NetsimBackend};
+mod scalar_oracle;
+
+use colo_shortcuts::core::backend::{ExecMode, MeasurementBackend, NetsimBackend};
+use colo_shortcuts::core::plan::plan_round_for;
 use colo_shortcuts::core::report::cases_csv;
+use colo_shortcuts::core::shard::run_interleaved;
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::clock::SimTime;
 use colo_shortcuts::netsim::{
-    FaultPlan, HostId, HostRegistry, LatencyModel, PingEngine, PingHandle,
+    FaultPlan, HostId, HostRegistry, LatencyModel, PingEngine, PingHandle, SampleTally,
 };
 use colo_shortcuts::topology::routing::Router;
 use colo_shortcuts::topology::{Topology, TopologyConfig, TopologyDelta};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scalar_oracle::ScalarOracle;
 use std::sync::Arc;
 
 /// One private engine stack (topology, router, hosts, engine) with two
@@ -71,8 +78,8 @@ fn transit_link(engine: &PingEngine) -> TopologyDelta {
 /// bit-identically to the scalar path on a twin stack, window by
 /// window, and that routability agrees with the scalar resolver.
 fn assert_batch_matches_scalar(
-    batched: &PingEngine,
-    scalar: &PingEngine,
+    batched: &PingHandle,
+    scalar: &PingHandle,
     pairs: &[(HostId, HostId)],
     rng_salt: u64,
 ) {
@@ -97,26 +104,13 @@ fn assert_batch_matches_scalar(
         let seed = rng_salt ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let start = SimTime((k as f64) * 1800.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        batched.sample_window_resolved(
-            block.resolved(slot),
-            start,
-            6,
-            300.0,
-            &FaultPlan::NONE,
-            &mut rng,
-            &mut got,
+        let mut tally = SampleTally::default();
+        batched.sample_window_block_tally(
+            &block, slot, start, 6, 300.0, &mut rng, &mut got, &mut tally,
         );
+        batched.flush_tally(&tally);
         let mut rng = StdRng::seed_from_u64(seed);
-        scalar.sample_window(
-            src,
-            dst,
-            start,
-            6,
-            300.0,
-            &FaultPlan::NONE,
-            &mut rng,
-            &mut want,
-        );
+        scalar.sample_window(src, dst, start, 6, 300.0, &mut rng, &mut want);
         assert_eq!(got.len(), want.len(), "reply count for {src:?}->{dst:?}");
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits(), "RTT bits for {src:?}->{dst:?}");
@@ -150,6 +144,7 @@ proptest! {
         // facts the batched kernel cached; churn needs the twin, since a
         // shared router would see each delta twice.
         let scalar = if shared && !churn { Arc::clone(&batched) } else { twin };
+        let (batched, scalar) = (PingHandle::new(batched), PingHandle::new(scalar));
 
         let pairs: Vec<(HostId, HostId)> = pair_picks
             .iter()
@@ -164,13 +159,14 @@ proptest! {
             // The same delta on both (private) stacks: every entry is now
             // stamped before the current epoch, so the next batch
             // re-expands it — still bit-identically.
-            let delta = transit_link(&batched);
-            batched.apply_delta(std::slice::from_ref(&delta));
-            scalar.apply_delta(std::slice::from_ref(&delta));
+            let delta = transit_link(batched.engine());
+            batched.engine().apply_delta(std::slice::from_ref(&delta));
+            scalar.engine().apply_delta(std::slice::from_ref(&delta));
         }
         // Second round over the same pairs: warm hits (or evicted /
         // churned re-expansions) must agree just like cold misses.
         assert_batch_matches_scalar(&batched, &scalar, &pairs, rng_salt ^ 0xABCD);
+        prop_assert_eq!(batched.pings_sent(), scalar.pings_sent());
     }
 }
 
@@ -182,7 +178,11 @@ fn scalar_oracle_run(world: &World, cfg: CampaignConfig) -> CampaignResults {
     let handle = PingHandle::with_faults(Arc::clone(&engine), cfg.faults.clone());
     let setup = CampaignSetup::prepare(world, &handle, &cfg);
     engine.router().precompute(&setup.warmup());
-    let backend = NetsimBackend::new(handle, cfg.window, cfg.seed).with_scalar_oracle(true);
+    let backend = ScalarOracle {
+        handle,
+        window: cfg.window,
+        campaign_seed: cfg.seed,
+    };
     Campaign::new(world, cfg).run_rounds(
         &backend,
         &setup.endpoints,
@@ -240,4 +240,82 @@ fn faulted_campaign_matches_the_scalar_oracle() {
     assert!(!batched.cases.is_empty());
     assert_eq!(cases_csv(&batched), cases_csv(&scalar));
     assert_eq!(batched.pings_sent, scalar.pings_sent);
+}
+
+/// Every window result of `CompletedRound` stages, as bits.
+type RoundBits = [Vec<Option<u64>>; 3];
+
+/// Runs every campaign of `cfgs` through `run_interleaved` on one
+/// shared engine — a sweep's schedule, without its union warmup — with
+/// `backend` building each campaign's backend over its own handle.
+/// Returns each campaign's rounds in round order, as bits, and its
+/// pings sent.
+fn interleaved_rounds<B: MeasurementBackend>(
+    world: &World,
+    cfgs: &[CampaignConfig],
+    backend: impl Fn(PingHandle, &CampaignConfig) -> B,
+) -> Vec<(Vec<RoundBits>, u64)> {
+    let engine = world
+        .shared()
+        .engine_budgeted(cfgs[0].routing, cfgs[0].memory);
+    let (setups, backends): (Vec<CampaignSetup>, Vec<B>) = cfgs
+        .iter()
+        .map(|cfg| {
+            let handle = PingHandle::with_faults(Arc::clone(&engine), cfg.faults.clone());
+            let setup = CampaignSetup::prepare(world, &handle, cfg);
+            (setup, backend(handle, cfg))
+        })
+        .unzip();
+    let refs: Vec<&B> = backends.iter().collect();
+    let rounds: Vec<u32> = cfgs.iter().map(|cfg| cfg.rounds).collect();
+    let mut done: Vec<Vec<(u32, RoundBits)>> = cfgs.iter().map(|_| Vec::new()).collect();
+    let bits = |v: &[Option<f64>]| v.iter().map(|m| m.map(f64::to_bits)).collect();
+    run_interleaved(
+        &refs,
+        &rounds,
+        3,
+        |c, round| {
+            let (setup, cfg) = (&setups[c as usize], &cfgs[c as usize]);
+            plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round)
+        },
+        |c, r| {
+            let stages = [bits(&r.direct), bits(&r.reverse), bits(&r.links)];
+            done[c as usize].push((r.plan.round, stages));
+        },
+    );
+    done.into_iter()
+        .zip(&backends)
+        .map(|(mut rounds, b)| {
+            rounds.sort_by_key(|&(round, _)| round);
+            (rounds.into_iter().map(|(_, r)| r).collect(), b.pings_sent())
+        })
+        .collect()
+}
+
+#[test]
+fn interleaved_campaigns_match_the_scalar_oracle() {
+    let world = World::build(&WorldConfig::small(), 77);
+    // Two campaigns on one engine, the second under its own fault plan:
+    // the pair cache is shared, faults and ping counts are not.
+    let mut first = CampaignConfig::small();
+    first.rounds = 2;
+    let mut second = first.clone();
+    second.seed += 1;
+    second.faults = FaultPlan::none().with_lossy_as(world.topo.eyeball_asns()[0], 0.3);
+    let cfgs = [first, second];
+    let batched = interleaved_rounds(&world, &cfgs, |handle, cfg| {
+        NetsimBackend::new(handle, cfg.window, cfg.seed)
+    });
+    let scalar = interleaved_rounds(&world, &cfgs, |handle, cfg| ScalarOracle {
+        handle,
+        window: cfg.window,
+        campaign_seed: cfg.seed,
+    });
+    for (c, (b, s)) in batched.iter().zip(&scalar).enumerate() {
+        assert!(b
+            .0
+            .iter()
+            .all(|[direct, _, links]| !direct.is_empty() && !links.is_empty()));
+        assert_eq!(b, s, "campaign {c}: batched vs scalar oracle");
+    }
 }

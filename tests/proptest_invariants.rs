@@ -1437,7 +1437,7 @@ proptest! {
         // alike, cold, warm, and after churn made entries stale (each
         // re-expanded, whether or not its routes crossed the link).
         use colo_shortcuts::netsim::clock::SimTime;
-        use colo_shortcuts::netsim::{FaultPlan, LatencyModel, PingEngine};
+        use colo_shortcuts::netsim::{FaultPlan, LatencyModel, PingEngine, PingHandle, SampleTally};
         use colo_shortcuts::topology::routing::Router;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -1449,18 +1449,20 @@ proptest! {
             PingEngine::new(Arc::clone(&case.topo), router, Arc::clone(&case.hosts), model.clone())
         };
         // Private routers all round: each sees the delta exactly once.
-        let (batched, scalar) = (engine(), engine());
+        let (batched, scalar) = (engine(), PingHandle::new(Arc::new(engine())));
         let oracle_router = Router::new(Arc::clone(&case.topo));
         let window = |e: &PingEngine, facts: Option<(&[_], f64, f64)>| {
-            let mut out = Vec::new();
+            let (mut out, mut tally) = (Vec::new(), SampleTally::default());
             let mut rng = StdRng::seed_from_u64(7);
-            e.sample_window_resolved(facts, SimTime(0.0), 6, 300.0, &FaultPlan::NONE, &mut rng, &mut out);
+            e.sample_window_resolved_tally(
+                facts, SimTime(0.0), 6, 300.0, &FaultPlan::none(), &mut rng, &mut out, &mut tally,
+            );
             out
         };
         for round in 0..3 {
             if round == 2 {
                 batched.apply_delta(std::slice::from_ref(&case.down));
-                scalar.apply_delta(std::slice::from_ref(&case.down));
+                scalar.engine().apply_delta(std::slice::from_ref(&case.down));
                 oracle_router.apply_delta(std::slice::from_ref(&case.down));
             }
             let block = batched.resolve_pairs(&case.pairs);
@@ -1482,8 +1484,8 @@ proptest! {
                 // oracle's facts, draw for draw.
                 let mut got = Vec::new();
                 let mut rng = StdRng::seed_from_u64(7);
-                scalar.sample_window(src, dst, SimTime(0.0), 6, 300.0, &FaultPlan::NONE, &mut rng, &mut got);
-                prop_assert_eq!(got, window(&scalar, Some((&fwd[..], base_ms, mid_lon))));
+                scalar.sample_window(src, dst, SimTime(0.0), 6, 300.0, &mut rng, &mut got);
+                prop_assert_eq!(got, window(scalar.engine(), Some((&fwd[..], base_ms, mid_lon))));
             }
         }
     }

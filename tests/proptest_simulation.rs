@@ -5,7 +5,7 @@
 use colo_shortcuts::core::eyeball::{select_eyeballs, EndpointPool};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::clock::SimTime;
-use colo_shortcuts::netsim::{LatencyModel, PingEngine};
+use colo_shortcuts::netsim::{LatencyModel, PingEngine, PingHandle, Pinger};
 use colo_shortcuts::topology::routing::Router;
 use colo_shortcuts::topology::{AsType, Topology, TopologyConfig};
 use proptest::prelude::*;
@@ -63,17 +63,18 @@ proptest! {
             std::sync::Arc::new(hosts),
             LatencyModel::default(),
         );
+        let handle = PingHandle::new(std::sync::Arc::new(engine));
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(base) = engine.base_rtt(a, b) {
+        if let Some(base) = handle.base_rtt(a, b) {
             // Base is the floor of every observed sample.
             for i in 0..10 {
-                if let Some(rtt) = engine.ping(a, b, SimTime(f64::from(i) * 60.0), &mut rng) {
+                if let Some(rtt) = handle.ping(a, b, SimTime(f64::from(i) * 60.0), &mut rng) {
                     prop_assert!(rtt >= base - 1e-9, "sample {rtt} under base {base}");
                     prop_assert!(rtt < base + 1000.0, "sample {rtt} absurdly high");
                 }
             }
             // Symmetric base.
-            prop_assert!((engine.base_rtt(b, a).expect("routable") - base).abs() < 1e-9);
+            prop_assert!((handle.base_rtt(b, a).expect("routable") - base).abs() < 1e-9);
         }
     }
 

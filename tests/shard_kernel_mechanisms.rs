@@ -11,6 +11,8 @@
 //!   falls back to window-by-window measurement with the same bits;
 //! - so does the scalar oracle.
 
+mod scalar_oracle;
+
 use colo_shortcuts::core::backend::{
     ExecMode, MeasureTask, MeasurementBackend, NetsimBackend, ResolvedStage, TaskKind,
 };
@@ -20,6 +22,7 @@ use colo_shortcuts::core::shard::{run_sharded, CompletedRound};
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::{EngineStats, PingHandle};
+use scalar_oracle::ScalarOracle;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,18 +41,32 @@ fn small_config() -> CampaignConfig {
     cfg
 }
 
+/// The campaign's batched backend over `handle`.
+fn netsim(handle: PingHandle, cfg: &CampaignConfig) -> NetsimBackend {
+    NetsimBackend::new(handle, cfg.window, cfg.seed)
+}
+
+/// The campaign's scalar oracle over `handle`.
+fn oracle(handle: PingHandle, cfg: &CampaignConfig) -> ScalarOracle {
+    ScalarOracle {
+        handle,
+        window: cfg.window,
+        campaign_seed: cfg.seed,
+    }
+}
+
 /// Runs `cfg`'s rounds through the scheduler on a fresh engine, with
-/// `wrap` choosing the backend over the campaign's `NetsimBackend`.
-/// Returns the completed rounds in round order and the backend.
+/// `backend` building the campaign's backend over its handle. Returns
+/// the completed rounds in round order and the backend.
 fn sharded_rounds<B: MeasurementBackend>(
     world: &World,
     cfg: &CampaignConfig,
-    wrap: impl FnOnce(NetsimBackend) -> B,
+    backend: impl FnOnce(PingHandle, &CampaignConfig) -> B,
 ) -> (Vec<CompletedRound>, B) {
     let engine = world.shared().engine_budgeted(cfg.routing, cfg.memory);
     let handle = PingHandle::with_faults(Arc::clone(&engine), cfg.faults.clone());
     let setup = CampaignSetup::prepare(world, &handle, cfg);
-    let backend = wrap(NetsimBackend::new(handle, cfg.window, cfg.seed).with_scalar_oracle(false));
+    let backend = backend(handle, cfg);
     let mut done = Vec::new();
     run_sharded(
         &backend,
@@ -187,8 +204,8 @@ impl MeasurementBackend for Recording {
 fn every_stage_is_opened_once_and_tiled_by_chunks_of_its_handle() {
     let world = small_world();
     let cfg = small_config();
-    let (done, backend) = sharded_rounds(&world, &cfg, |inner| Recording {
-        inner,
+    let (done, backend) = sharded_rounds(&world, &cfg, |handle, cfg| Recording {
+        inner: netsim(handle, cfg),
         stages: Mutex::new(BTreeMap::new()),
     });
     let mut stages = backend.stages.into_inner().unwrap();
@@ -223,7 +240,7 @@ fn every_stage_is_opened_once_and_tiled_by_chunks_of_its_handle() {
     assert!(big_stages > 0, "the world is too small to split a stage");
 
     // Recording changes nothing.
-    let (plain, _) = sharded_rounds(&world, &cfg, |inner| inner);
+    let (plain, _) = sharded_rounds(&world, &cfg, netsim);
     assert_rounds_bit_identical(&done, &plain, "recording vs plain");
 }
 
@@ -259,9 +276,9 @@ impl MeasurementBackend for PerWindow {
 fn a_backend_without_stage_methods_measures_window_by_window_with_the_same_bits() {
     let world = small_world();
     let cfg = small_config();
-    let (chunked, _) = sharded_rounds(&world, &cfg, |inner| inner);
-    let (fallback, backend) = sharded_rounds(&world, &cfg, |inner| PerWindow {
-        inner,
+    let (chunked, _) = sharded_rounds(&world, &cfg, netsim);
+    let (fallback, backend) = sharded_rounds(&world, &cfg, |handle, cfg| PerWindow {
+        inner: netsim(handle, cfg),
         prepared: Mutex::new(Vec::new()),
         measured: AtomicU64::new(0),
     });
@@ -289,7 +306,7 @@ fn a_backend_without_stage_methods_measures_window_by_window_with_the_same_bits(
 fn the_scalar_oracle_through_the_scheduler_matches_the_chunk_kernel() {
     let world = small_world();
     let cfg = small_config();
-    let (chunked, _) = sharded_rounds(&world, &cfg, |inner| inner);
-    let (scalar, _) = sharded_rounds(&world, &cfg, |inner| inner.with_scalar_oracle(true));
+    let (chunked, _) = sharded_rounds(&world, &cfg, netsim);
+    let (scalar, _) = sharded_rounds(&world, &cfg, oracle);
     assert_rounds_bit_identical(&chunked, &scalar, "chunk kernel vs scalar oracle");
 }

@@ -20,13 +20,6 @@ use std::sync::Arc;
 fn base_cfg(rounds: u32) -> CampaignConfig {
     let mut cfg = CampaignConfig::small();
     cfg.rounds = rounds;
-    // CI re-runs this whole suite with COLO_MEMORY_BUDGET set small
-    // enough to force cache eviction; every solo and swept run then
-    // carries the budget, proving budgeted scheduling stays
-    // byte-transparent at any worker count.
-    if let Ok(s) = std::env::var("COLO_MEMORY_BUDGET") {
-        cfg.memory = MemoryBudget::parse(&s).expect("bad COLO_MEMORY_BUDGET");
-    }
     cfg
 }
 

@@ -4,11 +4,14 @@
 //! `shortcuts_telemetry::global()`, so this suite is its own test
 //! binary with a single test.
 
+mod scalar_oracle;
+
 use colo_shortcuts::core::backend::{ExecMode, MeasurementBackend, NetsimBackend};
 use colo_shortcuts::core::plan::{plan_overlay, plan_round_for};
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
-use colo_shortcuts::netsim::{FaultPlan, PingHandle};
+use colo_shortcuts::netsim::PingHandle;
+use scalar_oracle::ScalarOracle;
 use shortcuts_telemetry::Stage;
 use std::sync::Arc;
 
@@ -17,23 +20,24 @@ fn every_stage_records_its_exact_span_count() {
     let world = World::build(&WorldConfig::small(), 77);
     let mut cfg = CampaignConfig::small();
     cfg.rounds = 2;
-    // The batched kernel whatever `COLO_SCALAR_MEASURE` says: the
-    // scalar oracle resolves no stage, so it opens no `resolve_pairs`.
     // One engine throughout: a warm pair cache changes no span count.
     let engine = world.shared().engine(cfg.routing);
     let (window, seed) = (cfg.window, cfg.seed);
-    let backend = || {
-        let handle = PingHandle::with_faults(Arc::clone(&engine), FaultPlan::none());
-        NetsimBackend::new(handle, window, seed).with_scalar_oracle(false)
-    };
+    let handle = || PingHandle::new(Arc::clone(&engine));
+    let backend = || NetsimBackend::new(handle(), window, seed);
     let tele = shortcuts_telemetry::global();
     let counts = || Stage::ALL.map(|stage| tele.stage_snapshot(stage).count());
 
     // Windows in each round's direct, reverse and overlay-link stage,
-    // planned as the campaign plans them, measured with spans off.
-    tele.set_enabled(false);
-    let probe = backend();
-    let setup = CampaignSetup::prepare(&world, probe.handle(), &cfg);
+    // planned as the campaign plans them and measured by the scalar
+    // oracle rather than the kernel whose spans are counted below.
+    // Telemetry starts disabled, so this records nothing.
+    let probe = ScalarOracle {
+        handle: handle(),
+        window,
+        campaign_seed: seed,
+    };
+    let setup = CampaignSetup::prepare(&world, &probe.handle, &cfg);
     let sizes: Vec<[usize; 3]> = (0..cfg.rounds)
         .map(|round| {
             let plan = plan_round_for(&world, &setup.endpoints, &setup.relays, &cfg, round);
