@@ -214,7 +214,7 @@ pub struct EngineStats {
     pub pair_resident_bytes: u64,
     /// Site-pair entries dropped by the per-shard byte budget.
     pub pair_evictions: u64,
-    /// Always 0: stale routing tables are re-stamped or rebuilt since
+    /// Always 0: stale routing tables are rebuilt whole since
     /// incremental repair was removed. Kept because the perf ledger
     /// reads it; a `benchmark` change may drop it.
     pub tables_repaired: u64,
@@ -863,8 +863,8 @@ impl PingEngine {
 
     /// Applies one batch of topology deltas: the router advances its
     /// epoch, and with it the engine's. Stale destination tables are
-    /// re-stamped or rebuilt lazily on access; every pair entry
-    /// stamped before the new epoch is re-expanded on its next lookup.
+    /// rebuilt lazily on access; every pair entry stamped before the
+    /// new epoch is re-expanded on its next lookup.
     ///
     /// Same-AS pairs never consult the router, so an `AsDown` leaves
     /// intra-AS pings working — hosts inside a withdrawn AS still

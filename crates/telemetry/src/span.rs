@@ -29,8 +29,8 @@ pub enum Stage {
     Sample,
     /// Absorbing measured rounds into reports/builders.
     Stitch,
-    /// Bringing stale routing tables current after topology churn
-    /// (re-stamp or rebuild).
+    /// Rebuilding stale routing tables after topology churn (one span
+    /// per rebuild).
     Repair,
 }
 

@@ -230,8 +230,6 @@ impl fmt::Display for ChurnSchedule {
 /// only an `is_empty` check. A dense per-node `touched` flag answers
 /// [`DeltaView::allows`] for the edges no delta names without hashing,
 /// so a view-filtered sweep costs about as much as a base sweep.
-/// Cloning is cheap relative to a sweep (two hash sets of the delta
-/// footprint plus one flag per node).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaView {
     /// Masked base links, keyed `(min, max)` by node id.
@@ -243,17 +241,6 @@ pub struct DeltaView {
     /// out-of-range read counts as untouched.
     touched: Vec<bool>,
 }
-
-/// Views are equal when they mask the same state; `touched` is derived
-/// (and an empty view's is empty, while a view flapped back to nothing
-/// keeps an all-false one).
-impl PartialEq for DeltaView {
-    fn eq(&self, other: &Self) -> bool {
-        self.masked == other.masked && self.down == other.down
-    }
-}
-
-impl Eq for DeltaView {}
 
 impl DeltaView {
     /// The view with nothing masked — the base topology itself.
@@ -290,22 +277,6 @@ impl DeltaView {
         !self.down.contains(&u)
             && !self.down.contains(&v)
             && !self.masked.contains(&Self::key(u, v))
-    }
-
-    /// Whether node `u` is currently up.
-    #[inline]
-    pub fn node_up(&self, u: NodeId) -> bool {
-        !self.down.contains(&u)
-    }
-
-    /// The masked links (for cache invalidation).
-    pub fn masked_links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.masked.iter().copied()
-    }
-
-    /// The downed nodes (for cache invalidation).
-    pub fn down_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.down.iter().copied()
     }
 
     /// Applies one batch in order, mutating the view. Deltas naming
@@ -346,13 +317,6 @@ impl DeltaView {
         for &u in &self.down {
             self.touched[u.index()] = true;
         }
-    }
-
-    /// A new view equal to this one with `batch` applied.
-    pub fn applied(&self, topo: &Topology, batch: &[TopologyDelta]) -> Self {
-        let mut next = self.clone();
-        next.apply(topo, batch);
-        next
     }
 }
 
@@ -473,7 +437,7 @@ mod tests {
 
         view.apply(&topo, &[TopologyDelta::AsDown { asn: Asn(3) }]);
         assert!(!view.allows(n(2), n(3)));
-        assert!(!view.node_up(n(3)));
+        assert!(view.down.contains(&n(3)));
 
         // Idempotent re-application changes nothing.
         let snapshot = view.clone();
@@ -487,7 +451,10 @@ mod tests {
                 TopologyDelta::AsDown { asn: Asn(3) },
             ],
         );
-        assert_eq!(view, snapshot);
+        assert_eq!(
+            (&view.masked, &view.down),
+            (&snapshot.masked, &snapshot.down)
+        );
 
         view.apply(
             &topo,
@@ -517,7 +484,6 @@ mod tests {
                         && !view.masked.contains(&DeltaView::key(u, v));
                     assert_eq!(view.allows(u, v), by_sets, "{ctx}: {u}—{v}");
                 }
-                assert_eq!(view.node_up(u), !view.down.contains(&u), "{ctx}: {u}");
             }
         };
         let link_down = |a: u32, b: u32| TopologyDelta::LinkDown {
@@ -560,7 +526,5 @@ mod tests {
 
         // A view flapped back to nothing is the empty view.
         assert!(view.is_empty());
-        assert_eq!(view, DeltaView::empty());
-        assert_eq!(DeltaView::empty(), view);
     }
 }

@@ -33,8 +33,9 @@
 //!   eviction over the destination-table cache.
 //! - [`delta`] — topology churn: [`TopologyDelta`] link/AS up-down
 //!   events, [`ChurnSchedule`] round→batch schedules, and the
-//!   [`DeltaView`] copy-on-write mask routing sweeps consult; how a
-//!   stale table is re-stamped or rebuilt lives in [`routing::repair`].
+//!   [`DeltaView`] copy-on-write mask routing sweeps consult; the
+//!   router rebuilds a stale table under the current view when it is
+//!   next read ([`routing::Router::table_at`]).
 //! - [`intern`] — content-addressed AS-path interning
 //!   ([`PathInterner`]): one reference-counted copy per distinct path,
 //!   named by a dense [`PathId`], so pair-level caches store plain ids

@@ -54,17 +54,23 @@
 //! data-parallel on the worker pool — the campaign warms every table
 //! its plan can touch before round 0 instead of serializing table
 //! construction behind the first round's pair cache.
+//!
+//! Under topology churn the same sweeps run restricted to the edges a
+//! [`DeltaView`] allows ([`compute_table_view`],
+//! [`compute_table_shortest_view`]). Each router table is stamped with
+//! the churn epoch it was built at, and a table whose stamp lags the
+//! router's epoch is rebuilt once under the current view when it is
+//! next read, so every table stays a pure function of
+//! `(topology, policy, view, destination)`.
 
 use crate::delta::{DeltaView, TopologyDelta};
 use crate::graph::{NodeIndex, Topology};
 use crate::ids::{Asn, NodeId};
 use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-pub mod repair;
 
 /// Preference class of a route, ordered best-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -182,10 +188,10 @@ pub struct RoutingTable {
     dst_entry: RouteEntry,
     /// Number of ASes with a route (including the destination).
     reachable: usize,
-    /// Churn epoch this table is valid for (0 = the base topology).
+    /// Churn epoch this table was built at (0 = the base topology).
     /// Stamped by the [`Router`]; a table whose stamp lags the
-    /// router's current epoch is re-stamped or rebuilt lazily on access.
-    epoch: AtomicU64,
+    /// router's current epoch is rebuilt on its next access.
+    epoch: u64,
 }
 
 impl RoutingTable {
@@ -233,13 +239,7 @@ impl RoutingTable {
 
     /// The churn epoch this table reflects (0 = base topology).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Stamps the table as valid for churn epoch `e` (monotone; only
-    /// the router calls this).
-    fn set_epoch(&self, e: u64) {
-        self.epoch.store(e, Ordering::Relaxed);
+        self.epoch
     }
 
     /// As [`RoutingTable::as_path`], from a dense node id — no ASN
@@ -309,7 +309,7 @@ impl SweepState {
             next_node: self.next_node,
             dst_entry,
             reachable,
-            epoch: AtomicU64::new(0),
+            epoch: 0,
         }
     }
 }
@@ -319,10 +319,23 @@ pub fn compute_table(topo: &Topology, dst: Asn) -> RoutingTable {
     sweep(topo, dst, |_, _| true)
 }
 
+/// Full valley-free sweep toward `dst` restricted to the links `view`
+/// allows. An empty view is the base topology and delegates to
+/// [`compute_table`] so the churn-free path stays byte-identical. A
+/// downed destination keeps its own zero-length entry but offers
+/// nothing, so everyone else ends unreached.
+pub fn compute_table_view(topo: &Topology, view: &DeltaView, dst: Asn) -> RoutingTable {
+    if view.is_empty() {
+        return compute_table(topo, dst);
+    }
+    sweep(topo, dst, |u, v| view.allows(u, v))
+}
+
 /// The three-phase valley-free sweep over the base CSR edges `allows`
 /// admits. [`compute_table`] admits every edge (the check compiles
-/// away); [`repair::compute_table_view`] admits what a [`DeltaView`]
-/// leaves up.
+/// away); [`compute_table_view`] admits what a [`DeltaView`] leaves
+/// up, answering edges no delta names from a dense per-node flag, so a
+/// view sweep costs about as much as a base sweep.
 fn sweep(topo: &Topology, dst: Asn, allows: impl Fn(NodeId, NodeId) -> bool) -> RoutingTable {
     let nodes = topo.node_index();
     let csr = topo.csr();
@@ -454,6 +467,14 @@ pub fn compute_table_shortest(topo: &Topology, dst: Asn) -> RoutingTable {
     sweep_shortest(topo, dst, |_, _| true)
 }
 
+/// View-restricted shortest-path sweep (the ablation policy).
+pub fn compute_table_shortest_view(topo: &Topology, view: &DeltaView, dst: Asn) -> RoutingTable {
+    if view.is_empty() {
+        return compute_table_shortest(topo, dst);
+    }
+    sweep_shortest(topo, dst, |u, v| view.allows(u, v))
+}
+
 /// One BFS over the base CSR edges `allows` admits, of every class —
 /// the shortest-path counterpart of [`sweep`].
 fn sweep_shortest(
@@ -573,12 +594,13 @@ impl TableSlot {
 pub struct RouterStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to compute a table.
+    /// Lookups that had to compute a table: cold, evicted or stale.
     pub misses: u64,
     /// Tables dropped by the budget enforcer.
     pub evictions: u64,
-    /// Misses on destinations that were previously resident — the
-    /// recomputation work the byte budget traded for memory.
+    /// Misses on destinations that were evicted since they were last
+    /// resident — the recomputation work the byte budget traded for
+    /// memory.
     pub recomputes: u64,
     /// Destination tables currently resident.
     pub tables_resident: u64,
@@ -601,8 +623,9 @@ pub struct RouterStats {
 /// The cache itself is **dense**: one slot per [`NodeId`], so a lookup
 /// for an in-topology destination is an array index plus one `RwLock`
 /// read — no hashing — and construction races are confined to the
-/// single destination being built. Destinations outside the topology
-/// (degenerate tables; tests) fall back to a side map.
+/// single destination being built. Tables toward destinations outside
+/// the topology (degenerate single-entry tables; tests) are computed
+/// on every lookup and never cached.
 ///
 /// ## Byte budget
 ///
@@ -612,20 +635,24 @@ pub struct RouterStats {
 /// budget, a clock hand sweeps the dense slots, clearing reference
 /// bits and dropping the first unreferenced table it finds, until
 /// residency fits again. Because every table is a pure function of
-/// `(topology, policy, destination)`, an evicted table is recomputed
-/// bit-identically on the next miss — budgets change *residency*,
-/// never results. Readers holding an `Arc` to an evicted table are
-/// unaffected; the memory is freed when the last reader drops it.
-/// The side map for unknown destinations is not budgeted (its tables
-/// are degenerate single-entry affairs).
+/// `(topology, policy, view, destination)`, an evicted table is
+/// recomputed bit-identically on the next miss — budgets change
+/// *residency*, never results. Readers holding an `Arc` to an evicted
+/// table are unaffected; the memory is freed when the last reader
+/// drops it.
+///
+/// ## Churn
+///
+/// [`Router::apply_delta`] folds a delta batch into the one current
+/// [`DeltaView`] and advances the epoch. A resident table stamped
+/// with an older epoch is a miss on its next read: it is rebuilt once
+/// under the current view and replaces the stale one in its slot.
 pub struct Router {
     topo: Arc<Topology>,
     policy: RoutingPolicy,
     /// Dense per-destination cache, indexed by the destination's
     /// [`NodeId`].
     slots: Vec<TableSlot>,
-    /// Tables toward ASNs the topology does not know.
-    other: RwLock<HashMap<Asn, Arc<RoutingTable>>>,
     /// Byte allowance for the dense cache; `None` = never evict.
     budget: Option<u64>,
     resident_bytes: AtomicU64,
@@ -640,14 +667,14 @@ pub struct Router {
     misses: AtomicU64,
     evictions: AtomicU64,
     recomputes: AtomicU64,
-    /// Current churn epoch (number of delta batches applied, i.e.
-    /// `views.len() - 1`). Read on every lookup as the staleness fast
-    /// path; 0 means no churn ever.
+    /// Current churn epoch (number of delta batches applied); 0 means
+    /// no churn ever. Read without a lock on every lookup as the
+    /// staleness check, and stored only under `view`'s write lock, so
+    /// a reader holding `view` sees the epoch that view belongs to.
     epoch: AtomicU64,
-    /// The accumulated view of every epoch (`views[e]` is the link mask
-    /// after batch `e`; `views[0]` is empty). Write-locked only by
-    /// [`Router::apply_delta`].
-    views: RwLock<Vec<DeltaView>>,
+    /// The accumulated view after every batch applied so far (empty
+    /// before the first). Write-locked only by [`Router::apply_delta`].
+    view: RwLock<DeltaView>,
     full_rebuilds: AtomicU64,
 }
 
@@ -676,7 +703,6 @@ impl Router {
             topo,
             policy,
             slots: (0..n).map(|_| TableSlot::empty()).collect(),
-            other: RwLock::new(HashMap::new()),
             budget: budget_bytes,
             resident_bytes: AtomicU64::new(0),
             resident_tables: AtomicU64::new(0),
@@ -687,7 +713,7 @@ impl Router {
             evictions: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            views: RwLock::new(vec![DeltaView::empty()]),
+            view: RwLock::new(DeltaView::empty()),
             full_rebuilds: AtomicU64::new(0),
         }
     }
@@ -714,31 +740,26 @@ impl Router {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             recomputes: self.recomputes.load(Ordering::Relaxed),
-            tables_resident: self.resident_tables.load(Ordering::Relaxed)
-                + self.other.read().len() as u64,
+            tables_resident: self.resident_tables.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             budget_bytes: self.budget,
             full_rebuilds: self.full_rebuilds.load(Ordering::Relaxed),
         }
     }
 
-    /// Applies one churn batch: the new epoch's view is the previous
-    /// one plus `batch`. Cached tables are **not** touched here — each
-    /// stale table is re-stamped or rebuilt lazily on its next access
-    /// (see [`Router::table_at`]), so a batch is O(batch + nodes)
-    /// however many tables are resident.
+    /// Applies one churn batch to the current view and advances the
+    /// epoch. Cached tables are **not** touched here — each stale
+    /// table is rebuilt lazily on its next access (see
+    /// [`Router::table_at`]), so a batch is O(batch + nodes) however
+    /// many tables are resident.
     ///
     /// Churn mutates the router's routing state permanently; engines
     /// shared across unrelated runs (service pools) must not see this
     /// — churn requests get a private engine stack.
     pub fn apply_delta(&self, batch: &[TopologyDelta]) {
-        let mut views = self.views.write();
-        let next = views
-            .last()
-            .expect("views[0] always exists")
-            .applied(&self.topo, batch);
-        views.push(next);
-        self.epoch.store(views.len() as u64 - 1, Ordering::Release);
+        let mut view = self.view.write();
+        view.apply(&self.topo, batch);
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// The current churn epoch (number of batches applied so far).
@@ -749,70 +770,43 @@ impl Router {
     /// The accumulated [`DeltaView`] at the current epoch (a clone;
     /// views are small — the delta footprint, not the graph).
     pub fn current_view(&self) -> DeltaView {
-        let epoch = self.epoch() as usize;
-        self.views.read()[epoch].clone()
+        self.view.read().clone()
     }
 
-    /// Computes a fresh table for `dst` under `view`, by this router's
-    /// policy.
-    fn compute_under(&self, view: &DeltaView, dst: Asn) -> RoutingTable {
-        match self.policy {
-            RoutingPolicy::ValleyFree => repair::compute_table_view(&self.topo, view, dst),
-            RoutingPolicy::ShortestPath => {
-                repair::compute_table_shortest_view(&self.topo, view, dst)
-            }
-        }
-    }
-
-    /// Computes a fresh table for `dst` valid at `epoch` (under that
-    /// epoch's accumulated view).
-    fn compute_at(&self, dst: Asn, epoch: u64) -> RoutingTable {
-        let t = self.compute_under(&self.views.read()[epoch as usize], dst);
-        t.set_epoch(epoch);
-        t
-    }
-
+    /// Computes a fresh table for `dst` under the current view, by
+    /// this router's policy, stamped with the view's epoch.
     fn compute(&self, dst: Asn) -> RoutingTable {
-        self.compute_at(dst, self.epoch())
-    }
-
-    /// Brings `old` up to `target_epoch` in one step: re-stamps it when
-    /// [`repair::untouched`] proves no change between its epoch's view
-    /// and the target's (safe: stamps are monotone and the slot write
-    /// lock serializes callers per destination), and rebuilds it once
-    /// under the target view otherwise.
-    fn repair_to(&self, old: &Arc<RoutingTable>, target_epoch: u64) -> Arc<RoutingTable> {
-        let _span = shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Repair);
-        let views = self.views.read();
-        let new_view = &views[target_epoch as usize];
-        if repair::untouched(&views[old.epoch() as usize], new_view, old) {
-            old.set_epoch(target_epoch);
-            return Arc::clone(old);
+        let view = self.view.read();
+        let table = match self.policy {
+            RoutingPolicy::ValleyFree => compute_table_view(&self.topo, &view, dst),
+            RoutingPolicy::ShortestPath => compute_table_shortest_view(&self.topo, &view, dst),
+        };
+        RoutingTable {
+            epoch: self.epoch(),
+            ..table
         }
-        let t = self.compute_under(new_view, old.destination);
-        t.set_epoch(target_epoch);
-        self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
-        Arc::new(t)
     }
 
     /// Stores `table` in its dense slot unless a racing thread beat us
-    /// to it (first writer wins; the loser's copy is dropped). Returns
-    /// the table that ended up cached.
+    /// to it with a table at least as current (first writer wins; the
+    /// loser's copy is dropped). A stale table is replaced in place:
+    /// every table over one topology has the same size, so residency
+    /// is unchanged. Returns the table that ended up cached.
     fn install(&self, dst: NodeId, table: Arc<RoutingTable>) -> Arc<RoutingTable> {
         let slot = &self.slots[dst.index()];
-        {
-            let mut guard = slot.table.write();
-            if let Some(t) = guard.as_ref() {
-                slot.referenced.store(true, Ordering::Relaxed);
-                return Arc::clone(t);
-            }
-            *guard = Some(Arc::clone(&table));
-        }
+        let mut guard = slot.table.write();
         slot.referenced.store(true, Ordering::Relaxed);
-        slot.ever_resident.store(true, Ordering::Relaxed);
-        self.resident_tables.fetch_add(1, Ordering::Relaxed);
-        self.resident_bytes
-            .fetch_add(table.approx_bytes() as u64, Ordering::Relaxed);
+        match guard.as_ref() {
+            Some(t) if t.epoch >= table.epoch => return Arc::clone(t),
+            Some(_) => {}
+            None => {
+                slot.ever_resident.store(true, Ordering::Relaxed);
+                self.resident_tables.fetch_add(1, Ordering::Relaxed);
+                self.resident_bytes
+                    .fetch_add(table.approx_bytes() as u64, Ordering::Relaxed);
+            }
+        }
+        *guard = Some(Arc::clone(&table));
         table
     }
 
@@ -866,79 +860,58 @@ impl Router {
     /// computed once and cached — an array slot away, no hashing.
     /// Under a byte budget the table may have been evicted since it
     /// was last seen; it is then recomputed here, bit-identical. Under
-    /// churn, a resident table stamped with an older epoch is
-    /// re-stamped when the deltas since its epoch provably leave it
-    /// unchanged, and rebuilt under the current view otherwise; an
-    /// *evicted* stale table simply misses and is rebuilt the same
-    /// way — staleness composes with eviction for free.
+    /// churn, a resident table stamped with an older epoch is a miss
+    /// too: it is rebuilt under the current view (one
+    /// [`shortcuts_telemetry::Stage::Repair`] span, one
+    /// [`RouterStats::full_rebuilds`]) and replaces the stale one. An
+    /// *evicted* stale table simply misses and is rebuilt the same way
+    /// — staleness composes with eviction for free.
     pub fn table_at(&self, dst: NodeId) -> Arc<RoutingTable> {
-        let epoch = self.epoch();
         let slot = &self.slots[dst.index()];
-        if let Some(t) = slot.table.read().as_ref() {
-            if t.epoch() == epoch {
+        let stale = match slot.table.read().as_ref() {
+            Some(t) if t.epoch == self.epoch() => {
                 slot.referenced.store(true, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(t);
             }
-        }
-        if epoch > 0 {
-            // Stale (or raced): bring it current under the slot write
-            // lock so one thread does so per destination.
-            let mut guard = slot.table.write();
-            match guard.as_ref() {
-                Some(t) if t.epoch() == epoch => {
-                    let t = Arc::clone(t);
-                    drop(guard);
-                    slot.referenced.store(true, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return t;
-                }
-                Some(t) => {
-                    // Same node count before and after, so resident
-                    // byte accounting is unchanged by the swap.
-                    let current = self.repair_to(t, epoch);
-                    *guard = Some(Arc::clone(&current));
-                    drop(guard);
-                    slot.referenced.store(true, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return current;
-                }
-                None => {}
-            }
-        }
+            resident => resident.is_some(),
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if slot.ever_resident.load(Ordering::Relaxed) {
-            self.recomputes.fetch_add(1, Ordering::Relaxed);
-        }
-        // Miss: compute outside the lock (racing threads may duplicate
-        // the work, but tables are identical and the loser's copy is
+        // Compute outside the lock (racing threads may duplicate the
+        // work, but tables are identical and the loser's copy is
         // simply dropped — readers of other destinations never block
         // behind a construction).
-        let table = Arc::new(self.compute_at(self.topo.node_index().asn(dst), epoch));
+        let span =
+            stale.then(|| shortcuts_telemetry::global().span(shortcuts_telemetry::Stage::Repair));
+        if stale {
+            self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
+        } else if slot.ever_resident.load(Ordering::Relaxed) {
+            self.recomputes.fetch_add(1, Ordering::Relaxed);
+        }
+        let table = Arc::new(self.compute(self.topo.node_index().asn(dst)));
+        drop(span);
         let table = self.install(dst, table);
         self.enforce_budget(dst);
         table
     }
 
-    /// Routing table toward `dst`, computed once and cached.
+    /// Routing table toward `dst`, computed once and cached. A
+    /// destination the topology does not know gets its degenerate
+    /// table computed afresh, uncached.
     pub fn table(&self, dst: Asn) -> Arc<RoutingTable> {
         match self.topo.node_index().node(dst) {
             Some(node) => self.table_at(node),
             None => {
-                if let Some(t) = self.other.read().get(&dst) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(t);
-                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let table = Arc::new(self.compute(dst));
-                Arc::clone(self.other.write().entry(dst).or_insert(table))
+                Arc::new(self.compute(dst))
             }
         }
     }
 
     /// Computes and caches the tables of every destination in `dsts`
-    /// data-parallel on the worker pool (duplicates and already-cached
-    /// destinations are skipped).
+    /// data-parallel on the worker pool (duplicates, already-cached
+    /// destinations and destinations outside the topology are
+    /// skipped).
     ///
     /// A campaign calls this with every destination its plan can route
     /// toward before the first round; a sweep calls it once with the
@@ -953,16 +926,13 @@ impl Router {
     /// and immediately evicting. Whatever stays cold is recomputed on
     /// first miss.
     pub fn precompute(&self, dsts: &[Asn]) {
-        let todo: Vec<Asn> = {
+        let nodes = self.topo.node_index();
+        let todo: Vec<NodeId> = {
             let mut seen = HashSet::new();
             dsts.iter()
-                .copied()
-                .filter(|&d| {
-                    let cached = match self.topo.node_index().node(d) {
-                        Some(node) => self.slots[node.index()].table.read().is_some(),
-                        None => self.other.read().contains_key(&d),
-                    };
-                    !cached && seen.insert(d)
+                .filter_map(|&d| nodes.node(d))
+                .filter(|&node| {
+                    self.slots[node.index()].table.read().is_none() && seen.insert(node)
                 })
                 .collect()
         };
@@ -977,11 +947,11 @@ impl Router {
             Some(_) => 64,
         };
         'warm: for part in todo.chunks(chunk) {
-            let tables: Vec<(Asn, Arc<RoutingTable>)> = part
+            let tables: Vec<(NodeId, Arc<RoutingTable>)> = part
                 .par_iter()
-                .map(|&d| (d, Arc::new(self.compute(d))))
+                .map(|&node| (node, Arc::new(self.compute(nodes.asn(node)))))
                 .collect();
-            for (d, t) in tables {
+            for (node, t) in tables {
                 if let Some(budget) = self.budget {
                     let next =
                         self.resident_bytes.load(Ordering::Relaxed) + t.approx_bytes() as u64;
@@ -989,14 +959,7 @@ impl Router {
                         break 'warm;
                     }
                 }
-                match self.topo.node_index().node(d) {
-                    Some(node) => {
-                        self.install(node, t);
-                    }
-                    None => {
-                        self.other.write().entry(d).or_insert(t);
-                    }
-                }
+                self.install(node, t);
             }
         }
     }
@@ -1019,7 +982,6 @@ impl Router {
             .iter()
             .filter(|s| s.table.read().is_some())
             .count()
-            + self.other.read().len()
     }
 }
 
@@ -1451,6 +1413,109 @@ mod tests {
         assert_eq!(table.as_path(Asn(5)).unwrap().len(), 4);
         // Everything is reachable ignoring policy.
         assert_eq!(table.reachable_count(), 6);
+    }
+
+    fn assert_tables_equal(a: &RoutingTable, b: &RoutingTable, ctx: &str) {
+        assert_eq!(a.destination, b.destination, "{ctx}");
+        assert_eq!(a.reachable_count(), b.reachable_count(), "{ctx}");
+        for i in 0..a.entries.len() {
+            let node = NodeId(i as u32);
+            assert_eq!(a.route_at(node), b.route_at(node), "{ctx}: node {i}");
+            assert_eq!(
+                a.as_path_from(node),
+                b.as_path_from(node),
+                "{ctx}: node {i}"
+            );
+        }
+    }
+
+    fn view_after(topo: &Topology, batches: &[&[TopologyDelta]]) -> DeltaView {
+        let mut view = DeltaView::empty();
+        for batch in batches {
+            view.apply(topo, batch);
+        }
+        view
+    }
+
+    #[test]
+    fn destination_down_leaves_only_its_self_entry() {
+        let topo = valley_topology();
+        let view = view_after(&topo, &[&[TopologyDelta::AsDown { asn: Asn(6) }]]);
+        let table = compute_table_view(&topo, &view, Asn(6));
+        assert_eq!(table.reachable_count(), 1);
+        assert!(table.route(Asn(6)).is_some());
+    }
+
+    #[test]
+    fn restoration_batches_rebuild_fresh() {
+        let topo = valley_topology();
+        let (a, b) = (Asn(3), Asn(4));
+        let down = view_after(&topo, &[&[TopologyDelta::LinkDown { a, b }]]);
+        assert_ne!(
+            compute_table_view(&topo, &down, Asn(6)).as_path(Asn(5)),
+            compute_table(&topo, Asn(6)).as_path(Asn(5)),
+            "the 3—4 peering carries 5's route toward 6"
+        );
+        // Fully restored view ≡ the base table.
+        let restored = view_after(
+            &topo,
+            &[
+                &[TopologyDelta::LinkDown { a, b }],
+                &[TopologyDelta::LinkUp { a, b }],
+            ],
+        );
+        assert_tables_equal(
+            &compute_table_view(&topo, &restored, Asn(6)),
+            &compute_table(&topo, Asn(6)),
+            "restored",
+        );
+    }
+
+    #[test]
+    fn a_stale_rebuild_is_a_full_rebuild_not_a_hit() {
+        let topo = Arc::new(valley_topology());
+        let r = Router::new(Arc::clone(&topo));
+        let dsts = [Asn(3), Asn(4), Asn(5)];
+        r.precompute(&dsts);
+        r.apply_delta(&[TopologyDelta::LinkDown {
+            a: Asn(3),
+            b: Asn(4),
+        }]);
+        let before = r.stats();
+        let view = r.current_view();
+        for dst in dsts {
+            let table = r.table(dst);
+            assert_eq!(table.epoch(), 1);
+            assert_tables_equal(&table, &compute_table_view(&topo, &view, dst), "rebuilt");
+        }
+        let after = r.stats();
+        assert_eq!(after.full_rebuilds, 3, "{after:?}");
+        assert_eq!(after.hits, before.hits, "{after:?}");
+        assert_eq!(after.recomputes, before.recomputes, "{after:?}");
+        for dst in dsts {
+            r.table(dst);
+        }
+        let again = r.stats();
+        assert_eq!(again.hits, after.hits + 3, "{again:?}");
+        assert_eq!(again.full_rebuilds, 3, "{again:?}");
+    }
+
+    #[test]
+    fn replacing_a_stale_table_keeps_residency() {
+        let topo = Arc::new(valley_topology());
+        let budget = 2 * table_approx_bytes(6) + 8;
+        let r = Router::with_budget(Arc::clone(&topo), RoutingPolicy::ValleyFree, Some(budget));
+        r.precompute(&[Asn(5), Asn(6)]);
+        let warm = r.stats();
+        assert_eq!(warm.tables_resident, 2);
+        r.apply_delta(&[TopologyDelta::AsDown { asn: Asn(4) }]);
+        r.table(Asn(5));
+        r.table(Asn(6));
+        let s = r.stats();
+        assert_eq!(s.full_rebuilds, 2, "{s:?}");
+        assert_eq!(s.evictions, 0, "{s:?}");
+        assert_eq!(s.tables_resident, warm.tables_resident);
+        assert_eq!(s.resident_bytes, warm.resident_bytes);
     }
 
     #[test]

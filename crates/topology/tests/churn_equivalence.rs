@@ -1,21 +1,22 @@
-//! Stale routing tables, re-stamped or rebuilt ≡ full view recompute,
-//! under random delta sequences on random multigraphs.
+//! Stale routing tables, rebuilt ≡ full view recompute, under random
+//! delta sequences on random multigraphs.
 //!
 //! After every applied batch, every destination table the router
-//! serves — re-stamped in place, rebuilt under the current view, or
-//! rebuilt after an eviction — must be entry-for-entry identical to a
-//! fresh [`repair::compute_table_view`] sweep under the accumulated
+//! serves — rebuilt in its slot under the current view, or rebuilt
+//! after an eviction — must be entry-for-entry identical to a fresh
+//! [`routing::compute_table_view`] sweep under the accumulated
 //! [`DeltaView`] (which itself degenerates to the byte-identical base
 //! `compute_table` when the view is empty). A budget-starved router
 //! runs the same sequence to prove staleness composes with CLOCK
 //! eviction, and a lagging router, read only after the last batch,
-//! proves the re-stamp decision covers several epochs at once.
+//! proves a table several epochs stale is rebuilt under the latest
+//! view, not any in between.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shortcuts_geo::CountryCode;
-use shortcuts_topology::routing::{repair, table_approx_bytes, Router, RoutingPolicy};
+use shortcuts_topology::routing::{self, table_approx_bytes, Router, RoutingPolicy};
 use shortcuts_topology::{AsInfo, AsType, Asn, DeltaView, Topology, TopologyDelta};
 use std::sync::Arc;
 
@@ -112,7 +113,7 @@ fn random_batches(topo: &Topology, seed: u64, n_batches: usize) -> Vec<Vec<Topol
 /// path-for-path) identical to a fresh full sweep under `view`.
 fn assert_matches_view(topo: &Topology, router: &Router, view: &DeltaView, dst: Asn, ctx: &str) {
     let got = router.table(dst);
-    let want = repair::compute_table_view(topo, view, dst);
+    let want = routing::compute_table_view(topo, view, dst);
     assert_eq!(
         got.reachable_count(),
         want.reachable_count(),
@@ -159,7 +160,7 @@ proptest! {
         );
         let lagging = Router::new(Arc::clone(&topo));
         // Warm every destination so the batches hit *resident* tables
-        // (the re-stamp-or-rebuild path), not cold misses.
+        // (the stale-rebuild path), not cold misses.
         router.precompute(&dsts);
         lagging.precompute(&dsts);
 
@@ -180,8 +181,8 @@ proptest! {
         }
     }
 
-    /// The re-stamp proof holds for the ablation policy too: its stale
-    /// tables must come back exactly equal to the view sweep.
+    /// The ablation policy rebuilds the same way: its stale tables must
+    /// come back exactly equal to the view sweep.
     #[test]
     fn shortest_path_tables_rebuild_under_churn(
         n in 2usize..24,
@@ -198,7 +199,7 @@ proptest! {
             view.apply(&topo, batch);
             router.apply_delta(batch);
             let got = router.table(dst);
-            let want = repair::compute_table_shortest_view(&topo, &view, dst);
+            let want = routing::compute_table_shortest_view(&topo, &view, dst);
             for info in topo.ases().iter() {
                 prop_assert_eq!(got.route(info.asn), want.route(info.asn), "{}", info.asn);
             }
@@ -264,50 +265,36 @@ fn assert_chain_matches_view(topo: &Topology, router: &Router, ctx: &str) {
 }
 
 #[test]
-fn unaffected_tables_are_stamped_not_reswept() {
-    // Downing the island link cannot touch any chain table, so
-    // bringing the chain tables current must rebuild nothing.
+fn every_stale_table_is_rebuilt_once_then_served_as_a_hit() {
     let (topo, router) = chain_and_island();
+
+    // The island link cannot touch any chain table, but a stale stamp
+    // is all the router looks at: each chain table is rebuilt once.
     router.apply_delta(&[link_down(121, 128)]);
     assert_chain_matches_view(&topo, &router, "island down");
-    assert_eq!(
-        router.stats().full_rebuilds,
-        0,
-        "chain tables only re-stamp"
-    );
-
-    // Downing a chain link splits the chain: every chain table routes
-    // over it, so each is rebuilt once.
-    router.apply_delta(&[link_down(100, 107)]);
-    assert_chain_matches_view(&topo, &router, "chain down");
     assert_eq!(router.stats().full_rebuilds, 3);
-}
 
-#[test]
-fn the_restamp_decision_spans_every_epoch_since_the_table_was_current() {
-    let (topo, router) = chain_and_island();
-
-    // A chain link flaps down and back up across two epochs while an
-    // irrelevant island link goes down. Nothing reads the tables in
-    // between, so against their own epoch only the island link is
-    // net-removed: they re-stamp.
+    // Three epochs pass unread, a chain link flapping down and back
+    // up among them: each table, three epochs stale, is rebuilt once
+    // under the latest view.
     router.apply_delta(&[link_down(100, 107)]);
-    router.apply_delta(&[link_up(107, 100), link_down(121, 128)]);
-    assert_chain_matches_view(&topo, &router, "flap across two epochs");
-    assert_eq!(
-        router.stats().full_rebuilds,
-        0,
-        "a net no-op flap re-stamps"
-    );
+    router.apply_delta(&[link_up(107, 100)]);
+    router.apply_delta(&[TopologyDelta::AsDown { asn: Asn(114) }]);
+    let before = router.stats();
+    assert_chain_matches_view(&topo, &router, "three epochs stale");
+    let after = router.stats();
+    assert_eq!(after.full_rebuilds, 6, "{after:?}");
+    assert_eq!(after.hits, before.hits, "{after:?}");
 
-    // An AS goes down and comes back: both reads rebuild, the second
-    // because a restoration can improve any entry.
-    router.apply_delta(&[TopologyDelta::AsDown { asn: Asn(107) }]);
-    assert_chain_matches_view(&topo, &router, "AS107 down");
-    assert_eq!(router.stats().full_rebuilds, 3);
-    router.apply_delta(&[TopologyDelta::AsUp { asn: Asn(107) }]);
-    assert_chain_matches_view(&topo, &router, "AS107 back up");
-    assert_eq!(router.stats().full_rebuilds, 6);
+    // Current again: every further read is a hit.
+    assert_chain_matches_view(&topo, &router, "current");
+    let again = router.stats();
+    assert_eq!(again.full_rebuilds, 6, "{again:?}");
+    assert_eq!(again.hits, after.hits + 3, "{again:?}");
+    assert_eq!(again.misses, after.misses, "{again:?}");
+    for dst in CHAIN {
+        assert_eq!(router.table(Asn(dst)).epoch(), router.epoch());
+    }
 }
 
 #[test]

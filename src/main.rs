@@ -57,10 +57,10 @@
 //! `--churn SPEC` injects topology churn between measurement rounds:
 //! a comma-separated list of `<event>@[round]<N>` entries, e.g.
 //! `link-down:AS1-AS2@round3,as-down:AS5@7`. Events are `link-down`,
-//! `link-up`, `as-down`, `as-up`. A stale routing table is re-stamped
-//! when no change since it was built touches its routes (and rebuilt
-//! otherwise), and every cached pair expanded before the change is
-//! re-expanded on its next lookup; an empty or absent
+//! `link-up`, `as-down`, `as-up`. A routing table built before the
+//! change is rebuilt under the new topology on its next lookup, and
+//! every cached pair expanded before the change is re-expanded on its
+//! next lookup; an empty or absent
 //! spec is byte-identical to today's churn-free runs. On `sweep` the
 //! schedule is sweep-level: all scenarios share one world, so churn
 //! hits every scenario at the same absolute round.

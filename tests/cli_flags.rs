@@ -3,8 +3,11 @@
 //! any world, as it does for `--memory-budget`, `--churn` and
 //! `--framing`. A file it
 //! cannot write is not a crash either: it names the flag and the path
-//! and exits 1.
+//! and exits 1. The `--churn` example README documents names ASes and
+//! links of the world it runs on.
 
+use colo_shortcuts::core::world::{World, WorldConfig};
+use colo_shortcuts::topology::ChurnSchedule;
 use std::process::Command;
 
 #[test]
@@ -71,4 +74,21 @@ fn unwritable_out_exits_1_naming_the_flag() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("--out: "), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// README's churn example (`campaign --seed 2017 --rounds 6 --churn
+/// SPEC`) passes the same check `campaign` runs before measuring:
+/// every AS and base link it names exists in the seed-2017 paper world.
+#[test]
+fn readme_churn_example_validates_on_its_world() {
+    let spec = include_str!("../README.md")
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("--churn "))
+        .expect("README shows a --churn example");
+    let churn = ChurnSchedule::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+    assert_eq!(churn.segments(6).len(), 4, "{spec}");
+    let world = World::build(&WorldConfig::paper_scale(), 2017);
+    churn
+        .validate(&world.topo)
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
 }

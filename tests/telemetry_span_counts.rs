@@ -1,6 +1,7 @@
 //! Telemetry records a span per stage, never per window or ping: over
 //! a campaign, each stage histogram gains exactly the count its round
-//! plans imply. Core spans go to the process-wide
+//! plans imply, and under churn the repair stage gains exactly one
+//! span per stale routing table rebuilt. Core spans go to the process-wide
 //! `shortcuts_telemetry::global()`, so this suite is its own test
 //! binary with a single test.
 
@@ -11,6 +12,7 @@ use colo_shortcuts::core::plan::{plan_overlay, plan_round_for};
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::PingHandle;
+use colo_shortcuts::topology::TopologyDelta;
 use scalar_oracle::ScalarOracle;
 use shortcuts_telemetry::Stage;
 use std::sync::Arc;
@@ -97,6 +99,36 @@ fn every_stage_records_its_exact_span_count() {
             "{exec:?}: spans per {:?}, stage sizes {sizes:?}",
             Stage::ALL
         );
+    }
+
+    // Churn: a transit link goes down before round 1, so every table
+    // warmed before round 0 and read after the batch is stale and
+    // rebuilt once, under its own repair span.
+    let (a, b) = world
+        .topo
+        .ases()
+        .iter()
+        .find_map(|info| {
+            let customers = &world.topo.adjacency(info.asn).customers;
+            customers.first().map(|&c| (info.asn, c))
+        })
+        .expect("small world has a transit link");
+    for exec in [
+        ExecMode::Parallel,
+        ExecMode::Sharded {
+            rounds_in_flight: 2,
+        },
+    ] {
+        let mut churned = cfg.clone();
+        churned.exec = exec;
+        churned.churn.add(1, TopologyDelta::LinkDown { a, b });
+        let engine = world.shared().engine(churned.routing);
+        let before = tele.stage_snapshot(Stage::Repair).count();
+        Campaign::new(&world, churned).run_streaming_on(&engine, |_| {});
+        let spans = tele.stage_snapshot(Stage::Repair).count() - before;
+        let rebuilds = engine.router().stats().full_rebuilds;
+        assert!(rebuilds > 0, "{exec:?}: churn rebuilt no table");
+        assert_eq!(spans, rebuilds, "{exec:?}: repair spans vs full_rebuilds");
     }
     tele.set_enabled(false);
 }
