@@ -20,8 +20,10 @@
 //! threads, the worker pool and a constant, never a multiple of the
 //! pool. Exits nonzero if no session succeeded.
 //!
-//!     loadgen --sessions 1024 --rate 512 --rounds 3 \
-//!             --mix run=6,subscribe=3,stats=1 --retries 6
+//! ```text
+//! loadgen --sessions 1024 --rate 512 --rounds 3 \
+//!         --mix run=6,subscribe=3,stats=1 --retries 6
+//! ```
 //!
 //! Flags: `--addr HOST:PORT` | `--spawn`, `--sessions N`, `--rate R`
 //! (sessions/sec; 0 = all at once), `--rounds N`, `--mix SPEC`,

@@ -32,7 +32,7 @@ fn push_field(out: &mut String, s: &str) {
 /// Rows are formatted straight into the output: this is megabytes per
 /// campaign and the service renders it per finished batch, so there is
 /// no per-field `String`. Numbers never need quoting; the two country
-/// codes go through [`push_field`].
+/// codes go through `push_field`.
 pub fn cases_csv(results: &CampaignResults) -> String {
     const HEADER: &str = "round,src_host,dst_host,src_country,dst_country,intercontinental,\
                           direct_ms,best_cor_ms,best_plr_ms,best_rar_other_ms,best_rar_eye_ms\n";

@@ -53,8 +53,8 @@
 //! index — so a sharded campaign is bit-identical to a serial one, and
 //! a swept campaign bit-identical to running it alone.
 //!
-//! [`run_sharded`] is the single-campaign wrapper the solo
-//! [`crate::workflow::Campaign`] uses.
+//! The solo [`crate::workflow::Campaign`] is the one-campaign case:
+//! it calls [`run_interleaved_ranges`] with a single backend.
 //!
 //! **Threads.** A run spawns none. Its workers are runs of one drain
 //! loop on the process-wide `rayon` pool: enqueueing items queues a
@@ -320,29 +320,6 @@ pub fn run_interleaved_ranges<B, P, F>(
         }
         drop(guard);
     });
-}
-
-/// Runs `total_rounds` rounds of a single campaign with up to
-/// `rounds_in_flight` rounds in flight — the one-campaign special case
-/// of [`run_interleaved`].
-pub fn run_sharded<B, P, F>(
-    backend: &B,
-    total_rounds: u32,
-    rounds_in_flight: usize,
-    planner: P,
-    mut on_round: F,
-) where
-    B: MeasurementBackend + ?Sized,
-    P: Fn(u32) -> RoundPlan + Sync,
-    F: FnMut(CompletedRound),
-{
-    run_interleaved(
-        &[backend],
-        &[total_rounds],
-        rounds_in_flight,
-        |_, round| planner(round),
-        |_, done| on_round(done),
-    );
 }
 
 /// A drain task: pull items and do the work, advancing each job's
@@ -613,11 +590,25 @@ mod tests {
         }
     }
 
-    fn run(rounds: u32, in_flight: usize) -> Vec<CompletedRound> {
-        let backend = SyntheticBackend::new(11);
+    /// One campaign through the scheduler; rounds in completion order.
+    fn run_solo<B: MeasurementBackend>(
+        backend: &B,
+        rounds: u32,
+        in_flight: usize,
+    ) -> Vec<CompletedRound> {
         let mut done = Vec::new();
-        run_sharded(&backend, rounds, in_flight, planner, |r| done.push(r));
+        run_interleaved(
+            &[backend],
+            &[rounds],
+            in_flight,
+            |_, round| planner(round),
+            |_, r| done.push(r),
+        );
         done
+    }
+
+    fn run(rounds: u32, in_flight: usize) -> Vec<CompletedRound> {
+        run_solo(&SyntheticBackend::new(11), rounds, in_flight)
     }
 
     #[test]
@@ -693,7 +684,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_instead_of_hanging() {
         // A panicking backend must surface as a panic from
-        // run_sharded — not a deadlock (workers stranded on the
+        // run_interleaved — not a deadlock (workers stranded on the
         // condvar) and not a process abort (double panic in the
         // abort path on the poisoned mutex).
         struct PanicBackend;
@@ -706,7 +697,7 @@ mod tests {
             }
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(&PanicBackend, 2, 2, planner, |_| {});
+            run_solo(&PanicBackend, 2, 2);
         }));
         assert!(outcome.is_err(), "the backend panic must propagate");
     }
@@ -730,7 +721,7 @@ mod tests {
             }
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(&TailPanicBackend, 2, 2, planner, |_| {});
+            run_solo(&TailPanicBackend, 2, 2);
         }));
         assert!(outcome.is_err(), "the open_stage panic must propagate");
     }
@@ -758,7 +749,7 @@ mod tests {
             }
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sharded(&ShortBackend, 2, 2, planner, |_| {});
+            run_solo(&ShortBackend, 2, 2);
         }));
         assert!(outcome.is_err(), "the under-filled chunk must panic");
     }
@@ -766,8 +757,7 @@ mod tests {
     #[test]
     fn ping_counts_are_exact() {
         let backend = SyntheticBackend::new(3);
-        let mut done = Vec::new();
-        run_sharded(&backend, 4, 4, planner, |r| done.push(r));
+        let done = run_solo(&backend, 4, 4);
         let windows: u64 = done
             .iter()
             .map(|r| (r.direct.len() + r.reverse.len() + r.links.len()) as u64)
@@ -822,8 +812,7 @@ mod tests {
         let batch = run_batch(&seeds, &rounds, 5);
         for (c, &seed) in seeds.iter().enumerate() {
             let backend = SyntheticBackend::new(seed);
-            let mut solo = Vec::new();
-            run_sharded(&backend, rounds[c], 2, planner, |r| solo.push(r));
+            let mut solo = run_solo(&backend, rounds[c], 2);
             solo.sort_by_key(|r| r.plan.round);
             assert_eq!(batch[c].len(), solo.len());
             for (a, b) in batch[c].iter().zip(&solo) {

@@ -240,7 +240,7 @@ static CITY_TABLE: &[Row] = &[
     ("Douala",        "CM", Africa,   4.0511,   9.7679,  3.8, false),
 ];
 
-/// The city database: an immutable, indexed view over [`CITY_TABLE`].
+/// The city database: an immutable, indexed view over `CITY_TABLE`.
 #[derive(Debug, Clone)]
 pub struct CityDb {
     cities: Vec<City>,

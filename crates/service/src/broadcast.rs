@@ -27,7 +27,8 @@
 //! its CSV payloads, rendered on the first `CSV` fetch and shared by
 //! every tap and every repeat fetch after it. The payloads live and
 //! die with the batch (a session's last run, or this cache, already
-//! bounded by `broadcast_cache`), so nothing here evicts or sizes them.
+//! bounded by [`BROADCAST_CACHE`](crate::session::BROADCAST_CACHE)),
+//! so nothing here evicts or sizes them.
 //!
 //! A producer that dies (client gone, panic unwound by the server's
 //! `catch_unwind`) must not strand its taps: [`ProducerGuard`]'s drop
@@ -588,21 +589,16 @@ impl ProducerGuard<'_> {
         );
         self.hub.complete(&self.key, &self.b, true);
     }
-
-    /// Finishes with an error: taps get `ERR <msg>`, nothing is
-    /// cached.
-    pub fn finish_err(&mut self, msg: &str) {
-        self.finished = true;
-        self.b
-            .finish(BroadcastEvent::Failed(Arc::from(msg)), &self.hub.counters);
-        self.hub.complete(&self.key, &self.b, false);
-    }
 }
 
 impl Drop for ProducerGuard<'_> {
     fn drop(&mut self) {
         if !self.finished {
-            self.finish_err("broadcast aborted: producer session died");
+            // Taps get `ERR broadcast aborted`; nothing is cached.
+            let failed =
+                BroadcastEvent::Failed(Arc::from("broadcast aborted: producer session died"));
+            self.b.finish(failed, &self.hub.counters);
+            self.hub.complete(&self.key, &self.b, false);
         }
     }
 }

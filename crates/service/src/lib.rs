@@ -129,6 +129,6 @@ pub use client::{Client, RetryPolicy, StreamEvent};
 pub use credits::{CreditConfig, CreditLedger};
 pub use frame::Framing;
 pub use pool::{PoolStats, WorldPool};
-pub use protocol::Request;
+pub use protocol::{BatchRequest, BatchVerb, Request};
 pub use server::Server;
 pub use session::{ServiceConfig, SessionManager};

@@ -32,16 +32,25 @@
 //! is session-local — it is appended after broadcast fan-out, so taps
 //! of the same batch still receive byte-identical streams.
 //!
-//! `SUBSCRIBE` asks for the *bytes* of a batch rather than an
-//! execution: if a RUN/SWEEP/SUBSCRIBE with the same
+//! ## Batch requests
+//!
+//! `RUN`, `SWEEP` and `SUBSCRIBE` are three verbs of one
+//! [`BatchRequest`]: campaign seeds measured for `rounds` rounds on one
+//! `(world-seed, policy)` engine stack. They share one option grammar,
+//! and each verb takes the options its synopsis above lists — any
+//! other is refused as an unknown option of that verb.
+//!
+//! `RUN` and `SWEEP` execute. `SUBSCRIBE` asks for the *bytes* of a
+//! batch rather than an execution: if a batch with the same
 //! `(world-seed, policy, seeds, rounds)` key is in flight (or recently
 //! finished), the session taps its broadcast and receives the
 //! identical stream without re-executing; otherwise the session
 //! becomes the producer and executes normally. Options that change
-//! the stream bytes (`label`, `churn`) are rejected — a relabelled or
-//! churning batch is not shareable. `jobs-in-flight` is accepted but
-//! excluded from the key (scheduling never changes bytes). A tap that
-//! falls too far behind the producer is shed with `ERR lagged`.
+//! the stream bytes (`label`, `churn`) are rejected by name — a
+//! relabelled or churning batch is not shareable. `jobs-in-flight` is
+//! accepted but excluded from the key (scheduling never changes
+//! bytes). A tap that falls too far behind the producer is shed with
+//! `ERR lagged`.
 //!
 //! `policy` is `valley-free` (default) or `shortest-path`. `world-seed`
 //! defaults to the server's configured default world. `rounds` defaults
@@ -54,7 +63,10 @@
 //!
 //! ## Responses
 //!
-//! - `OK <detail>` — request finished.
+//! - `OK <detail>` — request finished. A batch ends `OK run 1` when it
+//!   has one scenario and `OK sweep <n>` when it has `n > 1`, whichever
+//!   verb asked for it, so every request sharing a broadcast key gets
+//!   the same terminator.
 //! - `ERR <message>` — request rejected; the session stays usable
 //!   (except the admission `ERR busy`, after which the server closes
 //!   the connection).
@@ -109,63 +121,185 @@
 use crate::frame::Framing;
 use shortcuts_topology::routing::RoutingPolicy;
 use shortcuts_topology::ChurnSchedule;
+use std::fmt;
 
 /// Greeting the server sends on every admitted connection.
 pub const GREETING: &str = "OK shortcuts-service ready";
 
+/// The verb a [`BatchRequest`] arrived as. It fixes which options the
+/// line may carry and whether the session executes or subscribes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchVerb {
+    /// Execute one campaign seed.
+    Run,
+    /// Execute several campaign seeds on one world.
+    Sweep,
+    /// Tap the broadcast of an identical batch, or produce it.
+    Subscribe,
+}
+
+impl BatchVerb {
+    /// The verb as it appears on the wire.
+    fn name(self) -> &'static str {
+        match self {
+            BatchVerb::Run => "RUN",
+            BatchVerb::Sweep => "SWEEP",
+            BatchVerb::Subscribe => "SUBSCRIBE",
+        }
+    }
+
+    /// Whether this verb takes option `key`: the per-verb allow-list.
+    fn takes(self, key: &str) -> bool {
+        use BatchVerb::*;
+        match key {
+            "rounds" | "world-seed" | "policy" => true,
+            "seed" => self != Sweep,
+            "seeds" | "jobs-in-flight" => self != Run,
+            "label" | "rounds-in-flight" => self == Run,
+            "churn" => self != Subscribe,
+            _ => false,
+        }
+    }
+}
+
+/// A parsed `RUN`, `SWEEP` or `SUBSCRIBE` line: campaign seeds
+/// measured for `rounds` rounds on one `(world, policy)` engine stack.
+/// Its [`Display`](fmt::Display) renders the canonical request line,
+/// which [`BatchRequest::parse`] reads back to an equal request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchRequest {
+    /// The verb the request arrived as.
+    pub verb: BatchVerb,
+    /// One campaign seed per scenario, in request order; never empty,
+    /// no duplicates, exactly one for `RUN`.
+    pub seeds: Vec<u64>,
+    /// Rounds per scenario.
+    pub rounds: u32,
+    /// World to run against (server default when absent).
+    pub world_seed: Option<u64>,
+    /// Routing policy, shared by all scenarios.
+    pub policy: RoutingPolicy,
+    /// Scenario label of a `RUN` (default `seed-<seed>`).
+    pub label: Option<String>,
+    /// Rounds (`RUN`) or `(campaign, round)` jobs kept in flight,
+    /// clamped by the server; never part of the broadcast key.
+    pub in_flight: Option<usize>,
+    /// Topology churn seen by every scenario at the same rounds
+    /// (empty = none). Non-empty schedules run on a private engine
+    /// stack.
+    pub churn: ChurnSchedule,
+}
+
+impl BatchRequest {
+    /// Parses one `RUN`, `SWEEP` or `SUBSCRIBE` line.
+    pub fn parse(line: &str) -> Result<BatchRequest, String> {
+        match Request::parse(line)? {
+            Request::Batch(batch) => Ok(batch),
+            _ => Err("not a batch request (RUN, SWEEP or SUBSCRIBE)".into()),
+        }
+    }
+
+    /// Parses the `key=value` options of a `verb` line, each checked
+    /// against the verb's allow-list.
+    fn parse_options(verb: BatchVerb, opts: &[&str]) -> Result<BatchRequest, String> {
+        let name = verb.name();
+        let mut req = BatchRequest {
+            verb,
+            seeds: Vec::new(),
+            rounds: 4,
+            world_seed: None,
+            policy: RoutingPolicy::default(),
+            label: None,
+            in_flight: None,
+            churn: ChurnSchedule::none(),
+        };
+        for tok in opts {
+            let (k, v) = split_kv(tok)?;
+            if !verb.takes(k) {
+                if verb == BatchVerb::Subscribe && matches!(k, "label" | "churn") {
+                    return Err(format!(
+                        "SUBSCRIBE does not take {k}: it changes the stream \
+                         bytes, so the batch would not be shareable"
+                    ));
+                }
+                return Err(format!("unknown {name} option {k:?}"));
+            }
+            match k {
+                "seed" => req.seeds = vec![parse_num("seed", v)?],
+                "seeds" => req.seeds = parse_seeds(v)?,
+                "rounds" => req.rounds = parse_num("rounds", v)?,
+                "world-seed" => req.world_seed = Some(parse_num("world-seed", v)?),
+                "policy" => {
+                    req.policy =
+                        RoutingPolicy::parse(v).ok_or_else(|| format!("unknown policy {v:?}"))?;
+                }
+                "label" => req.label = Some(v.to_string()),
+                "churn" => req.churn = ChurnSchedule::parse(v)?,
+                _ => req.in_flight = Some(parse_num(k, v)?),
+            }
+        }
+        if req.seeds.is_empty() {
+            return Err(match verb {
+                BatchVerb::Run => "RUN requires seed=<u64>",
+                BatchVerb::Sweep => "SWEEP requires seeds=<u64,u64,..>",
+                BatchVerb::Subscribe => "SUBSCRIBE requires seed=<u64> or seeds=<u64,u64,..>",
+            }
+            .into());
+        }
+        Ok(req)
+    }
+
+    /// Whether the stream is a pure function of the broadcast key: no
+    /// relabelling and no churn.
+    pub(crate) fn shareable(&self) -> bool {
+        self.label.is_none() && self.churn.is_empty()
+    }
+}
+
+impl fmt::Display for BatchRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
+        let key = if self.verb == BatchVerb::Sweep || seeds.len() > 1 {
+            "seeds"
+        } else {
+            "seed"
+        };
+        write!(
+            f,
+            "{} {key}={} rounds={}",
+            self.verb.name(),
+            seeds.join(","),
+            self.rounds
+        )?;
+        if let Some(w) = self.world_seed {
+            write!(f, " world-seed={w}")?;
+        }
+        if self.policy != RoutingPolicy::default() {
+            write!(f, " policy={}", self.policy.label())?;
+        }
+        if let Some(label) = &self.label {
+            write!(f, " label={label}")?;
+        }
+        if let Some(n) = self.in_flight {
+            let key = match self.verb {
+                BatchVerb::Run => "rounds-in-flight",
+                _ => "jobs-in-flight",
+            };
+            write!(f, " {key}={n}")?;
+        }
+        if !self.churn.is_empty() {
+            write!(f, " churn={}", self.churn)?;
+        }
+        Ok(())
+    }
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Run one campaign, streaming its rounds.
-    Run {
-        /// Campaign seed.
-        seed: u64,
-        /// Number of rounds.
-        rounds: u32,
-        /// World to run against (server default when absent).
-        world_seed: Option<u64>,
-        /// Routing policy.
-        policy: RoutingPolicy,
-        /// Scenario label (default `seed-<seed>`).
-        label: Option<String>,
-        /// Rounds kept in flight (server-clamped).
-        rounds_in_flight: Option<usize>,
-        /// Topology churn schedule (empty = none). Non-empty schedules
-        /// run the campaign on a private engine stack.
-        churn: ChurnSchedule,
-    },
-    /// Run a multi-scenario sweep, streaming all scenarios' rounds.
-    Sweep {
-        /// One campaign seed per scenario; duplicates are rejected.
-        seeds: Vec<u64>,
-        /// Rounds per scenario.
-        rounds: u32,
-        /// World to run against (server default when absent).
-        world_seed: Option<u64>,
-        /// Routing policy (shared by all scenarios).
-        policy: RoutingPolicy,
-        /// `(campaign, round)` jobs kept in flight (server-clamped).
-        jobs_in_flight: Option<usize>,
-        /// Sweep-level topology churn, seen by every scenario at the
-        /// same rounds (empty = none). Non-empty schedules run the
-        /// sweep on a private engine stack.
-        churn: ChurnSchedule,
-    },
-    /// Attach to the broadcast of a batch: tap an in-flight (or
-    /// recently finished) identical batch, or become its producer.
-    Subscribe {
-        /// One campaign seed per scenario; duplicates are rejected.
-        seeds: Vec<u64>,
-        /// Rounds per scenario.
-        rounds: u32,
-        /// World to run against (server default when absent).
-        world_seed: Option<u64>,
-        /// Routing policy (part of the broadcast key).
-        policy: RoutingPolicy,
-        /// Scheduling bound if this session ends up producing; never
-        /// part of the broadcast key.
-        jobs_in_flight: Option<usize>,
-    },
+    /// Run, sweep or subscribe to a batch of campaigns, streaming
+    /// every scenario's rounds.
+    Batch(BatchRequest),
     /// Negotiate response framing for the rest of the session.
     Hello {
         /// Requested framing.
@@ -206,22 +340,19 @@ fn parse_num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
         .map_err(|_| format!("{key} takes a number, got {val:?}"))
 }
 
+/// A comma-separated seed list. `split` yields at least one (possibly
+/// empty, hence unparsable) item, so a parsed list is never empty.
 fn parse_seeds(val: &str) -> Result<Vec<u64>, String> {
     let seeds: Vec<u64> = val
         .split(',')
         .map(|s| parse_num("seeds", s.trim()))
         .collect::<Result<_, _>>()?;
-    if seeds.is_empty() {
-        return Err("seeds must name at least one seed".into());
-    }
     let mut seen = std::collections::BTreeSet::new();
-    for s in &seeds {
-        if !seen.insert(*s) {
-            return Err(format!(
-                "duplicate seed {s}: scenario labels derive from the seed, \
-                 so its results would overwrite each other"
-            ));
-        }
+    if let Some(s) = seeds.iter().find(|s| !seen.insert(**s)) {
+        return Err(format!(
+            "duplicate seed {s}: scenario labels derive from the seed, \
+             so its results would overwrite each other"
+        ));
     }
     Ok(seeds)
 }
@@ -233,113 +364,11 @@ impl Request {
         let mut toks = line.split_whitespace();
         let cmd = toks.next().ok_or("empty request")?;
         let rest: Vec<&str> = toks.collect();
+        let batch = |verb| BatchRequest::parse_options(verb, &rest).map(Request::Batch);
         match cmd.to_ascii_uppercase().as_str() {
-            "RUN" => {
-                let mut seed = None;
-                let mut rounds = 4u32;
-                let mut world_seed = None;
-                let mut policy = RoutingPolicy::default();
-                let mut label = None;
-                let mut rounds_in_flight = None;
-                let mut churn = ChurnSchedule::none();
-                for tok in rest {
-                    let (k, v) = split_kv(tok)?;
-                    match k {
-                        "seed" => seed = Some(parse_num("seed", v)?),
-                        "rounds" => rounds = parse_num("rounds", v)?,
-                        "world-seed" => world_seed = Some(parse_num("world-seed", v)?),
-                        "policy" => {
-                            policy = RoutingPolicy::parse(v)
-                                .ok_or_else(|| format!("unknown policy {v:?}"))?;
-                        }
-                        "label" => label = Some(v.to_string()),
-                        "rounds-in-flight" => {
-                            rounds_in_flight = Some(parse_num("rounds-in-flight", v)?);
-                        }
-                        "churn" => churn = ChurnSchedule::parse(v)?,
-                        other => return Err(format!("unknown RUN option {other:?}")),
-                    }
-                }
-                Ok(Request::Run {
-                    seed: seed.ok_or("RUN requires seed=<u64>")?,
-                    rounds,
-                    world_seed,
-                    policy,
-                    label,
-                    rounds_in_flight,
-                    churn,
-                })
-            }
-            "SWEEP" => {
-                let mut seeds = None;
-                let mut rounds = 4u32;
-                let mut world_seed = None;
-                let mut policy = RoutingPolicy::default();
-                let mut jobs_in_flight = None;
-                let mut churn = ChurnSchedule::none();
-                for tok in rest {
-                    let (k, v) = split_kv(tok)?;
-                    match k {
-                        "seeds" => seeds = Some(parse_seeds(v)?),
-                        "rounds" => rounds = parse_num("rounds", v)?,
-                        "world-seed" => world_seed = Some(parse_num("world-seed", v)?),
-                        "policy" => {
-                            policy = RoutingPolicy::parse(v)
-                                .ok_or_else(|| format!("unknown policy {v:?}"))?;
-                        }
-                        "jobs-in-flight" => {
-                            jobs_in_flight = Some(parse_num("jobs-in-flight", v)?);
-                        }
-                        "churn" => churn = ChurnSchedule::parse(v)?,
-                        other => return Err(format!("unknown SWEEP option {other:?}")),
-                    }
-                }
-                Ok(Request::Sweep {
-                    seeds: seeds.ok_or("SWEEP requires seeds=<u64,u64,..>")?,
-                    rounds,
-                    world_seed,
-                    policy,
-                    jobs_in_flight,
-                    churn,
-                })
-            }
-            "SUBSCRIBE" => {
-                let mut seeds = None;
-                let mut rounds = 4u32;
-                let mut world_seed = None;
-                let mut policy = RoutingPolicy::default();
-                let mut jobs_in_flight = None;
-                for tok in rest {
-                    let (k, v) = split_kv(tok)?;
-                    match k {
-                        "seed" => seeds = Some(vec![parse_num("seed", v)?]),
-                        "seeds" => seeds = Some(parse_seeds(v)?),
-                        "rounds" => rounds = parse_num("rounds", v)?,
-                        "world-seed" => world_seed = Some(parse_num("world-seed", v)?),
-                        "policy" => {
-                            policy = RoutingPolicy::parse(v)
-                                .ok_or_else(|| format!("unknown policy {v:?}"))?;
-                        }
-                        "jobs-in-flight" => {
-                            jobs_in_flight = Some(parse_num("jobs-in-flight", v)?);
-                        }
-                        "label" | "churn" => {
-                            return Err(format!(
-                                "SUBSCRIBE does not take {k}: it changes the stream \
-                                 bytes, so the batch would not be shareable"
-                            ));
-                        }
-                        other => return Err(format!("unknown SUBSCRIBE option {other:?}")),
-                    }
-                }
-                Ok(Request::Subscribe {
-                    seeds: seeds.ok_or("SUBSCRIBE requires seed=<u64> or seeds=<u64,u64,..>")?,
-                    rounds,
-                    world_seed,
-                    policy,
-                    jobs_in_flight,
-                })
-            }
+            "RUN" => batch(BatchVerb::Run),
+            "SWEEP" => batch(BatchVerb::Sweep),
+            "SUBSCRIBE" => batch(BatchVerb::Subscribe),
             "HELLO" => {
                 let mut framing = Framing::Text;
                 let mut credits = false;
@@ -399,18 +428,22 @@ impl Request {
 mod tests {
     use super::*;
 
+    fn batch(line: &str) -> BatchRequest {
+        BatchRequest::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"))
+    }
+
     #[test]
     fn run_parses_with_defaults() {
-        let r = Request::parse("RUN seed=2017").unwrap();
         assert_eq!(
-            r,
-            Request::Run {
-                seed: 2017,
+            batch("RUN seed=2017"),
+            BatchRequest {
+                verb: BatchVerb::Run,
+                seeds: vec![2017],
                 rounds: 4,
                 world_seed: None,
                 policy: RoutingPolicy::ValleyFree,
                 label: None,
-                rounds_in_flight: None,
+                in_flight: None,
                 churn: ChurnSchedule::none(),
             }
         );
@@ -418,19 +451,18 @@ mod tests {
 
     #[test]
     fn run_parses_every_option() {
-        let r = Request::parse(
-            "RUN seed=1 rounds=9 world-seed=7 policy=shortest-path label=x rounds-in-flight=3",
-        )
-        .unwrap();
         assert_eq!(
-            r,
-            Request::Run {
-                seed: 1,
+            batch(
+                "RUN seed=1 rounds=9 world-seed=7 policy=shortest-path label=x rounds-in-flight=3"
+            ),
+            BatchRequest {
+                verb: BatchVerb::Run,
+                seeds: vec![1],
                 rounds: 9,
                 world_seed: Some(7),
                 policy: RoutingPolicy::ShortestPath,
                 label: Some("x".into()),
-                rounds_in_flight: Some(3),
+                in_flight: Some(3),
                 churn: ChurnSchedule::none(),
             }
         );
@@ -438,64 +470,51 @@ mod tests {
 
     #[test]
     fn churn_specs_parse_on_run_and_sweep() {
-        let r = Request::parse("RUN seed=1 churn=link-down:AS1-AS2@round3,as-down:AS5@7").unwrap();
-        match r {
-            Request::Run { churn, .. } => {
-                assert!(!churn.is_empty());
-                let batches: Vec<_> = churn.batches().collect();
-                assert_eq!(batches.len(), 2);
-                assert_eq!(batches[0].0, 3);
-                assert_eq!(batches[1].0, 7);
-            }
-            other => panic!("{other:?}"),
-        }
-        let r = Request::parse("SWEEP seeds=1,2 churn=as-down:AS9@2").unwrap();
-        match r {
-            Request::Sweep { churn, .. } => assert!(!churn.is_empty()),
-            other => panic!("{other:?}"),
-        }
+        let churn = batch("RUN seed=1 churn=link-down:AS1-AS2@round3,as-down:AS5@7").churn;
+        let batches: Vec<_> = churn.batches().collect();
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].0, 3);
+        assert_eq!(batches[1].0, 7);
+        assert!(!batch("SWEEP seeds=1,2 churn=as-down:AS9@2")
+            .churn
+            .is_empty());
     }
 
     #[test]
     fn sweep_parses_seed_lists() {
-        let r = Request::parse("SWEEP seeds=1,2,3 rounds=2 jobs-in-flight=5").unwrap();
-        match r {
-            Request::Sweep {
-                seeds,
-                rounds,
-                jobs_in_flight,
-                ..
-            } => {
-                assert_eq!(seeds, vec![1, 2, 3]);
-                assert_eq!(rounds, 2);
-                assert_eq!(jobs_in_flight, Some(5));
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = batch("SWEEP seeds=1,2,3 rounds=2 jobs-in-flight=5");
+        assert_eq!(r.verb, BatchVerb::Sweep);
+        assert_eq!(r.seeds, vec![1, 2, 3]);
+        assert_eq!(r.rounds, 2);
+        assert_eq!(r.in_flight, Some(5));
     }
 
     #[test]
     fn subscribe_parses_seed_and_seed_lists() {
-        let r = Request::parse("SUBSCRIBE seed=7 rounds=2").unwrap();
         assert_eq!(
-            r,
-            Request::Subscribe {
+            batch("SUBSCRIBE seed=7 rounds=2"),
+            BatchRequest {
+                verb: BatchVerb::Subscribe,
                 seeds: vec![7],
                 rounds: 2,
                 world_seed: None,
                 policy: RoutingPolicy::ValleyFree,
-                jobs_in_flight: None,
+                label: None,
+                in_flight: None,
+                churn: ChurnSchedule::none(),
             }
         );
-        let r = Request::parse("SUBSCRIBE seeds=1,2 world-seed=9 policy=shortest-path").unwrap();
         assert_eq!(
-            r,
-            Request::Subscribe {
+            batch("SUBSCRIBE seeds=1,2 world-seed=9 policy=shortest-path"),
+            BatchRequest {
+                verb: BatchVerb::Subscribe,
                 seeds: vec![1, 2],
                 rounds: 4,
                 world_seed: Some(9),
                 policy: RoutingPolicy::ShortestPath,
-                jobs_in_flight: None,
+                label: None,
+                in_flight: None,
+                churn: ChurnSchedule::none(),
             }
         );
     }
@@ -513,6 +532,131 @@ mod tests {
         }
     }
 
+    /// The batch grammar, verb by verb: every option each verb takes,
+    /// every option it refuses, and the exact `ERR` payload of each
+    /// refusal.
+    #[test]
+    fn each_verb_takes_its_options_and_refuses_the_rest_verbatim() {
+        const UNSHAREABLE: &str =
+            "it changes the stream bytes, so the batch would not be shareable";
+        let table: &[(&str, Result<(), String>)] = &[
+            ("RUN seed=1", Ok(())),
+            (
+                "RUN seed=1 rounds=2 world-seed=3 policy=shortest-path",
+                Ok(()),
+            ),
+            ("RUN seed=1 label=x rounds-in-flight=2", Ok(())),
+            ("RUN seed=1 churn=as-down:AS9@2", Ok(())),
+            ("RUN", Err("RUN requires seed=<u64>".into())),
+            ("RUN rounds=2", Err("RUN requires seed=<u64>".into())),
+            ("RUN seeds=1,2", Err("unknown RUN option \"seeds\"".into())),
+            (
+                "RUN seed=1 jobs-in-flight=2",
+                Err("unknown RUN option \"jobs-in-flight\"".into()),
+            ),
+            (
+                "RUN seed=1 bogus=1",
+                Err("unknown RUN option \"bogus\"".into()),
+            ),
+            (
+                "RUN seed=abc",
+                Err("seed takes a number, got \"abc\"".into()),
+            ),
+            (
+                "RUN seed=1 rounds-in-flight=x",
+                Err("rounds-in-flight takes a number, got \"x\"".into()),
+            ),
+            ("RUN seed", Err("expected key=value, got \"seed\"".into())),
+            ("SWEEP seeds=1,2", Ok(())),
+            (
+                "SWEEP seeds=1 rounds=2 world-seed=3 policy=valley-free",
+                Ok(()),
+            ),
+            ("SWEEP seeds=1,2 jobs-in-flight=4", Ok(())),
+            ("SWEEP seeds=1,2 churn=as-down:AS9@2", Ok(())),
+            ("SWEEP", Err("SWEEP requires seeds=<u64,u64,..>".into())),
+            ("SWEEP seed=1", Err("unknown SWEEP option \"seed\"".into())),
+            (
+                "SWEEP seeds=1 label=x",
+                Err("unknown SWEEP option \"label\"".into()),
+            ),
+            (
+                "SWEEP seeds=1 rounds-in-flight=2",
+                Err("unknown SWEEP option \"rounds-in-flight\"".into()),
+            ),
+            ("SWEEP seeds=", Err("seeds takes a number, got \"\"".into())),
+            (
+                "SWEEP seeds=1,1",
+                Err("duplicate seed 1: scenario labels derive from the seed, \
+                     so its results would overwrite each other"
+                    .into()),
+            ),
+            (
+                "SWEEP seeds=1 policy=teleport",
+                Err("unknown policy \"teleport\"".into()),
+            ),
+            ("SUBSCRIBE seed=1", Ok(())),
+            ("SUBSCRIBE seeds=1,2 jobs-in-flight=3", Ok(())),
+            (
+                "SUBSCRIBE seed=1 rounds=2 world-seed=3 policy=shortest-path",
+                Ok(()),
+            ),
+            (
+                "SUBSCRIBE",
+                Err("SUBSCRIBE requires seed=<u64> or seeds=<u64,u64,..>".into()),
+            ),
+            (
+                "SUBSCRIBE seed=1 label=x",
+                Err(format!("SUBSCRIBE does not take label: {UNSHAREABLE}")),
+            ),
+            (
+                "SUBSCRIBE seed=1 churn=as-down:AS9@2",
+                Err(format!("SUBSCRIBE does not take churn: {UNSHAREABLE}")),
+            ),
+            (
+                "SUBSCRIBE seed=1 rounds-in-flight=2",
+                Err("unknown SUBSCRIBE option \"rounds-in-flight\"".into()),
+            ),
+            (
+                "SUBSCRIBE seed=1 bogus=2",
+                Err("unknown SUBSCRIBE option \"bogus\"".into()),
+            ),
+        ];
+        for (line, want) in table {
+            let got = Request::parse(line).map(|_| ());
+            assert_eq!(&got, want, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn batch_requests_render_canonical_lines_that_parse_back() {
+        for (line, canonical) in [
+            ("run seed=1", "RUN seed=1 rounds=4"),
+            (
+                "RUN rounds-in-flight=3 label=x seed=1 policy=shortest-path rounds=9 world-seed=7",
+                "RUN seed=1 rounds=9 world-seed=7 policy=shortest-path label=x rounds-in-flight=3",
+            ),
+            (
+                "RUN seed=2 churn=as-down:AS5@7",
+                "RUN seed=2 rounds=4 churn=as-down:AS5@round7",
+            ),
+            ("SWEEP seeds=5", "SWEEP seeds=5 rounds=4"),
+            (
+                "SWEEP jobs-in-flight=2 seeds=3,1,2 rounds=1 churn=as-down:AS5@2",
+                "SWEEP seeds=3,1,2 rounds=1 jobs-in-flight=2 churn=as-down:AS5@round2",
+            ),
+            ("SUBSCRIBE seeds=7 rounds=2", "SUBSCRIBE seed=7 rounds=2"),
+            (
+                "SUBSCRIBE seed=7 seeds=1,2 world-seed=90 jobs-in-flight=4",
+                "SUBSCRIBE seeds=1,2 rounds=4 world-seed=90 jobs-in-flight=4",
+            ),
+        ] {
+            let r = batch(line);
+            assert_eq!(r.to_string(), canonical, "{line:?}");
+            assert_eq!(BatchRequest::parse(&r.to_string()), Ok(r), "{line:?}");
+        }
+        assert!(BatchRequest::parse("STATS").is_err());
+    }
     #[test]
     fn hello_negotiates_framing() {
         assert_eq!(

@@ -51,12 +51,12 @@ use crate::broadcast::{
 use crate::credits::{request_cost, Charge, CreditConfig, CreditLedger, TAP_COST};
 use crate::frame::{ResponseWriter, RoundLine};
 use crate::pool::WorldPool;
-use crate::protocol::{Request, GREETING};
+use crate::protocol::{BatchRequest, BatchVerb, Request, GREETING};
 use shortcuts_core::sweep::{Sweep, SweepConfig};
 use shortcuts_core::workflow::CampaignConfig;
 use shortcuts_core::world::WorldConfig;
 use shortcuts_telemetry as telemetry;
-use shortcuts_topology::{ChurnSchedule, MemoryBudget};
+use shortcuts_topology::MemoryBudget;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,16 +68,19 @@ use std::sync::Arc;
 /// disconnected instead of growing a `String` until the process dies.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 10;
 
+/// Upper bound a request's `jobs-in-flight` / `rounds-in-flight` option
+/// is clamped to (bounds live plans and partial results per session).
+pub const MAX_JOBS_IN_FLIGHT: usize = 32;
+
+/// Finished broadcasts kept for SUBSCRIBE replay.
+pub const BROADCAST_CACHE: usize = 2;
+
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum concurrent sessions; further connections are refused
     /// with `ERR busy` at accept time.
     pub max_sessions: usize,
-    /// Upper bound a session's `jobs-in-flight` / `rounds-in-flight`
-    /// request options are clamped to (bounds live plans and partial
-    /// results per session).
-    pub max_jobs_in_flight: usize,
     /// World generator configuration for pooled worlds.
     pub world: WorldConfig,
     /// World seed used when a request does not pin `world-seed`.
@@ -92,8 +95,6 @@ pub struct ServiceConfig {
     /// Live-event headroom per broadcast subscriber: a tap more than
     /// this many events behind the producer is shed with `ERR lagged`.
     pub subscriber_lag: usize,
-    /// Finished broadcasts kept for SUBSCRIBE replay (0 disables).
-    pub broadcast_cache: usize,
     /// Per-client credit admission policy.
     pub credits: CreditConfig,
 }
@@ -103,13 +104,11 @@ impl ServiceConfig {
     pub fn paper_scale() -> Self {
         ServiceConfig {
             max_sessions: 8,
-            max_jobs_in_flight: 32,
             world: WorldConfig::paper_scale(),
             default_world_seed: 2017,
             base_campaign: CampaignConfig::paper(),
             memory: MemoryBudget::unbounded(),
             subscriber_lag: 256,
-            broadcast_cache: 2,
             credits: CreditConfig::default(),
         }
     }
@@ -121,12 +120,6 @@ impl ServiceConfig {
             base_campaign: CampaignConfig::small(),
             ..Self::paper_scale()
         }
-    }
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self::paper_scale()
     }
 }
 
@@ -146,11 +139,7 @@ impl SessionManager {
     pub fn new(cfg: ServiceConfig) -> Self {
         let pool = WorldPool::with_budget(cfg.world.clone(), cfg.memory);
         let counters = Arc::new(ServiceCounters::default());
-        let hub = BroadcastHub::new(
-            cfg.subscriber_lag,
-            cfg.broadcast_cache,
-            Arc::clone(&counters),
-        );
+        let hub = BroadcastHub::new(cfg.subscriber_lag, BROADCAST_CACHE, Arc::clone(&counters));
         let credits = CreditLedger::new(cfg.credits);
         SessionManager {
             cfg,
@@ -231,17 +220,24 @@ impl Drop for SessionPermit {
     }
 }
 
-/// Charges the client's bucket; returns `Some(remaining)` on success.
-/// On denial writes `ERR credits` with a retry hint and returns `None`
+/// Charges the client's bucket. On success returns the session-local
+/// ` credits=<remaining>` suffix for the request's `OK` terminator:
+/// empty unless the session opted in with `HELLO credits=on`, and empty
+/// for zero-cost charges, whose infinite balance is no information. On
+/// denial writes `ERR credits` with a retry hint and returns `None`
 /// (the session stays usable).
 fn charge(
     mgr: &SessionManager,
     w: &mut ResponseWriter,
     who: IpAddr,
     cost: f64,
-) -> std::io::Result<Option<f64>> {
+    show_credits: bool,
+) -> std::io::Result<Option<String>> {
     match mgr.credits.try_charge(who, cost) {
-        Charge::Ok { remaining } => Ok(Some(remaining)),
+        Charge::Ok { remaining } if show_credits && remaining.is_finite() => {
+            Ok(Some(format!(" credits={remaining:.0}")))
+        }
+        Charge::Ok { .. } => Ok(Some(String::new())),
         Charge::Denied {
             need,
             have,
@@ -255,18 +251,6 @@ fn charge(
             w.flush()?;
             Ok(None)
         }
-    }
-}
-
-/// The session-local ` credits=<remaining>` suffix for a metered `OK`
-/// terminator. Empty unless the session opted in with
-/// `HELLO credits=on`; zero-cost charges report an infinite balance,
-/// which is no information — they get no suffix either.
-fn credit_suffix(show: bool, remaining: f64) -> String {
-    if show && remaining.is_finite() {
-        format!(" credits={remaining:.0}")
-    } else {
-        String::new()
     }
 }
 
@@ -427,176 +411,90 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                     w.flush()?;
                 }
             },
-            Request::Run {
-                seed,
-                rounds,
-                world_seed,
-                policy,
-                label,
-                rounds_in_flight,
-                churn,
-            } => {
-                let Some(remaining) = charge(mgr, &mut w, peer, request_cost(rounds, 1))? else {
+            Request::Batch(req) => {
+                // A SUBSCRIBE attaches before it pays: a tap pays a flat
+                // TAP_COST (fan-out bandwidth, not measurement), a
+                // producer the full cost. A RUN/SWEEP pays first, then
+                // registers its execution as a broadcast when the key
+                // is free and the stream is shareable, so concurrent
+                // SUBSCRIBEs ride it. A denial drops the producer
+                // guard, which aborts the broadcast for any tap that
+                // raced in behind us.
+                let attached =
+                    (req.verb == BatchVerb::Subscribe).then(|| mgr.hub.attach(req.key(&mgr.cfg)));
+                let (tap, mut producer) = match attached {
+                    Some(Attach::Tap(sub)) => (Some(sub), None),
+                    Some(Attach::Producer(p)) => (None, Some(p)),
+                    None => (None, None),
+                };
+                let cost = match tap {
+                    Some(_) => TAP_COST,
+                    None => request_cost(req.rounds, req.seeds.len()),
+                };
+                let Some(suffix) = charge(mgr, &mut w, peer, cost, show_credits)? else {
                     continue;
                 };
-                let mut cfg = sweep_config(mgr, &[seed], rounds, policy, rounds_in_flight, churn);
-                let relabelled = label.is_some();
-                if let Some(label) = label {
-                    cfg.scenarios[0].label = label;
-                }
-                // Register the execution as a broadcast when the key
-                // is free and the stream is shareable (default label,
-                // no churn), so concurrent SUBSCRIBEs ride it.
-                let producer = if !relabelled && cfg.churn.is_empty() {
-                    mgr.hub
-                        .try_produce(batch_key(mgr, world_seed, policy, &cfg))
-                } else {
-                    None
-                };
-                let suffix = credit_suffix(show_credits, remaining);
-                if let Some(batch) =
-                    stream_batch(mgr, &mut w, world_seed, cfg, "run 1", &suffix, producer)?
-                {
-                    last = Some(batch);
-                }
-            }
-            Request::Sweep {
-                seeds,
-                rounds,
-                world_seed,
-                policy,
-                jobs_in_flight,
-                churn,
-            } => {
-                let n = seeds.len();
-                let Some(remaining) = charge(mgr, &mut w, peer, request_cost(rounds, n))? else {
-                    continue;
-                };
-                let cfg = sweep_config(mgr, &seeds, rounds, policy, jobs_in_flight, churn);
-                let producer = if cfg.churn.is_empty() {
-                    mgr.hub
-                        .try_produce(batch_key(mgr, world_seed, policy, &cfg))
-                } else {
-                    None
-                };
-                let ok = format!("sweep {n}");
-                let suffix = credit_suffix(show_credits, remaining);
-                if let Some(batch) =
-                    stream_batch(mgr, &mut w, world_seed, cfg, &ok, &suffix, producer)?
-                {
-                    last = Some(batch);
-                }
-            }
-            Request::Subscribe {
-                seeds,
-                rounds,
-                world_seed,
-                policy,
-                jobs_in_flight,
-            } => {
-                let n = seeds.len();
-                let cfg = sweep_config(
-                    mgr,
-                    &seeds,
-                    rounds,
-                    policy,
-                    jobs_in_flight,
-                    ChurnSchedule::none(),
-                );
-                let key = batch_key(mgr, world_seed, policy, &cfg);
-                let ok = if n == 1 {
-                    "run 1".to_string()
-                } else {
-                    format!("sweep {n}")
-                };
-                match mgr.hub.attach(key) {
-                    Attach::Producer(producer) => {
-                        // First subscriber executes and pays the full
-                        // measurement cost. Denial drops the guard,
-                        // which aborts the broadcast for any tap that
-                        // raced in behind us.
-                        let Some(remaining) = charge(mgr, &mut w, peer, request_cost(rounds, n))?
-                        else {
-                            continue;
-                        };
-                        let suffix = credit_suffix(show_credits, remaining);
-                        if let Some(batch) = stream_batch(
-                            mgr,
-                            &mut w,
-                            world_seed,
-                            cfg,
-                            &ok,
-                            &suffix,
-                            Some(producer),
-                        )? {
-                            last = Some(batch);
+                let batch = match tap {
+                    Some(sub) => serve_subscription(&mut w, &sub, &suffix)?,
+                    None => {
+                        if producer.is_none() && req.shareable() {
+                            producer = mgr.hub.try_produce(req.key(&mgr.cfg));
                         }
+                        stream_batch(mgr, &mut w, &req, &suffix, producer)?
                     }
-                    Attach::Tap(sub) => {
-                        // Tapping consumes fan-out bandwidth, not
-                        // measurement: a flat 1 credit.
-                        let Some(remaining) = charge(mgr, &mut w, peer, TAP_COST)? else {
-                            continue;
-                        };
-                        let suffix = credit_suffix(show_credits, remaining);
-                        if let Some(batch) = serve_subscription(&mut w, &sub, &suffix)? {
-                            last = Some(batch);
-                        }
-                    }
-                }
+                };
+                last = batch.or(last);
             }
         }
     }
 }
 
-/// Builds the scenario batch for a request from the service's base
-/// campaign, clamping the in-flight bound to the service limit.
-fn sweep_config(
-    mgr: &SessionManager,
-    seeds: &[u64],
-    rounds: u32,
-    policy: shortcuts_topology::routing::RoutingPolicy,
-    jobs_in_flight: Option<usize>,
-    churn: ChurnSchedule,
-) -> SweepConfig {
-    let mut base = mgr.cfg.base_campaign.clone();
-    base.rounds = rounds;
-    base.routing = policy;
-    // Engines come budgeted from the pool; recording the budget here
-    // keeps the config honest for anyone inspecting it.
-    base.memory = mgr.cfg.memory;
-    let mut cfg = SweepConfig::from_seeds(&base, seeds.iter().copied());
-    cfg.jobs_in_flight = jobs_in_flight
-        .unwrap_or(cfg.jobs_in_flight)
-        .clamp(1, mgr.cfg.max_jobs_in_flight);
-    cfg.churn = churn;
-    cfg
-}
+impl BatchRequest {
+    /// The scenario batch this request runs: the service's base
+    /// campaign specialized per seed, the in-flight bound clamped to
+    /// [`MAX_JOBS_IN_FLIGHT`].
+    fn sweep_config(&self, svc: &ServiceConfig) -> SweepConfig {
+        let mut base = svc.base_campaign.clone();
+        base.rounds = self.rounds;
+        base.routing = self.policy;
+        // Engines come budgeted from the pool; recording the budget here
+        // keeps the config honest for anyone inspecting it.
+        base.memory = svc.memory;
+        let mut cfg = SweepConfig::from_seeds(&base, self.seeds.iter().copied());
+        cfg.jobs_in_flight = self
+            .in_flight
+            .unwrap_or(cfg.jobs_in_flight)
+            .clamp(1, MAX_JOBS_IN_FLIGHT);
+        cfg.churn = self.churn.clone();
+        if let Some(label) = &self.label {
+            cfg.scenarios[0].label = label.clone();
+        }
+        cfg
+    }
 
-/// The broadcast identity of a batch: resolved world seed, policy,
-/// campaign seeds and rounds. Scheduling knobs are excluded — they
-/// never change the stream bytes.
-fn batch_key(
-    mgr: &SessionManager,
-    world_seed: Option<u64>,
-    policy: shortcuts_topology::routing::RoutingPolicy,
-    cfg: &SweepConfig,
-) -> BroadcastKey {
-    BroadcastKey {
-        world_seed: world_seed.unwrap_or(mgr.cfg.default_world_seed),
-        policy,
-        seeds: cfg.scenarios.iter().map(|s| s.config.seed).collect(),
-        rounds: cfg.scenarios.first().map(|s| s.config.rounds).unwrap_or(0),
+    /// The broadcast identity of this batch: resolved world seed,
+    /// policy, campaign seeds and rounds. Scheduling knobs are excluded
+    /// — they never change the stream bytes.
+    fn key(&self, svc: &ServiceConfig) -> BroadcastKey {
+        BroadcastKey {
+            world_seed: self.world_seed.unwrap_or(svc.default_world_seed),
+            policy: self.policy,
+            seeds: self.seeds.clone(),
+            rounds: self.rounds,
+        }
     }
 }
 
 /// Runs one batch on the pooled engine stack, streaming `ROUND` events
 /// as rounds complete and `END` events per scenario at the end,
-/// terminated by `OK <ok_detail>`. When `producer` is set, every event
-/// is also published to the broadcast so taps receive the identical
-/// stream. `ok_suffix` (credit-spend feedback) is appended only to the
-/// session-local `OK` write, never to the broadcast's terminal event —
-/// balances are per-client, streams are shared.
+/// terminated by `OK run 1` (one scenario) or `OK sweep <n>`. The
+/// terminator depends on the scenario count alone, so every request
+/// sharing a [`BroadcastKey`] gets the same bytes. When `producer` is
+/// set, every event is also published to the broadcast so taps receive
+/// the identical stream. `ok_suffix` (credit-spend feedback) is
+/// appended only to the session-local `OK` write, never to the
+/// broadcast's terminal event — balances are per-client, streams are
+/// shared.
 ///
 /// A client that disconnects mid-stream stops receiving events but the
 /// batch runs to completion — the shared engine and scheduler are
@@ -605,32 +503,28 @@ fn batch_key(
 fn stream_batch(
     mgr: &SessionManager,
     w: &mut ResponseWriter,
-    world_seed: Option<u64>,
-    cfg: SweepConfig,
-    ok_detail: &str,
+    req: &BatchRequest,
     ok_suffix: &str,
     mut producer: Option<ProducerGuard<'_>>,
 ) -> std::io::Result<Option<Arc<FinishedBatch>>> {
-    let world_seed = world_seed.unwrap_or(mgr.cfg.default_world_seed);
-    let policy = cfg
-        .scenarios
-        .first()
-        .map(|s| s.config.routing)
-        .unwrap_or_default();
+    let cfg = req.sweep_config(&mgr.cfg);
+    let ok_detail = match cfg.scenarios.len() {
+        1 => "run 1".to_string(),
+        n => format!("sweep {n}"),
+    };
     // Lease the stack for the whole batch: the pool's evictor never
     // reclaims a leased world, and the lease drop at the end of this
     // function is what stamps the LRU detach tick.
-    let lease = mgr.pool.checkout(world_seed, policy);
+    let world_seed = req.world_seed.unwrap_or(mgr.cfg.default_world_seed);
+    let lease = mgr.pool.checkout(world_seed, req.policy);
     let (world, engine) = (Arc::clone(&lease.world), Arc::clone(&lease.engine));
     let engine = if cfg.churn.is_empty() {
         engine
     } else {
         // Reject bad schedules with a protocol error before any round
-        // runs, not a mid-batch panic.
+        // runs, not a mid-batch panic (a churning batch is never
+        // shareable, so there is no broadcast to fail).
         if let Err(msg) = cfg.churn.validate(&world.topo) {
-            if let Some(p) = producer.as_mut() {
-                p.finish_err(&msg);
-            }
             w.err(&msg)?;
             w.flush()?;
             return Ok(None);
@@ -638,7 +532,7 @@ fn stream_batch(
         // Churn permanently advances an engine's epoch, so a churning
         // batch measures on a PRIVATE engine stack over the pooled
         // (immutable) world — the pooled engine never sees a delta.
-        world.shared().engine_budgeted(policy, mgr.cfg.memory)
+        world.shared().engine_budgeted(req.policy, mgr.cfg.memory)
     };
     let labels: Vec<String> = cfg.scenarios.iter().map(|s| s.label.clone()).collect();
 
@@ -681,7 +575,7 @@ fn stream_batch(
         }
     }
     if let Some(p) = producer.as_mut() {
-        p.finish_ok(ok_detail, Arc::clone(&batch));
+        p.finish_ok(&ok_detail, Arc::clone(&batch));
     }
     if let Some(e) = write_err {
         return Err(e);
@@ -772,32 +666,41 @@ mod tests {
 
     #[test]
     fn jobs_in_flight_is_clamped_to_the_service_limit() {
-        let mut service_cfg = ServiceConfig::small();
-        service_cfg.max_jobs_in_flight = 4;
-        let mgr = SessionManager::new(service_cfg);
-        let churn = ChurnSchedule::none;
-        let cfg = sweep_config(&mgr, &[1, 2], 1, Default::default(), Some(1000), churn());
-        assert_eq!(cfg.jobs_in_flight, 4);
-        let cfg = sweep_config(&mgr, &[1, 2], 1, Default::default(), Some(0), churn());
-        assert_eq!(cfg.jobs_in_flight, 1);
-        let cfg = sweep_config(&mgr, &[1, 2], 1, Default::default(), Some(3), churn());
-        assert_eq!(cfg.jobs_in_flight, 3);
+        let svc = ServiceConfig::small();
+        let in_flight = |line: &str| {
+            let req = BatchRequest::parse(line).unwrap();
+            req.sweep_config(&svc).jobs_in_flight
+        };
+        assert_eq!(
+            in_flight("SWEEP seeds=1,2 jobs-in-flight=1000"),
+            MAX_JOBS_IN_FLIGHT
+        );
+        assert_eq!(in_flight("SWEEP seeds=1,2 jobs-in-flight=0"), 1);
+        assert_eq!(in_flight("SWEEP seeds=1,2 jobs-in-flight=3"), 3);
+        assert_eq!(
+            in_flight("RUN seed=1 rounds-in-flight=1000"),
+            MAX_JOBS_IN_FLIGHT
+        );
     }
 
     #[test]
     fn batch_keys_resolve_defaults_and_ignore_scheduling() {
-        let mgr = SessionManager::new(ServiceConfig::small());
-        let policy = Default::default();
-        let a = sweep_config(&mgr, &[1, 2], 3, policy, Some(2), ChurnSchedule::none());
-        let b = sweep_config(&mgr, &[1, 2], 3, policy, Some(16), ChurnSchedule::none());
-        let default_seed = mgr.config().default_world_seed;
-        let ka = batch_key(&mgr, None, policy, &a);
-        let kb = batch_key(&mgr, Some(default_seed), policy, &b);
+        let svc = ServiceConfig::small();
+        let key = |line: &str| BatchRequest::parse(line).unwrap().key(&svc);
+        let default_seed = svc.default_world_seed;
+        let ka = key("SWEEP seeds=1,2 rounds=3 jobs-in-flight=2");
+        let kb = key(&format!(
+            "SUBSCRIBE seeds=1,2 rounds=3 world-seed={default_seed} jobs-in-flight=16"
+        ));
         assert_eq!(
             ka, kb,
-            "elided default world seed and jobs-in-flight must not split keys"
+            "elided default world seed, jobs-in-flight and the verb must not split keys"
         );
-        let kc = batch_key(&mgr, Some(default_seed + 1), policy, &a);
+        let kc = key(&format!(
+            "SWEEP seeds=1,2 rounds=3 world-seed={}",
+            default_seed + 1
+        ));
         assert_ne!(ka, kc);
+        assert_eq!(key("RUN seed=7 rounds=2"), key("SWEEP seeds=7 rounds=2"));
     }
 }

@@ -484,6 +484,62 @@ fn late_subscribers_replay_a_finished_run_from_the_cache() {
     server.shutdown();
 }
 
+/// A single-seed SWEEP and a single-seed SUBSCRIBE share a broadcast
+/// key, so a SUBSCRIBE replaying the SWEEP gets exactly the bytes it
+/// would have produced itself — the `OK` terminator included.
+#[test]
+fn a_replayed_single_seed_sweep_ends_like_a_produced_subscription() {
+    let fresh = small_server(2);
+    let mut producer = Client::connect(fresh.local_addr()).unwrap();
+    let produced = collect_stream(&mut producer, "SUBSCRIBE seed=7 rounds=2 world-seed=90");
+    producer.quit();
+    fresh.shutdown();
+    assert_eq!(produced.1, "run 1");
+
+    let server = small_server(4);
+    let addr = server.local_addr();
+    let mut first = Client::connect(addr).unwrap();
+    let swept = collect_stream(&mut first, "SWEEP seeds=7 rounds=2 world-seed=90");
+    first.quit();
+    assert_eq!(swept, produced, "a one-seed SWEEP is a RUN on the wire");
+
+    let mut late = Client::connect(addr).unwrap();
+    let replayed = collect_stream(&mut late, "SUBSCRIBE seed=7 rounds=2 world-seed=90");
+    assert_eq!(replayed, produced, "replay diverged from a produced stream");
+    let stats = late.stats().unwrap();
+    assert_eq!(
+        service_counter(&stats, "broadcasts"),
+        1,
+        "the replay must not have re-executed"
+    );
+    late.quit();
+    server.shutdown();
+}
+
+/// A relabelled RUN is not shareable: it never registers a broadcast,
+/// so a SUBSCRIBE after it produces its own stream under the default
+/// label instead of replaying the relabelled one.
+#[test]
+fn a_relabelled_run_is_not_replayed_to_subscribers() {
+    let server = small_server(4);
+    let addr = server.local_addr();
+    let mut first = Client::connect(addr).unwrap();
+    let (run_events, _) = collect_stream(&mut first, "RUN seed=31 rounds=2 label=x world-seed=90");
+    first.quit();
+    assert!(run_events[0].starts_with("ROUND x "), "{run_events:?}");
+
+    let mut late = Client::connect(addr).unwrap();
+    let (events, ok) = collect_stream(&mut late, "SUBSCRIBE seed=31 rounds=2 world-seed=90");
+    assert_eq!(ok, "run 1");
+    let rounds: Vec<&String> = events.iter().filter(|e| e.starts_with("ROUND ")).collect();
+    assert_eq!(rounds.len(), 2);
+    for round in rounds {
+        assert!(round.starts_with("ROUND seed-31 "), "{round}");
+    }
+    late.quit();
+    server.shutdown();
+}
+
 /// With zero subscriber lag every live event overflows a tap's queue:
 /// the tap is shed with `ERR lagged`, the producer finishes untouched,
 /// and the shed session stays usable.

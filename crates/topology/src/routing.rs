@@ -1650,8 +1650,25 @@ mod tests {
                 panic!("path uses non-existent link {a} -> {b}");
             };
             assert!(step >= stage, "valley in path at {a} -> {b}");
+            assert!(
+                !(step == Stage::Peer && stage == Stage::Peer),
+                "second peer hop in path at {a} -> {b}"
+            );
             stage = step;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "second peer hop")]
+    fn valley_free_checker_rejects_two_peer_hops() {
+        let mut b = Topology::builder();
+        for asn in [1, 2, 3] {
+            mk_as(&mut b, asn, AsType::Tier2);
+        }
+        b.add_peering(Asn(1), Asn(2));
+        b.add_peering(Asn(2), Asn(3));
+        let t = b.build();
+        assert_valley_free(&t, &[Asn(1), Asn(2), Asn(3)]);
     }
 
     #[test]

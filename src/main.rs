@@ -101,7 +101,9 @@ use shortcuts_core::sweep::{Sweep, SweepConfig};
 use shortcuts_core::workflow::{Campaign, CampaignConfig};
 use shortcuts_core::world::{World, WorldConfig};
 use shortcuts_core::RelayType;
-use shortcuts_service::{Client, Framing, RetryPolicy, Server, ServiceConfig, StreamEvent};
+use shortcuts_service::{
+    BatchRequest, BatchVerb, Client, Framing, RetryPolicy, Server, ServiceConfig, StreamEvent,
+};
 use shortcuts_topology::routing::table_approx_bytes;
 use shortcuts_topology::{ChurnSchedule, MemoryBudget};
 use std::path::{Path, PathBuf};
@@ -658,61 +660,39 @@ fn client(args: &Args) {
         return;
     }
 
-    // Build the request: SWEEP when --seeds names several scenarios,
-    // RUN otherwise. Progress lines stream to stderr as rounds finish.
-    let world = args
-        .world_seed
-        .map(|w| format!(" world-seed={w}"))
-        .unwrap_or_default();
-    let churn = if args.churn.is_empty() {
-        String::new()
-    } else {
-        format!(" churn={}", args.churn)
-    };
-    let (request, labels): (String, Vec<String>) = if args.subscribe {
+    // Build the request: SUBSCRIBE with --subscribe, else SWEEP when
+    // --seeds names several scenarios and RUN otherwise. Progress lines
+    // stream to stderr as rounds finish.
+    if args.subscribe && !args.churn.is_empty() {
         // SUBSCRIBE shares one execution with every identical request;
         // churn is rejected server-side (not shareable), so it is not
         // offered here.
-        if !args.churn.is_empty() {
-            eprintln!("--subscribe does not take --churn: churning runs are not shareable");
-            std::process::exit(2);
-        }
-        let (seeds_opt, labels) = if args.seeds.is_empty() {
-            (
-                format!("seed={}", args.seed),
-                vec![format!("seed-{}", args.seed)],
-            )
-        } else {
-            let seeds: Vec<String> = args.seeds.iter().map(u64::to_string).collect();
-            (
-                format!("seeds={}", seeds.join(",")),
-                args.seeds.iter().map(|s| format!("seed-{s}")).collect(),
-            )
-        };
-        (
-            format!("SUBSCRIBE {seeds_opt} rounds={}{world}", args.rounds),
-            labels,
-        )
+        eprintln!("--subscribe does not take --churn: churning runs are not shareable");
+        std::process::exit(2);
+    }
+    let verb = if args.subscribe {
+        BatchVerb::Subscribe
     } else if args.seeds.is_empty() {
-        (
-            format!(
-                "RUN seed={} rounds={}{world}{churn}",
-                args.seed, args.rounds
-            ),
-            vec![format!("seed-{}", args.seed)],
-        )
+        BatchVerb::Run
     } else {
-        let seeds: Vec<String> = args.seeds.iter().map(u64::to_string).collect();
-        (
-            format!(
-                "SWEEP seeds={} rounds={}{world} jobs-in-flight={}{churn}",
-                seeds.join(","),
-                args.rounds,
-                args.jobs_in_flight
-            ),
-            args.seeds.iter().map(|s| format!("seed-{s}")).collect(),
-        )
+        BatchVerb::Sweep
     };
+    let request = BatchRequest {
+        verb,
+        seeds: if args.seeds.is_empty() {
+            vec![args.seed]
+        } else {
+            args.seeds.clone()
+        },
+        rounds: args.rounds,
+        world_seed: args.world_seed,
+        policy: Default::default(),
+        label: None,
+        in_flight: (verb == BatchVerb::Sweep).then_some(args.jobs_in_flight),
+        churn: args.churn.clone(),
+    };
+    let labels: Vec<String> = request.seeds.iter().map(|s| format!("seed-{s}")).collect();
+    let request = request.to_string();
     eprintln!("> {request}");
     let outcome = client.run_streaming_with_retry(&request, retry, |event| match event {
         StreamEvent::Round(line) => eprintln!("round {line}"),

@@ -28,7 +28,7 @@ use colo_shortcuts::core::plan::{
     plan_round_for, OverlayPlan, PlannedEndpoint, PlannedPair, RoundPlan,
 };
 use colo_shortcuts::core::relays::{Relay, RelayType};
-use colo_shortcuts::core::shard::{run_sharded, CompletedRound};
+use colo_shortcuts::core::shard::{run_interleaved, CompletedRound};
 use colo_shortcuts::core::stitch::ResultsBuilder;
 use colo_shortcuts::core::workflow::{
     Campaign, CampaignConfig, CampaignResults, CampaignSetup, CaseRecord, PairHistory,
@@ -180,12 +180,12 @@ fn measured_rounds<'w>(
     let setup = CampaignSetup::prepare(world, &handle, cfg);
     let backend = NetsimBackend::new(handle, cfg.window, cfg.seed);
     let mut done = Vec::new();
-    run_sharded(
-        &backend,
-        cfg.rounds,
+    run_interleaved(
+        &[&backend],
+        &[cfg.rounds],
         2,
-        |round| plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round),
-        |r| done.push(r),
+        |_, round| plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round),
+        |_, r| done.push(r),
     );
     done.sort_by_key(|r| r.plan.round);
     (done, setup)

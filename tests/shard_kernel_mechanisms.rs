@@ -18,7 +18,7 @@ use colo_shortcuts::core::backend::{
 };
 use colo_shortcuts::core::plan::plan_round_for;
 use colo_shortcuts::core::report::cases_csv;
-use colo_shortcuts::core::shard::{run_sharded, CompletedRound};
+use colo_shortcuts::core::shard::{run_interleaved, CompletedRound};
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::{EngineStats, PingHandle};
@@ -68,12 +68,12 @@ fn sharded_rounds<B: MeasurementBackend>(
     let setup = CampaignSetup::prepare(world, &handle, cfg);
     let backend = backend(handle, cfg);
     let mut done = Vec::new();
-    run_sharded(
-        &backend,
-        cfg.rounds,
+    run_interleaved(
+        &[&backend],
+        &[cfg.rounds],
         2,
-        |round| plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round),
-        |r| done.push(r),
+        |_, round| plan_round_for(world, &setup.endpoints, &setup.relays, cfg, round),
+        |_, r| done.push(r),
     );
     done.sort_by_key(|r| r.plan.round);
     (done, backend)
