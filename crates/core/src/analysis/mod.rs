@@ -11,6 +11,7 @@
 //! | VoIP / 320 ms analysis | [`voip`] |
 //! | "Stability over Time" (CV) | [`stability`] |
 //! | ping-direction symmetry check | [`symmetry`] |
+//! | the paper's published values | [`targets`] |
 //! | shared numeric helpers | [`stats`] |
 
 pub mod country;
@@ -19,6 +20,7 @@ pub mod improvement;
 pub mod stability;
 pub mod stats;
 pub mod symmetry;
+pub mod targets;
 pub mod threshold;
 pub mod top_relays;
 pub mod voip;

@@ -11,8 +11,8 @@
 //! where `t(a, b) = d(a, b) / (c * 2/3)` is the one-way fiber
 //! propagation delay over the great-circle distance. Infeasible relays
 //! are excluded *before* any endpoint↔relay probing, which is what keeps
-//! the measurement budget tractable (and what the `ablation_feasibility`
-//! experiment quantifies).
+//! the measurement budget tractable (and what the paper report's
+//! feasibility ablation, `feasibility_*` in `summary.csv`, quantifies).
 
 use shortcuts_geo::{light, GeoPoint};
 

@@ -82,6 +82,7 @@ pub mod colo;
 pub mod eyeball;
 pub mod feasibility;
 pub mod measure;
+pub mod paper;
 pub mod plan;
 pub mod relays;
 pub mod report;

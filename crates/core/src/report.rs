@@ -5,12 +5,15 @@
 //! emitter returns a `String` so callers decide where it goes; fields
 //! are RFC-4180-quoted only when needed.
 
+use crate::analysis::facilities::FacilityTable;
 use crate::analysis::improvement::ImprovementAnalysis;
 use crate::analysis::threshold::ThresholdCurve;
 use crate::analysis::top_relays::TopRelayAnalysis;
 use crate::colo::FilterFunnel;
 use crate::relays::RelayType;
 use crate::workflow::CampaignResults;
+use shortcuts_datasets::CoveragePoint;
+use shortcuts_geo::CityDb;
 use std::fmt::Write;
 
 /// Appends one CSV field, quoted if it contains a delimiter, quote or
@@ -135,6 +138,72 @@ pub fn funnel_csv(funnel: &FilterFunnel) -> String {
         ("geolocated", funnel.geolocated),
     ] {
         out.push_str(&format!("{name},{kept}\n"));
+    }
+    out
+}
+
+/// The five files `colo-shortcuts campaign` writes, named, in the
+/// order it writes them: the per-case dump, then Figs. 2-4 and the
+/// funnel. The paper report writes the same five.
+pub fn campaign_csvs(results: &CampaignResults) -> [(&'static str, String); 5] {
+    let improvement = ImprovementAnalysis::compute(results);
+    let tops = RelayType::ALL.map(|t| TopRelayAnalysis::compute(results, t, 200));
+    let xs: Vec<f64> = (0..=20).map(|i| f64::from(i) * 5.0).collect();
+    let curves: Vec<ThresholdCurve> = RelayType::ALL
+        .iter()
+        .flat_map(|&t| [Some(10), None].map(|k| ThresholdCurve::compute(results, t, k, &xs)))
+        .collect();
+    [
+        ("cases.csv", cases_csv(results)),
+        ("improvement.csv", improvement_csv(&improvement)),
+        ("top_relays.csv", top_relays_csv(&tops)),
+        ("threshold.csv", threshold_csv(&curves)),
+        ("funnel.csv", funnel_csv(&results.colo_pool.funnel)),
+    ]
+}
+
+/// Fig.-1 series: ASes and countries covered per cutoff.
+pub fn coverage_csv(curve: &[CoveragePoint]) -> String {
+    let mut out = String::from("cutoff_pct,ases,countries\n");
+    for p in curve {
+        let _ = writeln!(out, "{:.0},{},{}", p.cutoff_pct, p.n_ases, p.n_countries);
+    }
+    out
+}
+
+/// Fig.-2 series: the CDF of improvements at `xs` ms, one column per
+/// type.
+pub fn improvement_cdf_csv(analysis: &ImprovementAnalysis, xs: &[f64]) -> String {
+    let mut out = String::from("x_ms,COR,PLR,RAR_other,RAR_eye\n");
+    let cdfs = RelayType::ALL.map(|t| analysis.cdf(t, xs));
+    for (i, x) in xs.iter().enumerate() {
+        let _ = write!(out, "{x:.0}");
+        for cdf in &cdfs {
+            let _ = write!(out, ",{:.4}", cdf[i].1);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Table 1: one row per facility of the top COR relays; `hub` says
+/// whether its city is a hub metro.
+pub fn facilities_csv(table: &FacilityTable, cities: &CityDb) -> String {
+    let mut out =
+        String::from("rank,facility,improved_pct,city,country,nets,ixps,cloud,pdb_top10,hub\n");
+    for (i, row) in table.rows.iter().enumerate() {
+        let _ = write!(out, "{},", i + 1);
+        push_field(&mut out, &row.name);
+        let _ = write!(out, ",{:.4},", row.improved_pct);
+        push_field(&mut out, &row.city);
+        out.push(',');
+        push_field(&mut out, &row.country);
+        let hub = cities.by_name(&row.city).is_some_and(|c| c.is_hub);
+        let _ = writeln!(
+            out,
+            ",{},{},{},{},{hub}",
+            row.net_count, row.ixp_count, row.offers_cloud, row.pdb_top10
+        );
     }
     out
 }

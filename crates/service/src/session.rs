@@ -50,7 +50,7 @@ use crate::broadcast::{
 };
 use crate::credits::{request_cost, Charge, CreditConfig, CreditLedger, TAP_COST};
 use crate::frame::{ResponseWriter, RoundLine};
-use crate::pool::WorldPool;
+use crate::pool::{PoolCheckout, WorldPool};
 use crate::protocol::{BatchRequest, BatchVerb, Request, GREETING};
 use shortcuts_core::sweep::{Sweep, SweepConfig};
 use shortcuts_core::workflow::CampaignConfig;
@@ -431,6 +431,21 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                     Some(_) => TAP_COST,
                     None => request_cost(req.rounds, req.seeds.len()),
                 };
+                // A churn schedule is checked against its world before
+                // the batch pays, so a refused schedule costs nothing.
+                // A tap never carries one (SUBSCRIBE rejects `churn=`).
+                let lease = if tap.is_none() && !req.churn.is_empty() {
+                    let world_seed = req.world_seed.unwrap_or(mgr.cfg.default_world_seed);
+                    let lease = mgr.pool.checkout(world_seed, req.policy);
+                    if let Err(msg) = req.churn.validate(&lease.world.topo) {
+                        w.err(&msg)?;
+                        w.flush()?;
+                        continue;
+                    }
+                    Some(lease)
+                } else {
+                    None
+                };
                 let Some(suffix) = charge(mgr, &mut w, peer, cost, show_credits)? else {
                     continue;
                 };
@@ -440,7 +455,7 @@ pub fn run_session(mgr: &SessionManager, stream: TcpStream) -> std::io::Result<(
                         if producer.is_none() && req.shareable() {
                             producer = mgr.hub.try_produce(req.key(&mgr.cfg));
                         }
-                        stream_batch(mgr, &mut w, &req, &suffix, producer)?
+                        stream_batch(mgr, &mut w, &req, lease, &suffix, producer)?
                     }
                 };
                 last = batch.or(last);
@@ -500,10 +515,14 @@ impl BatchRequest {
 /// batch runs to completion — the shared engine and scheduler are
 /// never interrupted mid-flight, and the broadcast still finishes for
 /// its taps — and the session ends right after with the write error.
-fn stream_batch(
-    mgr: &SessionManager,
+///
+/// `lease` is the checkout a churning batch was validated against;
+/// any other batch checks its world out here.
+fn stream_batch<'m>(
+    mgr: &'m SessionManager,
     w: &mut ResponseWriter,
     req: &BatchRequest,
+    lease: Option<PoolCheckout<'m>>,
     ok_suffix: &str,
     mut producer: Option<ProducerGuard<'_>>,
 ) -> std::io::Result<Option<Arc<FinishedBatch>>> {
@@ -515,20 +534,14 @@ fn stream_batch(
     // Lease the stack for the whole batch: the pool's evictor never
     // reclaims a leased world, and the lease drop at the end of this
     // function is what stamps the LRU detach tick.
-    let world_seed = req.world_seed.unwrap_or(mgr.cfg.default_world_seed);
-    let lease = mgr.pool.checkout(world_seed, req.policy);
+    let lease = lease.unwrap_or_else(|| {
+        let world_seed = req.world_seed.unwrap_or(mgr.cfg.default_world_seed);
+        mgr.pool.checkout(world_seed, req.policy)
+    });
     let (world, engine) = (Arc::clone(&lease.world), Arc::clone(&lease.engine));
     let engine = if cfg.churn.is_empty() {
         engine
     } else {
-        // Reject bad schedules with a protocol error before any round
-        // runs, not a mid-batch panic (a churning batch is never
-        // shareable, so there is no broadcast to fail).
-        if let Err(msg) = cfg.churn.validate(&world.topo) {
-            w.err(&msg)?;
-            w.flush()?;
-            return Ok(None);
-        }
         // Churn permanently advances an engine's epoch, so a churning
         // batch measures on a PRIVATE engine stack over the pooled
         // (immutable) world — the pooled engine never sees a delta.

@@ -642,6 +642,39 @@ fn credit_feedback_is_opt_in_and_session_local() {
     server.shutdown();
 }
 
+/// A batch refused for its churn schedule costs nothing: the schedule
+/// is checked against the batch's world before the batch is charged,
+/// so the `HELLO credits=on` balance after the refusal is the balance
+/// before it.
+#[test]
+fn a_refused_churn_batch_leaves_the_balance_unchanged() {
+    let mut cfg = ServiceConfig::small();
+    cfg.max_sessions = 1;
+    cfg.default_world_seed = 90;
+    // No refill: the balances asserted below are exact.
+    cfg.credits = shortcuts_service::CreditConfig::new(100.0, 0.0);
+    let server = Server::start("127.0.0.1:0", cfg).expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.round_trip("HELLO credits=on").unwrap(),
+        "OK hello framing=text"
+    );
+    let err = client
+        .run_streaming(
+            "RUN seed=1 rounds=3 world-seed=90 churn=as-down:AS1@0",
+            |_| {},
+        )
+        .expect_err("AS1 is not in the small world");
+    assert!(err.to_string().contains("unknown AS1"), "{err}");
+    // Nothing was charged: the next metered run sees the full bucket.
+    let ok = client
+        .run_streaming("RUN seed=2 rounds=2 world-seed=90", |_| {})
+        .unwrap();
+    assert_eq!(ok, "run 1 credits=98");
+    client.quit();
+    server.shutdown();
+}
+
 /// Credit admission: a client that outruns its bucket gets
 /// `ERR credits` with a usable retry-after hint, free probes keep
 /// working while broke, and the bucket refills on the clock.

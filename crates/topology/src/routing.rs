@@ -459,8 +459,8 @@ fn sweep(topo: &Topology, dst: Asn, allows: impl Fn(NodeId, NodeId) -> bool) -> 
     st.finish(topo, dst)
 }
 
-/// Shortest-path (policy-free) table toward `dst`, used by the
-/// `ablation_routing` experiment: identical output shape but ignores
+/// Shortest-path (policy-free) table toward `dst`, used by the paper
+/// report's routing ablation: identical output shape but ignores
 /// business relationships. Comparing against this isolates how much of
 /// the relay gain is produced by *policy* inflation.
 pub fn compute_table_shortest(topo: &Topology, dst: Asn) -> RoutingTable {

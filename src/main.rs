@@ -7,6 +7,8 @@
 //!                           [--out DIR] [--serial | --rounds-in-flight N]
 //!                           [--memory-budget B] [--churn SPEC]
 //!                           [--metrics-out PATH] [--trace-out PATH]
+//! colo-shortcuts report     [--seed S] [--world-seed W] [--rounds N]
+//!                           [--out DIR]
 //! colo-shortcuts sweep      [--seed S] [--seeds S1,S2,..] [--rounds N]
 //!                           [--jobs-in-flight N] [--out DIR]
 //!                           [--memory-budget B] [--churn SPEC]
@@ -31,6 +33,13 @@
 //! measured concurrently); `--serial` forces one window at a time; the
 //! default is per-round parallel. All three produce bit-identical
 //! results for the same seed.
+//!
+//! `report` reproduces every figure, table and §3 number of the paper,
+//! the four ablations and the two-relay extension, in three campaigns
+//! ([`shortcuts_core::paper`]). Into `--out` it writes `campaign`'s
+//! five CSVs (the same bytes), `coverage.csv` (Fig. 1),
+//! `improvement_cdf.csv` (Fig. 2), `facilities.csv` (Table 1) and
+//! `summary.csv` (`quantity,measured,paper`).
 //!
 //! `sweep` runs one campaign **per seed in `--seeds`** concurrently on
 //! one world — built from `--seed` — sharing router tables, the pair
@@ -93,14 +102,10 @@
 //! `ERR busy`/`ERR credits` refusals with jittered exponential backoff
 //! honoring the server's `retry-after-ms` hint.
 
-use shortcuts_core::analysis::improvement::ImprovementAnalysis;
-use shortcuts_core::analysis::threshold::ThresholdCurve;
-use shortcuts_core::analysis::top_relays::TopRelayAnalysis;
-use shortcuts_core::report;
 use shortcuts_core::sweep::{Sweep, SweepConfig};
 use shortcuts_core::workflow::{Campaign, CampaignConfig};
 use shortcuts_core::world::{World, WorldConfig};
-use shortcuts_core::RelayType;
+use shortcuts_core::{paper, report};
 use shortcuts_service::{
     BatchRequest, BatchVerb, Client, Framing, RetryPolicy, Server, ServiceConfig, StreamEvent,
 };
@@ -259,13 +264,14 @@ fn main() {
         "world-info" => world_info(&args),
         "funnel" => funnel(&args),
         "campaign" => campaign(&args),
+        "report" => paper_report(&args),
         "sweep" => sweep(&args),
         "serve" => serve(&args),
         "client" => client(&args),
         _ => {
             eprintln!(
-                "usage: colo-shortcuts <world-info|funnel|campaign|sweep|serve|client> \
-                 [--seed S] [--seeds S1,S2,..] [--rounds N] [--out DIR] \
+                "usage: colo-shortcuts <world-info|funnel|campaign|report|sweep|serve|client> \
+                 [--seed S] [--world-seed W] [--seeds S1,S2,..] [--rounds N] [--out DIR] \
                  [--serial | --rounds-in-flight N] [--jobs-in-flight N] \
                  [--addr HOST:PORT] [--max-sessions N] [--world-scale small|paper] [--stats] \
                  [--memory-budget BYTES|K|M|G|unbounded] [--churn SPEC] \
@@ -450,24 +456,25 @@ fn campaign(args: &Args) {
         results.pings_sent as f64 / 1e6
     );
 
-    let write = |name: &str, contents: String| write_out(args, name, contents);
-    write("cases.csv", report::cases_csv(&results));
-    let imp = ImprovementAnalysis::compute(&results);
-    write("improvement.csv", report::improvement_csv(&imp));
-    let tops: Vec<TopRelayAnalysis> = RelayType::ALL
-        .iter()
-        .map(|&t| TopRelayAnalysis::compute(&results, t, 200))
-        .collect();
-    write("top_relays.csv", report::top_relays_csv(&tops));
-    let xs: Vec<f64> = (0..=20).map(|i| f64::from(i) * 5.0).collect();
-    let mut curves = Vec::new();
-    for t in RelayType::ALL {
-        curves.push(ThresholdCurve::compute(&results, t, Some(10), &xs));
-        curves.push(ThresholdCurve::compute(&results, t, None, &xs));
+    for (name, csv) in report::campaign_csvs(&results) {
+        write_out(args, name, csv);
     }
-    write("threshold.csv", report::threshold_csv(&curves));
-    write("funnel.csv", report::funnel_csv(&results.colo_pool.funnel));
     telemetry_finish(args, &engine, w.seed);
+}
+
+fn paper_report(args: &Args) {
+    or_exit("--out", &args.out, std::fs::create_dir_all(&args.out));
+    let w = build(args);
+    let mut cfg = CampaignConfig::paper();
+    cfg.rounds = args.rounds;
+    cfg.seed = args.seed;
+    eprintln!("running 3 campaigns x {} rounds ...", cfg.rounds);
+    let files = paper::run(&w, &cfg, |campaign, s| {
+        eprintln!("{campaign:>13} round {:>3}: {} cases", s.round, s.cases);
+    });
+    for (name, contents) in files {
+        write_out(args, name, contents);
+    }
 }
 
 fn sweep(args: &Args) {

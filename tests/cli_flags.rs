@@ -64,16 +64,18 @@ fn unwritable_out_exits_1_naming_the_flag() {
     // A regular file where the output directory should be.
     let file = std::env::temp_dir().join(format!("cli_flags_out_{}", std::process::id()));
     std::fs::write(&file, b"").expect("create a regular file");
-    let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
-        .args(["campaign", "--rounds", "1", "--out"])
-        .arg(&file)
-        .output()
-        .expect("spawn colo-shortcuts");
+    for cmd in ["campaign", "report"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
+            .args([cmd, "--rounds", "1", "--out"])
+            .arg(&file)
+            .output()
+            .expect("spawn colo-shortcuts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.starts_with("--out: "), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
     let _ = std::fs::remove_file(&file);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.starts_with("--out: "), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// README's churn example (`campaign --seed 2017 --rounds 6 --churn

@@ -5,18 +5,15 @@
 //! field, a different rounding, a stitch that drops a relay — passes
 //! them all. These tests pin an FNV-1a digest of each CSV a small
 //! campaign and a small sweep render: the five files of
-//! `colo-shortcuts campaign` and the sweep's comparison table. The
+//! `colo-shortcuts campaign` (and `report`), rendered by the function
+//! both commands call, and the sweep's comparison table. The
 //! digests were captured before case records became plain values with
 //! per-round `improving` arenas, and that change reproduces them
 //! byte for byte. A mismatch means the rendered output moved.
 
-use colo_shortcuts::core::analysis::improvement::ImprovementAnalysis;
-use colo_shortcuts::core::analysis::threshold::ThresholdCurve;
-use colo_shortcuts::core::analysis::top_relays::TopRelayAnalysis;
-use colo_shortcuts::core::relays::RelayType;
 use colo_shortcuts::core::report;
 use colo_shortcuts::core::sweep::{Sweep, SweepConfig};
-use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults};
+use colo_shortcuts::core::workflow::{Campaign, CampaignConfig};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use std::sync::{Arc, LazyLock};
 
@@ -36,32 +33,6 @@ fn config(rounds: u32) -> CampaignConfig {
     cfg.rounds = rounds;
     cfg.seed = 2017;
     cfg
-}
-
-/// The five files `colo-shortcuts campaign` writes, in its order.
-fn campaign_csvs(results: &CampaignResults) -> [(&'static str, String); 5] {
-    let improvement = ImprovementAnalysis::compute(results);
-    let tops: Vec<TopRelayAnalysis> = RelayType::ALL
-        .iter()
-        .map(|&t| TopRelayAnalysis::compute(results, t, 200))
-        .collect();
-    let xs: Vec<f64> = (0..=20).map(|i| f64::from(i) * 5.0).collect();
-    let curves: Vec<ThresholdCurve> = RelayType::ALL
-        .iter()
-        .flat_map(|&t| {
-            [
-                ThresholdCurve::compute(results, t, Some(10), &xs),
-                ThresholdCurve::compute(results, t, None, &xs),
-            ]
-        })
-        .collect();
-    [
-        ("cases.csv", report::cases_csv(results)),
-        ("improvement.csv", report::improvement_csv(&improvement)),
-        ("top_relays.csv", report::top_relays_csv(&tops)),
-        ("threshold.csv", report::threshold_csv(&curves)),
-        ("funnel.csv", report::funnel_csv(&results.colo_pool.funnel)),
-    ]
 }
 
 fn assert_digests(got: &[(&str, String)], want: &[(&str, u64)]) {
@@ -85,7 +56,7 @@ fn campaign_csvs_are_pinned() {
     let results = Campaign::new(&WORLD, config(3)).run();
     assert!(results.total_cases() > 0);
     assert_digests(
-        &campaign_csvs(&results),
+        &report::campaign_csvs(&results),
         &[
             ("cases.csv", 0x0527f1ed65ddc959),
             ("improvement.csv", 0x01eb746c4badf6a5),
