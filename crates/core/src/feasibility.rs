@@ -11,8 +11,10 @@
 //! where `t(a, b) = d(a, b) / (c * 2/3)` is the one-way fiber
 //! propagation delay over the great-circle distance. Infeasible relays
 //! are excluded *before* any endpoint↔relay probing, which is what keeps
-//! the measurement budget tractable (and what the paper report's
-//! feasibility ablation, `feasibility_*` in `summary.csv`, quantifies).
+//! the measurement budget tractable. The exclusion is safe because no
+//! sampled RTT falls below the light floor between the locations the
+//! filter uses; `tests/method_invariants.rs` checks both on every window
+//! of its campaigns.
 
 use shortcuts_geo::{light, GeoPoint};
 

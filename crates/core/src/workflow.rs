@@ -98,7 +98,8 @@ pub struct CampaignConfig {
     /// Fraction of direct pairs also measured in reverse (symmetry
     /// check).
     pub symmetry_sample_prob: f64,
-    /// Routing policy (valley-free; ablations use shortest-path).
+    /// Routing policy (valley-free; the service's `policy=shortest-path`
+    /// selects shortest-path).
     pub routing: RoutingPolicy,
     /// Faults injected for this campaign (outages, lossy ASes). Routed
     /// through the campaign's private [`PingHandle`], never the shared
@@ -171,7 +172,8 @@ pub struct TypeOutcome {
     /// Stitched RTT of the best relay, ms; NaN when there is none (a
     /// stitched RTT is a sum of two medians, never NaN).
     best_rtt: f64,
-    /// Number of feasible relays of this type for this case.
+    /// Number of relays of this type the §2.4 filter admits for this
+    /// case whose two legs both produced a median.
     pub feasible: u32,
     /// Number of relays of this type that beat the direct path.
     pub n_improving: u32,

@@ -459,15 +459,16 @@ fn sweep(topo: &Topology, dst: Asn, allows: impl Fn(NodeId, NodeId) -> bool) -> 
     st.finish(topo, dst)
 }
 
-/// Shortest-path (policy-free) table toward `dst`, used by the paper
-/// report's routing ablation: identical output shape but ignores
+/// Shortest-path (policy-free) table toward `dst`, what the service's
+/// `policy=shortest-path` routes on: identical output shape but ignores
 /// business relationships. Comparing against this isolates how much of
 /// the relay gain is produced by *policy* inflation.
 pub fn compute_table_shortest(topo: &Topology, dst: Asn) -> RoutingTable {
     sweep_shortest(topo, dst, |_, _| true)
 }
 
-/// View-restricted shortest-path sweep (the ablation policy).
+/// View-restricted shortest-path sweep (the service's
+/// `policy=shortest-path`).
 pub fn compute_table_shortest_view(topo: &Topology, view: &DeltaView, dst: Asn) -> RoutingTable {
     if view.is_empty() {
         return compute_table_shortest(topo, dst);
@@ -533,7 +534,8 @@ pub enum RoutingPolicy {
     /// Gao–Rexford valley-free routing (the real Internet's behavior).
     #[default]
     ValleyFree,
-    /// Unrestricted shortest-path routing (ablation baseline).
+    /// Unrestricted shortest-path routing (the service's
+    /// `policy=shortest-path`).
     ShortestPath,
 }
 
@@ -684,8 +686,8 @@ impl Router {
         Self::with_policy(topo, RoutingPolicy::ValleyFree)
     }
 
-    /// Creates a router with an explicit policy (ablations use
-    /// [`RoutingPolicy::ShortestPath`]).
+    /// Creates a router with an explicit policy (the service's
+    /// `policy=shortest-path` uses [`RoutingPolicy::ShortestPath`]).
     pub fn with_policy(topo: Arc<Topology>, policy: RoutingPolicy) -> Self {
         Self::with_budget(topo, policy, None)
     }

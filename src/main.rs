@@ -1,20 +1,21 @@
 //! `colo-shortcuts` — command-line front end for the reproduction.
 //!
 //! ```text
-//! colo-shortcuts world-info [--seed S]
-//! colo-shortcuts funnel     [--seed S]
+//! colo-shortcuts world-info [--seed S] [--world-seed W]
+//! colo-shortcuts funnel     [--seed S] [--world-seed W]
 //! colo-shortcuts campaign   [--seed S] [--world-seed W] [--rounds N]
 //!                           [--out DIR] [--serial | --rounds-in-flight N]
 //!                           [--memory-budget B] [--churn SPEC]
 //!                           [--metrics-out PATH] [--trace-out PATH]
 //! colo-shortcuts report     [--seed S] [--world-seed W] [--rounds N]
 //!                           [--out DIR]
-//! colo-shortcuts sweep      [--seed S] [--seeds S1,S2,..] [--rounds N]
-//!                           [--jobs-in-flight N] [--out DIR]
+//! colo-shortcuts sweep      [--seed S] [--world-seed W] [--seeds S1,S2,..]
+//!                           [--rounds N] [--jobs-in-flight N] [--out DIR]
 //!                           [--memory-budget B] [--churn SPEC]
 //!                           [--metrics-out PATH] [--trace-out PATH]
 //! colo-shortcuts serve      [--addr A] [--max-sessions N]
 //!                           [--world-scale small|paper] [--seed S]
+//!                           [--world-seed W]
 //!                           [--memory-budget B] [--credits CAP]
 //!                           [--credit-refill PER_SEC]
 //!                           [--subscriber-lag N]
@@ -25,6 +26,9 @@
 //!                           [--retries N]
 //! ```
 //!
+//! A subcommand refuses any flag it does not read: it names the
+//! subcommand and the flag and exits 2 before it builds a world.
+//!
 //! `campaign` runs the paper's measurement campaign — streaming a
 //! progress line per completed round — and writes the figure-ready
 //! CSVs (`cases.csv`, `improvement.csv`, `top_relays.csv`,
@@ -34,8 +38,8 @@
 //! default is per-round parallel. All three produce bit-identical
 //! results for the same seed.
 //!
-//! `report` reproduces every figure, table and §3 number of the paper,
-//! the four ablations and the two-relay extension, in three campaigns
+//! `report` reproduces every figure, table and §3 number of the paper
+//! and the placement ablation from one campaign
 //! ([`shortcuts_core::paper`]). Into `--out` it writes `campaign`'s
 //! five CSVs (the same bytes), `coverage.csv` (Fig. 1),
 //! `improvement_cdf.csv` (Fig. 2), `facilities.csv` (Table 1) and
@@ -163,9 +167,90 @@ fn parse_credit_flag(flag: &str, value: &str) -> f64 {
     credits
 }
 
+/// Every subcommand with the flags it reads; any other flag is refused.
+const SUBCOMMANDS: [(&str, &[&str]); 7] = [
+    ("world-info", &["--seed", "--world-seed"]),
+    ("funnel", &["--seed", "--world-seed"]),
+    (
+        "campaign",
+        &[
+            "--seed",
+            "--world-seed",
+            "--rounds",
+            "--out",
+            "--serial",
+            "--rounds-in-flight",
+            "--memory-budget",
+            "--churn",
+            "--metrics-out",
+            "--trace-out",
+        ],
+    ),
+    ("report", &["--seed", "--world-seed", "--rounds", "--out"]),
+    (
+        "sweep",
+        &[
+            "--seed",
+            "--world-seed",
+            "--rounds",
+            "--out",
+            "--seeds",
+            "--jobs-in-flight",
+            "--memory-budget",
+            "--churn",
+            "--metrics-out",
+            "--trace-out",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "--addr",
+            "--max-sessions",
+            "--world-scale",
+            "--memory-budget",
+            "--credits",
+            "--credit-refill",
+            "--subscriber-lag",
+            "--seed",
+            "--world-seed",
+        ],
+    ),
+    (
+        "client",
+        &[
+            "--addr",
+            "--seed",
+            "--seeds",
+            "--world-seed",
+            "--rounds",
+            "--out",
+            "--jobs-in-flight",
+            "--churn",
+            "--stats",
+            "--subscribe",
+            "--framing",
+            "--retries",
+            "--metrics",
+        ],
+    ),
+];
+
+/// Prints every subcommand with the flags it takes and exits 2.
+fn usage() -> ! {
+    eprintln!("usage: colo-shortcuts <subcommand> [flags]");
+    for (cmd, flags) in SUBCOMMANDS {
+        eprintln!("  {cmd:<10} {}", flags.join(" "));
+    }
+    std::process::exit(2);
+}
+
 fn parse_args(mut argv: std::env::Args) -> (String, Args) {
     let _bin = argv.next();
-    let cmd = argv.next().unwrap_or_else(|| "help".to_string());
+    let cmd = argv.next().unwrap_or_default();
+    let Some(&(_, accepted)) = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        usage();
+    };
     let mut args = Args {
         seed: 2017,
         world_seed: None,
@@ -193,6 +278,13 @@ fn parse_args(mut argv: std::env::Args) -> (String, Args) {
     };
     while let Some(flag) = argv.next() {
         let flag = flag.as_str();
+        if !accepted.contains(&flag) {
+            eprintln!(
+                "{flag}: not a `{cmd}` flag; `{cmd}` takes {}",
+                accepted.join(" ")
+            );
+            std::process::exit(2);
+        }
         let mut value = || {
             argv.next().unwrap_or_else(|| {
                 eprintln!("missing value for {flag}");
@@ -245,10 +337,7 @@ fn parse_args(mut argv: std::env::Args) -> (String, Args) {
             "--rounds-in-flight" => {
                 args.rounds_in_flight = Some(parse_flag(flag, &value(), "a usize"))
             }
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is accepted but not parsed"),
         }
     }
     if args.serial && args.rounds_in_flight.is_some() {
@@ -268,19 +357,7 @@ fn main() {
         "sweep" => sweep(&args),
         "serve" => serve(&args),
         "client" => client(&args),
-        _ => {
-            eprintln!(
-                "usage: colo-shortcuts <world-info|funnel|campaign|report|sweep|serve|client> \
-                 [--seed S] [--world-seed W] [--seeds S1,S2,..] [--rounds N] [--out DIR] \
-                 [--serial | --rounds-in-flight N] [--jobs-in-flight N] \
-                 [--addr HOST:PORT] [--max-sessions N] [--world-scale small|paper] [--stats] \
-                 [--memory-budget BYTES|K|M|G|unbounded] [--churn SPEC] \
-                 [--subscribe] [--framing text|binary] [--retries N] \
-                 [--credits CAP] [--credit-refill PER_SEC] [--subscriber-lag N] \
-                 [--metrics] [--metrics-out PATH] [--trace-out PATH]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 }
 
@@ -468,9 +545,9 @@ fn paper_report(args: &Args) {
     let mut cfg = CampaignConfig::paper();
     cfg.rounds = args.rounds;
     cfg.seed = args.seed;
-    eprintln!("running 3 campaigns x {} rounds ...", cfg.rounds);
-    let files = paper::run(&w, &cfg, |campaign, s| {
-        eprintln!("{campaign:>13} round {:>3}: {} cases", s.round, s.cases);
+    eprintln!("running {} rounds ...", cfg.rounds);
+    let files = paper::run(&w, &cfg, |s| {
+        eprintln!("round {:>3}: {} cases", s.round, s.cases);
     });
     for (name, contents) in files {
         write_out(args, name, contents);

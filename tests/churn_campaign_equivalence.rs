@@ -22,7 +22,14 @@ use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::EngineStats;
 use colo_shortcuts::topology::{AsType, ChurnSchedule, MemoryBudget, TopologyDelta};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The suite's world: small, seed 77, built once. Every test only
+/// reads it; each campaign still builds its own engine stack.
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| World::build(&WorldConfig::small(), 77))
+}
 
 fn base_cfg(rounds: u32) -> CampaignConfig {
     let mut cfg = CampaignConfig::small();
@@ -49,23 +56,23 @@ fn transit_link(world: &World) -> (colo_shortcuts::topology::Asn, colo_shortcuts
 
 #[test]
 fn churn_free_schedule_is_byte_identical_to_no_schedule() {
-    let world = World::build(&WorldConfig::small(), 77);
-    let clean = Campaign::new(&world, base_cfg(2)).run();
+    let world = world();
+    let clean = Campaign::new(world, base_cfg(2)).run();
     assert!(!clean.cases.is_empty());
 
     // A schedule whose only batch falls past the last round never
     // fires: segments() degenerates to one full-range epoch.
-    let (a, b) = transit_link(&world);
+    let (a, b) = transit_link(world);
     let mut cfg = base_cfg(2);
     cfg.churn.add(99, TopologyDelta::LinkDown { a, b });
-    let late = Campaign::new(&world, cfg).run();
+    let late = Campaign::new(world, cfg).run();
     assert_eq!(cases_csv(&clean), cases_csv(&late));
     assert_eq!(clean.pings_sent, late.pings_sent);
 
     // And the explicit empty schedule is the default.
     let mut cfg = base_cfg(2);
     cfg.churn = ChurnSchedule::none();
-    let empty = Campaign::new(&world, cfg).run();
+    let empty = Campaign::new(world, cfg).run();
     assert_eq!(cases_csv(&clean), cases_csv(&empty));
 }
 
@@ -92,8 +99,8 @@ fn churny_run(
 
 #[test]
 fn churny_campaign_is_identical_across_exec_modes() {
-    let world = World::build(&WorldConfig::small(), 77);
-    let run = |exec: ExecMode| churny_run(&world, exec, MemoryBudget::unbounded()).0;
+    let world = world();
+    let run = |exec: ExecMode| churny_run(world, exec, MemoryBudget::unbounded()).0;
     let serial = run(ExecMode::Serial);
     assert!(!serial.cases.is_empty());
     for exec in [
@@ -119,13 +126,13 @@ fn starved_budget_churny_campaign_matches_the_unbudgeted_one() {
     // 256K holds a few routing tables and pair entries at most: stale
     // ones are evicted between and within churn segments, and the
     // sharded run rebuilds them under its own schedule.
-    let world = World::build(&WorldConfig::small(), 77);
-    let (unbudgeted, _) = churny_run(&world, ExecMode::Parallel, MemoryBudget::unbounded());
+    let world = world();
+    let (unbudgeted, _) = churny_run(world, ExecMode::Parallel, MemoryBudget::unbounded());
     assert!(!unbudgeted.cases.is_empty());
     let sharded = ExecMode::Sharded {
         rounds_in_flight: 2,
     };
-    let (starved, stats) = churny_run(&world, sharded, MemoryBudget::bytes(256 << 10));
+    let (starved, stats) = churny_run(world, sharded, MemoryBudget::bytes(256 << 10));
     assert!(
         stats.pair_evictions > 0 && stats.router_evictions > 0,
         "{stats:?}"
@@ -174,12 +181,12 @@ fn per_scenario_churn_is_rejected() {
 
 #[test]
 fn churn_changes_the_measurements() {
-    let world = World::build(&WorldConfig::small(), 77);
-    let clean = Campaign::new(&world, base_cfg(2)).run();
+    let world = world();
+    let clean = Campaign::new(world, base_cfg(2)).run();
     let tier1 = world.topo.asns_of_type(AsType::Tier1)[0];
     let mut cfg = base_cfg(2);
     cfg.churn.add(1, TopologyDelta::AsDown { asn: tier1 });
-    let churned = Campaign::new(&world, cfg).run();
+    let churned = Campaign::new(world, cfg).run();
     // Round 0 is untouched; from round 1 on, paths through the downed
     // Tier1 reroute or black-hole, so the CSVs must diverge.
     assert_ne!(

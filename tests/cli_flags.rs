@@ -1,7 +1,7 @@
 //! A malformed or unworkable numeric flag is a usage error, not a
 //! crash: the CLI names the flag on stderr and exits 2 before it builds
 //! any world, as it does for `--memory-budget`, `--churn` and
-//! `--framing`. A file it
+//! `--framing`. So is a flag the subcommand does not read. A file it
 //! cannot write is not a crash either: it names the flag and the path
 //! and exits 1. The `--churn` example README documents names ASes and
 //! links of the world it runs on.
@@ -10,16 +10,25 @@ use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::topology::ChurnSchedule;
 use std::process::Command;
 
+/// Each numeric flag, passed to a subcommand that reads it.
 #[test]
 fn bad_numeric_flags_exit_2_naming_the_flag() {
-    let flags = "--seed --world-seed --seeds --rounds --jobs-in-flight --max-sessions \
-                 --retries --credits --credit-refill --subscriber-lag --rounds-in-flight";
-    for (flag, value) in flags
-        .split_whitespace()
-        .zip(["x", "", "7,x"].iter().cycle())
-    {
+    let flags = [
+        ("campaign", "--seed"),
+        ("campaign", "--world-seed"),
+        ("sweep", "--seeds"),
+        ("campaign", "--rounds"),
+        ("sweep", "--jobs-in-flight"),
+        ("serve", "--max-sessions"),
+        ("client", "--retries"),
+        ("serve", "--credits"),
+        ("serve", "--credit-refill"),
+        ("serve", "--subscriber-lag"),
+        ("campaign", "--rounds-in-flight"),
+    ];
+    for ((cmd, flag), value) in flags.into_iter().zip(["x", "", "7,x"].iter().cycle()) {
         let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
-            .args(["campaign", flag, value])
+            .args([cmd, flag, value])
             .output()
             .expect("spawn colo-shortcuts");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -40,9 +49,9 @@ fn unworkable_flag_values_exit_2_naming_the_flag() {
     let cases: [&[&str]; 5] = [
         &["sweep", "--seed", "18446744073709551615"],
         &["sweep", "--seed", "18446744073709551613"],
-        &["campaign", "--credits", "-1"],
-        &["campaign", "--credit-refill", "inf"],
-        &["campaign", "--credit-refill", "NaN"],
+        &["serve", "--credits", "-1"],
+        &["serve", "--credit-refill", "inf"],
+        &["serve", "--credit-refill", "NaN"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
@@ -55,6 +64,40 @@ fn unworkable_flag_values_exit_2_naming_the_flag() {
             stderr.starts_with(&format!("{}: ", args[1])),
             "{args:?}: {stderr}"
         );
+        assert!(!stderr.contains("building world"), "{args:?}: {stderr}");
+    }
+}
+
+/// A flag the subcommand does not read is refused, naming the flag and
+/// the subcommand, before any world is built: a silently ignored
+/// `--world-scale small` would still build the paper-scale world.
+#[test]
+fn flags_a_subcommand_does_not_read_exit_2_naming_both() {
+    let cases: [&[&str]; 8] = [
+        &[
+            "world-info",
+            "--churn",
+            "as-down:AS99999999@0",
+            "--memory-budget",
+            "1K",
+        ],
+        &["report", "--serial", "--memory-budget", "1K", "--addr", "x"],
+        &["campaign", "--world-scale", "small"],
+        &["campaign", "--bogus"],
+        &["funnel", "--rounds", "1"],
+        &["sweep", "--serial"],
+        &["serve", "--rounds", "1"],
+        &["client", "--memory-budget", "1K"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_colo-shortcuts"))
+            .args(args)
+            .output()
+            .expect("spawn colo-shortcuts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let refusal = format!("{}: not a `{}` flag", args[1], args[0]);
+        assert!(stderr.starts_with(&refusal), "{args:?}: {stderr}");
         assert!(!stderr.contains("building world"), "{args:?}: {stderr}");
     }
 }

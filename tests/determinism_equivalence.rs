@@ -18,6 +18,14 @@ use colo_shortcuts::core::workflow::{Campaign, CampaignConfig, CampaignResults, 
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::core::RelayType;
 use colo_shortcuts::topology::MemoryBudget;
+use std::sync::OnceLock;
+
+/// The suite's world: small, seed 77, built once. Every test only
+/// reads it; each campaign still builds its own engine stack.
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| World::build(&WorldConfig::small(), 77))
+}
 
 fn config(exec: ExecMode) -> CampaignConfig {
     let mut cfg = CampaignConfig::small();
@@ -97,18 +105,18 @@ fn assert_identical(a: &CampaignResults, b: &CampaignResults) {
 
 #[test]
 fn same_seed_same_results_bitwise() {
-    let world = World::build(&WorldConfig::small(), 77);
-    let r1 = run(&world, ExecMode::Parallel);
-    let r2 = run(&world, ExecMode::Parallel);
+    let world = world();
+    let r1 = run(world, ExecMode::Parallel);
+    let r2 = run(world, ExecMode::Parallel);
     assert!(!r1.cases.is_empty());
     assert_identical(&r1, &r2);
 }
 
 #[test]
 fn serial_and_parallel_backends_are_equivalent() {
-    let world = World::build(&WorldConfig::small(), 77);
-    let serial = run(&world, ExecMode::Serial);
-    let parallel = run(&world, ExecMode::Parallel);
+    let world = world();
+    let serial = run(world, ExecMode::Serial);
+    let parallel = run(world, ExecMode::Parallel);
     assert!(!serial.cases.is_empty());
     assert_identical(&serial, &parallel);
 }
@@ -120,11 +128,11 @@ fn sharded_is_bit_identical_to_serial() {
     // sample and the ping count must still match a serial run bit for
     // bit — at every sharding depth, including depths past the round
     // count.
-    let world = World::build(&WorldConfig::small(), 77);
-    let serial = run(&world, ExecMode::Serial);
+    let world = world();
+    let serial = run(world, ExecMode::Serial);
     assert!(!serial.cases.is_empty());
     for rounds_in_flight in [1, 2, 3, 16] {
-        let sharded = run(&world, ExecMode::Sharded { rounds_in_flight });
+        let sharded = run(world, ExecMode::Sharded { rounds_in_flight });
         assert_identical(&serial, &sharded);
     }
 }
@@ -135,15 +143,15 @@ fn starved_budget_sharded_is_bit_identical_to_unbudgeted_parallel() {
     // sharded run evicts and recomputes on its hot paths, racing
     // eviction against rounds in flight. None of it may show in the
     // results.
-    let world = World::build(&WorldConfig::small(), 77);
-    let unbudgeted = run(&world, ExecMode::Parallel);
+    let world = world();
+    let unbudgeted = run(world, ExecMode::Parallel);
     assert!(!unbudgeted.cases.is_empty());
     let mut cfg = config(ExecMode::Sharded {
         rounds_in_flight: 2,
     });
     cfg.memory = MemoryBudget::bytes(256 << 10);
     let engine = world.shared().engine_budgeted(cfg.routing, cfg.memory);
-    let starved = Campaign::new(&world, cfg).run_streaming_on(&engine, |_| {});
+    let starved = Campaign::new(world, cfg).run_streaming_on(&engine, |_| {});
     let stats = engine.engine_stats();
     assert!(
         stats.pair_evictions > 0 && stats.router_evictions > 0,
@@ -154,12 +162,12 @@ fn starved_budget_sharded_is_bit_identical_to_unbudgeted_parallel() {
 
 #[test]
 fn sharded_repeats_are_bit_identical() {
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     let mode = ExecMode::Sharded {
         rounds_in_flight: 2,
     };
-    let r1 = run(&world, mode);
-    let r2 = run(&world, mode);
+    let r1 = run(world, mode);
+    let r2 = run(world, mode);
     assert!(!r1.cases.is_empty());
     assert_identical(&r1, &r2);
 }
@@ -168,13 +176,13 @@ fn sharded_repeats_are_bit_identical() {
 fn streaming_summaries_agree_across_modes() {
     // The streaming observer must see the same per-round summaries, in
     // the same (round) order, whichever scheduler ran the campaign.
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     let collect = |exec: ExecMode| -> Vec<RoundSummary> {
         let mut cfg = CampaignConfig::small();
         cfg.rounds = 2;
         cfg.exec = exec;
         let mut summaries = Vec::new();
-        Campaign::new(&world, cfg).run_streaming(|s| summaries.push(s.clone()));
+        Campaign::new(world, cfg).run_streaming(|s| summaries.push(s.clone()));
         summaries
     };
     let serial = collect(ExecMode::Serial);
@@ -192,12 +200,12 @@ fn streaming_summaries_agree_across_modes() {
 
 #[test]
 fn different_seed_changes_measurements() {
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     let mut cfg = CampaignConfig::small();
     cfg.rounds = 1;
-    let r1 = Campaign::new(&world, cfg.clone()).run();
+    let r1 = Campaign::new(world, cfg.clone()).run();
     cfg.seed += 1;
-    let r2 = Campaign::new(&world, cfg).run();
+    let r2 = Campaign::new(world, cfg).run();
     // Same world, different campaign seed: endpoint samples and window
     // noise both move.
     let same_medians = r1

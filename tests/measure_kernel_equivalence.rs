@@ -32,7 +32,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scalar_oracle::ScalarOracle;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The suite's world: small, seed 77, built once. Every test only
+/// reads it; each campaign still builds its own engine stack.
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| World::build(&WorldConfig::small(), 77))
+}
 
 /// One private engine stack (topology, router, hosts, engine) with two
 /// hosts per eyeball AS — so same-AS pairs exist — under an optional
@@ -194,7 +201,7 @@ fn scalar_oracle_run(world: &World, cfg: CampaignConfig) -> CampaignResults {
 
 #[test]
 fn campaign_csvs_are_byte_identical_to_the_scalar_oracle() {
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     for exec in [
         ExecMode::Serial,
         ExecMode::Parallel,
@@ -205,8 +212,8 @@ fn campaign_csvs_are_byte_identical_to_the_scalar_oracle() {
         let mut cfg = CampaignConfig::small();
         cfg.rounds = 2;
         cfg.exec = exec;
-        let batched = Campaign::new(&world, cfg.clone()).run();
-        let scalar = scalar_oracle_run(&world, cfg);
+        let batched = Campaign::new(world, cfg.clone()).run();
+        let scalar = scalar_oracle_run(world, cfg);
         assert!(!batched.cases.is_empty());
         assert_eq!(
             cases_csv(&batched),
@@ -226,7 +233,7 @@ fn faulted_campaign_matches_the_scalar_oracle() {
     // Fault plans change the sampling loop's RNG skip pattern — the
     // subtlest place for the batched kernel to drift. Down an AS
     // mid-campaign wall-clock and add loss; bytes must still match.
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     let eye = world.topo.eyeball_asns()[0];
     let faults =
         FaultPlan::none()
@@ -235,8 +242,8 @@ fn faulted_campaign_matches_the_scalar_oracle() {
     let mut cfg = CampaignConfig::small();
     cfg.rounds = 2;
     cfg.faults = faults;
-    let batched = Campaign::new(&world, cfg.clone()).run();
-    let scalar = scalar_oracle_run(&world, cfg);
+    let batched = Campaign::new(world, cfg.clone()).run();
+    let scalar = scalar_oracle_run(world, cfg);
     assert!(!batched.cases.is_empty());
     assert_eq!(cases_csv(&batched), cases_csv(&scalar));
     assert_eq!(batched.pings_sent, scalar.pings_sent);
@@ -294,7 +301,7 @@ fn interleaved_rounds<B: MeasurementBackend>(
 
 #[test]
 fn interleaved_campaigns_match_the_scalar_oracle() {
-    let world = World::build(&WorldConfig::small(), 77);
+    let world = world();
     // Two campaigns on one engine, the second under its own fault plan:
     // the pair cache is shared, faults and ping counts are not.
     let mut first = CampaignConfig::small();
@@ -303,10 +310,10 @@ fn interleaved_campaigns_match_the_scalar_oracle() {
     second.seed += 1;
     second.faults = FaultPlan::none().with_lossy_as(world.topo.eyeball_asns()[0], 0.3);
     let cfgs = [first, second];
-    let batched = interleaved_rounds(&world, &cfgs, |handle, cfg| {
+    let batched = interleaved_rounds(world, &cfgs, |handle, cfg| {
         NetsimBackend::new(handle, cfg.window, cfg.seed)
     });
-    let scalar = interleaved_rounds(&world, &cfgs, |handle, cfg| ScalarOracle {
+    let scalar = interleaved_rounds(world, &cfgs, |handle, cfg| ScalarOracle {
         handle,
         window: cfg.window,
         campaign_seed: cfg.seed,

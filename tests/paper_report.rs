@@ -1,5 +1,5 @@
-//! The paper report on a small world: its five campaign CSVs are the
-//! bytes `campaign` writes, it runs exactly three campaigns, and
+//! The paper report on a small world: it runs exactly one campaign, the
+//! paper's, its five campaign CSVs are the bytes `campaign` writes, and
 //! `summary.csv` carries every published value exactly once, beside
 //! the measured one.
 
@@ -8,7 +8,7 @@ use colo_shortcuts::core::paper;
 use colo_shortcuts::core::report;
 use colo_shortcuts::core::workflow::{Campaign, CampaignConfig};
 use colo_shortcuts::core::world::{World, WorldConfig};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 #[test]
 fn report_shares_campaign_bytes_and_carries_every_target() {
@@ -16,18 +16,16 @@ fn report_shares_campaign_bytes_and_carries_every_target() {
     let mut cfg = CampaignConfig::small();
     cfg.rounds = 2;
     cfg.seed = 2017;
-    let mut campaigns = BTreeSet::new();
-    let files: HashMap<&str, String> = paper::run(&world, &cfg, |campaign, _| {
-        campaigns.insert(campaign.to_string());
-    })
-    .into_iter()
-    .collect();
-    assert_eq!(
-        campaigns.into_iter().collect::<Vec<_>>(),
-        ["paper", "shortest-path", "single-ping"]
-    );
+    let mut rounds = Vec::new();
+    let files: HashMap<&str, String> = paper::run(&world, &cfg, |s| rounds.push(s.clone()))
+        .into_iter()
+        .collect();
 
-    let results = Campaign::new(&world, cfg).run();
+    // One campaign: the paper's own rounds, each once, in order.
+    let mut paper_rounds = Vec::new();
+    let results = Campaign::new(&world, cfg).run_streaming(|s| paper_rounds.push(s.clone()));
+    assert_eq!(paper_rounds.len(), 2);
+    assert_eq!(rounds, paper_rounds);
     for (name, csv) in report::campaign_csvs(&results) {
         assert!(files[name] == csv, "{name} differs from the campaign's");
     }
