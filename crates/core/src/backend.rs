@@ -314,6 +314,8 @@ pub enum ExecMode {
     /// Data-parallel across all available cores, with a full barrier
     /// between a round's stages: a stage's windows are one fork onto
     /// the process's worker pool, which the calling thread waits out.
+    /// The CLI no longer selects it; it stays because the perf
+    /// ledger's traced pass drives [`execute`].
     Parallel,
     /// Round-sharded streaming pipeline: up to `rounds_in_flight`
     /// rounds are planned, measured and completed concurrently, with
@@ -322,6 +324,9 @@ pub enum ExecMode {
     /// (see [`crate::shard`]). No mode spawns threads: all of them run
     /// on the one pool the `rayon` crate starts on first use. All three
     /// modes produce bit-identical results for the same seed.
+    ///
+    /// The default ([`crate::CampaignConfig::paper`]) is
+    /// `Sharded { rounds_in_flight: 2 }`.
     Sharded {
         /// Maximum rounds planned-but-not-completed at once. Bounds
         /// memory (plans and partial results alive concurrently) and

@@ -25,8 +25,8 @@
 //!   order-independent and scheduling is a free choice
 //!   ([`backend::ExecMode`]): serial, data-parallel within a round, or
 //!   round-sharded across rounds via the [`shard`] scheduler, which
-//!   keeps several rounds in flight on one worker pool — all with
-//!   **bit-identical** results.
+//!   keeps several rounds in flight on one worker pool (the default:
+//!   two) — all with **bit-identical** results.
 //! - **[`stitch`]** folds window medians into
 //!   [`workflow::CampaignResults`]: case records with per-type
 //!   outcomes (`RTT(e1, relay, e2) = median(e1, relay) + median(e2,

@@ -33,7 +33,10 @@
 //! - **Sharded** — the [`crate::shard`] scheduler keeps
 //!   `rounds_in_flight` rounds in flight at once, interleaving
 //!   direct/reverse/overlay windows from different rounds on one
-//!   worker pool so no core idles at another round's barrier.
+//!   worker pool so no core idles at another round's barrier. This is
+//!   the default, with two rounds in flight
+//!   ([`CampaignConfig::paper`]): a round plans and resolves its
+//!   direct pairs while the round before it samples.
 //!
 //! Before the round loop starts, the campaign hands
 //! [`crate::plan::warmup_destinations`] — every AS its plan can route
@@ -117,7 +120,10 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Task scheduling. Every mode yields bit-identical results for
     /// the same seed; `Parallel` uses every core within a round,
-    /// `Sharded` additionally pipelines across rounds.
+    /// `Sharded` additionally pipelines across rounds. The default
+    /// ([`CampaignConfig::paper`], so the CLI's `campaign` and
+    /// `report`) is `Sharded { rounds_in_flight: 2 }`: one round
+    /// measures while the next plans and resolves its direct pairs.
     pub exec: ExecMode,
     /// Byte budget for the engine stack this campaign builds when it
     /// runs solo ([`Campaign::run_streaming`]). Budgets bound cache
@@ -142,7 +148,9 @@ impl CampaignConfig {
             faults: FaultPlan::none(),
             churn: ChurnSchedule::none(),
             seed: 2017,
-            exec: ExecMode::Parallel,
+            exec: ExecMode::Sharded {
+                rounds_in_flight: 2,
+            },
             memory: MemoryBudget::unbounded(),
         }
     }

@@ -171,21 +171,38 @@ mod tests {
         let m = LatencyModel::default();
         let base = 50.0;
         let mut rng = StdRng::seed_from_u64(11);
-        let mut samples = Vec::new();
-        for _ in 0..2000 {
-            if let Some(r) = m.sample_rtt(base, SimTime(0.0), 0.0, &mut rng) {
-                samples.push(r);
+        // The diurnal trough (08:00 local, load 0) first: there nothing
+        // but jitter and spikes sits between a reply and its base.
+        let trough = SimTime(8.0 * 3600.0);
+        assert!(m.diurnal_load(trough, 0.0) < 1e-12);
+        let mut points = vec![(trough, 0.0)];
+        for hour in [0.0, 5.5, 14.0, 20.0] {
+            for lon in [-122.4, 0.0, 77.2, 139.7] {
+                points.push((SimTime(hour * 3600.0), lon));
             }
         }
-        assert!(samples.len() > 1900, "loss should be ~1%");
-        // All samples above base (jitter/diurnal/spike only add).
-        assert!(samples.iter().all(|&r| r >= base));
-        // Median close to base (within a few ms).
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[samples.len() / 2];
-        assert!(median < base + 5.0, "median {median}");
-        // Some spikes should appear in 2000 samples at 1.2% spike prob.
-        assert!(samples.iter().any(|&r| r > base + 25.0));
+        for (t, lon) in points {
+            // Jitter, spikes and the diurnal term only ever add.
+            let floor = base * (1.0 + m.diurnal_amplitude * m.diurnal_load(t, lon));
+            let mut samples = Vec::new();
+            for _ in 0..2000 {
+                if let Some(r) = m.sample_rtt(base, t, lon, &mut rng) {
+                    samples.push(r);
+                }
+            }
+            assert!(samples.len() > 1900, "loss should be ~1%");
+            let low = samples.iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(
+                low >= floor,
+                "reply {low} under {floor} at {t:?}, lon {lon}"
+            );
+            // Median close to the floor (within a few ms).
+            samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let median = samples[samples.len() / 2];
+            assert!(median < floor + 5.0, "median {median} at {t:?}, lon {lon}");
+            // Some spikes appear in 2000 samples at 1.2% spike prob.
+            assert!(samples.iter().any(|&r| r > floor + 25.0));
+        }
     }
 
     #[test]

@@ -675,6 +675,53 @@ fn a_refused_churn_batch_leaves_the_balance_unchanged() {
     server.shutdown();
 }
 
+/// Every request refused before it is charged costs nothing: after each
+/// refusal, a one-round `RUN` reports exactly the full bucket minus
+/// the runs before it and its own cost.
+#[test]
+fn requests_refused_before_charging_leave_the_balance_unchanged() {
+    let mut cfg = ServiceConfig::small();
+    cfg.max_sessions = 1;
+    cfg.default_world_seed = 90;
+    // No refill: the balances asserted below are exact.
+    cfg.credits = shortcuts_service::CreditConfig::new(100.0, 0.0);
+    let server = Server::start("127.0.0.1:0", cfg).expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.round_trip("HELLO credits=on").unwrap(),
+        "OK hello framing=text"
+    );
+    let refusals = [
+        ("RUN seed=1 bogus=1", "unknown RUN option"),
+        ("RUN seed=abc", "seed takes a number"),
+        ("SWEEP seeds=1,1", "duplicate seed 1"),
+        ("RUN rounds=2", "RUN requires seed"),
+        ("SUBSCRIBE seed=1 label=x", "SUBSCRIBE does not take label"),
+        (
+            "SUBSCRIBE seed=1 churn=as-down:AS9@2",
+            "SUBSCRIBE does not take churn",
+        ),
+        ("SWEEP seeds=1,2 policy=teleport", "unknown policy"),
+        ("RUN seed=1 churn=teleport:AS1@2", "ERR"),
+    ];
+    for (spent, (request, why)) in (1..).zip(refusals) {
+        let err = client
+            .run_streaming(request, |_| {})
+            .expect_err("the request is refused");
+        assert!(err.to_string().contains(why), "{request}: {err}");
+        let ok = client
+            .run_streaming(&format!("RUN seed={spent} rounds=1 world-seed=90"), |_| {})
+            .unwrap();
+        assert_eq!(
+            ok,
+            format!("run 1 credits={}", 100 - spent),
+            "after {request}"
+        );
+    }
+    client.quit();
+    server.shutdown();
+}
+
 /// Credit admission: a client that outruns its bucket gets
 /// `ERR credits` with a usable retry-after hint, free probes keep
 /// working while broke, and the bucket refills on the clock.

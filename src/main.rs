@@ -33,10 +33,10 @@
 //! progress line per completed round — and writes the figure-ready
 //! CSVs (`cases.csv`, `improvement.csv`, `top_relays.csv`,
 //! `threshold.csv`, `funnel.csv`) into `--out` (default `./out`).
-//! `--rounds-in-flight N` selects the round-sharded pipeline (N rounds
-//! measured concurrently); `--serial` forces one window at a time; the
-//! default is per-round parallel. All three produce bit-identical
-//! results for the same seed.
+//! `--rounds-in-flight N` sets how many rounds the round-sharded
+//! pipeline measures concurrently (default 2); `--serial` forces one
+//! window at a time. Both produce bit-identical results for the same
+//! seed.
 //!
 //! `report` reproduces every figure, table and §3 number of the paper
 //! and the placement ablation from one campaign
@@ -497,16 +497,19 @@ fn campaign(args: &Args) {
     cfg.seed = args.seed;
     cfg.memory = args.memory_budget;
     cfg.churn = args.churn.clone();
-    let mode = if args.serial {
+    if args.serial {
         cfg.exec = shortcuts_core::ExecMode::Serial;
-        "serial".to_string()
     } else if let Some(n) = args.rounds_in_flight {
         cfg.exec = shortcuts_core::ExecMode::Sharded {
             rounds_in_flight: n,
         };
-        format!("sharded, {n} rounds in flight")
-    } else {
-        "parallel".to_string()
+    }
+    let mode = match cfg.exec {
+        shortcuts_core::ExecMode::Serial => "serial".to_string(),
+        shortcuts_core::ExecMode::Parallel => "parallel".to_string(),
+        shortcuts_core::ExecMode::Sharded { rounds_in_flight } => {
+            format!("sharded, {rounds_in_flight} rounds in flight")
+        }
     };
     eprintln!("running {} rounds ({mode}) ...", cfg.rounds);
     // Build the engine explicitly (exactly what run_streaming would do)
