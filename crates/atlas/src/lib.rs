@@ -18,7 +18,11 @@
 //!   on.
 //! - [`looking_glass`] — city-indexed Looking Glass vantage points and
 //!   the Periscope-style "last-hop RTT via traceroute" facade used for
-//!   RTT-based geolocation of colo IPs (§2.2).
+//!   RTT-based geolocation of colo IPs (§2.2). It samples each
+//!   (LG, target) pair's last hops through
+//!   [`shortcuts_netsim::Pinger::min_last_hop_rtt`] without building a
+//!   traceroute; the full traceroute is `shortcuts_netsim`'s test
+//!   oracle for that sampler.
 //!
 //! All populations are generated deterministically from a topology and
 //! a seed, and register their vantage points as

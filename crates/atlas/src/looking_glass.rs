@@ -8,8 +8,12 @@
 //! Looking Glasses are operated by transit and content networks and
 //! exposed per-city, which the simulation mirrors: LGs are placed at
 //! PoP cities of transit/content ASes, and Periscope only offers
-//! traceroute — the last-hop RTT of which we model as a ping RTT from
-//! the LG's host.
+//! traceroute — the last-hop RTT of which is a ping from the LG's host.
+//! Only that last hop is read, so each (LG, target) pair's
+//! [`Periscope::ATTEMPTS`] last hops are sampled by
+//! [`Pinger::min_last_hop_rtt`] from one pair lookup, with the draws
+//! the intermediate hops would make, and no traceroute is built; the
+//! full traceroute survives as `shortcuts_netsim`'s test oracle.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -130,14 +134,16 @@ impl LookingGlassNet {
 #[derive(Debug)]
 pub struct Periscope<'n> {
     net: &'n LookingGlassNet,
-    /// Number of traceroute attempts per LG (min is kept).
-    pub attempts: usize,
 }
 
 impl<'n> Periscope<'n> {
+    /// Traceroute attempts per (LG, target) pair, one second apart;
+    /// the minimum last-hop RTT over them is kept.
+    pub const ATTEMPTS: usize = 3;
+
     /// Wraps a Looking Glass population.
     pub fn new(net: &'n LookingGlassNet) -> Self {
-        Periscope { net, attempts: 3 }
+        Periscope { net }
     }
 
     /// The `(LG, target)` host pairs [`Periscope::min_rtt_from_city`]
@@ -164,15 +170,10 @@ impl<'n> Periscope<'n> {
     ) -> Option<f64> {
         let mut best: Option<f64> = None;
         for (lg, target) in self.probe_pairs(city, target) {
-            for k in 0..self.attempts {
-                // Each attempt is a real traceroute; the metric is the
-                // RTT yielded on the last hop to the target (§2.2).
-                let rtt = engine
-                    .traceroute(lg, target, t.plus_secs(k as f64), rng)
-                    .and_then(|tr| tr.last_hop_rtt());
-                if let Some(rtt) = rtt {
-                    best = Some(best.map_or(rtt, |b: f64| b.min(rtt)));
-                }
+            // The metric is the RTT yielded on the last hop to the
+            // target (§2.2), minimised over the pair's attempts.
+            if let Some(rtt) = engine.min_last_hop_rtt(lg, target, t, Self::ATTEMPTS, rng) {
+                best = Some(best.map_or(rtt, |b: f64| b.min(rtt)));
             }
         }
         best

@@ -13,9 +13,10 @@
 //! Probe density is deliberately **biased toward large eyeballs** (as on
 //! the real platform), which is exactly why the paper samples one probe
 //! per AS per round instead of using all probes. Anchors are placed at
-//! well-connected ASes. A credit-based [`MeasurementBudget`] mirrors the
-//! RIPE Atlas user-defined-measurement constraints the workflow must
-//! operate under.
+//! well-connected ASes. A credit-based [`MeasurementBudget`] models the
+//! RIPE Atlas user-defined-measurement limit as a standalone type; no
+//! campaign, sweep or service path consults it, so nothing here caps
+//! how many pings a campaign sends.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -284,9 +285,10 @@ impl RipeAtlas {
 
 /// Credit-based measurement budget, mirroring RIPE Atlas UDM limits.
 ///
-/// Every ping costs credits; the workflow checks affordability before
-/// scheduling. The paper's campaign sent ~8.7 M pings — the budget type
-/// makes that constraint explicit and testable.
+/// Every ping costs credits. The paper's campaign sent ~8.7 M pings
+/// under such a limit; this type models the arithmetic of one, and only
+/// its own unit tests exercise it — the campaign workflow neither checks
+/// affordability nor charges it.
 #[derive(Debug, Clone)]
 pub struct MeasurementBudget {
     credits: u64,

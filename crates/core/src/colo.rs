@@ -200,7 +200,8 @@ pub fn run_pipeline<P: Pinger, R: Rng + ?Sized>(
         .collect();
 
     // Filter 5: RTT-based geolocation via Periscope — again resolved
-    // as one batch before the traceroutes go out one by one.
+    // as one batch, before each (LG, target) pair's last hops are
+    // sampled one pair at a time (no traceroute is built).
     let located = |r: &FacilityIpRecord| {
         let f = r.single_candidate().expect("single");
         let host = world

@@ -94,6 +94,11 @@ impl LatencyModel {
     /// `mid_longitude` locates the path for the diurnal term (use the
     /// average of the endpoint longitudes).
     ///
+    /// The draws it makes depend only on the draws themselves, never
+    /// on `base_ms`, `t` or `mid_longitude`: the geolocation sampler
+    /// ([`crate::traceroute`]) relies on it to skip the hop geometry of
+    /// a traceroute's intermediate hops.
+    ///
     /// `#[inline]`: this is the innermost call of every measurement
     /// window; letting it inline into the batched sampling loop keeps
     /// the per-ping cost at the arithmetic itself.
@@ -138,7 +143,7 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn fake_path(km: f64, router_hops: u32) -> PathCost {
         PathCost { km, router_hops }
@@ -202,6 +207,40 @@ mod tests {
             assert!(median < floor + 5.0, "median {median} at {t:?}, lon {lon}");
             // Some spikes appear in 2000 samples at 1.2% spike prob.
             assert!(samples.iter().any(|&r| r > floor + 25.0));
+        }
+    }
+
+    /// `sample_rtt` consumes the same draws whatever base, time and
+    /// longitude it is given. The §2.2 funnel relies on this: its
+    /// last-hop sampler feeds a traceroute's intermediate hops a dummy
+    /// base instead of expanding the router-level path, and stays
+    /// draw-for-draw equal to the full traceroute only while this
+    /// holds. Any noise mechanism added to the model (ROADMAP item 23's
+    /// responder delay and per-round congestion) must keep it.
+    #[test]
+    fn sample_rtt_draws_do_not_depend_on_base_time_or_longitude() {
+        // Loss and spikes both fire often, so every branch is taken.
+        let m = LatencyModel {
+            loss_prob: 0.3,
+            spike_prob: 0.3,
+            ..LatencyModel::default()
+        };
+        let run = |base: f64, t: SimTime, lon: f64| {
+            let mut rng = StdRng::seed_from_u64(29);
+            let replied: Vec<bool> = (0..200)
+                .map(|_| m.sample_rtt(base, t, lon, &mut rng).is_some())
+                .collect();
+            (replied, rng.next_u64())
+        };
+        let want = run(0.0, SimTime(0.0), 0.0);
+        assert!(want.0.contains(&false) && want.0.contains(&true));
+        for base in [0.0, 0.3, 50.0, 400.0] {
+            for secs in [0.0, 8.0 * 3600.0, 77_777.7, 3.9e6] {
+                for lon in [-179.9, -122.4, 0.0, 77.2, 139.7, 180.0] {
+                    let got = run(base, SimTime(secs), lon);
+                    assert_eq!(got, want, "base {base}, t {secs}, lon {lon}");
+                }
+            }
         }
     }
 

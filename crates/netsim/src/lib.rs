@@ -66,4 +66,3 @@ pub use host::{Host, HostId, HostKind, HostRegistry, SiteId};
 pub use latency::LatencyModel;
 pub use path::{expand_path, PathCost, RouterPath};
 pub use ping::{EngineStats, PairBlock, PingEngine, PingHandle, Pinger, SampleTally};
-pub use traceroute::{Traceroute, TracerouteHop};

@@ -22,8 +22,9 @@
 //! walk is over [`CityId`]s: candidates come from a merge of the two
 //! ASes' ascending PoP-city lists and every distance is a load from the
 //! city × city table behind `CityDb::km`, not a haversine. One walk
-//! serves both callers — [`expand_path`] keeps the segments (traceroute),
-//! [`path_cost`] only sums them (the ping engine's pair expansion).
+//! serves both callers — [`expand_path`] keeps the segments (the
+//! test-only full traceroute), [`path_cost`] only sums them (the ping
+//! engine's pair expansion).
 
 use shortcuts_geo::{CityId, GeoPoint};
 use shortcuts_topology::{Asn, Topology};

@@ -34,8 +34,9 @@
 //! by every campaign of a scenario sweep. Per-campaign concerns
 //! (a fault plan, ping accounting) live in [`PingHandle`], a cheap
 //! per-campaign view of the shared engine and the only way to probe
-//! it: every ping, window and traceroute goes through a handle, which
-//! implements the [`Pinger`] trait measurement code is generic over.
+//! it: every ping, window and last-hop sample goes through a handle,
+//! which implements the [`Pinger`] trait measurement code is generic
+//! over.
 //!
 //! ## The batched kernel
 //!
@@ -61,7 +62,6 @@ use crate::fault::FaultPlan;
 use crate::host::{Host, HostId, HostRegistry, SiteId};
 use crate::latency::LatencyModel;
 use crate::path::path_cost;
-use crate::traceroute::Traceroute;
 use parking_lot::RwLock;
 use rand::Rng;
 use rayon::prelude::*;
@@ -90,8 +90,8 @@ struct PairFacts {
     /// hosts' access delay — that is added per host pair, on top), ms.
     /// NaN for an unroutable pair.
     base_ms: f64,
-    /// Interned forward AS path (for fault checks, `as_path` and
-    /// traceroute); [`PathId::NONE`] = unroutable. The reverse route
+    /// Interned forward AS path (for fault checks, its hop count and
+    /// `as_path`); [`PathId::NONE`] = unroutable. The reverse route
     /// only feeds `base_ms` and is not kept.
     fwd: PathId,
 }
@@ -956,7 +956,29 @@ impl PingEngine {
         &self,
         src: HostId,
         dst: HostId,
-        mut path: Option<&mut Vec<Asn>>,
+        path: Option<&mut Vec<Asn>>,
+    ) -> Option<(f64, f64)> {
+        self.pair_info_with(
+            src,
+            dst,
+            path.map(|out| {
+                move |p: &[Asn]| {
+                    out.clear();
+                    out.extend_from_slice(p);
+                }
+            }),
+        )
+    }
+
+    /// [`PingEngine::pair_info`] with the forward AS path handed to
+    /// `read` (a routable pair only) instead of copied out: one probe
+    /// of the pair cache, or one scalar expansion on a miss, whatever
+    /// `read` takes from the path.
+    pub(crate) fn pair_info_with(
+        &self,
+        src: HostId,
+        dst: HostId,
+        mut read: Option<impl FnOnce(&[Asn])>,
     ) -> Option<(f64, f64)> {
         let s = self.hosts.get(src);
         let d = self.hosts.get(dst);
@@ -966,14 +988,15 @@ impl PingEngine {
             let mut probe = self.cache.probe(PairCache::shard_index(key), epoch);
             let found = probe.lookup(key);
             // Under the shard lock: the entry's reference keeps its
-            // path live while it is copied.
-            if let (Some(id), Some(out)) = (found.and_then(|f| f.path()), path.as_deref_mut()) {
-                out.clear();
-                self.interner.with_path(id, |p| out.extend_from_slice(p));
+            // path live while it is read.
+            if let Some(id) = found.and_then(|f| f.path()) {
+                if let Some(read) = read.take() {
+                    self.interner.with_path(id, read);
+                }
             }
             found
         };
-        let facts = found.unwrap_or_else(|| self.expand_one(key, s, d, epoch, path));
+        let facts = found.unwrap_or_else(|| self.expand_one(key, s, d, epoch, read));
         facts.routable().then(|| {
             (
                 facts.base_ms + (s.access_ms + d.access_ms),
@@ -984,14 +1007,14 @@ impl PingEngine {
 
     /// The scalar miss: one site pair's two routes straight off their
     /// tables, then the facts, byte charge and publication a batch
-    /// would give it; the forward path is copied into `path` if passed.
+    /// would give it; the forward path is handed to `read` if passed.
     fn expand_one(
         &self,
         key: SiteKey,
         s: &Host,
         d: &Host,
         epoch: u64,
-        path: Option<&mut Vec<Asn>>,
+        read: Option<impl FnOnce(&[Asn])>,
     ) -> PairFacts {
         let same_as = s.node == d.node;
         let (mut buf, mut asns) = (Vec::new(), Vec::new());
@@ -1006,9 +1029,8 @@ impl PingEngine {
         let (facts, charged) = match (fwd, rev) {
             (Some(fwd), Some(rev)) => {
                 let (fwd, rev) = (span(&asns, fwd), span(&asns, rev));
-                if let Some(out) = path {
-                    out.clear();
-                    out.extend_from_slice(fwd);
+                if let Some(read) = read {
+                    read(fwd);
                 }
                 let base_ms = self.site_facts(s, d, fwd, rev);
                 self.intern_facts(base_ms, fwd)
@@ -1392,8 +1414,9 @@ impl PingEngine {
     }
 
     /// AS path between two hosts (`None` if unroutable), copied out of
-    /// the interner. Traceroute and tests read it; the sampling loops
-    /// never do.
+    /// the interner. Only tests read it — the full-traceroute oracle
+    /// among them; the sampling loops and the geolocation sampler never
+    /// do.
     pub fn as_path(&self, src: HostId, dst: HostId) -> Option<Vec<Asn>> {
         let mut path = Vec::new();
         self.pair_info(src, dst, Some(&mut path)).map(|_| path)
@@ -1412,19 +1435,36 @@ impl PingEngine {
         faults: &FaultPlan,
         rng: &mut R,
     ) -> Option<f64> {
-        self.stats.attempts.fetch_add(1, Ordering::Relaxed);
         let mut path = Vec::new();
         let want_path = (!faults.is_empty()).then_some(&mut path);
         let Some((base_ms, mid_lon)) = self.pair_info(src, dst, want_path) else {
+            self.stats.attempts.fetch_add(1, Ordering::Relaxed);
             self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
             return None;
         };
+        self.ping_resolved(base_ms, mid_lon, &path, t, faults, rng)
+    }
+
+    /// One ping of a routed pair whose facts are already in hand: its
+    /// base RTT, midpoint longitude and — read only under a non-empty
+    /// plan — forward AS path. Counts the attempt, applies the plan's
+    /// outages and extra loss, then samples the reply.
+    pub(crate) fn ping_resolved<R: Rng + ?Sized>(
+        &self,
+        base_ms: f64,
+        mid_lon: f64,
+        path: &[Asn],
+        t: SimTime,
+        faults: &FaultPlan,
+        rng: &mut R,
+    ) -> Option<f64> {
+        self.stats.attempts.fetch_add(1, Ordering::Relaxed);
         if !faults.is_empty() {
-            if faults.path_down(&path, t) {
+            if faults.path_down(path, t) {
                 self.stats.losses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-            let extra = faults.path_extra_loss(&path);
+            let extra = faults.path_extra_loss(path);
             if extra > 0.0 && rng.gen_bool(extra.min(1.0)) {
                 self.stats.losses.fetch_add(1, Ordering::Relaxed);
                 return None;
@@ -1457,21 +1497,26 @@ pub trait Pinger: Sync {
         rng: &mut R,
     ) -> Option<f64>;
 
-    /// Runs a traceroute (the Periscope geolocation primitive).
-    fn traceroute<R: Rng + ?Sized>(
+    /// The minimum last-hop RTT over `attempts` traceroutes from `src`
+    /// to `dst`, attempt `k` at `t + k` s — the Periscope geolocation
+    /// primitive (§2.2). `None` if no route exists or every attempt's
+    /// destination reply was lost. Each attempt costs one ping of the
+    /// destination.
+    fn min_last_hop_rtt<R: Rng + ?Sized>(
         &self,
         src: HostId,
         dst: HostId,
         t: SimTime,
+        attempts: usize,
         rng: &mut R,
-    ) -> Option<Traceroute>;
+    ) -> Option<f64>;
 
-    /// Hint that `pairs` are about to be pinged or tracerouted one by
-    /// one: an implementation with shared path state may resolve them
-    /// in bulk first, so each later scalar lookup is a hit. Sends no
-    /// ping and draws no randomness — results, accounting and RNG
-    /// streams never depend on whether it ran. The default does
-    /// nothing.
+    /// Hint that `pairs` are about to be pinged or last-hop sampled
+    /// one by one: an implementation with shared path state may
+    /// resolve them in bulk first, so each later scalar lookup is a
+    /// hit. Sends no ping and draws no randomness — results, accounting
+    /// and RNG streams never depend on whether it ran. The default
+    /// does nothing.
     fn resolve_ahead(&self, _pairs: &[(HostId, HostId)]) {}
 
     /// Sends `n` pings spaced `interval_secs` apart starting at `t`
@@ -1512,7 +1557,7 @@ pub struct PingHandle {
     engine: Arc<PingEngine>,
     faults: FaultPlan,
     /// Pings this handle has attempted (the campaign's `pings_sent`).
-    attempts: AtomicU64,
+    pub(crate) attempts: AtomicU64,
 }
 
 impl PingHandle {
@@ -1663,22 +1708,21 @@ impl Pinger for PingHandle {
         self.engine.ping_faulted(src, dst, t, &self.faults, rng)
     }
 
-    fn traceroute<R: Rng + ?Sized>(
+    fn min_last_hop_rtt<R: Rng + ?Sized>(
         &self,
         src: HostId,
         dst: HostId,
         t: SimTime,
+        attempts: usize,
         rng: &mut R,
-    ) -> Option<Traceroute> {
-        let tr = self
-            .engine
-            .traceroute_faulted(src, dst, t, &self.faults, rng);
-        if tr.is_some() {
-            // A routed traceroute pings the destination exactly once
-            // (its last hop) — count it like the engine does.
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-        }
-        tr
+    ) -> Option<f64> {
+        let best =
+            self.engine
+                .min_last_hop_rtt_faulted(src, dst, t, attempts, &self.faults, rng)?;
+        // A routed traceroute pings the destination exactly once (its
+        // last hop) — count each attempt like the engine does.
+        self.attempts.fetch_add(attempts as u64, Ordering::Relaxed);
+        best
     }
 
     fn resolve_ahead(&self, pairs: &[(HostId, HostId)]) {

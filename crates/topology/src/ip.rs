@@ -157,8 +157,9 @@ impl Default for IpAllocator {
 
 /// A prefix origination record: which AS originates which prefix.
 ///
-/// The topology generator produces one per allocated prefix; the
-/// datasets crate turns these into the CAIDA-style `prefix2as` table.
+/// Nothing constructs one: the generator keeps each AS's prefixes on
+/// its [`crate::AsInfo`], and the datasets crate builds the CAIDA-style
+/// `prefix2as` table from those directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Origination {
     /// The originated prefix.

@@ -17,7 +17,7 @@ use colo_shortcuts::core::colo::{run_pipeline, ColoPipelineConfig};
 use colo_shortcuts::core::workflow::{CampaignConfig, CampaignSetup};
 use colo_shortcuts::core::world::{World, WorldConfig};
 use colo_shortcuts::netsim::clock::SimTime;
-use colo_shortcuts::netsim::{HostId, PingHandle, Pinger, Traceroute};
+use colo_shortcuts::netsim::{HostId, PingHandle, Pinger};
 use colo_shortcuts::topology::{Asn, MemoryBudget};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -60,14 +60,15 @@ impl Pinger for NoResolveAhead<'_> {
         self.0.ping(src, dst, t, rng)
     }
 
-    fn traceroute<R: Rng + ?Sized>(
+    fn min_last_hop_rtt<R: Rng + ?Sized>(
         &self,
         src: HostId,
         dst: HostId,
         t: SimTime,
+        attempts: usize,
         rng: &mut R,
-    ) -> Option<Traceroute> {
-        self.0.traceroute(src, dst, t, rng)
+    ) -> Option<f64> {
+        self.0.min_last_hop_rtt(src, dst, t, attempts, rng)
     }
 }
 
